@@ -11,9 +11,7 @@ feature, and time-stamped open separation surfaces.
 from .advect import (
     AdvectionConfig,
     ParticleSet,
-    accumulated_displacement_field,
     advance_interval,
-    correct_particle,
     phase_violations,
     seed_particles,
 )
@@ -84,11 +82,9 @@ __all__ = [
     "TimeSeriesDataset",
     "TimeStep",
     "TriangleMesh",
-    "accumulated_displacement_field",
     "advance_interval",
     "assign_labels",
     "contribution_table",
-    "correct_particle",
     "detect_splits",
     "export_meshes",
     "extract_boundary",

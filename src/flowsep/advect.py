@@ -191,24 +191,28 @@ def advance_interval(
     config: AdvectionConfig,
     patch_cache: dict | None = None,
     tau: float = 0.0,
+    batches: list[np.ndarray] | None = None,
 ) -> ParticleSet:
     """Integrate all alive particles over one stored-data interval.
 
-    Particles leaving the domain are marked dead (never corrected). With the
-    corrector enabled, stray particles are repositioned afterwards and the
+    `batches` are particle-id arrays integrated one at a time (default: one
+    batch of all particles), which bounds the RK4 temporaries by the batch
+    size. Particles leaving the domain are marked dead (never corrected). With
+    the corrector enabled, stray particles are repositioned afterwards and the
     phase invariant re-checked.
     """
     grid = step_from.grid
-    idx = np.nonzero(particles.alive)[0]
-    if idx.size == 0:
-        particles.intervals_done += 1
-        return particles
-
+    if batches is None:
+        batches = [np.arange(len(particles))]
     pre_pos = particles.pos.copy()
-    particles.pos[idx] = rk4_positions(step_from, step_to, particles.pos[idx], config.substeps)
-
-    inside = np.all((particles.pos[idx] >= grid.lo) & (particles.pos[idx] <= grid.hi), axis=1)
-    particles.alive[idx[~inside]] = False
+    for ids in batches:
+        idx = ids[particles.alive[ids]]
+        if idx.size == 0:
+            continue
+        pos = rk4_positions(step_from, step_to, particles.pos[idx], config.substeps)
+        particles.pos[idx] = pos
+        inside = np.all((pos >= grid.lo) & (pos <= grid.hi), axis=1)
+        particles.alive[idx[~inside]] = False
 
     if config.corrector != "off":
         cache = {} if patch_cache is None else patch_cache
@@ -419,35 +423,3 @@ def _slab_entry_point(x, center, lo, hi) -> np.ndarray:
         t_in = max(t_in, t0)
     t_in = min(max(t_in, 0.0), 1.0)
     return x + t_in * d
-
-
-def correct_particle(
-    particles: ParticleSet,
-    p: int,
-    pre_pos: np.ndarray,
-    step_from: TimeStep,
-    step_to: TimeStep,
-    config: AdvectionConfig,
-    tau: float = 0.0,
-    cache: dict | None = None,
-) -> tuple[np.ndarray, float]:
-    """Correct a single stray particle; returns (new position, eps increment).
-
-    Thin wrapper over the batch path for callers that manage strays themselves.
-    """
-    cache = {} if cache is None else cache
-    eps_before = float(particles.eps[p])
-    buckets = None
-    if config.corrector == "full":
-        alive_idx = np.nonzero(particles.alive)[0]
-        valid = np.zeros(len(particles), dtype=bool)
-        valid[alive_idx] = is_liquid_many(step_to, particles.pos[alive_idx], tau, cache)
-        valid[p] = False
-        buckets = _cell_buckets(step_from.grid, pre_pos, np.nonzero(particles.alive & valid)[0])
-    _correct_one(particles, p, pre_pos, step_to, config, tau, cache, buckets)
-    return particles.pos[p].copy(), float(particles.eps[p]) - eps_before
-
-
-def accumulated_displacement_field(particles: ParticleSet) -> tuple[np.ndarray, np.ndarray]:
-    """Per-seed correction displacement: (seed positions, eps values)."""
-    return particles.seeds.copy(), particles.eps.copy()

@@ -62,9 +62,6 @@ class RectilinearGrid:
         hi = np.array([self.axes[d][cell[d] + 1] for d in range(3)])
         return lo, hi
 
-    def cell_center(self, cell: Cell) -> np.ndarray:
-        return np.array([self.centers[d][cell[d]] for d in range(3)])
-
     def cell_widths(self, cell: Cell) -> np.ndarray:
         return np.array([self.widths[d][cell[d]] for d in range(3)])
 

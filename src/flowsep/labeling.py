@@ -126,7 +126,8 @@ class PartitionLayout:
         px, py, _ = self.counts
         return (pid % px, (pid // px) % py, pid // (px * py))
 
-    def part_id(self, coords) -> int:
+    def part_id(self, coords):
+        """Partition id of block coordinates (ints or per-axis index arrays)."""
         px, py, _ = self.counts
         return coords[0] + px * (coords[1] + py * coords[2])
 
@@ -135,21 +136,13 @@ class PartitionLayout:
         a, b, c = self.part_coords(pid)
         return [self.ranges[0][a], self.ranges[1][b], self.ranges[2][c]]
 
-    def owner_of_cell(self, cell) -> int:
-        coords = []
-        for d in range(3):
-            starts = np.array([r[0] for r in self.ranges[d]])
-            coords.append(int(np.searchsorted(starts, cell[d], side="right") - 1))
-        return self.part_id(coords)
-
     def owners_of_cells(self, idx: np.ndarray) -> np.ndarray:
         """Vectorized owner lookup for an (n, 3) cell-index array."""
         coords = []
         for d in range(3):
             starts = np.array([r[0] for r in self.ranges[d]])
             coords.append(np.searchsorted(starts, idx[:, d], side="right") - 1)
-        px, py, _ = self.counts
-        return coords[0] + px * (coords[1] + py * coords[2])
+        return self.part_id(coords)
 
 
 def label_features_partitioned(

@@ -1,11 +1,13 @@
 """Pipeline orchestration: seed, per-interval advect/label/assign/split loop,
-final boundary extraction, and the partitioned execution mode.
+final boundary extraction, and the partitioned execution of that loop.
 
-The partitioned mode emulates process-level data parallelism in-process:
-workers own the particles inside their subdomain and all cross-worker state
-flows through typed messages (particle handoffs, seed-label triples) plus the
-partitioned label merge. Serial and partitioned runs produce identical
-labelings, tables, and meshes.
+There is one execution loop. It emulates process-level data parallelism
+in-process: workers own the particles inside their subdomain and all
+cross-worker state flows through typed messages (particle handoffs,
+seed-label triples) plus the partitioned label merge. A serial run is the
+1x1x1 partitioning of the same loop: one worker, no faces to merge, no
+handoffs and no ghost-width check. Runs under any partitioning produce
+identical labelings, tables, and meshes.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ from .advect import (
     AdvectionConfig,
     ParticleSet,
     advance_interval,
-    correct_strays,
-    rk4_positions,
     seed_particles,
 )
 from .dataset_io import DatasetError, load_dataset
@@ -34,7 +34,7 @@ from .extract import (
     smooth_mesh,
 )
 from .grid import TimeSeriesDataset, TimeStep, locate_cells
-from .labeling import PartitionLayout, label_features, label_features_partitioned
+from .labeling import PartitionLayout, label_features_partitioned
 from .segment import (
     ContributionTable,
     SeedLabeling,
@@ -68,6 +68,10 @@ class PipelineConfig:
     smooth_iterations: int = 10
     smooth_lambda: float = 0.5
     min_triangles: int = 0
+
+    def __post_init__(self):
+        if self.ghost_width < 2:
+            raise ConfigError(f"ghost_width must be >= 2, got {self.ghost_width}")
 
 
 _CONFIG_KEYS = {
@@ -185,10 +189,9 @@ class RunReport:
             lines.append(
                 f"split\t{k}\t{ev.time_next!r}\t{ev.initial_label}\t{ev.group_label}\t{labels}"
             )
-        if self.handoffs:
-            lines.append("exchange\tinterval\tmessages")
-            for k, n in enumerate(self.handoffs):
-                lines.append(f"exchange\t{k}\t{n}")
+        lines.append("exchange\tinterval\tmessages")
+        for k, n in enumerate(self.handoffs):
+            lines.append(f"exchange\t{k}\t{n}")
         return "\n".join(lines) + "\n"
 
 
@@ -230,7 +233,7 @@ def _check_ghost_width(step_a: TimeStep, step_b: TimeStep, layout: PartitionLayo
 
 
 # ---------------------------------------------------------------------------
-# partitioned execution: workers and messages
+# the execution loop: workers and messages (serial runs have one worker)
 
 
 @dataclass
@@ -284,19 +287,23 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
     for name, idx in (("t0", config.t0), ("tf", config.tf)):
         if not 0 <= idx < len(ds):
             raise ConfigError(f"{name} index {idx} outside dataset of {len(ds)} steps")
+    try:
+        layout = PartitionLayout(
+            counts=config.partitions or (1, 1, 1),
+            shape=ds.grid.shape,
+            ghost_width=config.ghost_width,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"partitions: {exc}") from exc
 
-    if config.partitions is None:
-        result = _run_serial(config, ds)
-    else:
-        result = _run_partitioned(config, ds)
-
+    result = _run(config, ds, layout)
     if config.output is not None:
         _export(result)
     return result
 
 
 def _finish(config, ds, particles, initial_labeling, labelings, splits, s_meshes, report):
-    """Shared tail: contribution table, boundary extraction, report statistics."""
+    """Run tail: contribution table, boundary extraction, report statistics."""
     final_labeling = labelings[-1]
     table = contribution_table(initial_labeling, final_labeling, particles)
 
@@ -325,70 +332,7 @@ def _finish(config, ds, particles, initial_labeling, labelings, splits, s_meshes
     )
 
 
-def _splits_and_surfaces(
-    ds, particles, step_to, initial_labeling, prev_labeling, cur_labeling, k, splits, s_meshes
-):
-    """Split detection, separation-surface extraction, trail label attachment."""
-    particles.label = cur_labeling.labels.copy()
-    events = detect_splits(prev_labeling, cur_labeling, initial_labeling)
-    for ev in events:
-        splits.append((k, ev))
-        for pair in itertools.combinations(ev.next_labels, 2):
-            mesh = extract_separation_surface(ds.grid, particles, ev, pair, cur_labeling)
-            if not mesh.empty:
-                s_meshes.append(mesh)
-    if particles.trail and particles.trail[-1].time == step_to.time:
-        particles.trail[-1].labels = cur_labeling.labels.copy()
-
-
-def _run_serial(config: PipelineConfig, ds: TimeSeriesDataset) -> RunResult:
-    seq = _step_sequence(config.t0, config.tf)
-    step0 = ds.steps[seq[0]]
-    labels0 = label_features(step0, config.tau)
-    particles = seed_particles(step0, config.advection.refinement, config.tau)
-    initial_labeling = assign_labels(particles, labels0, step0, config.tau)
-    particles.label = initial_labeling.labels.copy()
-
-    report = RunReport(particles=len(particles))
-    labelings = [initial_labeling]
-    splits: list[tuple[int, SplitEvent]] = []
-    s_meshes: list[TriangleMesh] = []
-    prev_labeling = initial_labeling
-
-    for k in range(len(seq) - 1):
-        step_from = ds.steps[seq[k]]
-        step_to = ds.steps[seq[k + 1]]
-        t_start = _time.perf_counter()
-        eps_before = particles.eps > 0.0
-        cache: dict = {}
-        advance_interval(particles, step_from, step_to, config.advection, cache, config.tau)
-        labels_k1 = label_features(step_to, config.tau)
-        cur_labeling = assign_labels(particles, labels_k1, step_to, config.tau)
-        _splits_and_surfaces(
-            ds, particles, step_to, initial_labeling, prev_labeling, cur_labeling,
-            k, splits, s_meshes,
-        )
-        prev_labeling = cur_labeling
-        nfeat = labels_k1.count
-        labelings.append(prev_labeling)
-        report.intervals.append(
-            IntervalStats(
-                index=k,
-                t_from=step_from.time,
-                t_to=step_to.time,
-                seconds=_time.perf_counter() - t_start,
-                alive=int(particles.alive.sum()),
-                corrected=int(np.sum((particles.eps > 0.0) & ~eps_before)),
-                features=nfeat,
-            )
-        )
-    return _finish(config, ds, particles, initial_labeling, labelings, splits, s_meshes, report)
-
-
-def _run_partitioned(config: PipelineConfig, ds: TimeSeriesDataset) -> RunResult:
-    layout = PartitionLayout(
-        counts=config.partitions, shape=ds.grid.shape, ghost_width=config.ghost_width
-    )
+def _run(config: PipelineConfig, ds: TimeSeriesDataset, layout: PartitionLayout) -> RunResult:
     seq = _step_sequence(config.t0, config.tf)
     step0 = ds.steps[seq[0]]
     labels0 = label_features_partitioned(step0, config.tau, layout)
@@ -416,34 +360,17 @@ def _run_partitioned(config: PipelineConfig, ds: TimeSeriesDataset) -> RunResult
     for k in range(len(seq) - 1):
         step_from = ds.steps[seq[k]]
         step_to = ds.steps[seq[k + 1]]
-        _check_ghost_width(step_from, step_to, layout)
+        if layout.nparts > 1:  # a single block has no neighbouring halo
+            _check_ghost_width(step_from, step_to, layout)
         t_start = _time.perf_counter()
         eps_before = particles.eps > 0.0
-        pre_pos = particles.pos.copy()
 
-        # phase A: every worker integrates its own particles
-        for w in workers:
-            active = w.owned[particles.alive[w.owned]]
-            if active.size == 0:
-                continue
-            particles.pos[active] = rk4_positions(
-                step_from, step_to, particles.pos[active], config.advection.substeps
-            )
-            inside = np.all(
-                (particles.pos[active] >= ds.grid.lo) & (particles.pos[active] <= ds.grid.hi),
-                axis=1,
-            )
-            particles.alive[active[~inside]] = False
-
-        # phase B: correction against the frozen pre-interval snapshot
-        cache: dict = {}
-        if config.advection.corrector != "off":
-            correct_strays(
-                particles, pre_pos, step_from, step_to, config.advection, config.tau, cache
-            )
-        particles.intervals_done += 1
-        if particles.intervals_done % config.advection.trail_stride == 0:
-            particles.record_trail(step_to.time)
+        # phases A+B: every worker integrates its own particles, then the
+        # corrector runs against the frozen pre-interval snapshot
+        advance_interval(
+            particles, step_from, step_to, config.advection, None, config.tau,
+            [w.owned for w in workers],
+        )
 
         # phase C: ownership exchange
         messages: list[ParticleHandoff] = []
@@ -466,7 +393,7 @@ def _run_partitioned(config: PipelineConfig, ds: TimeSeriesDataset) -> RunResult
                 messages.append(ParticleHandoff(src=w.pid, dst=int(dst), ids=moved))
         partition_exchange(workers, messages)
         report.handoffs.append(len(messages))
-        owned_all = np.concatenate([w.owned for w in workers]) if workers else np.array([])
+        owned_all = np.concatenate([w.owned for w in workers])
         if owned_all.size != np.unique(owned_all).size:
             raise AssertionError("a particle is owned by two workers after exchange")
         if owned_all.size != int(particles.alive.sum()):
@@ -480,14 +407,11 @@ def _run_partitioned(config: PipelineConfig, ds: TimeSeriesDataset) -> RunResult
             if ids.size == 0:
                 continue
             lab = labels_for_positions(particles.pos[ids], labels_k1, step_to, config.tau)
-            for home in np.unique(home_of[ids]):
-                grp = ids[home_of[ids] == home]
+            homes = home_of[ids]
+            for home in np.unique(homes):
+                sel = homes == home
                 triples.append(
-                    SeedLabelTriples(
-                        home=int(home),
-                        local_idx=local_of[grp],
-                        labels=lab[np.isin(ids, grp)],
-                    )
+                    SeedLabelTriples(home=int(home), local_idx=local_of[ids[sel]], labels=lab[sel])
                 )
         seed_labels = np.full(len(particles), -1, dtype=np.int32)
         for msg in triples:
@@ -495,10 +419,18 @@ def _run_partitioned(config: PipelineConfig, ds: TimeSeriesDataset) -> RunResult
             seed_labels[gids] = msg.labels
         cur_labeling = SeedLabeling(labels=seed_labels, time=step_to.time)
 
-        _splits_and_surfaces(
-            ds, particles, step_to, initial_labeling, prev_labeling, cur_labeling,
-            k, splits, s_meshes,
-        )
+        # split detection, separation surfaces, trail label attachment
+        particles.label = cur_labeling.labels.copy()
+        events = detect_splits(prev_labeling, cur_labeling, initial_labeling)
+        for ev in events:
+            splits.append((k, ev))
+            for pair in itertools.combinations(ev.next_labels, 2):
+                mesh = extract_separation_surface(ds.grid, particles, ev, pair, cur_labeling)
+                if not mesh.empty:
+                    s_meshes.append(mesh)
+        if particles.trail and particles.trail[-1].time == step_to.time:
+            particles.trail[-1].labels = cur_labeling.labels.copy()
+
         prev_labeling = cur_labeling
         labelings.append(cur_labeling)
         report.intervals.append(

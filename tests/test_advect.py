@@ -6,7 +6,6 @@ import pytest
 from flowsep.advect import (
     AdvectionConfig,
     ParticleSet,
-    accumulated_displacement_field,
     advance_interval,
     correct_strays,
     phase_violations,
@@ -237,9 +236,9 @@ class TestDisplacementField:
         cfg = AdvectionConfig(corrector="off")
         for k in range(len(ds) - 1):
             advance_interval(ps, ds.steps[k], ds.steps[k + 1], cfg)
-        seeds, eps = accumulated_displacement_field(ps)
-        assert np.all(eps == 0.0)
-        assert seeds.shape == ps.seeds.shape
+        assert np.all(ps.eps == 0.0)
+        assert ps.eps.shape == (len(ps),)
+        assert ps.seeds.shape == ps.pos.shape
 
     def test_resolved_rotation_needs_no_correction(self, rotation32):
         # oracle: a direct validity scan never fires on the resolved flow
@@ -263,7 +262,7 @@ class TestConfigValidation:
             AdvectionConfig(direction="sideways")
 
 
-class TestCorrectParticleWrapper:
+class TestSingleStrayCorrection:
     def test_single_particle_stage2(self):
         g = uniform_grid((3, 1, 1), hi=(3.0, 1.0, 1.0))
         f = np.array([1.0, 0.0, 0.0])
@@ -271,11 +270,10 @@ class TestCorrectParticleWrapper:
         step1 = make_step(g, f, np.zeros((3, 3)), time=1.0)
         ps = probes_particle_set([[1.6, 0.5, 0.5]])
         pre = ps.pos.copy()
-        from flowsep.advect import correct_particle
-
-        new_pos, deps = correct_particle(
-            ps, 0, pre, step0, step1, AdvectionConfig(corrector="full")
+        corrected = correct_strays(
+            ps, pre, step0, step1, AdvectionConfig(corrector="full"), 0.0, {}
         )
-        assert np.allclose(new_pos, (1.0, 0.5, 0.5), atol=1e-6)
-        assert np.isclose(deps, 0.6, atol=1e-6)
-        assert np.isclose(ps.eps[0], deps)
+        assert corrected.tolist() == [0]
+        assert np.allclose(ps.pos[0], (1.0, 0.5, 0.5), atol=1e-6)
+        assert np.isclose(ps.eps[0], 0.6, atol=1e-6)
+        assert ps.alive[0]

@@ -294,6 +294,22 @@ class TestCli:
     def test_report_missing_run_dir(self, tmp_path):
         assert main(["report", "--run", str(tmp_path / "nope")]) == 2
 
+    def test_ghost_width_below_two_exit_code(self, tmp_path):
+        path = write_config(tmp_path / "run.cfg", manifest="m", t0=0, tf=1, ghost_width=1)
+        assert main(["run", "--config", str(path)]) == 1
+
+    def test_more_partitions_than_cells_exit_code(self, tmp_path):
+        sc = SyntheticScenario(kind="rigid-rotation", cells=12, steps=2)
+        write_dataset(generate_scenario(sc), tmp_path / "ds")
+        path = write_config(
+            tmp_path / "run.cfg",
+            manifest="ds/dataset.manifest",
+            t0=0,
+            tf=1,
+            partitions="20x1x1",
+        )
+        assert main(["run", "--config", str(path)]) == 1
+
 
 class TestEnclosureOnAdvectedRun:
     def test_b_meshes_classify_seeds_by_label(self, split32_result):
@@ -312,3 +328,37 @@ class TestTrailFrames:
         assert frame.labels is not None
         assert frame.positions.shape == split32_result.particles.pos.shape
         assert set(np.unique(frame.labels)).issubset({-1, 0, 1})
+
+    def test_serial_and_partitioned_record_the_same_frames(self, tmp_path):
+        # the only particle leaves the domain in the first interval; the
+        # second interval still records its (all-dead) frame
+        g = uniform_grid((4, 2, 2))
+        f = np.zeros(g.ncells)
+        f[g.flat((3, 0, 0))] = 1.0
+        u = np.zeros((3, g.ncells))
+        u[0] = 1.5 * 0.25  # 1.5 cells per interval
+        steps = [
+            TimeStep(time=float(t), f=CellField(g, f), u=CellField(g, u, ncomp=3))
+            for t in (0.0, 1.0, 2.0)
+        ]
+        manifest = write_dataset(TimeSeriesDataset(grid=g, steps=steps), tmp_path / "leave")
+        trails = []
+        for partitions in (None, (2, 1, 1)):
+            cfg = PipelineConfig(
+                manifest=manifest,
+                t0=0,
+                tf=2,
+                partitions=partitions,
+                advection=AdvectionConfig(corrector="off", trail_stride=1),
+            )
+            result = run_pipeline(cfg)
+            assert result.report.particles == 1
+            assert not result.particles.alive.any()
+            trails.append(result.particles.trail)
+        serial, part = trails
+        assert [fr.time for fr in serial] == [1.0, 2.0]
+        assert [fr.time for fr in part] == [1.0, 2.0]
+        for a, b in zip(serial, part):
+            assert np.array_equal(a.positions, b.positions)
+            assert np.array_equal(a.alive, b.alive)
+            assert np.array_equal(a.labels, b.labels)
