@@ -112,7 +112,6 @@ def seed_particles(step: TimeStep, refinement: int = 0, tau: float = 0.0) -> Par
     seeds = []
     lattice = []
     volumes = []
-    cache: dict = {}
     f3 = step.f.view3d()
     for flat in cand_cells:
         i = int(flat % nx)
@@ -127,7 +126,6 @@ def seed_particles(step: TimeStep, refinement: int = 0, tau: float = 0.0) -> Par
         else:
             try:
                 patch = reconstruct_patch(step, (i, j, k))
-                cache[(i, j, k)] = patch
                 d = (centers - patch.anchor) @ patch.normal
                 keep = d < patch.offset
             except DegenerateNormalError:

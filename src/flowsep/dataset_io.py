@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import CellField, RectilinearGrid, TimeSeriesDataset, TimeStep, uniform_grid
+from .grid import CellField, GridError, RectilinearGrid, TimeSeriesDataset, TimeStep, uniform_grid
 
 STEP_MAGIC = b"FSEP0001"
 GRID_MAGIC = b"FSEPGRID"
@@ -95,7 +95,10 @@ def read_timestep(path, grid: RectilinearGrid) -> TimeStep:
         for c in range(3):
             ubuf = _read_exact(fh, 8 * n, path, f"velocity component {c}")
             u[c] = np.frombuffer(ubuf, dtype="<f8")
-    return TimeStep(time=time, f=CellField(grid, f), u=CellField(grid, u, ncomp=3))
+    try:
+        return TimeStep(time=time, f=CellField(grid, f), u=CellField(grid, u, ncomp=3))
+    except GridError as exc:
+        raise DatasetError(f"{path}: {exc}") from exc
 
 
 @dataclass
@@ -128,7 +131,13 @@ def read_manifest(path) -> DatasetManifest:
         parts = ln.split("\t")
         if len(parts) != 2:
             raise DatasetError(f"{path}: bad manifest line {ln!r}")
-        steps.append((float(parts[0]), parts[1]))
+        try:
+            t = float(parts[0])
+        except ValueError:
+            t = np.nan
+        if not np.isfinite(t):
+            raise DatasetError(f"{path}: bad manifest time {parts[0]!r}")
+        steps.append((t, parts[1]))
     return DatasetManifest(grid_path=grid_path, steps=steps)
 
 

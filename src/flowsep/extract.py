@@ -15,6 +15,7 @@ import numpy as np
 
 from .advect import ParticleSet
 from .grid import RectilinearGrid
+from .labeling import connected_components
 from .marching import marching_cubes
 from .segment import SeedLabeling, SplitEvent
 
@@ -200,25 +201,10 @@ def smooth_mesh(mesh: TriangleMesh, iterations: int = 10, lam: float = 0.5) -> T
 
 def triangle_components(mesh: TriangleMesh) -> np.ndarray:
     """Connected-component id per triangle (components share vertices)."""
-    nv = mesh.vertices.shape[0]
-    parent = np.arange(nv)
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for t in mesh.triangles:
-        r0 = find(t[0])
-        for v in t[1:]:
-            rv = find(v)
-            if rv != r0:
-                lo, hi = (r0, rv) if r0 < rv else (rv, r0)
-                parent[hi] = lo
-                r0 = lo
-    roots = np.array([find(t[0]) for t in mesh.triangles])
-    _, comp = np.unique(roots, return_inverse=True)
+    t = mesh.triangles
+    edges = np.concatenate([t[:, [0, 1]], t[:, [0, 2]]])
+    root = connected_components(mesh.vertices.shape[0], edges[:, 0], edges[:, 1])
+    _, comp = np.unique(root[t[:, 0]], return_inverse=True)
     return comp
 
 

@@ -136,8 +136,10 @@ class TimeStep:
         if self.u.ncomp != 3:
             raise GridError("velocity field must have 3 components")
         fv = self.f.values
-        if fv.size and (fv.min() < 0.0 or fv.max() > 1.0):
+        if not np.all((fv >= 0.0) & (fv <= 1.0)):
             raise GridError("fraction values must lie in [0, 1]")
+        if not np.all(np.isfinite(self.u.values)):
+            raise GridError("velocity values must be finite")
 
     @property
     def grid(self) -> RectilinearGrid:

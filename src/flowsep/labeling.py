@@ -1,4 +1,5 @@
-"""Connected-component feature extraction on the f > tau mask (serial and partitioned).
+"""Connected components: the package's one union-find, and feature labeling
+on the f > tau mask (serial labeling is the 1x1x1 partitioning).
 
 Features are 6-connected (face neighbors only). Labels are dense and canonical:
 components are numbered by ascending smallest flat cell index, so serial and
@@ -26,70 +27,51 @@ class LabelField:
         return self.labels.reshape(self.grid.shape, order="F")
 
 
-class _UnionFind:
-    """Union-find over hashable keys, used for cross-partition label merging."""
+def connected_components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Components of the graph on nodes 0..n-1 with edges (a[i], b[i]).
 
-    def __init__(self):
-        self.parent = {}
-
-    def find(self, x):
-        root = self.parent.setdefault(x, x)
-        while root != self.parent[root]:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
-def _bfs_label_flat(mask: np.ndarray, shape) -> tuple[np.ndarray, int]:
-    """Flood-fill (BFS) region growing over a flat boolean mask, 6-connectivity.
-
-    The frontier expands one neighbor ring per pass. Seeds are scanned in
-    ascending flat order, so label ids equal the rank of each component's
-    smallest flat cell index.
+    Returns, for each node, the smallest node index in its component. This is
+    an array union-find (Wu, Otoo & Suzuki, PAA 2009): each round hooks the
+    larger of each edge's two roots onto the smaller, then jumps pointers until
+    every node points at a root. Edges whose ends share a root are dropped; the
+    loop ends when none is left.
     """
-    nx, ny, nz = shape
-    nxy = nx * ny
-    labels = np.full(mask.size, -1, dtype=np.int32)
-    nxt = 0
-    for start in np.nonzero(mask)[0]:
-        if labels[start] >= 0:
-            continue
-        labels[start] = nxt
-        frontier = np.array([start], dtype=np.int64)
-        while frontier.size:
-            i = frontier % nx
-            j = (frontier // nx) % ny
-            k = frontier // nxy
-            cands = np.concatenate(
-                [
-                    frontier[i > 0] - 1,
-                    frontier[i < nx - 1] + 1,
-                    frontier[j > 0] - nx,
-                    frontier[j < ny - 1] + nx,
-                    frontier[k > 0] - nxy,
-                    frontier[k < nz - 1] + nxy,
-                ]
-            )
-            cands = cands[mask[cands] & (labels[cands] < 0)]
-            if cands.size:
-                cands = np.unique(cands)
-                labels[cands] = nxt
-            frontier = cands
-        nxt += 1
-    return labels, nxt
+    parent = np.arange(n, dtype=np.int64)
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    while True:
+        ra, rb = parent[a], parent[b]
+        apart = ra != rb
+        if not apart.any():
+            return parent
+        a, b, ra, rb = a[apart], b[apart], ra[apart], rb[apart]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+
+
+def _face_pairs(mask3: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat (x-fastest) indices of the face-adjacent cell pairs inside a 3D mask."""
+    flat3 = np.arange(mask3.size).reshape(mask3.shape, order="F")
+    a, b = [], []
+    for axis in range(3):
+        lo = [slice(None)] * 3
+        hi = [slice(None)] * 3
+        lo[axis] = slice(0, -1)
+        hi[axis] = slice(1, None)
+        both = mask3[tuple(lo)] & mask3[tuple(hi)]
+        a.append(flat3[tuple(lo)][both])
+        b.append(flat3[tuple(hi)][both])
+    return np.concatenate(a), np.concatenate(b)
 
 
 def label_features(step: TimeStep, tau: float = 0.0) -> LabelField:
-    """Label connected features of the f > tau mask."""
-    grid = step.grid
-    labels, count = _bfs_label_flat(step.f.values > tau, grid.shape)
-    return LabelField(grid=grid, labels=labels, count=count)
+    """Label connected features of the f > tau mask (the 1x1x1 partitioning)."""
+    layout = PartitionLayout(counts=(1, 1, 1), shape=step.grid.shape)
+    return label_features_partitioned(step, tau, layout)
 
 
 def _split_ranges(n: int, parts: int) -> list[tuple[int, int]]:
@@ -148,83 +130,40 @@ class PartitionLayout:
 def label_features_partitioned(
     step: TimeStep, tau: float, layout: PartitionLayout
 ) -> LabelField:
-    """Partitioned labeling: local BFS per block, boundary-face equivalence merge,
-    then relabeling to the same canonical dense order as label_features."""
+    """Partitioned labeling: local components per block, an equivalence merge
+    over the cut faces between blocks, then dense ids in canonical order."""
     grid = step.grid
-    nx, ny, nz = grid.shape
     if layout.shape != grid.shape:
         raise ValueError(f"layout shape {layout.shape} does not match grid {grid.shape}")
-    mask3 = np.ascontiguousarray(step.f.view3d() > tau)
-    local3 = np.full((nx, ny, nz), -1, dtype=np.int64)
-    owner3 = np.full((nx, ny, nz), -1, dtype=np.int32)
-    gi, gj, gk = np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij")
-    gflat3 = gi + nx * (gj + ny * gk)
+    mask3 = step.f.view3d() > tau
+    flat3 = np.arange(grid.ncells).reshape(grid.shape, order="F")
 
-    # local labeling per partition (independent; runs concurrently in spirit)
-    min_flat: dict[tuple[int, int], int] = {}
-    part_counts = []
+    # local labeling per block: each cell's root is the smallest flat index of
+    # its component within the block (x-fastest order is kept inside a block)
+    root3 = np.empty(grid.shape, dtype=np.int64)
     for pid in range(layout.nparts):
-        (i0, i1), (j0, j1), (k0, k1) = layout.block(pid)
-        sub = mask3[i0:i1, j0:j1, k0:k1]
-        sub_flat = sub.reshape(-1, order="F")
-        loc, cnt = _bfs_label_flat(sub_flat, sub.shape)
-        part_counts.append(cnt)
-        loc3 = loc.reshape(sub.shape, order="F")
-        local3[i0:i1, j0:j1, k0:k1] = loc3
-        owner3[i0:i1, j0:j1, k0:k1] = pid
-        fg = loc3 >= 0
-        if cnt:
-            mins = np.full(cnt, np.iinfo(np.int64).max)
-            np.minimum.at(mins, loc3[fg], gflat3[i0:i1, j0:j1, k0:k1][fg])
-            for lab in range(cnt):
-                min_flat[(pid, lab)] = int(mins[lab])
+        blk = tuple(slice(lo, hi) for lo, hi in layout.block(pid))
+        sub = mask3[blk]
+        local = connected_components(sub.size, *_face_pairs(sub))
+        root3[blk] = flat3[blk].reshape(-1, order="F")[local].reshape(sub.shape, order="F")
 
-    # collect cross-partition equivalences along internal partition faces
-    uf = _UnionFind()
-    for key in min_flat:
-        uf.find(key)
+    # number the local components of all blocks by their roots, then merge
+    # the ones that touch across a cut face
+    roots, comp = np.unique(root3[mask3], return_inverse=True)
+    pairs = [np.empty((2, 0), dtype=np.int64)]
     for axis in range(3):
-        for rng in layout.ranges[axis][1:]:
-            cut = rng[0]
-            lo_sl = [slice(None)] * 3
-            hi_sl = [slice(None)] * 3
-            lo_sl[axis] = cut - 1
-            hi_sl[axis] = cut
-            both = mask3[tuple(lo_sl)] & mask3[tuple(hi_sl)]
-            if not both.any():
-                continue
-            pairs = np.stack(
-                [
-                    owner3[tuple(lo_sl)][both],
-                    local3[tuple(lo_sl)][both],
-                    owner3[tuple(hi_sl)][both],
-                    local3[tuple(hi_sl)][both],
-                ],
-                axis=1,
-            )
-            for pa, la, pb, lb in np.unique(pairs, axis=0):
-                uf.union((int(pa), int(la)), (int(pb), int(lb)))
+        for cut, _ in layout.ranges[axis][1:]:
+            below = [slice(None)] * 3
+            above = [slice(None)] * 3
+            below[axis] = cut - 1
+            above[axis] = cut
+            both = mask3[tuple(below)] & mask3[tuple(above)]
+            pairs.append(np.stack([root3[tuple(below)][both], root3[tuple(above)][both]]))
+    a, b = np.searchsorted(roots, np.concatenate(pairs, axis=1))
+    merged = connected_components(roots.size, a, b)
 
-    # canonical dense ids: rank of each merged component's smallest flat index
-    root_min: dict[tuple[int, int], int] = {}
-    for key, mf in min_flat.items():
-        root = uf.find(key)
-        if root not in root_min or mf < root_min[root]:
-            root_min[root] = mf
-    order = sorted(root_min, key=lambda r: root_min[r])
-    root_id = {root: i for i, root in enumerate(order)}
-
-    labels3 = np.full((nx, ny, nz), -1, dtype=np.int32)
-    for pid in range(layout.nparts):
-        cnt = part_counts[pid]
-        if cnt == 0:
-            continue
-        (i0, i1), (j0, j1), (k0, k1) = layout.block(pid)
-        remap = np.array(
-            [root_id[uf.find((pid, lab))] for lab in range(cnt)], dtype=np.int32
-        )
-        loc3 = local3[i0:i1, j0:j1, k0:k1]
-        blk = labels3[i0:i1, j0:j1, k0:k1]
-        fg = loc3 >= 0
-        blk[fg] = remap[loc3[fg]]
-    return LabelField(grid=grid, labels=labels3.reshape(-1, order="F"), count=len(order))
+    # dense ids: rank of each feature's smallest flat index
+    ids, dense = np.unique(merged, return_inverse=True)
+    labels3 = np.full(grid.shape, -1, dtype=np.int32)
+    labels3[mask3] = dense[comp]
+    return LabelField(grid=grid, labels=labels3.reshape(-1, order="F"), count=ids.size)

@@ -72,6 +72,14 @@ class PipelineConfig:
     def __post_init__(self):
         if self.ghost_width < 2:
             raise ConfigError(f"ghost_width must be >= 2, got {self.ghost_width}")
+        if not 0.0 <= self.tau < 1.0:
+            raise ConfigError(f"tau must lie in [0, 1), got {self.tau}")
+        if self.smooth_iterations < 0:
+            raise ConfigError(f"smooth_iterations must be >= 0, got {self.smooth_iterations}")
+        if not 0.0 < self.smooth_lambda <= 1.0:
+            raise ConfigError(f"smooth_lambda must lie in (0, 1], got {self.smooth_lambda}")
+        if self.min_triangles < 0:
+            raise ConfigError(f"min_triangles must be >= 0, got {self.min_triangles}")
 
 
 _CONFIG_KEYS = {

@@ -2,15 +2,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowsep.grid import CellField, TimeStep, uniform_grid
 from flowsep.labeling import (
     PartitionLayout,
+    connected_components,
     label_features,
     label_features_partitioned,
 )
 
-from .oracles import union_find_label
+from .oracles import UnionFind, union_find_label
 
 
 def mask_step(mask3, time=0.0):
@@ -153,3 +156,46 @@ class TestPartitionedLabeling:
         serial = label_features(step)
         part = label_features_partitioned(step, 0.0, layout)
         assert np.array_equal(serial.labels, part.labels)
+
+
+@st.composite
+def masks_with_layouts(draw):
+    """Random masks of 1-12 cells per axis, fill 0-0.6, with partition counts
+    up to the shape (so single-cell axes and one-cell-wide blocks occur)."""
+    shape = tuple(draw(st.integers(1, 12)) for _ in range(3))
+    counts = tuple(draw(st.integers(1, n)) for n in shape)
+    fill = draw(st.floats(0.0, 0.6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return np.random.default_rng(seed).random(shape) < fill, counts
+
+
+@st.composite
+def edge_lists(draw):
+    """Random graphs whose edge lists always hold self-loops and duplicates."""
+    n = draw(st.integers(1, 40))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=60))
+    loops = [(a, a) for a in draw(st.lists(node, min_size=1, max_size=3))]
+    return n, edges + edges[: len(edges) // 2] + loops
+
+
+class TestProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(masks_with_layouts())
+    def test_partitioned_labeling_matches_oracle(self, case):
+        mask, counts = case
+        layout = PartitionLayout(counts=counts, shape=mask.shape)
+        lf = label_features_partitioned(mask_step(mask), 0.0, layout)
+        oracle_labels, oracle_count = union_find_label(mask)
+        assert lf.count == oracle_count
+        assert np.array_equal(lf.view3d(), oracle_labels)
+
+    @settings(max_examples=100, deadline=None)
+    @given(edge_lists())
+    def test_connected_components_matches_oracle(self, case):
+        n, edges = case
+        uf = UnionFind(n)
+        for a, b in edges:
+            uf.union(a, b)
+        a, b = np.array(edges, dtype=np.int64).T
+        assert connected_components(n, a, b).tolist() == [uf.find(x) for x in range(n)]

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -297,6 +299,45 @@ class TestCli:
     def test_ghost_width_below_two_exit_code(self, tmp_path):
         path = write_config(tmp_path / "run.cfg", manifest="m", t0=0, tf=1, ghost_width=1)
         assert main(["run", "--config", str(path)]) == 1
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("tau", -1),
+            ("tau", 1.5),
+            ("smooth_iterations", -3),
+            ("smooth_lambda", 2),
+            ("min_triangles", -5),
+        ],
+    )
+    def test_out_of_range_value_exit_code(self, tmp_path, key, value):
+        # the manifest does not exist: the value must be rejected before any load
+        path = write_config(tmp_path / "run.cfg", manifest="m", t0=0, tf=1, **{key: value})
+        assert main(["run", "--config", str(path)]) == 1
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("time", "abc"),
+            ("time", "nan"),
+            ("fraction", "nan"),
+            ("fraction", "2.0"),
+            ("velocity", "inf"),
+        ],
+    )
+    def test_bad_data_file_exit_code(self, tmp_path, field, value):
+        sc = SyntheticScenario(kind="rigid-rotation", cells=6, steps=2)
+        manifest = write_dataset(generate_scenario(sc), tmp_path / "ds")
+        if field == "time":
+            manifest.write_text(manifest.read_text().replace("0.0\t", f"{value}\t", 1))
+        else:
+            # step payload: 32 header bytes, then f, then u, 8 bytes per cell
+            offset = 32 + (8 * 6**3 if field == "velocity" else 0)
+            with open(tmp_path / "ds" / "step_0001.bin", "r+b") as fh:
+                fh.seek(offset)
+                fh.write(struct.pack("<d", float(value)))
+        path = write_config(tmp_path / "run.cfg", manifest="ds/dataset.manifest", t0=0, tf=1)
+        assert main(["run", "--config", str(path)]) == 2
 
     def test_more_partitions_than_cells_exit_code(self, tmp_path):
         sc = SyntheticScenario(kind="rigid-rotation", cells=12, steps=2)
