@@ -10,6 +10,7 @@ phase and accumulates the introduced displacement per particle.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +21,7 @@ from .grid import (
     locate_cells,
     sample_velocity,
 )
-from .plic import DegenerateNormalError, is_liquid_many, project_to_patch, reconstruct_patch
+from .plic import is_liquid_many, liquid_capable, plic_table, project_many, row_dot
 
 CORRECTOR_MODES = ("off", "stages-2-3", "full")
 # relative inward nudge so a particle placed on a cell face is unambiguously
@@ -93,12 +94,13 @@ def seed_particles(step: TimeStep, refinement: int = 0, tau: float = 0.0) -> Par
     """Seed subcell centers of every cell with f > tau that pass the phase test.
 
     Pure-liquid cells take all (2^3)^r seeds; interface cells keep only centers
-    on the liquid side of the PLIC patch.
+    strictly on the liquid side of the PLIC patch (d < l), and degenerate-normal
+    cells keep all of their centers iff f > 0.5. Seeds are ordered by cell flat
+    index, then by subcell (x fastest).
     """
     grid = step.grid
     r = int(refinement)
     s = 2**r
-    nx, ny, _ = grid.shape
     fvals = step.f.values
     cand_cells = np.nonzero(fvals > tau)[0]
 
@@ -109,41 +111,30 @@ def seed_particles(step: TimeStep, refinement: int = 0, tau: float = 0.0) -> Par
         axis=1,
     )
 
-    seeds = []
-    lattice = []
-    volumes = []
-    f3 = step.f.view3d()
-    for flat in cand_cells:
-        i = int(flat % nx)
-        j = int((flat // nx) % ny)
-        k = int(flat // (nx * ny))
-        lo, hi = grid.cell_bounds((i, j, k))
-        w = hi - lo
-        centers = lo + (sub_idx + 0.5) / s * w
-        fc = float(f3[i, j, k])
-        if fc >= 1.0:
-            keep = np.ones(centers.shape[0], dtype=bool)
-        else:
-            try:
-                patch = reconstruct_patch(step, (i, j, k))
-                d = (centers - patch.anchor) @ patch.normal
-                keep = d < patch.offset
-            except DegenerateNormalError:
-                keep = np.full(centers.shape[0], fc > 0.5)
-        if not keep.any():
-            continue
-        seeds.append(centers[keep])
-        lattice.append(np.array([i, j, k]) * s + sub_idx[keep])
-        volumes.append(np.full(int(keep.sum()), grid.cell_volume((i, j, k)) / s**3))
+    ijk = np.stack(grid.unflat(cand_cells), axis=1)
+    lo, hi = grid.cell_boxes(cand_cells)
+    w = hi - lo
+    # (cells, subcells, 3)
+    centers = lo[:, None, :] + ((sub_idx + 0.5) / s)[None, :, :] * w[:, None, :]
 
-    if seeds:
-        seeds_arr = np.concatenate(seeds)
-        lattice_arr = np.concatenate(lattice).astype(np.int64)
-        vol_arr = np.concatenate(volumes)
-    else:
-        seeds_arr = np.zeros((0, 3))
-        lattice_arr = np.zeros((0, 3), dtype=np.int64)
-        vol_arr = np.zeros(0)
+    keep = np.ones(centers.shape[:2], dtype=bool)
+    fc = fvals[cand_cells]
+    mixed = np.nonzero(fc < 1.0)[0]
+    if mixed.size:
+        table = plic_table(step)
+        rows = table.rows(cand_cells[mixed])
+        rel = centers[mixed] - table.anchors[rows][:, None, :]
+        d = row_dot(rel, table.normals[rows][:, None, :])
+        keep[mixed] = np.where(
+            table.degenerate[rows][:, None],
+            (fc[mixed] > 0.5)[:, None],
+            d < table.offsets[rows][:, None],
+        )
+
+    cell_of, sub_of = np.nonzero(keep)
+    seeds_arr = centers[cell_of, sub_of]
+    lattice_arr = (ijk[cell_of] * s + sub_idx[sub_of]).astype(np.int64)
+    vol_arr = (w[:, 0] * w[:, 1] * w[:, 2])[cell_of] / s**3
     n = seeds_arr.shape[0]
     return ParticleSet(
         seeds=seeds_arr,
@@ -187,7 +178,6 @@ def advance_interval(
     step_from: TimeStep,
     step_to: TimeStep,
     config: AdvectionConfig,
-    patch_cache: dict | None = None,
     tau: float = 0.0,
     batches: list[np.ndarray] | None = None,
 ) -> ParticleSet:
@@ -213,8 +203,7 @@ def advance_interval(
         particles.alive[idx[~inside]] = False
 
     if config.corrector != "off":
-        cache = {} if patch_cache is None else patch_cache
-        correct_strays(particles, pre_pos, step_from, step_to, config, tau, cache)
+        correct_strays(particles, pre_pos, step_from, step_to, config, tau)
 
     particles.intervals_done += 1
     if particles.intervals_done % config.trail_stride == 0:
@@ -222,24 +211,13 @@ def advance_interval(
     return particles
 
 
-def phase_violations(
-    particles: ParticleSet, step: TimeStep, tau: float = 0.0, cache: dict | None = None
-) -> np.ndarray:
+def phase_violations(particles: ParticleSet, step: TimeStep, tau: float = 0.0) -> np.ndarray:
     """Indices of alive particles whose position fails the phase test."""
     idx = np.nonzero(particles.alive)[0]
     if idx.size == 0:
         return idx
-    ok = is_liquid_many(step, particles.pos[idx], tau, cache)
+    ok = is_liquid_many(step, particles.pos[idx], tau)
     return idx[~ok]
-
-
-def _cell_buckets(grid, positions: np.ndarray, which: np.ndarray) -> dict[tuple, list[int]]:
-    idx, inside = locate_cells(grid, positions[which])
-    buckets: dict[tuple, list[int]] = {}
-    for row, p in enumerate(which):
-        if inside[row]:
-            buckets.setdefault(tuple(idx[row]), []).append(int(p))
-    return buckets
 
 
 def correct_strays(
@@ -249,34 +227,69 @@ def correct_strays(
     step_to: TimeStep,
     config: AdvectionConfig,
     tau: float,
-    cache: dict,
 ) -> np.ndarray:
-    """Apply the three-stage corrector to every stray alive particle.
+    """Apply the three-stage corrector to all stray alive particles at once.
 
     Stage candidates and tie-breaks are deterministic (distance, then index),
     and stage 1 reads only the frozen pre-interval particle snapshot.
     Returns the indices that were corrected.
     """
-    grid = step_from.grid
+    grid = step_to.grid
     alive_idx = np.nonzero(particles.alive)[0]
     if alive_idx.size == 0:
         return alive_idx
     valid = np.zeros(len(particles), dtype=bool)
-    valid[alive_idx] = is_liquid_many(step_to, particles.pos[alive_idx], tau, cache)
+    valid[alive_idx] = is_liquid_many(step_to, particles.pos[alive_idx], tau)
     strays = alive_idx[~valid[alive_idx]]
     if strays.size == 0:
         return strays
 
-    buckets = None
+    # stage 1: displacement vector of the nearest phase-consistent neighbor,
+    # searched in the 3x3x3 cell neighborhood of the pre-step position
+    x = particles.pos[strays]
+    x1 = x.copy()
     if config.corrector == "full":
-        candidates = np.nonzero(particles.alive & valid)[0]
-        buckets = _cell_buckets(grid, pre_pos, candidates)
+        best = _nearest_neighbors(grid, pre_pos, np.nonzero(particles.alive & valid)[0], strays)
+        hit = best >= 0
+        x1[hit] = pre_pos[strays[hit]] + (particles.pos[best[hit]] - pre_pos[best[hit]])
+    eps = _norms(x1 - x)
 
-    for p in strays:
-        _correct_one(particles, int(p), pre_pos, step_to, config, tau, cache, buckets)
+    # stage 2: move to the boundary of the nearest liquid-capable cell
+    capable = liquid_capable(step_to, tau)
+    idx, inside = locate_cells(grid, x1)
+    in_capable = inside & capable[np.where(inside, flat_indices(grid, idx), 0)]
+    need = np.nonzero(~in_capable)[0]
+    target = _nearest_capable_cells(grid, capable, x1[need])
+    # no liquid-capable cell in the whole domain: those particles are dropped
+    dropped = need[target < 0]
+    moved = need[target >= 0]
+    lo, hi = grid.cell_boxes(target[target >= 0])
+    center = 0.5 * (lo + hi)
+    entry = _slab_entry_points(x1[moved], center, lo, hi)
+    x2 = x1.copy()
+    x2[moved] = entry + BOUNDARY_NUDGE * (center - entry)
+    eps += _norms(x2 - x1)
+
+    # stage 3: project onto the PLIC patch if outside it in an interface cell
+    kept = np.ones(strays.size, dtype=bool)
+    kept[dropped] = False
+    idx, inside = locate_cells(grid, x2)
+    flat = np.where(inside, flat_indices(grid, idx), 0)
+    fvals = step_to.f.values[flat]
+    mixed = np.nonzero(kept & inside & (fvals > tau) & (fvals < 1.0))[0]
+    table = plic_table(step_to)
+    rows = table.rows(flat[mixed])
+    mixed, rows = mixed[~table.degenerate[rows]], rows[~table.degenerate[rows]]
+    x3 = x2.copy()
+    x3[mixed] = project_many(x2[mixed], table.anchors[rows], table.normals[rows], table.offsets[rows])
+    eps += _norms(x3 - x2)
+
+    particles.pos[strays[kept]] = x3[kept]
+    particles.alive[strays[dropped]] = False
+    particles.eps[strays] += eps
 
     # phase invariant: every alive particle is phase-consistent after correction
-    still = phase_violations(particles, step_to, tau, cache)
+    still = phase_violations(particles, step_to, tau)
     if still.size:
         raise PhaseConsistencyError(
             f"corrector left {still.size} phase-inconsistent particles (first: {still[:5]})"
@@ -284,140 +297,130 @@ def correct_strays(
     return strays
 
 
-def _correct_one(particles, p, pre_pos, step_to, config, tau, cache, buckets) -> None:
-    grid = step_to.grid
-    x = particles.pos[p]
-    eps = 0.0
-
-    # stage 1: displacement vector of the nearest phase-consistent neighbor,
-    # searched in the 3x3x3 cell neighborhood of the pre-step position
-    x1 = x
-    if config.corrector == "full" and buckets is not None:
-        idx, inside = locate_cells(grid, pre_pos[p][None, :])
-        if inside[0]:
-            ci, cj, ck = idx[0]
-            cand: list[int] = []
-            for dk in (-1, 0, 1):
-                for dj in (-1, 0, 1):
-                    for di in (-1, 0, 1):
-                        cand.extend(buckets.get((ci + di, cj + dj, ck + dk), ()))
-            if cand:
-                cand_arr = np.array(sorted(cand))
-                d2 = np.sum((pre_pos[cand_arr] - pre_pos[p]) ** 2, axis=1)
-                best = cand_arr[int(np.argmin(d2))]  # argmin takes first -> lowest index
-                dx = particles.pos[best] - pre_pos[best]
-                x1 = pre_pos[p] + dx
-                eps += float(np.linalg.norm(x1 - x))
-
-    # stage 2: move to the boundary of the nearest cell with f > tau
-    x2 = x1
-    idx1, inside1 = locate_cells(grid, x1[None, :])
-    in_feature_cell = bool(inside1[0]) and float(
-        step_to.f.values[flat_indices(grid, idx1)[0]]
-    ) > tau
-    if not in_feature_cell:
-        start_flat = _containing_or_clamped_cell(grid, x1)
-        target = _nearest_feature_cell(step_to, x1, start_flat, tau)
-        if target is None:
-            # feature vanished from the whole domain; the particle cannot be
-            # corrected and is dropped
-            particles.alive[p] = False
-            particles.eps[p] += eps
-            return
-        lo, hi = grid.cell_bounds(target)
-        center = 0.5 * (lo + hi)
-        entry = _slab_entry_point(x1, center, lo, hi)
-        x2 = entry + BOUNDARY_NUDGE * (center - entry)
-        eps += float(np.linalg.norm(x2 - x1))
-
-    # stage 3: project onto the PLIC patch if outside it in an interface cell
-    x3 = x2
-    idx, inside = locate_cells(grid, x2[None, :])
-    if inside[0]:
-        cell = tuple(int(v) for v in idx[0])
-        fc = float(step_to.f.values[grid.flat(cell)])
-        if tau < fc < 1.0:
-            try:
-                patch = cache.get(cell)
-                if patch is None:
-                    patch = cache[cell] = reconstruct_patch(step_to, cell)
-            except DegenerateNormalError:
-                patch = None
-            if patch is not None and patch.distance(x2) > patch.offset:
-                x3 = project_to_patch(patch, x2)
-                eps += float(np.linalg.norm(x3 - x2))
-
-    particles.pos[p] = x3
-    particles.eps[p] += eps
+def _norms(v: np.ndarray) -> np.ndarray:
+    return np.sqrt(row_dot(v, v))
 
 
-def _containing_or_clamped_cell(grid, x) -> int:
-    """Flat index of the containing cell, clamping x into the domain box first."""
-    xc = np.clip(x, grid.lo, grid.hi)
-    idx, _ = locate_cells(grid, xc[None, :])
-    return int(flat_indices(grid, idx)[0])
+def _first_per_group(group: np.ndarray, *keys: np.ndarray) -> np.ndarray:
+    """Positions of each group's lexicographic minimum of `keys` (first key first)."""
+    order = np.lexsort(keys[::-1] + (group,))
+    g = group[order]
+    return order[np.r_[True, g[1:] != g[:-1]]]
 
 
-def _nearest_feature_cell(step, x, start_flat: int, tau: float):
-    """Nearest cell with f > tau by expanding Chebyshev rings around the start cell.
+def _nearest_neighbors(
+    grid, pre_pos: np.ndarray, candidates: np.ndarray, strays: np.ndarray
+) -> np.ndarray:
+    """Per stray, the candidate nearest to it in the pre-interval snapshot among the
+    3x3x3 cells around the stray's pre-interval cell (-1 where there is none).
 
-    Within the first non-empty ring the cell with minimal center distance wins,
-    ties by flat index. Returns None when the whole domain has no feature cell.
+    Ties go to the lowest particle index. Candidate cell keys are sorted once;
+    each of the 27 neighbor offsets is one `searchsorted`, and the running best
+    is kept across offsets.
     """
-    grid = step.grid
-    nx, ny, nz = grid.shape
-    f = step.f.values
-    si = start_flat % nx
-    sj = (start_flat // nx) % ny
-    sk = start_flat // (nx * ny)
-    max_ring = max(si, nx - 1 - si, sj, ny - 1 - sj, sk, nz - 1 - sk)
+    best = np.full(strays.size, -1, dtype=np.int64)
+    cidx, cin = locate_cells(grid, pre_pos[candidates])
+    keys = flat_indices(grid, cidx[cin])
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    cands = candidates[cin][order]
+    sidx, sin = locate_cells(grid, pre_pos[strays])
+    rows = np.nonzero(sin)[0]
+    sidx = sidx[rows]
+    best_d2 = np.full(rows.size, np.inf)
+    best_p = np.full(rows.size, -1, dtype=np.int64)
+    shape = np.array(grid.shape)
+    for off in itertools.product((-1, 0, 1), repeat=3):
+        nb = sidx + np.array(off)
+        ok = np.all((nb >= 0) & (nb < shape), axis=1)
+        key = flat_indices(grid, nb)
+        first = np.searchsorted(keys, key, side="left")
+        count = np.where(ok, np.searchsorted(keys, key, side="right") - first, 0)
+        total = int(count.sum())
+        if total == 0:
+            continue
+        owner = np.repeat(np.arange(rows.size), count)
+        at = np.arange(total) + np.repeat(first - (np.cumsum(count) - count), count)
+        p = cands[at]
+        d2 = np.sum((pre_pos[p] - pre_pos[strays[rows[owner]]]) ** 2, axis=1)
+        win = _first_per_group(owner, d2, p)
+        w, wd2, wp = owner[win], d2[win], p[win]
+        better = (wd2 < best_d2[w]) | ((wd2 == best_d2[w]) & (wp < best_p[w]))
+        best_d2[w[better]] = wd2[better]
+        best_p[w[better]] = wp[better]
+    best[rows] = best_p
+    return best
+
+
+# (stray, ring cell) pairs examined at once by the ring search, which bounds
+# its temporaries whatever the ring radius
+RING_BLOCK = 1 << 16
+
+
+def _ring_offsets(ring: int) -> np.ndarray:
+    """Cell offsets (k, 3) at Chebyshev distance exactly `ring`, built face by face."""
+    if ring == 0:
+        return np.zeros((1, 3), dtype=np.int64)
+    full = np.arange(-ring, ring + 1)
+    inner = np.arange(-ring + 1, ring)
+    parts = []
+    # the two faces normal to `axis`; the other two axes span (a, b)
+    for axis, a, b in ((2, full, full), (1, full, inner), (0, inner, inner)):
+        u, v = np.meshgrid(a, b, indexing="ij")
+        others = [d for d in range(3) if d != axis]
+        for side in (-ring, ring):
+            face = np.empty((u.size, 3), dtype=np.int64)
+            face[:, axis] = side
+            face[:, others[0]] = u.ravel()
+            face[:, others[1]] = v.ravel()
+            parts.append(face)
+    return np.concatenate(parts)
+
+
+def _nearest_capable_cells(grid, capable: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Flat index of the liquid-capable cell nearest to each point (-1 if none).
+
+    Chebyshev rings 0, 1, 2, ... are expanded around the cell containing the
+    point clamped into the domain (ring 0 matters when the point lies outside).
+    Within the first ring that holds a capable cell, the smallest center
+    distance to the point wins, ties by flat index. Without any capable cell
+    no ring is scanned.
+    """
+    target = np.full(x.shape[0], -1, dtype=np.int64)
+    if x.shape[0] == 0 or not capable.any():
+        return target
+    shape = np.array(grid.shape)
     cx, cy, cz = grid.centers
-    # ring 0 matters when x was clamped into the domain from outside
-    for ring in range(0, max_ring + 1):
-        cells = _ring_cells(si, sj, sk, ring, nx, ny, nz)
-        if cells.size == 0:
-            continue
-        flats = cells[:, 0] + nx * (cells[:, 1] + ny * cells[:, 2])
-        hit = f[flats] > tau
-        if not hit.any():
-            continue
-        cells = cells[hit]
-        flats = flats[hit]
-        centers = np.stack([cx[cells[:, 0]], cy[cells[:, 1]], cz[cells[:, 2]]], axis=1)
-        d2 = np.sum((centers - x) ** 2, axis=1)
-        best = np.lexsort((flats, d2))[0]
-        return tuple(int(v) for v in cells[best])
-    return None
+    start, _ = locate_cells(grid, np.clip(x, grid.lo, grid.hi))
+    todo = np.arange(x.shape[0])
+    ring = 0
+    while todo.size:  # ends: the rings around any cell cover the domain
+        offsets = _ring_offsets(ring)
+        block = max(1, RING_BLOCK // offsets.shape[0])
+        for b in range(0, todo.size, block):
+            rows = todo[b : b + block]
+            cells = (start[rows][:, None, :] + offsets[None, :, :]).reshape(-1, 3)
+            inb = np.all((cells >= 0) & (cells < shape), axis=1)
+            flat = np.where(inb, flat_indices(grid, cells), 0)
+            hit = np.nonzero(inb & capable[flat])[0]
+            if hit.size == 0:
+                continue
+            owner = rows[hit // offsets.shape[0]]
+            hc = cells[hit]
+            centers = np.stack([cx[hc[:, 0]], cy[hc[:, 1]], cz[hc[:, 2]]], axis=1)
+            d2 = np.sum((centers - x[owner]) ** 2, axis=1)
+            win = _first_per_group(owner, d2, flat[hit])
+            target[owner[win]] = flat[hit][win]
+        todo = todo[target[todo] < 0]
+        ring += 1
+    return target
 
 
-def _ring_cells(si, sj, sk, ring, nx, ny, nz) -> np.ndarray:
-    """In-bounds cells at Chebyshev distance exactly `ring` from (si, sj, sk)."""
-    rng = np.arange(-ring, ring + 1)
-    di, dj, dk = np.meshgrid(rng, rng, rng, indexing="ij")
-    on_ring = np.maximum(np.abs(di), np.maximum(np.abs(dj), np.abs(dk))) == ring
-    cells = np.stack([si + di[on_ring], sj + dj[on_ring], sk + dk[on_ring]], axis=1)
-    ok = (
-        (cells[:, 0] >= 0)
-        & (cells[:, 0] < nx)
-        & (cells[:, 1] >= 0)
-        & (cells[:, 1] < ny)
-        & (cells[:, 2] >= 0)
-        & (cells[:, 2] < nz)
-    )
-    return cells[ok]
-
-
-def _slab_entry_point(x, center, lo, hi) -> np.ndarray:
-    """Entry point of the segment x -> center into the box [lo, hi] (slab method)."""
+def _slab_entry_points(x, center, lo, hi) -> np.ndarray:
+    """Row-wise entry point of the segment x -> center into the box [lo, hi] (slab method)."""
     d = center - x
-    t_in = 0.0
-    for ax in range(3):
-        if d[ax] == 0.0:
-            continue  # center is inside the slab on this axis
-        t0 = (lo[ax] - x[ax]) / d[ax]
-        t1 = (hi[ax] - x[ax]) / d[ax]
-        if t0 > t1:
-            t0, t1 = t1, t0
-        t_in = max(t_in, t0)
-    t_in = min(max(t_in, 0.0), 1.0)
-    return x + t_in * d
+    moving = d != 0.0  # where d == 0 the center is inside the slab on that axis
+    step = np.where(moving, d, 1.0)
+    t_near = np.minimum((lo - x) / step, (hi - x) / step)
+    t_in = np.where(moving, t_near, 0.0).max(axis=1, initial=0.0)
+    return x + np.clip(t_in, 0.0, 1.0)[:, None] * d

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,8 +58,15 @@ class RectilinearGrid:
         return np.array([a[-1] for a in self.axes])
 
     def cell_bounds(self, cell: Cell) -> tuple[np.ndarray, np.ndarray]:
-        lo = np.array([self.axes[d][cell[d]] for d in range(3)])
-        hi = np.array([self.axes[d][cell[d] + 1] for d in range(3)])
+        """Lower and upper corner of one cell (one row of `cell_boxes`)."""
+        lo, hi = self.cell_boxes([self.flat(cell)])
+        return lo[0], hi[0]
+
+    def cell_boxes(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Lower and upper corners (m, 3) of the cells with the given flat indices."""
+        ijk = self.unflat(np.asarray(flat))
+        lo = np.stack([self.axes[d][ijk[d]] for d in range(3)], axis=1)
+        hi = np.stack([self.axes[d][ijk[d] + 1] for d in range(3)], axis=1)
         return lo, hi
 
     def cell_widths(self, cell: Cell) -> np.ndarray:
@@ -127,6 +134,9 @@ class TimeStep:
     time: float
     f: CellField
     u: CellField
+    # the step's PLIC table, built by plic.plic_table on first use; it assumes
+    # that f is not modified afterwards
+    plic: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.f.grid is not self.u.grid:
@@ -283,25 +293,31 @@ def sample_fraction(step: TimeStep, pts) -> np.ndarray:
     return float(v[0]) if single else v
 
 
-def gradient_f(step: TimeStep, cell: Cell) -> np.ndarray:
-    """Gradient of f at a cell center: central differences on neighbor centers,
-    one-sided at domain boundaries (exact for fields affine in the centers)."""
+def fraction_gradients(step: TimeStep, flat: np.ndarray) -> np.ndarray:
+    """Gradients (m, 3) of f at the cells with the given flat indices: central
+    differences on neighbor centers, one-sided at domain boundaries (exact for
+    fields affine in the centers)."""
     grid = step.grid
-    f3 = step.f.view3d()
-    g = np.zeros(3)
-    idx = list(cell)
+    f = step.f.values
+    flat = np.asarray(flat, dtype=np.int64)
+    nx, ny, _ = grid.shape
+    ijk = grid.unflat(flat)
+    strides = (1, nx, nx * ny)
+    g = np.zeros((flat.size, 3))
     for d in range(3):
         n = grid.shape[d]
-        c = grid.centers[d]
-        i = cell[d]
         if n == 1:
-            g[d] = 0.0
             continue
-        ilo = max(i - 1, 0)
-        ihi = min(i + 1, n - 1)
-        idx_lo = idx.copy()
-        idx_hi = idx.copy()
-        idx_lo[d] = ilo
-        idx_hi[d] = ihi
-        g[d] = (f3[tuple(idx_hi)] - f3[tuple(idx_lo)]) / (c[ihi] - c[ilo])
+        c = grid.centers[d]
+        i = ijk[d]
+        ilo = np.maximum(i - 1, 0)
+        ihi = np.minimum(i + 1, n - 1)
+        g[:, d] = (f[flat + (ihi - i) * strides[d]] - f[flat + (ilo - i) * strides[d]]) / (
+            c[ihi] - c[ilo]
+        )
     return g
+
+
+def gradient_f(step: TimeStep, cell: Cell) -> np.ndarray:
+    """Gradient of f at one cell center (one row of `fraction_gradients`)."""
+    return fraction_gradients(step, np.array([step.grid.flat(cell)]))[0]

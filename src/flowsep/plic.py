@@ -1,19 +1,26 @@
-"""Piecewise linear interface reconstruction per interface cell.
+"""Piecewise linear interface reconstruction: one table of patches per time step.
 
 Conventions: the patch normal n points from liquid to gas (n = -grad f / |grad f|),
 the attachment corner a is the cell corner deepest in the liquid (minimal
 projection onto n, ties broken toward the lexicographically smallest corner),
 and the plane offset l >= 0 is measured from a along n. A point x of the cell
 is on the liquid side iff d = (x - a) . n <= l.
+
+Every interface cell (0 < f < 1) of a step is one row of the step's
+`PlicTable`, built on first use by `plic_table` and kept on the step. All
+offsets come from one batched bisection; the phase test, seeding and the
+corrector read the table. `reconstruct_patch`, `is_liquid` and
+`project_to_patch` are per-cell views of the same rows.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Cell, TimeStep, gradient_f, locate_cell
+from .grid import Cell, TimeStep, flat_indices, fraction_gradients, locate_cells
 
 MAX_BISECT = 60
 VOLUME_TOL = 1e-6
@@ -33,47 +40,93 @@ class PlicPatch:
     anchor: np.ndarray  # deepest-liquid cell corner
     offset: float  # plane distance from anchor along normal, >= 0
 
-    def distance(self, x) -> float:
-        """Projection d of x - anchor onto the normal."""
-        return float(np.dot(np.asarray(x) - self.anchor, self.normal))
+
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products along the last axis (length 3) of two broadcastable arrays,
+    summed x, y, z in that order."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
 
-def _corner_fraction(w: tuple, c: tuple, rhs: float) -> float:
-    """Volume fraction of {y in prod [0, w_i] : sum c_i y_i <= rhs} for c_i >= 0.
+# ---------------------------------------------------------------------------
+# batched truncated-box volumes and offset solve
 
-    Inclusion-exclusion over box corners. Near-zero coefficients drop out of
-    the constraint (their tilt contributes O(1e-12) volume but would wreck the
-    conditioning); the hot paths call this with plain floats.
+
+def _kept_terms(w: np.ndarray, c: np.ndarray):
+    """Per-row terms of the corner fraction of {y in prod [0, w_i] : sum c_i y_i <= rhs}.
+
+    Near-zero coefficients (c_i <= 1e-12 max c) drop out of the constraint:
+    their tilt contributes O(1e-12) volume but would wreck the conditioning.
+    Returns the kept count k, the kept products c_i w_i moved to the front in
+    axis order, and the inclusion-exclusion denominator (c_0 w_0 for k = 1,
+    k! c_0 .. c_{k-1} w_0 .. w_{k-1} for k >= 2, multiplied in that order).
     """
-    cmax = max(c)
-    if cmax <= 0.0:
-        return 1.0 if rhs >= 0.0 else 0.0
-    thresh = 1e-12 * cmax
-    cw = [(ci, wi) for ci, wi in zip(c, w) if ci > thresh]
-    k = len(cw)
-    if k == 0:
-        return 1.0 if rhs >= 0.0 else 0.0
-    if k == 1:
-        cut = rhs / (cw[0][0] * cw[0][1])
-        return min(max(cut, 0.0), 1.0)
-    if k == 2:
-        (c0, w0), (c1, w1) = cw
-        total = 0.0
-        for b0 in (0, 1):
-            for b1 in (0, 1):
-                corner = rhs - b0 * c0 * w0 - b1 * c1 * w1
-                if corner > 0.0:
-                    total += (-1.0) ** (b0 + b1) * corner * corner
-        return total / (2.0 * c0 * c1 * w0 * w1)
-    (c0, w0), (c1, w1), (c2, w2) = cw
-    total = 0.0
-    for b0 in (0, 1):
-        for b1 in (0, 1):
-            for b2 in (0, 1):
-                corner = rhs - b0 * c0 * w0 - b1 * c1 * w1 - b2 * c2 * w2
-                if corner > 0.0:
-                    total += (-1.0) ** (b0 + b1 + b2) * corner**3
-    return total / (6.0 * c0 * c1 * c2 * w0 * w1 * w2)
+    keep = c > (1e-12 * c.max(axis=1, initial=0.0))[:, None]
+    k = keep.sum(axis=1)
+    order = np.argsort(~keep, axis=1, kind="stable")
+    ck = np.take_along_axis(np.where(keep, c, 0.0), order, axis=1)
+    wk = np.take_along_axis(w, order, axis=1)
+    cw = ck * wk
+    c0, c1, c2 = ck.T
+    w0, w1, w2 = wk.T
+    denom = np.select(
+        [k == 1, k == 2, k == 3],
+        [cw[:, 0], 2.0 * c0 * c1 * w0 * w1, 6.0 * c0 * c1 * c2 * w0 * w1 * w2],
+        1.0,
+    )
+    return k, cw, denom
+
+
+def _corner_fractions(k: np.ndarray, cw: np.ndarray, denom: np.ndarray, rhs: np.ndarray):
+    """Row-wise volume fraction for the terms of `_kept_terms`, by inclusion-exclusion
+    over the box corners (b_0 outermost, the sum taken in corner order)."""
+    out = np.where(rhs >= 0.0, 1.0, 0.0)  # no kept coefficient: all or nothing
+    one = k == 1
+    out[one] = np.clip(rhs[one] / denom[one], 0.0, 1.0)
+    for kk in (2, 3):
+        rows = np.nonzero(k == kk)[0]
+        if rows.size == 0:
+            continue
+        r = rhs[rows]
+        t = cw[rows]
+        total = np.zeros(rows.size)
+        for bits in itertools.product((0, 1), repeat=kk):
+            corner = r
+            for axis, b in enumerate(bits):
+                if b:
+                    corner = corner - t[:, axis]
+            term = corner * corner if kk == 2 else corner**3
+            if sum(bits) % 2:
+                term = -term
+            total += np.where(corner > 0.0, term, 0.0)
+        out[rows] = total / denom[rows]
+    return out
+
+
+def _solve_offsets(w: np.ndarray, c: np.ndarray, fractions: np.ndarray) -> np.ndarray:
+    """Row-wise plane offsets l with corner fraction == fraction, by bisection.
+
+    Each row bisects [0, sum c_i w_i] until |volume - fraction| <= VOLUME_TOL
+    (then it stops and keeps that midpoint) or MAX_BISECT iterations pass.
+    """
+    k, cw, denom = _kept_terms(w, c)
+    extent = row_dot(c, w)
+    l_lo = np.zeros(extent.size)
+    l_hi = extent.copy()
+    l_mid = 0.5 * extent
+    act = np.arange(extent.size)
+    for _ in range(MAX_BISECT):
+        if act.size == 0:
+            break
+        mid = 0.5 * (l_lo[act] + l_hi[act])
+        l_mid[act] = mid
+        v = _corner_fractions(k[act], cw[act], denom[act], mid)
+        f = fractions[act]
+        going = np.abs(v - f) > VOLUME_TOL
+        low = v < f
+        l_lo[act[going & low]] = mid[going & low]
+        l_hi[act[going & ~low]] = mid[going & ~low]
+        act = act[going]
+    return l_mid
 
 
 def truncated_volume(lo, hi, normal, anchor, offset: float) -> float:
@@ -82,25 +135,19 @@ def truncated_volume(lo, hi, normal, anchor, offset: float) -> float:
     `anchor` must be a corner of the box. Monotone non-decreasing in offset;
     0 at offset 0 (up to the degenerate corner) and 1 beyond the projected extent.
     """
-    lo = np.asarray(lo, dtype=np.float64)
-    hi = np.asarray(hi, dtype=np.float64)
-    n = np.asarray(normal, dtype=np.float64)
-    a = np.asarray(anchor, dtype=np.float64)
-    # substitute y_i in [0, w_i] measured from the anchor into the box;
-    # axes where the constraint coefficient is negative are reflected so all
+    lo = np.asarray(lo, dtype=np.float64)[None, :]
+    hi = np.asarray(hi, dtype=np.float64)[None, :]
+    n = np.asarray(normal, dtype=np.float64)[None, :]
+    a = np.asarray(anchor, dtype=np.float64)[None, :]
+    # substitute y_i in [0, w_i] measured from the anchor into the box; axes
+    # where the constraint coefficient is negative are reflected so all
     # coefficients become non-negative
-    w = []
-    c = []
-    rhs = float(offset)
+    w = hi - lo
+    c = np.where(np.abs(a - lo) <= np.abs(a - hi), n, -n)
+    rhs = np.array([float(offset)])
     for d in range(3):
-        wd = float(hi[d] - lo[d])
-        cd = float(n[d]) if abs(a[d] - lo[d]) <= abs(a[d] - hi[d]) else -float(n[d])
-        if cd < 0.0:
-            rhs -= cd * wd
-            cd = -cd
-        w.append(wd)
-        c.append(cd)
-    return _corner_fraction(tuple(w), tuple(c), rhs)
+        rhs = np.where(c[:, d] < 0.0, rhs - c[:, d] * w[:, d], rhs)
+    return float(_corner_fractions(*_kept_terms(w, np.abs(c)), rhs)[0])
 
 
 def anchor_corner(lo, hi, normal) -> np.ndarray:
@@ -114,128 +161,154 @@ def solve_patch_offset(lo, hi, normal, fraction: float) -> float:
     Converges to |volume - fraction| <= VOLUME_TOL within MAX_BISECT iterations
     (the volume is continuous and monotone in l).
     """
-    lo = np.asarray(lo, dtype=np.float64)
-    hi = np.asarray(hi, dtype=np.float64)
-    n = np.asarray(normal, dtype=np.float64)
-    # measured from the anchor corner all constraint coefficients are |n_i|
-    w = tuple(float(v) for v in hi - lo)
-    c = tuple(abs(float(v)) for v in n)
-    extent = c[0] * w[0] + c[1] * w[1] + c[2] * w[2]
-    l_lo, l_hi = 0.0, extent
-    l_mid = 0.5 * extent
-    for _ in range(MAX_BISECT):
-        l_mid = 0.5 * (l_lo + l_hi)
-        v = _corner_fraction(w, c, l_mid)
-        if abs(v - fraction) <= VOLUME_TOL:
-            return l_mid
-        if v < fraction:
-            l_lo = l_mid
-        else:
-            l_hi = l_mid
-    return l_mid
+    w = (np.asarray(hi, dtype=np.float64) - np.asarray(lo, dtype=np.float64))[None, :]
+    c = np.abs(np.asarray(normal, dtype=np.float64))[None, :]
+    return float(_solve_offsets(w, c, np.array([float(fraction)]))[0])
+
+
+# ---------------------------------------------------------------------------
+# the per-step table
+
+
+@dataclass(frozen=True)
+class PlicTable:
+    """PLIC patches of every interface cell (0 < f < 1) of one step.
+
+    Row r belongs to the cell with flat index `cells[r]` (ascending). Rows
+    flagged `degenerate` (vanishing fraction gradient) have zero normal and
+    offset; the phase test counts such a cell as liquid iff f > 0.5.
+    """
+
+    cells: np.ndarray  # (m,) ascending flat indices
+    normals: np.ndarray  # (m, 3)
+    anchors: np.ndarray  # (m, 3)
+    offsets: np.ndarray  # (m,)
+    degenerate: np.ndarray  # (m,) bool
+    tol: np.ndarray  # (m,) phase-test slack, PHASE_TOL times the cell diagonal
+
+    def rows(self, flat: np.ndarray) -> np.ndarray:
+        """Table rows of interface cells given by flat index."""
+        return np.searchsorted(self.cells, flat)
+
+
+def _build_table(step: TimeStep) -> PlicTable:
+    grid = step.grid
+    f = step.f.values
+    cells = np.nonzero((f > 0.0) & (f < 1.0))[0]
+    g = fraction_gradients(step, cells)
+    norm = np.sqrt(row_dot(g, g))
+    degenerate = norm == 0.0
+    normals = -g / np.where(degenerate, 1.0, norm)[:, None]
+    normals[degenerate] = 0.0
+    lo, hi = grid.cell_boxes(cells)
+    w = hi - lo
+    offsets = np.zeros(cells.size)
+    ok = ~degenerate
+    offsets[ok] = _solve_offsets(w[ok], np.abs(normals[ok]), f[cells[ok]])
+    return PlicTable(
+        cells=cells,
+        normals=normals,
+        anchors=anchor_corner(lo, hi, normals),
+        offsets=offsets,
+        degenerate=degenerate,
+        tol=PHASE_TOL * np.sqrt(row_dot(w, w)),
+    )
+
+
+def plic_table(step: TimeStep) -> PlicTable:
+    """The step's PLIC table, built on first use and kept on the step."""
+    if step.plic is None:
+        step.plic = _build_table(step)
+    return step.plic
 
 
 def reconstruct_patch(step: TimeStep, cell: Cell) -> PlicPatch:
     """PLIC patch of an interface cell (requires 0 < f < 1)."""
-    grid = step.grid
     f = float(step.f.view3d()[cell])
     if not 0.0 < f < 1.0:
         raise ValueError(f"cell {cell} is not an interface cell (f={f})")
-    g = gradient_f(step, cell)
-    norm = float(np.linalg.norm(g))
-    if norm == 0.0:
+    table = plic_table(step)
+    row = int(table.rows(step.grid.flat(cell)))
+    if table.degenerate[row]:
         raise DegenerateNormalError(f"zero fraction gradient in interface cell {cell}")
-    n = -g / norm
-    lo, hi = grid.cell_bounds(cell)
-    a = anchor_corner(lo, hi, n)
-    l = solve_patch_offset(lo, hi, n, f)
-    return PlicPatch(cell=cell, normal=n, anchor=a, offset=l)
+    return PlicPatch(
+        cell=cell,
+        normal=table.normals[row].copy(),
+        anchor=table.anchors[row].copy(),
+        offset=float(table.offsets[row]),
+    )
 
 
-def _phase_tol(step: TimeStep, cell: Cell) -> float:
-    g = step.grid
-    w0 = g.widths[0][cell[0]]
-    w1 = g.widths[1][cell[1]]
-    w2 = g.widths[2][cell[2]]
-    return PHASE_TOL * float(np.sqrt(w0 * w0 + w1 * w1 + w2 * w2))
+# ---------------------------------------------------------------------------
+# phase test and projection
 
 
-def is_liquid(step: TimeStep, x, tau: float = 0.0, cache: dict | None = None) -> bool:
-    """Whether point x lies in the feature phase.
+def liquid_capable(step: TimeStep, tau: float = 0.0) -> np.ndarray:
+    """Per-cell mask (ncells,) of the cells where the phase test accepts some point.
+
+    These are the cells with f >= 1 and the interface cells with tau < f < 1,
+    except degenerate-normal cells with f <= 0.5, which count as gas.
+    """
+    f = step.f.values
+    capable = (f >= 1.0) | ((f > tau) & (f < 1.0))
+    table = plic_table(step)
+    gas = table.cells[table.degenerate]
+    capable[gas[f[gas] <= 0.5]] = False
+    return capable
+
+
+def is_liquid_many(step: TimeStep, pts: np.ndarray, tau: float = 0.0) -> np.ndarray:
+    """Whether each point lies in the feature phase; points outside the domain are False.
 
     Pure cells resolve by thresholding f; interface cells by the PLIC test
     d <= l (with a tiny slack so points on the patch plane count as liquid).
     Cells with a degenerate gradient fall back to whole-cell liquid iff f > 0.5.
     """
-    cell = locate_cell(step.grid, x)
-    if cell is None:
-        return False
-    f = float(step.f.view3d()[cell])
-    if f <= tau:
-        return False
-    if f >= 1.0:
-        return True
-    try:
-        patch = _cached_patch(step, cell, cache)
-    except DegenerateNormalError:
-        return f > 0.5
-    return patch.distance(x) <= patch.offset + _phase_tol(step, cell)
-
-
-def _cached_patch(step: TimeStep, cell: Cell, cache: dict | None) -> PlicPatch:
-    if cache is None:
-        return reconstruct_patch(step, cell)
-    patch = cache.get(cell)
-    if patch is None:
-        patch = cache[cell] = reconstruct_patch(step, cell)
-    return patch
-
-
-def is_liquid_many(
-    step: TimeStep, pts: np.ndarray, tau: float = 0.0, cache: dict | None = None
-) -> np.ndarray:
-    """Vectorized is_liquid; points outside the domain report False.
-
-    Interface-cell points are grouped per cell so each PLIC patch is solved
-    once and applied to all of its points in one shot.
-    """
-    from .grid import flat_indices, locate_cells
-
     grid = step.grid
     pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
     idx, inside = locate_cells(grid, pts)
-    out = np.zeros(pts.shape[0], dtype=bool)
-    if not inside.any():
-        return out
     flat = np.where(inside, flat_indices(grid, idx), 0)
     fvals = np.where(inside, step.f.values[flat], 0.0)
-    out[inside & (fvals >= 1.0)] = True
+    out = inside & (fvals >= 1.0)
     mixed = np.nonzero(inside & (fvals > tau) & (fvals < 1.0))[0]
-    if mixed.size == 0:
-        return out
-    for cell_flat in np.unique(flat[mixed]):
-        rows = mixed[flat[mixed] == cell_flat]
-        cell = grid.unflat(int(cell_flat))
-        try:
-            patch = _cached_patch(step, cell, cache)
-        except DegenerateNormalError:
-            out[rows] = float(step.f.values[cell_flat]) > 0.5
-            continue
-        d = (pts[rows] - patch.anchor) @ patch.normal
-        out[rows] = d <= patch.offset + _phase_tol(step, cell)
+    if mixed.size:
+        table = plic_table(step)
+        rows = table.rows(flat[mixed])
+        d = row_dot(pts[mixed] - table.anchors[rows], table.normals[rows])
+        out[mixed] = np.where(
+            table.degenerate[rows],
+            fvals[mixed] > 0.5,
+            d <= table.offsets[rows] + table.tol[rows],
+        )
+    return out
+
+
+def is_liquid(step: TimeStep, x, tau: float = 0.0) -> bool:
+    """Whether point x lies in the feature phase (one point of `is_liquid_many`)."""
+    return bool(is_liquid_many(step, np.asarray(x, dtype=np.float64)[None, :], tau)[0])
+
+
+def project_many(
+    x: np.ndarray, anchors: np.ndarray, normals: np.ndarray, offsets: np.ndarray
+) -> np.ndarray:
+    """Row-wise intersection of the segment x -> anchor with the patch plane.
+
+    Rows already on the liquid side (d <= l) are returned unchanged. Since the
+    anchor has d = 0 <= l, the segment from any outside point always crosses
+    the plane.
+    """
+    out = x.copy()
+    d = row_dot(x - anchors, normals)
+    far = d > offsets
+    s = 1.0 - offsets[far] / d[far]
+    out[far] = x[far] + s[:, None] * (anchors[far] - x[far])
     return out
 
 
 def project_to_patch(patch: PlicPatch, x) -> np.ndarray:
-    """Intersection of the segment x -> anchor with the patch plane.
-
-    Points already on the liquid side (d <= l) are returned unchanged. Since
-    the anchor has d = 0 <= l, the segment from any outside point always
-    crosses the plane.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    d = patch.distance(x)
-    if d <= patch.offset:
-        return x.copy()
-    s = 1.0 - patch.offset / d
-    return x + s * (patch.anchor - x)
+    """Intersection of the segment x -> anchor with the patch plane (one row of
+    `project_many`)."""
+    x = np.asarray(x, dtype=np.float64)[None, :]
+    return project_many(
+        x, patch.anchor[None, :], np.asarray(patch.normal)[None, :], np.array([patch.offset])
+    )[0]

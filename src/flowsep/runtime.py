@@ -376,7 +376,7 @@ def _run(config: PipelineConfig, ds: TimeSeriesDataset, layout: PartitionLayout)
         # phases A+B: every worker integrates its own particles, then the
         # corrector runs against the frozen pre-interval snapshot
         advance_interval(
-            particles, step_from, step_to, config.advection, None, config.tau,
+            particles, step_from, step_to, config.advection, config.tau,
             [w.owned for w in workers],
         )
 

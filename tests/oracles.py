@@ -50,6 +50,65 @@ def subvoxel_fraction_points(normal, anchor, offset, n_sub=64) -> float:
     return float(np.mean(d <= offset))
 
 
+def corner_fraction(w: tuple, c: tuple, rhs: float) -> float:
+    """Scalar reference for the library's batched corner fraction: the volume
+    fraction of {y in prod [0, w_i] : sum c_i y_i <= rhs} for c_i >= 0, by
+    inclusion-exclusion over box corners with near-zero coefficients dropped.
+
+    This is the scalar form the library used before its PLIC solve was
+    batched; the batched solve must reproduce its offsets bit for bit.
+    """
+    cmax = max(c)
+    if cmax <= 0.0:
+        return 1.0 if rhs >= 0.0 else 0.0
+    thresh = 1e-12 * cmax
+    cw = [(ci, wi) for ci, wi in zip(c, w) if ci > thresh]
+    k = len(cw)
+    if k == 0:
+        return 1.0 if rhs >= 0.0 else 0.0
+    if k == 1:
+        cut = rhs / (cw[0][0] * cw[0][1])
+        return min(max(cut, 0.0), 1.0)
+    if k == 2:
+        (c0, w0), (c1, w1) = cw
+        total = 0.0
+        for b0 in (0, 1):
+            for b1 in (0, 1):
+                corner = rhs - b0 * c0 * w0 - b1 * c1 * w1
+                if corner > 0.0:
+                    total += (-1.0) ** (b0 + b1) * corner * corner
+        return total / (2.0 * c0 * c1 * w0 * w1)
+    (c0, w0), (c1, w1), (c2, w2) = cw
+    total = 0.0
+    for b0 in (0, 1):
+        for b1 in (0, 1):
+            for b2 in (0, 1):
+                corner = rhs - b0 * c0 * w0 - b1 * c1 * w1 - b2 * c2 * w2
+                if corner > 0.0:
+                    total += (-1.0) ** (b0 + b1 + b2) * corner**3
+    return total / (6.0 * c0 * c1 * c2 * w0 * w1 * w2)
+
+
+def bisect_offset(lo, hi, normal, fraction: float, max_bisect=60, volume_tol=1e-6) -> float:
+    """Scalar reference for the plane-offset solve: bisection on corner_fraction
+    from [0, sum |n_i| w_i], stopping once |volume - fraction| <= volume_tol."""
+    w = tuple(float(v) for v in np.asarray(hi, dtype=np.float64) - np.asarray(lo, dtype=np.float64))
+    c = tuple(abs(float(v)) for v in normal)
+    extent = c[0] * w[0] + c[1] * w[1] + c[2] * w[2]
+    l_lo, l_hi = 0.0, extent
+    l_mid = 0.5 * extent
+    for _ in range(max_bisect):
+        l_mid = 0.5 * (l_lo + l_hi)
+        v = corner_fraction(w, c, l_mid)
+        if abs(v - fraction) <= volume_tol:
+            return l_mid
+        if v < fraction:
+            l_lo = l_mid
+        else:
+            l_hi = l_mid
+    return l_mid
+
+
 def ball_volume(radius: float) -> float:
     return 4.0 / 3.0 * np.pi * radius**3
 
@@ -163,6 +222,35 @@ def points_in_mesh(points: np.ndarray, vertices: np.ndarray, triangles: np.ndarr
         )
         out[s : s + chunk] = np.sum(hit, axis=1) % 2 == 1
     return out
+
+
+# --- corrector stage-2 target ------------------------------------------------
+
+
+def nearest_capable_cell(axes, capable, x):
+    """Brute-force stage-2 target: the flat index of the lexicographic minimum,
+    over all liquid-capable cells, of (Chebyshev cell distance from the cell
+    holding x clamped into the domain, squared center distance to x, flat
+    index); None when no cell is capable. `capable` is flat, x-fastest."""
+    shape = [len(a) - 1 for a in axes]
+    start = []
+    for d in range(3):
+        a = axes[d]
+        xc = min(max(float(x[d]), float(a[0])), float(a[-1]))
+        i = 0
+        while i + 1 < shape[d] and a[i + 1] <= xc:
+            i += 1
+        start.append(i)
+    best = None
+    for flat in np.nonzero(capable)[0].tolist():
+        cell = (flat % shape[0], (flat // shape[0]) % shape[1], flat // (shape[0] * shape[1]))
+        cheb = max(abs(cell[d] - start[d]) for d in range(3))
+        diff = [0.5 * (float(axes[d][cell[d]]) + float(axes[d][cell[d] + 1])) - float(x[d]) for d in range(3)]
+        d2 = diff[0] * diff[0] + diff[1] * diff[1] + diff[2] * diff[2]
+        key = (cheb, d2, flat)
+        if best is None or key < best:
+            best = key
+    return None if best is None else best[2]
 
 
 # --- kinematics -------------------------------------------------------------

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from flowsep import advect
 from flowsep.advect import (
     AdvectionConfig,
     ParticleSet,
@@ -12,9 +17,9 @@ from flowsep.advect import (
     rk4_positions,
     seed_particles,
 )
-from flowsep.grid import CellField, TimeStep, uniform_grid
+from flowsep.grid import CellField, RectilinearGrid, TimeStep, uniform_grid
 
-from .oracles import rotate_about_z, segment_box_entry
+from .oracles import nearest_capable_cell, rotate_about_z, segment_box_entry
 
 
 def make_step(grid, f, u, time=0.0):
@@ -158,7 +163,7 @@ class TestCorrector:
         ps = probes_particle_set([[1.6, 0.5, 0.5]])
         pre = np.array([[1.6, 0.5, 0.5]])
         corrected = correct_strays(
-            ps, pre, step0, step, AdvectionConfig(corrector="stages-2-3"), 0.0, {}
+            ps, pre, step0, step, AdvectionConfig(corrector="stages-2-3"), 0.0
         )
         assert corrected.tolist() == [0]
         entry = segment_box_entry((1.6, 0.5, 0.5), (0.5, 0.5, 0.5), (0, 0, 0), (1, 1, 1))
@@ -175,7 +180,7 @@ class TestCorrector:
         step0 = make_step(g, f, np.zeros((3, 3)), time=0.0)
         ps = probes_particle_set([[1.75, 0.0, 0.0]])
         pre = ps.pos.copy()
-        correct_strays(ps, pre, step0, step, AdvectionConfig(corrector="stages-2-3"), 0.0, {})
+        correct_strays(ps, pre, step0, step, AdvectionConfig(corrector="stages-2-3"), 0.0)
         assert np.allclose(ps.pos[0], (1.5, 0.0, 0.0), atol=1e-6)
         assert np.isclose(ps.eps[0], 0.25, atol=1e-6)
 
@@ -191,7 +196,7 @@ class TestCorrector:
         pre = ps.pos.copy()
         # simulate an integration that left particle 1 stranded in gas
         ps.pos[1] = [2.5, 0.5, 0.5]
-        correct_strays(ps, pre, step0, step1, AdvectionConfig(corrector="full"), 0.0, {})
+        correct_strays(ps, pre, step0, step1, AdvectionConfig(corrector="full"), 0.0)
         # neighbor displacement is zero, so the stray returns to its pre position
         assert np.allclose(ps.pos[1], pre[1], atol=1e-12)
         assert np.isclose(ps.eps[1], 1.0, atol=1e-12)
@@ -202,9 +207,8 @@ class TestCorrector:
         ps = seed_particles(step0, refinement=1)
         cfg = AdvectionConfig(corrector="full", refinement=1)
         for k in range(len(ds) - 1):
-            cache: dict = {}
-            advance_interval(ps, ds.steps[k], ds.steps[k + 1], cfg, cache)
-            assert phase_violations(ps, ds.steps[k + 1], 0.0, cache).size == 0
+            advance_interval(ps, ds.steps[k], ds.steps[k + 1], cfg)
+            assert phase_violations(ps, ds.steps[k + 1], 0.0).size == 0
 
     def test_eps_monotone_nondecreasing(self, split_coarse):
         ds, _ = split_coarse
@@ -271,9 +275,65 @@ class TestSingleStrayCorrection:
         ps = probes_particle_set([[1.6, 0.5, 0.5]])
         pre = ps.pos.copy()
         corrected = correct_strays(
-            ps, pre, step0, step1, AdvectionConfig(corrector="full"), 0.0, {}
+            ps, pre, step0, step1, AdvectionConfig(corrector="full"), 0.0
         )
         assert corrected.tolist() == [0]
         assert np.allclose(ps.pos[0], (1.0, 0.5, 0.5), atol=1e-6)
         assert np.isclose(ps.eps[0], 0.6, atol=1e-6)
         assert ps.alive[0]
+
+
+class TestDegenerateGasCell:
+    @pytest.mark.parametrize("corrector", ["stages-2-3", "full"])
+    def test_degenerate_cell_below_half_is_not_a_target(self, corrector):
+        # step 1 holds a single interface cell whose gradient vanishes and whose
+        # f <= 0.5, so the phase test counts it as gas: no cell can take the
+        # stray back, and it is dropped instead of failing the invariant
+        g = uniform_grid((3, 1, 1), hi=(3.0, 1.0, 1.0))
+        step0 = make_step(g, np.array([1.0, 0.0, 0.0]), np.zeros((3, 3)), time=0.0)
+        step1 = make_step(g, np.array([0.0, 0.3, 0.0]), np.zeros((3, 3)), time=1.0)
+        ps = seed_particles(step0)
+        advance_interval(ps, step0, step1, AdvectionConfig(corrector=corrector))
+        assert ps.alive.tolist() == [False]
+        assert phase_violations(ps, step1).size == 0
+
+
+@st.composite
+def stage2_cases(draw):
+    """A small rectilinear grid with unequal spacing, a liquid-capable mask
+    (possibly empty), points in and around the domain and a ring block size."""
+    shape = [draw(st.integers(1, 6)) for _ in range(3)]
+    axes = []
+    for n in shape:
+        steps = draw(st.lists(st.floats(0.1, 3.0), min_size=n, max_size=n))
+        axes.append(np.concatenate([[0.0], np.cumsum(steps)]))
+    ncells = shape[0] * shape[1] * shape[2]
+    capable = np.array(draw(st.lists(st.booleans(), min_size=ncells, max_size=ncells)))
+    thin = draw(st.integers(0, 3))  # make sparse masks likely, so targets lie rings away
+    capable &= np.arange(ncells) % (thin + 1) == 0
+    pts = np.array(
+        [
+            [draw(st.floats(-2.0, float(a[-1]) + 2.0)) for a in axes]
+            for _ in range(draw(st.integers(1, 8)))
+        ]
+    )
+    block = draw(st.sampled_from([1, 5, advect.RING_BLOCK]))
+    return axes, capable, pts, block
+
+
+# a target 13 rings away: only the far end of a 14-cell row is capable
+_FAR_AXES = [np.linspace(0.0, 14.0, 15), np.array([0.0, 1.0, 1.5]), np.array([0.0, 0.7])]
+_FAR_CASE = (_FAR_AXES, np.arange(28) == 13, np.array([[0.2, 0.5, 0.3], [-3.0, 1.2, 0.1]]), 5)
+
+
+class TestStage2Target:
+    @settings(max_examples=150, deadline=None)
+    @given(case=stage2_cases())
+    @example(case=_FAR_CASE)
+    def test_ring_search_matches_brute_force(self, case):
+        axes, capable, pts, block = case
+        grid = RectilinearGrid(tuple(axes))
+        with mock.patch.object(advect, "RING_BLOCK", block):
+            got = advect._nearest_capable_cells(grid, capable, pts)
+        want = [nearest_capable_cell(axes, capable, p) for p in pts]
+        assert got.tolist() == [-1 if w is None else w for w in want]
