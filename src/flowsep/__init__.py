@@ -37,13 +37,12 @@ from .grid import (
     RectilinearGrid,
     TimeSeriesDataset,
     TimeStep,
-    gradient_f,
     locate_cell,
     sample_velocity,
     uniform_grid,
 )
 from .labeling import LabelField, PartitionLayout, label_features, label_features_partitioned
-from .plic import PlicPatch, is_liquid, project_to_patch, reconstruct_patch, truncated_volume
+from .plic import truncated_volume
 from .runtime import (
     PipelineConfig,
     RunReport,
@@ -72,7 +71,6 @@ __all__ = [
     "ParticleSet",
     "PartitionLayout",
     "PipelineConfig",
-    "PlicPatch",
     "RectilinearGrid",
     "RunReport",
     "RunResult",
@@ -90,8 +88,6 @@ __all__ = [
     "extract_boundary",
     "extract_separation_surface",
     "generate_scenario",
-    "gradient_f",
-    "is_liquid",
     "is_watertight",
     "label_features",
     "label_features_partitioned",
@@ -100,9 +96,7 @@ __all__ = [
     "parse_config",
     "partition_exchange",
     "phase_violations",
-    "project_to_patch",
     "read_timestep",
-    "reconstruct_patch",
     "run_pipeline",
     "sample_velocity",
     "seed_particles",

@@ -45,9 +45,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
-    center = tuple(float(v) for v in args.center.split(","))
+    try:
+        center = tuple(float(v) for v in args.center.split(","))
+    except ValueError:
+        center = ()
     if len(center) != 3:
-        raise ConfigError(f"--center needs three comma-separated values, got {args.center!r}")
+        raise ConfigError(f"--center needs three comma-separated numbers, got {args.center!r}")
     scenario = SyntheticScenario(
         kind=args.scenario,
         cells=args.cells,

@@ -209,8 +209,14 @@ class SyntheticScenario:
     def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:
             raise DatasetError(f"unknown scenario kind {self.kind!r}")
-        if self.radius <= 0:
-            raise DatasetError("radius must be positive")
+        for name in ("radius", "span"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise DatasetError(f"{name} must be finite and positive, got {value}")
+        for name in ("center", "speed", "offset", "t_split"):
+            value = getattr(self, name)
+            if not np.all(np.isfinite(value)):
+                raise DatasetError(f"{name} must be finite, got {value}")
         if self.steps < 2:
             raise DatasetError("need at least 2 steps")
         if self.cells < 2:

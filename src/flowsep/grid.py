@@ -57,11 +57,6 @@ class RectilinearGrid:
     def hi(self) -> np.ndarray:
         return np.array([a[-1] for a in self.axes])
 
-    def cell_bounds(self, cell: Cell) -> tuple[np.ndarray, np.ndarray]:
-        """Lower and upper corner of one cell (one row of `cell_boxes`)."""
-        lo, hi = self.cell_boxes([self.flat(cell)])
-        return lo[0], hi[0]
-
     def cell_boxes(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Lower and upper corners (m, 3) of the cells with the given flat indices."""
         ijk = self.unflat(np.asarray(flat))
@@ -86,9 +81,6 @@ class RectilinearGrid:
         j = (flat // nx) % ny
         k = flat // (nx * ny)
         return (i, j, k)
-
-    def in_bounds(self, cell) -> bool:
-        return all(0 <= cell[d] < self.shape[d] for d in range(3))
 
 
 def uniform_grid(cells, lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 1.0)) -> RectilinearGrid:
@@ -285,12 +277,9 @@ def sample_velocity(step_a: TimeStep, step_b: TimeStep, x, t: float) -> np.ndarr
     return v[0] if single else v
 
 
-def sample_fraction(step: TimeStep, pts) -> np.ndarray:
-    """Trilinear interpolation of the fraction field at points."""
-    pts = np.asarray(pts, dtype=np.float64)
-    single = pts.ndim == 1
-    v = sample_cell_field(step.f, pts)
-    return float(v[0]) if single else v
+def sample_fraction(step: TimeStep, pts: np.ndarray) -> np.ndarray:
+    """Trilinear interpolation (n,) of the fraction field at points (n, 3)."""
+    return sample_cell_field(step.f, pts)
 
 
 def fraction_gradients(step: TimeStep, flat: np.ndarray) -> np.ndarray:
@@ -317,7 +306,3 @@ def fraction_gradients(step: TimeStep, flat: np.ndarray) -> np.ndarray:
         )
     return g
 
-
-def gradient_f(step: TimeStep, cell: Cell) -> np.ndarray:
-    """Gradient of f at one cell center (one row of `fraction_gradients`)."""
-    return fraction_gradients(step, np.array([step.grid.flat(cell)]))[0]

@@ -8,6 +8,10 @@ shared face values, adjacent cubes always agree on their shared segments, so
 closed surfaces come out watertight by construction. Vertices sit exactly at
 the midpoints of lattice edges with one positive endpoint.
 
+Extraction is one gather: the mixed cubes are repeated by their case's
+triangle count, the triangles' cube edges are read from the padded case table
+and keyed as lattice edges, and `np.unique` numbers the vertices.
+
 The signed variant treats invalid nodes as negative for the case lookup and
 afterwards discards every triangle with a vertex on a lattice edge incident to
 an invalid node, which opens the surface along the invalid rim.
@@ -143,6 +147,22 @@ def _case_triangles(mask: int) -> list[tuple[int, int, int]]:
 CASE_TRIS = [_case_triangles(m) for m in range(256)]
 
 
+def _padded_table() -> tuple[np.ndarray, np.ndarray]:
+    """CASE_TRIS as one (256, max_tris, 3) cube-edge array, zero padded, and the
+    per-case triangle counts."""
+    counts = np.array([len(tris) for tris in CASE_TRIS])
+    table = np.zeros((256, counts.max(), 3), dtype=np.int8)
+    for mask, tris in enumerate(CASE_TRIS):
+        if tris:
+            table[mask, : len(tris)] = tris
+    return table, counts
+
+
+CASE_EDGES, CASE_COUNTS = _padded_table()
+EDGE_AXIS = np.array([e // 4 for e in range(12)])
+EDGE_LOW = np.array([CORNERS[u] for u, _ in EDGES])  # lower corner offset per edge
+
+
 def _empty():
     return np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int32)
 
@@ -160,7 +180,10 @@ def marching_cubes(
              case lookup and every triangle touching an edge with an invalid
              endpoint is discarded (open-surface extraction)
 
-    Returns (vertices, triangles).
+    Returns (vertices, triangles). Triangles follow the mixed cubes in C order,
+    each cube's in table order. Vertices are numbered by first visit along
+    that order, where a discarded triangle visits its edges up to the first
+    invalid one, and only the vertices of kept triangles remain.
     """
     inside = np.asarray(inside, dtype=bool)
     ni, nj, nk = inside.shape
@@ -172,62 +195,45 @@ def marching_cubes(
         case += inside[cx : cx + ni - 1, cy : cy + nj - 1, cz : cz + nk - 1].astype(
             np.uint16
         ) << c
-    mixed = np.argwhere((case > 0) & (case < 255))
-    if mixed.size == 0:
+    i, j, k = np.nonzero((case > 0) & (case < 255))
+    if i.size == 0:
         return _empty()
 
-    ax, ay, az = (np.asarray(a, dtype=np.float64) for a in axes)
-    inv_flat = None
-    if invalid is not None:
+    # one row per triangle; a lattice edge is keyed 3 * (flat lower node) + axis
+    cases = case[i, j, k]
+    counts = CASE_COUNTS[cases]
+    cube = np.repeat(np.arange(cases.size), counts)
+    nth = np.arange(cube.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    stride = np.array([1, ni, ni * nj])
+    edge_key = 3 * (EDGE_LOW @ stride) + EDGE_AXIS
+    keys = 3 * (i + ni * (j + nj * k))[cube, None] + edge_key[CASE_EDGES[cases[cube], nth]]
+
+    if invalid is None:
+        visited, kept = keys.ravel(), keys
+    else:
         inv_flat = np.asarray(invalid, dtype=bool).reshape(-1, order="F")
+        low, axis = np.divmod(keys, 3)
+        bad = inv_flat[low] | inv_flat[low + stride[axis]]
+        # a discarded triangle visits its edges up to the first invalid one
+        visit = ~np.logical_or.accumulate(bad, axis=1)
+        visited, kept = keys[visit], keys[visit[:, 2]]
+        if kept.size == 0:
+            return _empty()
 
-    verts: list[np.ndarray] = []
-    vert_nodes: list[tuple[int, int]] = []
-    tris: list[tuple[int, int, int]] = []
-    vmap: dict[tuple[int, int], int] = {}
+    # number the visited lattice edges by first visit; keep those of kept triangles
+    uniq, first = np.unique(visited, return_index=True)
+    slot = np.searchsorted(uniq, kept)
+    used = np.zeros(uniq.size, dtype=bool)
+    used[slot] = True
+    order = np.nonzero(used)[0]
+    order = order[np.argsort(first[order])]
+    vid = np.empty(uniq.size, dtype=np.int32)
+    vid[order] = np.arange(order.size, dtype=np.int32)
 
-    def node_flat(i, j, k) -> int:
-        return i + ni * (j + nj * k)
-
-    for i, j, k in mixed:
-        for tri in CASE_TRIS[case[i, j, k]]:
-            ids = []
-            bad = False
-            for e in tri:
-                u, v = EDGES[e]
-                nu = node_flat(i + CORNERS[u][0], j + CORNERS[u][1], k + CORNERS[u][2])
-                nv = node_flat(i + CORNERS[v][0], j + CORNERS[v][1], k + CORNERS[v][2])
-                key = (nu, nv) if nu < nv else (nv, nu)
-                if inv_flat is not None and (inv_flat[key[0]] or inv_flat[key[1]]):
-                    bad = True
-                    break
-                vid = vmap.get(key)
-                if vid is None:
-                    vid = vmap[key] = len(verts)
-                    pa = _node_coords(key[0], ni, nj, ax, ay, az)
-                    pb = _node_coords(key[1], ni, nj, ax, ay, az)
-                    verts.append(0.5 * (pa + pb))
-                    vert_nodes.append(key)
-                ids.append(vid)
-            if not bad:
-                tris.append(tuple(ids))
-
-    if not tris:
-        return _empty()
-    vert_arr = np.array(verts)
-    tri_arr = np.array(tris, dtype=np.int32)
-    # drop vertices that only supported discarded triangles
-    used = np.unique(tri_arr)
-    if used.size != vert_arr.shape[0]:
-        remap = np.full(vert_arr.shape[0], -1, dtype=np.int32)
-        remap[used] = np.arange(used.size, dtype=np.int32)
-        vert_arr = vert_arr[used]
-        tri_arr = remap[tri_arr]
-    return vert_arr, tri_arr
-
-
-def _node_coords(flat: int, ni: int, nj: int, ax, ay, az) -> np.ndarray:
-    i = flat % ni
-    j = (flat // ni) % nj
-    k = flat // (ni * nj)
-    return np.array([ax[i], ay[j], az[k]])
+    low, axis = np.divmod(uniq[order], 3)
+    node = (low % ni, low // ni % nj, low // (ni * nj))
+    verts = np.empty((order.size, 3))
+    for d in range(3):
+        a = np.asarray(axes[d], dtype=np.float64)
+        verts[:, d] = 0.5 * (a[node[d]] + a[node[d] + (axis == d)])
+    return verts, vid[slot]

@@ -9,8 +9,7 @@ is on the liquid side iff d = (x - a) . n <= l.
 Every interface cell (0 < f < 1) of a step is one row of the step's
 `PlicTable`, built on first use by `plic_table` and kept on the step. All
 offsets come from one batched bisection; the phase test, seeding and the
-corrector read the table. `reconstruct_patch`, `is_liquid` and
-`project_to_patch` are per-cell views of the same rows.
+corrector read the table.
 """
 
 from __future__ import annotations
@@ -20,25 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Cell, TimeStep, flat_indices, fraction_gradients, locate_cells
+from .grid import TimeStep, flat_indices, fraction_gradients, locate_cells
 
 MAX_BISECT = 60
 VOLUME_TOL = 1e-6
 # phase-test slack so particles projected exactly onto the patch plane count
 # as liquid (relative to the cell diagonal)
 PHASE_TOL = 1e-9
-
-
-class DegenerateNormalError(ValueError):
-    """The fraction gradient vanishes in an interface cell."""
-
-
-@dataclass(frozen=True)
-class PlicPatch:
-    cell: Cell
-    normal: np.ndarray  # unit, liquid -> gas
-    anchor: np.ndarray  # deepest-liquid cell corner
-    offset: float  # plane distance from anchor along normal, >= 0
 
 
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -222,23 +209,6 @@ def plic_table(step: TimeStep) -> PlicTable:
     return step.plic
 
 
-def reconstruct_patch(step: TimeStep, cell: Cell) -> PlicPatch:
-    """PLIC patch of an interface cell (requires 0 < f < 1)."""
-    f = float(step.f.view3d()[cell])
-    if not 0.0 < f < 1.0:
-        raise ValueError(f"cell {cell} is not an interface cell (f={f})")
-    table = plic_table(step)
-    row = int(table.rows(step.grid.flat(cell)))
-    if table.degenerate[row]:
-        raise DegenerateNormalError(f"zero fraction gradient in interface cell {cell}")
-    return PlicPatch(
-        cell=cell,
-        normal=table.normals[row].copy(),
-        anchor=table.anchors[row].copy(),
-        offset=float(table.offsets[row]),
-    )
-
-
 # ---------------------------------------------------------------------------
 # phase test and projection
 
@@ -283,11 +253,6 @@ def is_liquid_many(step: TimeStep, pts: np.ndarray, tau: float = 0.0) -> np.ndar
     return out
 
 
-def is_liquid(step: TimeStep, x, tau: float = 0.0) -> bool:
-    """Whether point x lies in the feature phase (one point of `is_liquid_many`)."""
-    return bool(is_liquid_many(step, np.asarray(x, dtype=np.float64)[None, :], tau)[0])
-
-
 def project_many(
     x: np.ndarray, anchors: np.ndarray, normals: np.ndarray, offsets: np.ndarray
 ) -> np.ndarray:
@@ -304,11 +269,3 @@ def project_many(
     out[far] = x[far] + s[:, None] * (anchors[far] - x[far])
     return out
 
-
-def project_to_patch(patch: PlicPatch, x) -> np.ndarray:
-    """Intersection of the segment x -> anchor with the patch plane (one row of
-    `project_many`)."""
-    x = np.asarray(x, dtype=np.float64)[None, :]
-    return project_many(
-        x, patch.anchor[None, :], np.asarray(patch.normal)[None, :], np.array([patch.offset])
-    )[0]

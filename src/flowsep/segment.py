@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .advect import ParticleSet
-from .grid import TimeStep, flat_indices, gradient_f, locate_cells, sample_fraction
+from .grid import TimeStep, flat_indices, fraction_gradients, locate_cells, sample_fraction
 from .labeling import LabelField
 
 GRADIENT_WALK_MAX = 8  # cap on the label search walk up the fraction gradient
@@ -49,7 +49,8 @@ def assign_labels(
 
     A particle in an unlabeled cell whose interpolated fraction still exceeds
     tau walks up the fraction gradient one face neighbor at a time (at most
-    GRADIENT_WALK_MAX cells) and takes the first labeled cell's label.
+    GRADIENT_WALK_MAX cells) and takes the first labeled cell's label; see
+    `labels_for_positions`.
     """
     if labels.grid is not step.grid:
         raise ValueError("label field and step must share one grid")
@@ -64,44 +65,39 @@ def assign_labels(
 def labels_for_positions(
     pos: np.ndarray, labels: LabelField, step: TimeStep, tau: float = 0.0
 ) -> np.ndarray:
-    """Feature label per position (-1 outside all features), gradient walk included."""
+    """Feature label per position (-1 outside all features), gradient walk included.
+
+    The stragglers (in the domain, in an unlabeled cell, interpolated f > tau)
+    walk together. Each round moves every walker one cell along the axis of
+    its cell's largest |grad f| component, toward higher f; a walker stops
+    with -1 on a zero gradient or at the domain boundary, and with the label
+    of the first labeled cell it enters.
+    """
     grid = step.grid
     pos = np.atleast_2d(pos)
     idx, inside = locate_cells(grid, pos)
     lab = np.full(pos.shape[0], -1, dtype=np.int32)
-    if inside.any():
-        flat = flat_indices(grid, idx[inside])
-        lab[inside] = labels.labels[flat]
+    lab[inside] = labels.labels[flat_indices(grid, idx[inside])]
 
-    # gradient walk for stragglers whose interpolated f is still above tau
-    misses = np.nonzero(inside & (lab < 0))[0]
-    if misses.size:
-        fvals = np.atleast_1d(sample_fraction(step, pos[misses]))
-        for row, fv in zip(misses, fvals):
-            if fv <= tau:
-                continue
-            lab[row] = _walk_up_gradient(step, labels, tuple(int(v) for v in idx[row]))
-    return lab
-
-
-def _walk_up_gradient(step: TimeStep, labels: LabelField, cell) -> int:
-    grid = step.grid
-    lab3 = labels.view3d()
-    cur = cell
+    rows = np.nonzero(inside & (lab < 0))[0]
+    rows = rows[sample_fraction(step, pos[rows]) > tau]
+    cells = idx[rows]
+    shape = np.array(grid.shape)
     for _ in range(GRADIENT_WALK_MAX):
-        g = gradient_f(step, cur)
-        amax = int(np.argmax(np.abs(g)))
-        if g[amax] == 0.0:
-            return -1
-        nxt = list(cur)
-        nxt[amax] += 1 if g[amax] > 0 else -1
-        if not grid.in_bounds(nxt):
-            return -1
-        cur = tuple(nxt)
-        found = int(lab3[cur])
-        if found >= 0:
-            return found
-    return -1
+        if rows.size == 0:
+            break
+        g = fraction_gradients(step, flat_indices(grid, cells))
+        walker = np.arange(rows.size)
+        axis = np.argmax(np.abs(g), axis=1)
+        slope = g[walker, axis]
+        cells[walker, axis] += np.where(slope > 0.0, 1, -1)
+        moved = cells[walker, axis]
+        go = (slope != 0.0) & (moved >= 0) & (moved < shape[axis])
+        rows, cells = rows[go], cells[go]
+        lab[rows] = labels.labels[flat_indices(grid, cells)]
+        left = lab[rows] < 0
+        rows, cells = rows[left], cells[left]
+    return lab
 
 
 def contribution_table(

@@ -2,12 +2,15 @@
 
 Everything here is deliberately implemented without reusing the library's own
 code paths: brute-force counting, raster-scan union-find, parity ray casting,
-and closed-form kinematics.
+closed-form kinematics, and scalar loops that the library replaced with array
+code (the marching-cubes loop shares only the case table with the library).
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from flowsep.marching import CASE_TRIS, CORNERS, EDGES
 
 # --- half-space / box volume oracles ---------------------------------------
 
@@ -253,6 +256,43 @@ def nearest_capable_cell(axes, capable, x):
     return None if best is None else best[2]
 
 
+# --- label search up the fraction gradient ------------------------------------
+
+
+def walk_up_gradient(f3: np.ndarray, centers, labels3: np.ndarray, cell, max_steps: int) -> int:
+    """Scalar gradient walk from one cell: step to the face neighbor along the
+    axis of the largest |grad f| component (central differences on cell
+    centers, one-sided at the boundary; first axis on ties), toward higher f,
+    at most max_steps times; the first labeled cell's label, or -1 on a zero
+    gradient, at the domain boundary or when the steps run out."""
+    shape = f3.shape
+    cur = list(cell)
+    for _ in range(max_steps):
+        g = []
+        for d in range(3):
+            n = shape[d]
+            if n == 1:
+                g.append(0.0)
+                continue
+            lo, hi = list(cur), list(cur)
+            lo[d] = max(cur[d] - 1, 0)
+            hi[d] = min(cur[d] + 1, n - 1)
+            g.append((f3[tuple(hi)] - f3[tuple(lo)]) / (centers[d][hi[d]] - centers[d][lo[d]]))
+        axis = 0
+        for d in (1, 2):
+            if abs(g[d]) > abs(g[axis]):
+                axis = d
+        if g[axis] == 0.0:
+            return -1
+        cur[axis] += 1 if g[axis] > 0 else -1
+        if not 0 <= cur[axis] < shape[axis]:
+            return -1
+        found = int(labels3[tuple(cur)])
+        if found >= 0:
+            return found
+    return -1
+
+
 # --- kinematics -------------------------------------------------------------
 
 
@@ -283,3 +323,100 @@ def segment_box_entry(x, target, lo, hi) -> np.ndarray:
         t_lo = max(t_lo, a)
         t_hi = min(t_hi, b)
     return x + t_lo * d
+
+
+# --- marching cubes (scalar loop) ---------------------------------------------
+
+
+def _empty():
+    return np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int32)
+
+
+def marching_cubes_loop(
+    inside: np.ndarray,
+    axes: tuple[np.ndarray, np.ndarray, np.ndarray],
+    invalid: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reference for `flowsep.marching.marching_cubes`: the per-cube,
+    per-triangle, per-edge loop the library used before its table gather.
+    It shares only the case table (CORNERS, EDGES, CASE_TRIS) with the library.
+
+    Triangulates the 0.5-level set of a binary node lattice.
+
+    inside:  (ni, nj, nk) bool node values
+    axes:    node coordinate arrays per axis
+    invalid: optional bool mask of outer nodes; these count as outside for the
+             case lookup and every triangle touching an edge with an invalid
+             endpoint is discarded (open-surface extraction)
+
+    Returns (vertices, triangles).
+    """
+    inside = np.asarray(inside, dtype=bool)
+    ni, nj, nk = inside.shape
+    if min(ni, nj, nk) < 2 or not inside.any():
+        return _empty()
+
+    case = np.zeros((ni - 1, nj - 1, nk - 1), dtype=np.uint16)
+    for c, (cx, cy, cz) in enumerate(CORNERS):
+        case += inside[cx : cx + ni - 1, cy : cy + nj - 1, cz : cz + nk - 1].astype(
+            np.uint16
+        ) << c
+    mixed = np.argwhere((case > 0) & (case < 255))
+    if mixed.size == 0:
+        return _empty()
+
+    ax, ay, az = (np.asarray(a, dtype=np.float64) for a in axes)
+    inv_flat = None
+    if invalid is not None:
+        inv_flat = np.asarray(invalid, dtype=bool).reshape(-1, order="F")
+
+    verts: list[np.ndarray] = []
+    vert_nodes: list[tuple[int, int]] = []
+    tris: list[tuple[int, int, int]] = []
+    vmap: dict[tuple[int, int], int] = {}
+
+    def node_flat(i, j, k) -> int:
+        return i + ni * (j + nj * k)
+
+    for i, j, k in mixed:
+        for tri in CASE_TRIS[case[i, j, k]]:
+            ids = []
+            bad = False
+            for e in tri:
+                u, v = EDGES[e]
+                nu = node_flat(i + CORNERS[u][0], j + CORNERS[u][1], k + CORNERS[u][2])
+                nv = node_flat(i + CORNERS[v][0], j + CORNERS[v][1], k + CORNERS[v][2])
+                key = (nu, nv) if nu < nv else (nv, nu)
+                if inv_flat is not None and (inv_flat[key[0]] or inv_flat[key[1]]):
+                    bad = True
+                    break
+                vid = vmap.get(key)
+                if vid is None:
+                    vid = vmap[key] = len(verts)
+                    pa = _node_coords(key[0], ni, nj, ax, ay, az)
+                    pb = _node_coords(key[1], ni, nj, ax, ay, az)
+                    verts.append(0.5 * (pa + pb))
+                    vert_nodes.append(key)
+                ids.append(vid)
+            if not bad:
+                tris.append(tuple(ids))
+
+    if not tris:
+        return _empty()
+    vert_arr = np.array(verts)
+    tri_arr = np.array(tris, dtype=np.int32)
+    # drop vertices that only supported discarded triangles
+    used = np.unique(tri_arr)
+    if used.size != vert_arr.shape[0]:
+        remap = np.full(vert_arr.shape[0], -1, dtype=np.int32)
+        remap[used] = np.arange(used.size, dtype=np.int32)
+        vert_arr = vert_arr[used]
+        tri_arr = remap[tri_arr]
+    return vert_arr, tri_arr
+
+
+def _node_coords(flat: int, ni: int, nj: int, ax, ay, az) -> np.ndarray:
+    i = flat % ni
+    j = (flat // ni) % nj
+    k = flat // (ni * nj)
+    return np.array([ax[i], ay[j], az[k]])

@@ -9,7 +9,7 @@ from flowsep.grid import (
     RectilinearGrid,
     TimeSeriesDataset,
     TimeStep,
-    gradient_f,
+    fraction_gradients,
     locate_cell,
     locate_cells,
     sample_velocity,
@@ -88,7 +88,7 @@ class TestLocateCell:
         for p in pts:
             cell = locate_cell(g, p)
             assert cell is not None
-            lo, hi = g.cell_bounds(cell)
+            (lo,), (hi,) = g.cell_boxes([g.flat(cell)])
             last = [cell[d] == g.shape[d] - 1 for d in range(3)]
             for d in range(3):
                 assert lo[d] <= p[d]
@@ -161,21 +161,21 @@ class TestGradient:
     def test_constant_field_zero(self):
         g = uniform_grid(4)
         step = constant_step(g, 0.5, (0.0, 0.0, 0.0))
-        assert np.allclose(gradient_f(step, (2, 1, 3)), 0.0)
+        assert np.allclose(fraction_gradients(step, [g.flat((2, 1, 3))]), 0.0)
 
     def test_linear_field_interior(self):
         g = uniform_grid(6)
         f = np.clip(cell_center_coords(g)[:, 0], 0, 1)
         step = make_step(g, f, np.zeros((3, g.ncells)))
-        assert np.allclose(gradient_f(step, (3, 2, 2)), (1.0, 0.0, 0.0))
+        assert np.allclose(fraction_gradients(step, [g.flat((3, 2, 2))]), (1.0, 0.0, 0.0))
 
     def test_linear_field_boundary_one_sided(self):
         # hand-computed one-sided stencil: (f[1] - f[0]) / (c1 - c0) = 1
         g = uniform_grid(6)
         f = np.clip(cell_center_coords(g)[:, 0], 0, 1)
         step = make_step(g, f, np.zeros((3, g.ncells)))
-        assert np.allclose(gradient_f(step, (0, 2, 2)), (1.0, 0.0, 0.0))
-        assert np.allclose(gradient_f(step, (5, 2, 2)), (1.0, 0.0, 0.0))
+        got = fraction_gradients(step, [g.flat((0, 2, 2)), g.flat((5, 2, 2))])
+        assert np.allclose(got, (1.0, 0.0, 0.0))
 
     def test_affine_exact_on_nonuniform_grid(self):
         rng = np.random.default_rng(5)
@@ -188,8 +188,10 @@ class TestGradient:
         fvals = (raw - raw.min()) / span  # into [0, 1], still affine in centers
         step = make_step(g, fvals, np.zeros((3, g.ncells)))
         expect = coef[1:] / span
-        for cell in [(2, 2, 2), (0, 0, 0), (4, 3, 1)]:
-            assert np.allclose(gradient_f(step, cell), expect, atol=1e-12)
+        cells = [g.flat(cell) for cell in [(2, 2, 2), (0, 0, 0), (4, 3, 1)]]
+        got = fraction_gradients(step, cells)
+        assert got.shape == (3, 3)
+        assert np.allclose(got, expect, atol=1e-12)
 
 
 class TestValidation:

@@ -8,13 +8,10 @@ from hypothesis import strategies as st
 from flowsep.grid import CellField, TimeStep, uniform_grid
 from flowsep.plic import (
     VOLUME_TOL,
-    DegenerateNormalError,
     anchor_corner,
-    is_liquid,
     is_liquid_many,
     plic_table,
-    project_to_patch,
-    reconstruct_patch,
+    project_many,
     solve_patch_offset,
     truncated_volume,
 )
@@ -119,100 +116,111 @@ class TestSolveOffset:
             assert abs(truncated_volume(UNIT_LO, UNIT_HI, n, a, l) - f) <= 1e-6
 
 
+def table_row(step, cell):
+    """The PLIC table and the row of one interface cell."""
+    table = plic_table(step)
+    flat = step.grid.flat(cell)
+    row = int(table.rows(flat))
+    assert table.cells[row] == flat
+    return table, row
+
+
 class TestReconstructPatch:
     def test_axis_aligned_row(self):
         step = three_cell_row([1.0, 0.5, 0.0])
-        patch = reconstruct_patch(step, (1, 0, 0))
-        assert np.allclose(patch.normal, (1.0, 0.0, 0.0), atol=1e-12)
-        assert np.isclose(np.linalg.norm(patch.normal), 1.0, atol=1e-12)
-        assert np.isclose(patch.anchor[0], 1.0)
-        assert abs(patch.offset - 0.5) < 1e-6
+        table, row = table_row(step, (1, 0, 0))
+        normal = table.normals[row]
+        assert np.allclose(normal, (1.0, 0.0, 0.0), atol=1e-12)
+        assert np.isclose(np.linalg.norm(normal), 1.0, atol=1e-12)
+        assert np.isclose(table.anchors[row][0], 1.0)
+        assert abs(table.offsets[row] - 0.5) < 1e-6
 
     def test_requires_interface_cell(self):
+        # only cells with 0 < f < 1 get a row
         step = three_cell_row([1.0, 0.5, 0.0])
-        with pytest.raises(ValueError):
-            reconstruct_patch(step, (0, 0, 0))
+        assert plic_table(step).cells.tolist() == [step.grid.flat((1, 0, 0))]
 
     def test_degenerate_gradient(self):
         step = three_cell_row([0.5, 0.5, 0.5])
-        with pytest.raises(DegenerateNormalError):
-            reconstruct_patch(step, (1, 0, 0))
+        table, row = table_row(step, (1, 0, 0))
+        assert table.degenerate[row]
+        assert np.all(table.normals[row] == 0.0)
+        assert table.offsets[row] == 0.0
 
 
 class TestIsLiquid:
     def test_pure_cells(self):
         step = three_cell_row([1.0, 0.5, 0.0])
-        assert is_liquid(step, (0.5, 0.5, 0.5))
-        assert not is_liquid(step, (2.5, 0.5, 0.5))
+        assert is_liquid_many(step, [(0.5, 0.5, 0.5), (2.5, 0.5, 0.5)]).tolist() == [True, False]
 
     def test_interface_cell_gas_side(self):
         # d = 0.75 > l = 0.5 on the middle cell's patch
         step = three_cell_row([1.0, 0.5, 0.0])
-        assert not is_liquid(step, (1.75, 0.5, 0.5))
+        assert not is_liquid_many(step, [(1.75, 0.5, 0.5)])[0]
 
     def test_interface_cell_liquid_side(self):
         # d = 0.25 < 0.5 by hand projection
         step = three_cell_row([1.0, 0.5, 0.0])
-        assert is_liquid(step, (1.25, 0.5, 0.5))
+        assert is_liquid_many(step, [(1.25, 0.5, 0.5)])[0]
 
     def test_outside_domain_false(self):
         step = three_cell_row([1.0, 0.5, 0.0])
-        assert not is_liquid(step, (-0.5, 0.5, 0.5))
+        assert not is_liquid_many(step, [(-0.5, 0.5, 0.5)])[0]
 
     def test_degenerate_cell_majority_fallback(self):
         step = three_cell_row([0.6, 0.6, 0.6])
-        assert is_liquid(step, (1.5, 0.5, 0.5))
+        assert is_liquid_many(step, [(1.5, 0.5, 0.5)])[0]
         step = three_cell_row([0.4, 0.4, 0.4])
-        assert not is_liquid(step, (1.5, 0.5, 0.5))
-
-    def test_vectorized_matches_scalar(self):
-        step = three_cell_row([1.0, 0.37, 0.0])
-        rng = np.random.default_rng(8)
-        pts = rng.uniform((0, 0, 0), (3, 1, 1), size=(200, 3))
-        many = is_liquid_many(step, pts)
-        for row, p in enumerate(pts):
-            assert many[row] == is_liquid(step, p)
+        assert not is_liquid_many(step, [(1.5, 0.5, 0.5)])[0]
 
     def test_matches_dense_classification_on_interface_cell(self):
         # within one subvoxel of a 32^3 classification of the middle cell
         step = three_cell_row([1.0, 0.42, 0.0])
-        patch = reconstruct_patch(step, (1, 0, 0))
+        table, row = table_row(step, (1, 0, 0))
         n_sub = 32
         g = (np.arange(n_sub) + 0.5) / n_sub
         pts = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
         pts[:, 0] += 1.0  # shift into the middle cell
         ours = is_liquid_many(step, pts)
-        dense = (pts - patch.anchor) @ patch.normal <= patch.offset
+        dense = (pts - table.anchors[row]) @ table.normals[row] <= table.offsets[row]
         assert np.mean(ours != dense) == 0.0
+
+
+def project_row(table, row, x):
+    """project_many on one point against one table row."""
+    return project_many(
+        np.asarray(x, dtype=np.float64)[None, :],
+        table.anchors[row][None, :],
+        table.normals[row][None, :],
+        table.offsets[row : row + 1],
+    )[0]
 
 
 class TestProjectToPatch:
     def test_axis_case(self):
         step = three_cell_row([1.0, 0.5, 0.0])
-        patch = reconstruct_patch(step, (1, 0, 0))
+        table, row = table_row(step, (1, 0, 0))
         # anchor is (1, 0, 0); choose x with matching y, z so motion is pure x
-        p = project_to_patch(patch, np.array([2.0, 0.0, 0.0]))
-        assert np.allclose(p, (1.0 + patch.offset, 0.0, 0.0), atol=1e-9)
+        p = project_row(table, row, [2.0, 0.0, 0.0])
+        assert np.allclose(p, (1.0 + table.offsets[row], 0.0, 0.0), atol=1e-9)
 
     def test_point_on_plane_fixed(self):
         step = three_cell_row([1.0, 0.5, 0.0])
-        patch = reconstruct_patch(step, (1, 0, 0))
-        x = np.array([1.0 + patch.offset, 0.3, 0.7])
-        assert np.allclose(project_to_patch(patch, x), x)
+        table, row = table_row(step, (1, 0, 0))
+        x = np.array([1.0 + table.offsets[row], 0.3, 0.7])
+        assert np.allclose(project_row(table, row, x), x)
 
     def test_oblique_case_parametric_oracle(self):
-        from flowsep.plic import PlicPatch
-
         n = np.array([1.0, 1.0, 0.0]) / np.sqrt(2)
-        patch = PlicPatch(cell=(0, 0, 0), normal=n, anchor=np.zeros(3), offset=np.sqrt(2) / 2)
+        anchor, offset = np.zeros(3), np.sqrt(2) / 2
         x = np.array([1.0, 1.0, 1.0])
-        p = project_to_patch(patch, x)
+        p = project_many(x[None, :], anchor[None, :], n[None, :], np.array([offset]))[0]
         # oracle: solve (x + s (a - x) - a) . n = l for s
-        d = (x - patch.anchor) @ n
-        s = 1.0 - patch.offset / d
-        expect = x + s * (patch.anchor - x)
+        d = (x - anchor) @ n
+        s = 1.0 - offset / d
+        expect = x + s * (anchor - x)
         assert np.allclose(p, expect, atol=1e-15)
-        assert abs((p - patch.anchor) @ n - patch.offset) < 1e-12
+        assert abs((p - anchor) @ n - offset) < 1e-12
         assert 0.0 <= s <= 1.0
 
 
@@ -304,11 +312,10 @@ class TestTableProperties:
         checked = 0
         for step in ds.steps:
             table = plic_table(step)
-            grid = step.grid
+            lo, hi = step.grid.cell_boxes(table.cells)
             for row in np.nonzero(~table.degenerate)[0]:
-                lo, hi = grid.cell_bounds(grid.unflat(int(table.cells[row])))
                 f = float(step.f.values[table.cells[row]])
-                want = bisect_offset(lo, hi, table.normals[row], f)
+                want = bisect_offset(lo[row], hi[row], table.normals[row], f)
                 assert table.offsets[row] == want
                 checked += 1
         assert checked > 1000

@@ -285,6 +285,36 @@ class TestCli:
         out = capsys.readouterr().out
         assert "summary\tparticles" in out
 
+    def test_gen_non_numeric_center_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "ds"
+        argv = ["gen", "--scenario", "split-sphere", "--cells", "8", "--steps", "2"]
+        assert main(argv + ["--out", str(out), "--center", "a,b,c"]) == 1
+        assert "--center" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--span", "0"),
+            ("--span", "-1"),
+            ("--span", "nan"),
+            ("--span", "inf"),
+            ("--radius", "nan"),
+            ("--radius", "inf"),
+            ("--speed", "nan"),
+            ("--offset", "inf"),
+            ("--t-split", "nan"),
+            ("--center", "0.5,nan,0.5"),
+        ],
+    )
+    def test_gen_bad_scenario_value_exit_code(self, tmp_path, capsys, flag, value):
+        # rejected before any step is generated or written
+        out = tmp_path / "ds"
+        argv = ["gen", "--scenario", "split-sphere", "--cells", "8", "--steps", "2"]
+        assert main(argv + ["--out", str(out), flag, value]) == 2
+        assert flag.lstrip("-").replace("-", "_") in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_error_exit_code(self, tmp_path):
         path = write_config(tmp_path / "bad.cfg", manifest="m", t0=0, tf=1, bogus="x")
         assert main(["run", "--config", str(path)]) == 1

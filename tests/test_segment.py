@@ -2,18 +2,31 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowsep.advect import seed_particles
-from flowsep.grid import CellField, TimeStep, uniform_grid
-from flowsep.labeling import label_features
+from flowsep.grid import (
+    CellField,
+    RectilinearGrid,
+    TimeStep,
+    locate_cells,
+    sample_cell_field,
+    uniform_grid,
+)
+from flowsep.labeling import LabelField, label_features
 from flowsep.segment import (
+    GRADIENT_WALK_MAX,
     SeedLabeling,
     assign_labels,
     contribution_table,
     detect_splits,
+    labels_for_positions,
     read_table,
     write_table,
 )
+
+from .oracles import walk_up_gradient
 from .test_advect import probes_particle_set
 
 
@@ -75,6 +88,18 @@ class TestAssignLabels:
         ps = probes_particle_set([[0.6, 0.5, 0.5]])
         assert assign_labels(ps, labels, step, tau=0.5).labels.tolist() == [-1]
 
+    def test_gradient_walk_stops_after_max_steps(self):
+        # f rises along x; only cell GRADIENT_WALK_MAX + 1 is labeled, so the walk
+        # reaches it from cell 1 but not from cell 0
+        n = GRADIENT_WALK_MAX + 3
+        g = uniform_grid((n, 1, 1), hi=(float(n), 1.0, 1.0))
+        step = make_step(g, np.linspace(0.1, 0.9, n))
+        lab = np.full(n, -1, dtype=np.int32)
+        lab[GRADIENT_WALK_MAX + 1] = 4
+        labels = LabelField(grid=g, labels=lab, count=1)
+        pos = np.array([[0.5, 0.5, 0.5], [1.5, 0.5, 0.5]])
+        assert labels_for_positions(pos, labels, step).tolist() == [-1, 4]
+
     def test_assignment_is_pure(self):
         step = two_ball_step()
         labels = label_features(step)
@@ -82,6 +107,52 @@ class TestAssignLabels:
         a = assign_labels(ps, labels, step).labels
         b = assign_labels(ps, labels, step).labels
         assert np.array_equal(a, b)
+
+
+@st.composite
+def labeled_fields(draw):
+    """Random fraction field and independent random labels (most cells
+    unlabeled, so walks run long). Uniform spacing with f on five levels makes
+    gradient ties and zero gradients common; unequal spacing and continuous f
+    cover the general case."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = tuple(draw(st.integers(1, 7)) for _ in range(3))
+    if draw(st.booleans()):
+        g = uniform_grid(shape, hi=shape)
+        f = rng.integers(0, 5, g.ncells) / 4.0
+    else:
+        g = RectilinearGrid(tuple(np.cumsum(rng.uniform(0.2, 2.0, n + 1)) for n in shape))
+        f = rng.random(g.ncells)
+    f[rng.random(g.ncells) < 0.3] = 0.0
+    labeled = rng.random(g.ncells) < draw(st.floats(0.0, 0.5))
+    lab = np.where(labeled, rng.integers(0, 3, g.ncells), -1).astype(np.int32)
+    labels = LabelField(grid=g, labels=lab, count=3)
+    lo, hi = g.lo, g.hi
+    pos = rng.uniform(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo), size=(60, 3))
+    return make_step(g, f), labels, pos, draw(st.floats(0.0, 0.9))
+
+
+class TestGradientWalkProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(case=labeled_fields())
+    def test_batched_walk_equals_scalar_walk(self, case):
+        step, labels, pos, tau = case
+        grid = step.grid
+        idx, inside = locate_cells(grid, pos)
+        fvals = sample_cell_field(step.f, pos)
+        f3 = step.f.view3d()
+        lab3 = labels.view3d()
+        want = []
+        for row in range(pos.shape[0]):
+            if not inside[row]:
+                want.append(-1)
+                continue
+            cell = tuple(int(v) for v in idx[row])
+            found = int(lab3[cell])
+            if found < 0 and fvals[row] > tau:
+                found = walk_up_gradient(f3, grid.centers, lab3, cell, GRADIENT_WALK_MAX)
+            want.append(found)
+        assert labels_for_positions(pos, labels, step, tau).tolist() == want
 
 
 class TestContributionTable:
@@ -181,3 +252,32 @@ class TestDetectSplits:
         b = SeedLabeling(labels=np.zeros(4, dtype=np.int32), time=1.0)
         with pytest.raises(ValueError):
             detect_splits(a, b, a)
+
+
+class TestConservationProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        refinement=st.integers(0, 1),
+        dead=st.floats(0.0, 1.0),
+    )
+    def test_rows_of_feature_sum_to_its_seeded_volume(self, seed, refinement, dead):
+        # sum_j volume(i, j) is the volume seeded in feature i, whatever becomes
+        # of its seeds (other features, j = -1, dead)
+        rng = np.random.default_rng(seed)
+        shape = tuple(int(v) for v in rng.integers(2, 7, 3))
+        g = RectilinearGrid(tuple(np.cumsum(rng.uniform(0.2, 2.0, n + 1)) for n in shape))
+        f = np.where(rng.random(g.ncells) < 0.4, 1.0, 0.0)
+        f[rng.random(g.ncells) < 0.2] = 0.5
+        step = make_step(g, f)
+        ps = seed_particles(step, refinement=refinement)
+        initial = assign_labels(ps, label_features(step), step)
+        ps.alive &= rng.random(len(ps)) >= dead
+        final_labels = np.where(ps.alive, rng.integers(-1, 4, len(ps)), -1).astype(np.int32)
+        final = SeedLabeling(labels=final_labels, time=1.0)
+        table = contribution_table(initial, final, ps)
+        for i in np.unique(initial.labels):
+            seeded = ps.seed_volume[initial.labels == i]
+            rows = [(c, v) for ii, _, c, v in table.rows if ii == i]
+            assert sum(c for c, _ in rows) == seeded.size
+            assert np.isclose(sum(v for _, v in rows), seeded.sum(), rtol=1e-12, atol=0.0)
