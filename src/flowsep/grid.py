@@ -277,11 +277,6 @@ def sample_velocity(step_a: TimeStep, step_b: TimeStep, x, t: float) -> np.ndarr
     return v[0] if single else v
 
 
-def sample_fraction(step: TimeStep, pts: np.ndarray) -> np.ndarray:
-    """Trilinear interpolation (n,) of the fraction field at points (n, 3)."""
-    return sample_cell_field(step.f, pts)
-
-
 def fraction_gradients(step: TimeStep, flat: np.ndarray) -> np.ndarray:
     """Gradients (m, 3) of f at the cells with the given flat indices: central
     differences on neighbor centers, one-sided at domain boundaries (exact for
@@ -305,4 +300,3 @@ def fraction_gradients(step: TimeStep, flat: np.ndarray) -> np.ndarray:
             c[ihi] - c[ilo]
         )
     return g
-

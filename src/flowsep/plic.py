@@ -268,4 +268,3 @@ def project_many(
     s = 1.0 - offsets[far] / d[far]
     out[far] = x[far] + s[:, None] * (anchors[far] - x[far])
     return out
-

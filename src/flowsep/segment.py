@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .advect import ParticleSet
-from .grid import TimeStep, flat_indices, fraction_gradients, locate_cells, sample_fraction
+from .grid import TimeStep, flat_indices, fraction_gradients, locate_cells, sample_cell_field
 from .labeling import LabelField
 
 GRADIENT_WALK_MAX = 8  # cap on the label search walk up the fraction gradient
@@ -80,7 +80,7 @@ def labels_for_positions(
     lab[inside] = labels.labels[flat_indices(grid, idx[inside])]
 
     rows = np.nonzero(inside & (lab < 0))[0]
-    rows = rows[sample_fraction(step, pos[rows]) > tau]
+    rows = rows[sample_cell_field(step.f, pos[rows]) > tau]
     cells = idx[rows]
     shape = np.array(grid.shape)
     for _ in range(GRADIENT_WALK_MAX):
