@@ -37,7 +37,6 @@ from .grid import (
     RectilinearGrid,
     TimeSeriesDataset,
     TimeStep,
-    locate_cell,
     sample_velocity,
     uniform_grid,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "label_features",
     "label_features_partitioned",
     "load_dataset",
-    "locate_cell",
     "parse_config",
     "partition_exchange",
     "phase_violations",

@@ -139,13 +139,20 @@ def extract_separation_surface(
 
 
 def edge_incidence(mesh: TriangleMesh) -> tuple[np.ndarray, np.ndarray]:
-    """Undirected edges of the mesh with their triangle incidence counts."""
+    """Undirected edges (a < b, in lexicographic order) of the mesh with their
+    triangle incidence counts.
+
+    Each edge is keyed as a * n + b with n above every vertex index, so one
+    1-D unique gives the rows in the same order as a row-wise unique.
+    """
     t = mesh.triangles
     if t.shape[0] == 0:
         return np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=np.int64)
-    edges = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]).astype(np.int64)
-    edges.sort(axis=1)
-    return np.unique(edges, axis=0, return_counts=True)
+    a = t.astype(np.int64).T.ravel()
+    b = t[:, [1, 2, 0]].astype(np.int64).T.ravel()
+    n = int(t.max()) + 1
+    keys, counts = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_counts=True)
+    return np.stack([keys // n, keys % n], axis=1), counts
 
 
 def is_watertight(mesh: TriangleMesh) -> bool:
@@ -180,16 +187,18 @@ def smooth_mesh(mesh: TriangleMesh, iterations: int = 10, lam: float = 0.5) -> T
     edges, counts = edge_incidence(mesh)
     nv = mesh.vertices.shape[0]
     fixed = np.zeros(nv, dtype=bool)
-    fixed[np.unique(edges[counts == 1])] = True
-    degree = np.zeros(nv)
-    np.add.at(degree, edges[:, 0], 1.0)
-    np.add.at(degree, edges[:, 1], 1.0)
+    fixed[edges[counts == 1].ravel()] = True
+    # Each edge adds its far end to both of its ends: first over edges[:, 0],
+    # then over edges[:, 1]. bincount sums every bin in array order, so the
+    # sums carry the same bits as two sequential scatter-adds would.
+    ends = np.concatenate([edges[:, 0], edges[:, 1]])
+    other = np.concatenate([edges[:, 1], edges[:, 0]])
+    degree = np.bincount(ends, minlength=nv).astype(np.float64)
     degree[degree == 0] = 1.0
+    bins = (3 * ends[:, None] + np.arange(3)).ravel()  # (vertex, axis) bins
     v = mesh.vertices.copy()
     for _ in range(iterations):
-        acc = np.zeros_like(v)
-        np.add.at(acc, edges[:, 0], v[edges[:, 1]])
-        np.add.at(acc, edges[:, 1], v[edges[:, 0]])
+        acc = np.bincount(bins, weights=v[other].ravel(), minlength=3 * nv).reshape(nv, 3)
         moved = v + lam * (acc / degree[:, None] - v)
         moved[fixed] = v[fixed]
         v = moved
@@ -228,8 +237,9 @@ def filter_small_components(mesh: TriangleMesh, min_triangles: int) -> TriangleM
 
 
 def write_obj(mesh: TriangleMesh, path) -> None:
-    lines = [f"v {float(x)!r} {float(y)!r} {float(z)!r}" for x, y, z in mesh.vertices]
-    lines += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in mesh.triangles]
+    verts = np.asarray(mesh.vertices, dtype=np.float64).tolist()
+    lines = ["v %r %r %r" % tuple(r) for r in verts]
+    lines += ["f %d %d %d" % tuple(r) for r in (mesh.triangles + 1).tolist()]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -64,17 +64,6 @@ class RectilinearGrid:
         hi = np.stack([self.axes[d][ijk[d] + 1] for d in range(3)], axis=1)
         return lo, hi
 
-    def cell_widths(self, cell: Cell) -> np.ndarray:
-        return np.array([self.widths[d][cell[d]] for d in range(3)])
-
-    def cell_volume(self, cell: Cell) -> float:
-        w = self.cell_widths(cell)
-        return float(w[0] * w[1] * w[2])
-
-    def flat(self, cell: Cell) -> int:
-        nx, ny, _ = self.shape
-        return cell[0] + nx * (cell[1] + ny * cell[2])
-
     def unflat(self, flat: int) -> Cell:
         nx, ny, _ = self.shape
         i = flat % nx
@@ -167,29 +156,13 @@ class TimeSeriesDataset:
         return len(self.steps)
 
 
-def locate_cell(grid: RectilinearGrid, x) -> Cell | None:
-    """Cell containing point x, or None if outside the domain.
+def locate_cells(grid: RectilinearGrid, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cells containing the points (n, 3).
 
     Cells are half-open [node_i, node_{i+1}) with the final cell closed on the
-    right, so every in-domain point maps to exactly one cell.
-    """
-    cell = []
-    for d in range(3):
-        a = grid.axes[d]
-        if x[d] < a[0] or x[d] > a[-1]:
-            return None
-        i = int(np.searchsorted(a, x[d], side="right") - 1)
-        if i == a.size - 1:  # x exactly on the last node
-            i -= 1
-        cell.append(i)
-    return tuple(cell)
-
-
-def locate_cells(grid: RectilinearGrid, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized locate_cell.
-
-    Returns (idx, inside): idx with shape (n, 3) (undefined rows where not
-    inside) and a boolean inside mask.
+    right, so every in-domain point maps to exactly one cell. Returns
+    (idx, inside): idx with shape (n, 3) (undefined rows where not inside) and
+    a boolean inside mask.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
     n = pts.shape[0]

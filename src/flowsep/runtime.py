@@ -291,6 +291,11 @@ def _owners_for_positions(layout: PartitionLayout, grid, pos: np.ndarray) -> np.
 
 def run_pipeline(config: PipelineConfig) -> RunResult:
     """Execute the full pipeline and (optionally) export its artifacts."""
+    if config.output is not None:
+        try:  # an unusable output path fails before any data is read
+            Path(config.output).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"output {config.output}: {exc}") from exc
     ds = load_dataset(config.manifest)
     for name, idx in (("t0", config.t0), ("tf", config.tf)):
         if not 0 <= idx < len(ds):
@@ -457,7 +462,6 @@ def _run(config: PipelineConfig, ds: TimeSeriesDataset, layout: PartitionLayout)
 
 def _export(result: RunResult) -> None:
     out = Path(result.config.output)
-    out.mkdir(parents=True, exist_ok=True)
     cfg = result.config
     meshes = [
         smooth_mesh(m, cfg.smooth_iterations, cfg.smooth_lambda)

@@ -158,24 +158,29 @@ def detect_splits(
     """Splits between two consecutive labelings, grouped per initial feature."""
     if prev.labels.shape != next_.labels.shape or prev.labels.shape != initial.labels.shape:
         raise ValueError("labelings must cover the same particle set")
+    li, lp, ln = initial.labels, prev.labels, next_.labels
+    order = np.nonzero((li >= 0) & (lp >= 0))[0]
+    if order.size == 0:
+        return []
+    # one sort by (initial, prev, next); a group is a run of equal (initial, prev)
+    order = order[np.lexsort((ln[order], lp[order], li[order]))]
+    gi, gp, gn = li[order], lp[order], ln[order]
+    start = np.concatenate([[True], (gi[1:] != gi[:-1]) | (gp[1:] != gp[:-1])])
+    starts = np.nonzero(start)[0]
+    stops = np.append(starts[1:], order.size)
+    first_next = (gn >= 0) & np.concatenate([[True], start[1:] | (gn[1:] != gn[:-1])])
+    n_next = np.bincount(np.cumsum(start)[first_next] - 1, minlength=starts.size)
     events: list[SplitEvent] = []
-    group_keys = np.stack([initial.labels, prev.labels], axis=1)
-    uniq = np.unique(group_keys, axis=0)
-    for i0, jk in uniq:
-        if i0 < 0 or jk < 0:
-            continue
-        members = np.nonzero((initial.labels == i0) & (prev.labels == jk))[0]
-        nxt = np.unique(next_.labels[members])
-        nxt = nxt[nxt >= 0]
-        if nxt.size >= 2:
-            events.append(
-                SplitEvent(
-                    initial_label=int(i0),
-                    group_label=int(jk),
-                    next_labels=tuple(int(v) for v in nxt),
-                    seed_indices=members,
-                    time_prev=prev.time,
-                    time_next=next_.time,
-                )
+    for g in np.nonzero(n_next >= 2)[0]:
+        s, e = starts[g], stops[g]
+        events.append(
+            SplitEvent(
+                initial_label=int(gi[s]),
+                group_label=int(gp[s]),
+                next_labels=tuple(gn[s:e][first_next[s:e]].tolist()),
+                seed_indices=np.sort(order[s:e]),
+                time_prev=prev.time,
+                time_next=next_.time,
             )
+        )
     return events

@@ -2,8 +2,9 @@
 
 Everything here is deliberately implemented without reusing the library's own
 code paths: brute-force counting, raster-scan union-find, parity ray casting,
-closed-form kinematics, and scalar loops that the library replaced with array
-code (the marching-cubes loop shares only the case table with the library).
+closed-form kinematics, and the scalar loops and per-group or scatter-add
+forms that the library replaced with array code (the marching-cubes loop
+shares only the case table with the library).
 """
 
 from __future__ import annotations
@@ -420,3 +421,95 @@ def _node_coords(flat: int, ni: int, nj: int, ax, ay, az) -> np.ndarray:
     j = (flat // ni) % nj
     k = flat // (ni * nj)
     return np.array([ax[i], ay[j], az[k]])
+
+
+# --- mesh export tail (row-unique edges, scatter-add smoothing, f-strings) ----
+
+
+def edge_incidence_rows(triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reference for `flowsep.extract.edge_incidence`: sorted edge rows and
+    their incidence counts from one row-wise unique."""
+    t = triangles
+    if t.shape[0] == 0:
+        return np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=np.int64)
+    edges = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]).astype(np.int64)
+    edges.sort(axis=1)
+    return np.unique(edges, axis=0, return_counts=True)
+
+
+def smooth_vertices_add_at(vertices, triangles, iterations: int, lam: float) -> np.ndarray:
+    """Reference for the vertices of `flowsep.extract.smooth_mesh`: umbrella
+    smoothing with two `np.add.at` scatter-adds per iteration and the
+    open-boundary vertices held fixed."""
+    v = np.array(vertices, dtype=np.float64)
+    if triangles.shape[0] == 0 or iterations == 0:
+        return v
+    edges, counts = edge_incidence_rows(triangles)
+    nv = v.shape[0]
+    fixed = np.zeros(nv, dtype=bool)
+    fixed[np.unique(edges[counts == 1])] = True
+    degree = np.zeros(nv)
+    np.add.at(degree, edges[:, 0], 1.0)
+    np.add.at(degree, edges[:, 1], 1.0)
+    degree[degree == 0] = 1.0
+    for _ in range(iterations):
+        acc = np.zeros_like(v)
+        np.add.at(acc, edges[:, 0], v[edges[:, 1]])
+        np.add.at(acc, edges[:, 1], v[edges[:, 0]])
+        moved = v + lam * (acc / degree[:, None] - v)
+        moved[fixed] = v[fixed]
+        v = moved
+    return v
+
+
+def obj_text_fstrings(vertices, triangles) -> str:
+    """Reference for the text `flowsep.extract.write_obj` writes: one f-string
+    per numpy scalar row."""
+    lines = [f"v {float(x)!r} {float(y)!r} {float(z)!r}" for x, y, z in vertices]
+    lines += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in triangles]
+    return "\n".join(lines) + "\n"
+
+
+# --- split detection (one mask per group) ------------------------------------
+
+
+def detect_splits_loop(prev_labels, next_labels, initial_labels):
+    """Reference for `flowsep.segment.detect_splits`: one full-array mask per
+    (initial, prev) group. Returns (initial, prev, next labels, members) per
+    event, ordered by (initial, prev)."""
+    events = []
+    group_keys = np.stack([initial_labels, prev_labels], axis=1)
+    for i0, jk in np.unique(group_keys, axis=0):
+        if i0 < 0 or jk < 0:
+            continue
+        members = np.nonzero((initial_labels == i0) & (prev_labels == jk))[0]
+        nxt = np.unique(next_labels[members])
+        nxt = nxt[nxt >= 0]
+        if nxt.size >= 2:
+            events.append((int(i0), int(jk), tuple(int(v) for v in nxt), members))
+    return events
+
+
+# --- scalar grid lookups ---------------------------------------------------------
+
+
+def locate_cell(grid, x):
+    """Scalar reference for `flowsep.grid.locate_cells`: the cell containing
+    point x, or None outside the domain. Cells are half-open
+    [node_i, node_{i+1}) with the final cell closed on the right."""
+    cell = []
+    for d in range(3):
+        a = grid.axes[d]
+        if x[d] < a[0] or x[d] > a[-1]:
+            return None
+        i = int(np.searchsorted(a, x[d], side="right") - 1)
+        if i == a.size - 1:  # x exactly on the last node
+            i -= 1
+        cell.append(i)
+    return tuple(cell)
+
+
+def flat_index(grid, cell) -> int:
+    """Flat index of one cell in the x-fastest layout."""
+    nx, ny, _ = grid.shape
+    return cell[0] + nx * (cell[1] + ny * cell[2])

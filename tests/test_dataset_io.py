@@ -122,7 +122,7 @@ class TestScenarios:
         sc = SyntheticScenario(kind="split-sphere", cells=24, steps=4, radius=0.2, speed=0.25)
         ds = generate_scenario(sc)
         step = ds.steps[0]
-        cellvol = ds.grid.cell_volume((0, 0, 0))
+        cellvol = np.prod([w[0] for w in ds.grid.widths])
         vol = step.f.values.sum() * cellvol
         interface_cells = int(np.sum((step.f.values > 0) & (step.f.values < 1)))
         assert abs(vol - ball_volume(0.2)) <= interface_cells * cellvol

@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowsep.advect import ParticleSet
 from flowsep.extract import (
@@ -20,9 +25,17 @@ from flowsep.extract import (
     write_obj,
 )
 from flowsep.grid import uniform_grid
+from flowsep.marching import marching_cubes
 from flowsep.segment import SeedLabeling, SplitEvent
 
-from .oracles import count_components, points_in_mesh
+from .oracles import (
+    count_components,
+    edge_incidence_rows,
+    obj_text_fstrings,
+    points_in_mesh,
+    smooth_vertices_add_at,
+)
+from .test_marching import lattices
 
 
 def lattice_particle_set(grid, refinement, lattice_pts):
@@ -335,3 +348,49 @@ class TestExport:
             np.cross(v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]]), axis=1
         )
         assert areas.min() > 1e-12
+
+
+@st.composite
+def lattice_meshes(draw):
+    """Marching-cubes mesh of a random closed lattice, or of a random open one
+    with an `invalid` mask (open rims)."""
+    closed = draw(st.booleans())
+    inside, axes, rng = draw(lattices(closed=closed))
+    invalid = None
+    if not closed:
+        invalid = (rng.random(inside.shape) < draw(st.floats(0.0, 0.6))) & ~inside
+    verts, tris = marching_cubes(inside, axes, invalid=invalid)
+    kind = "boundary" if closed else "separation"
+    return TriangleMesh(vertices=verts, triangles=tris, kind=kind, label=0)
+
+
+class TestExportKernelsMatchOracles:
+    @settings(max_examples=200, deadline=None)
+    @given(mesh=lattice_meshes())
+    def test_edge_incidence_equals_row_unique(self, mesh):
+        for got, want in zip(edge_incidence(mesh), edge_incidence_rows(mesh.triangles)):
+            assert got.dtype == want.dtype
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        mesh=lattice_meshes(),
+        iterations=st.integers(0, 12),
+        lam=st.floats(0.0, 1.0, exclude_min=True),
+    )
+    def test_smoothing_bit_equal_to_scatter_add(self, mesh, iterations, lam):
+        got = smooth_mesh(mesh, iterations, lam).vertices
+        want = smooth_vertices_add_at(mesh.vertices, mesh.triangles, iterations, lam)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @settings(max_examples=100, deadline=None)
+    @given(mesh=lattice_meshes(), iterations=st.integers(0, 3))
+    def test_obj_text_equals_fstrings(self, mesh, iterations):
+        mesh = smooth_mesh(mesh, iterations)  # vertices with full-length mantissas
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "mesh.obj"
+            write_obj(mesh, path)
+            got = path.read_bytes()
+        assert got == obj_text_fstrings(mesh.vertices, mesh.triangles).encode()

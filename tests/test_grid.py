@@ -9,12 +9,14 @@ from flowsep.grid import (
     RectilinearGrid,
     TimeSeriesDataset,
     TimeStep,
+    flat_indices,
     fraction_gradients,
-    locate_cell,
     locate_cells,
     sample_velocity,
     uniform_grid,
 )
+
+from .oracles import flat_index, locate_cell
 
 
 def make_step(grid, f, u, time=0.0):
@@ -55,44 +57,51 @@ class TestRectilinearGrid:
         g = uniform_grid((4, 2, 3))
         assert g.shape == (4, 2, 3)
         assert g.ncells == 24
-        assert np.isclose(g.cell_volume((0, 0, 0)), (1 / 4) * (1 / 2) * (1 / 3))
+        volume = g.widths[0][0] * g.widths[1][0] * g.widths[2][0]
+        assert np.isclose(volume, (1 / 4) * (1 / 2) * (1 / 3))
 
     def test_flat_unflat_roundtrip(self):
         g = uniform_grid((3, 4, 5))
-        for flat in range(g.ncells):
-            assert g.flat(g.unflat(flat)) == flat
+        flat = np.arange(g.ncells)
+        ijk = np.stack(g.unflat(flat), axis=1)
+        assert np.array_equal(flat_indices(g, ijk), flat)
+        assert [flat_index(g, cell) for cell in ijk] == flat.tolist()
+
+
+def locate(grid, x):
+    """One point through locate_cells: its cell, or None outside the domain."""
+    idx, inside = locate_cells(grid, x)
+    return tuple(int(i) for i in idx[0]) if inside[0] else None
 
 
 class TestLocateCell:
     def test_first_cell(self):
         g = uniform_grid(2)
-        assert locate_cell(g, (0.1, 0.1, 0.1)) == (0, 0, 0)
+        assert locate(g, (0.1, 0.1, 0.1)) == (0, 0, 0)
 
     def test_mixed_cell(self):
         g = uniform_grid(2)
-        assert locate_cell(g, (0.6, 0.1, 0.9)) == (1, 0, 1)
+        assert locate(g, (0.6, 0.1, 0.9)) == (1, 0, 1)
 
     def test_outside(self):
         g = uniform_grid(2)
-        assert locate_cell(g, (1.5, 0.0, 0.0)) is None
+        assert locate(g, (1.5, 0.0, 0.0)) is None
 
     def test_domain_max_maps_to_last_cell(self):
         g = uniform_grid(2)
-        assert locate_cell(g, (1.0, 1.0, 1.0)) == (1, 1, 1)
+        assert locate(g, (1.0, 1.0, 1.0)) == (1, 1, 1)
 
     def test_roundtrip_bounds_contain_point(self):
         rng = np.random.default_rng(7)
         axes = tuple(np.sort(rng.uniform(0, 1, 6)) + np.arange(6) * 0.05 for _ in range(3))
         g = RectilinearGrid(axes)
         pts = rng.uniform(g.lo, g.hi, size=(200, 3))
-        for p in pts:
-            cell = locate_cell(g, p)
-            assert cell is not None
-            (lo,), (hi,) = g.cell_boxes([g.flat(cell)])
-            last = [cell[d] == g.shape[d] - 1 for d in range(3)]
-            for d in range(3):
-                assert lo[d] <= p[d]
-                assert (p[d] <= hi[d]) if last[d] else (p[d] < hi[d])
+        idx, inside = locate_cells(g, pts)
+        assert inside.all()
+        lo, hi = g.cell_boxes(flat_indices(g, idx))
+        last = idx == np.array(g.shape) - 1
+        assert np.all(lo <= pts)
+        assert np.all(np.where(last, pts <= hi, pts < hi))
 
     def test_vectorized_matches_scalar(self):
         g = uniform_grid((3, 4, 5))
@@ -161,20 +170,20 @@ class TestGradient:
     def test_constant_field_zero(self):
         g = uniform_grid(4)
         step = constant_step(g, 0.5, (0.0, 0.0, 0.0))
-        assert np.allclose(fraction_gradients(step, [g.flat((2, 1, 3))]), 0.0)
+        assert np.allclose(fraction_gradients(step, [flat_index(g, (2, 1, 3))]), 0.0)
 
     def test_linear_field_interior(self):
         g = uniform_grid(6)
         f = np.clip(cell_center_coords(g)[:, 0], 0, 1)
         step = make_step(g, f, np.zeros((3, g.ncells)))
-        assert np.allclose(fraction_gradients(step, [g.flat((3, 2, 2))]), (1.0, 0.0, 0.0))
+        assert np.allclose(fraction_gradients(step, [flat_index(g, (3, 2, 2))]), (1.0, 0.0, 0.0))
 
     def test_linear_field_boundary_one_sided(self):
         # hand-computed one-sided stencil: (f[1] - f[0]) / (c1 - c0) = 1
         g = uniform_grid(6)
         f = np.clip(cell_center_coords(g)[:, 0], 0, 1)
         step = make_step(g, f, np.zeros((3, g.ncells)))
-        got = fraction_gradients(step, [g.flat((0, 2, 2)), g.flat((5, 2, 2))])
+        got = fraction_gradients(step, [flat_index(g, (0, 2, 2)), flat_index(g, (5, 2, 2))])
         assert np.allclose(got, (1.0, 0.0, 0.0))
 
     def test_affine_exact_on_nonuniform_grid(self):
@@ -188,7 +197,7 @@ class TestGradient:
         fvals = (raw - raw.min()) / span  # into [0, 1], still affine in centers
         step = make_step(g, fvals, np.zeros((3, g.ncells)))
         expect = coef[1:] / span
-        cells = [g.flat(cell) for cell in [(2, 2, 2), (0, 0, 0), (4, 3, 1)]]
+        cells = [flat_index(g, cell) for cell in [(2, 2, 2), (0, 0, 0), (4, 3, 1)]]
         got = fraction_gradients(step, cells)
         assert got.shape == (3, 3)
         assert np.allclose(got, expect, atol=1e-12)

@@ -16,7 +16,7 @@ from flowsep.plic import (
     truncated_volume,
 )
 
-from .oracles import bisect_offset, subvoxel_fraction, subvoxel_fraction_points
+from .oracles import bisect_offset, flat_index, subvoxel_fraction, subvoxel_fraction_points
 
 UNIT_LO = np.zeros(3)
 UNIT_HI = np.ones(3)
@@ -119,7 +119,7 @@ class TestSolveOffset:
 def table_row(step, cell):
     """The PLIC table and the row of one interface cell."""
     table = plic_table(step)
-    flat = step.grid.flat(cell)
+    flat = flat_index(step.grid, cell)
     row = int(table.rows(flat))
     assert table.cells[row] == flat
     return table, row
@@ -138,7 +138,7 @@ class TestReconstructPatch:
     def test_requires_interface_cell(self):
         # only cells with 0 < f < 1 get a row
         step = three_cell_row([1.0, 0.5, 0.0])
-        assert plic_table(step).cells.tolist() == [step.grid.flat((1, 0, 0))]
+        assert plic_table(step).cells.tolist() == [flat_index(step.grid, (1, 0, 0))]
 
     def test_degenerate_gradient(self):
         step = three_cell_row([0.5, 0.5, 0.5])

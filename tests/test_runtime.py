@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from flowsep.advect import AdvectionConfig
+from flowsep import runtime
 from flowsep.cli import main
 from flowsep.dataset_io import (
     SyntheticScenario,
@@ -25,7 +26,7 @@ from flowsep.runtime import (
     run_pipeline,
 )
 
-from .oracles import points_in_mesh
+from .oracles import flat_index, points_in_mesh
 
 
 def write_config(path, **kv):
@@ -163,7 +164,7 @@ class TestPartitionedRuntime:
         # one seed next to the partition cut, constant +x velocity, no corrector
         g = uniform_grid((4, 2, 2))
         f = np.zeros(g.ncells)
-        f[g.flat((1, 0, 0))] = 1.0
+        f[flat_index(g, (1, 0, 0))] = 1.0
         u = np.zeros((3, g.ncells))
         u[0] = 0.3
         steps = [
@@ -369,6 +370,21 @@ class TestCli:
         path = write_config(tmp_path / "run.cfg", manifest="ds/dataset.manifest", t0=0, tf=1)
         assert main(["run", "--config", str(path)]) == 2
 
+    def test_unusable_output_path_exit_code(self, tmp_path, monkeypatch, capsys):
+        # the output's parent is a regular file: rejected before any data loads
+        sc = SyntheticScenario(kind="rigid-rotation", cells=6, steps=2)
+        write_dataset(generate_scenario(sc), tmp_path / "ds")
+        (tmp_path / "notadir").write_text("")
+        loads = []
+        load = runtime.load_dataset
+        monkeypatch.setattr(runtime, "load_dataset", lambda m: loads.append(m) or load(m))
+        path = write_config(
+            tmp_path / "run.cfg", manifest="ds/dataset.manifest", t0=0, tf=1, output="notadir/out"
+        )
+        assert main(["run", "--config", str(path)]) == 1
+        assert "notadir" in capsys.readouterr().err
+        assert loads == []
+
     def test_more_partitions_than_cells_exit_code(self, tmp_path):
         sc = SyntheticScenario(kind="rigid-rotation", cells=12, steps=2)
         write_dataset(generate_scenario(sc), tmp_path / "ds")
@@ -405,7 +421,7 @@ class TestTrailFrames:
         # second interval still records its (all-dead) frame
         g = uniform_grid((4, 2, 2))
         f = np.zeros(g.ncells)
-        f[g.flat((3, 0, 0))] = 1.0
+        f[flat_index(g, (3, 0, 0))] = 1.0
         u = np.zeros((3, g.ncells))
         u[0] = 1.5 * 0.25  # 1.5 cells per interval
         steps = [

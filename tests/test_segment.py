@@ -26,7 +26,7 @@ from flowsep.segment import (
     write_table,
 )
 
-from .oracles import walk_up_gradient
+from .oracles import detect_splits_loop, walk_up_gradient
 from .test_advect import probes_particle_set
 
 
@@ -194,7 +194,7 @@ class TestContributionTable:
         sl = assign_labels(ps, labels, step)
         table = contribution_table(sl, sl, ps)
         vols = table.volumes()
-        cellvol = step.grid.cell_volume((0, 0, 0))
+        cellvol = np.prod([w[0] for w in step.grid.widths])
         for (i, j), v in vols.items():
             count = table.counts()[(i, j)]
             assert np.isclose(v, count * cellvol / 8.0)
@@ -252,6 +252,34 @@ class TestDetectSplits:
         b = SeedLabeling(labels=np.zeros(4, dtype=np.int32), time=1.0)
         with pytest.raises(ValueError):
             detect_splits(a, b, a)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(0, 300),
+        counts=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)),
+        invalid=st.floats(0.0, 0.5),
+    )
+    def test_matches_per_group_loop(self, seed, n, counts, invalid):
+        # random (initial, prev, next) label triples, -1 drawn at a given rate
+        rng = np.random.default_rng(seed)
+        labs = []
+        for c in counts:
+            lab = rng.integers(0, c, n).astype(np.int32)
+            lab[rng.random(n) < invalid] = -1
+            labs.append(lab)
+        li, lp, ln = labs
+        events = detect_splits(
+            SeedLabeling(lp, 1.0), SeedLabeling(ln, 2.0), SeedLabeling(li, 0.0)
+        )
+        want = detect_splits_loop(lp, ln, li)
+        assert len(events) == len(want)
+        for ev, (i0, jk, nxt, members) in zip(events, want):
+            assert (ev.initial_label, ev.group_label, ev.next_labels) == (i0, jk, nxt)
+            assert all(type(v) is int for v in ev.next_labels)
+            assert ev.seed_indices.dtype == members.dtype
+            assert np.array_equal(ev.seed_indices, members)
+            assert (ev.time_prev, ev.time_next) == (1.0, 2.0)
 
 
 class TestConservationProperty:
