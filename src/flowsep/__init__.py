@@ -47,7 +47,6 @@ from .runtime import (
     RunReport,
     RunResult,
     parse_config,
-    partition_exchange,
     run_pipeline,
 )
 from .segment import (
@@ -92,7 +91,6 @@ __all__ = [
     "label_features_partitioned",
     "load_dataset",
     "parse_config",
-    "partition_exchange",
     "phase_violations",
     "read_timestep",
     "run_pipeline",

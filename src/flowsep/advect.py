@@ -39,7 +39,6 @@ class AdvectionConfig:
     substeps: int = 1
     corrector: str = "full"
     trail_stride: int = 8
-    direction: str = "forward"
 
     def __post_init__(self):
         if self.refinement < 0:
@@ -50,8 +49,6 @@ class AdvectionConfig:
             raise ValueError(f"corrector must be one of {CORRECTOR_MODES}")
         if self.trail_stride < 1:
             raise ValueError("trail stride must be >= 1")
-        if self.direction not in ("forward", "backward"):
-            raise ValueError("direction must be 'forward' or 'backward'")
 
 
 @dataclass
@@ -74,7 +71,6 @@ class ParticleSet:
     lattice: np.ndarray  # (n, 3) global subcell indices of the seeds
     pos: np.ndarray  # (n, 3) current positions
     alive: np.ndarray  # (n,) bool
-    label: np.ndarray  # (n,) int32, -1 until assigned
     eps: np.ndarray  # (n,) accumulated correction displacement
     seed_volume: np.ndarray  # (n,) represented volume per seed
     refinement: int
@@ -141,7 +137,6 @@ def seed_particles(step: TimeStep, refinement: int = 0, tau: float = 0.0) -> Par
         lattice=lattice_arr,
         pos=seeds_arr.copy(),
         alive=np.ones(n, dtype=bool),
-        label=np.full(n, -1, dtype=np.int32),
         eps=np.zeros(n),
         seed_volume=vol_arr,
         refinement=r,
@@ -183,11 +178,12 @@ def advance_interval(
 ) -> ParticleSet:
     """Integrate all alive particles over one stored-data interval.
 
-    `batches` are particle-id arrays integrated one at a time (default: one
-    batch of all particles), which bounds the RK4 temporaries by the batch
-    size. Particles leaving the domain are marked dead (never corrected). With
-    the corrector enabled, stray particles are repositioned afterwards and the
-    phase invariant re-checked.
+    `batches` are the per-partition particle-id groups, each sorted and
+    integrated one at a time (default: one batch of all particles), which
+    bounds the RK4 temporaries by the batch size. Particles leaving the
+    domain are marked dead (never corrected). With the corrector enabled,
+    stray particles are repositioned afterwards and the phase invariant
+    re-checked.
     """
     grid = step_from.grid
     if batches is None:

@@ -6,8 +6,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-Cell = tuple[int, int, int]
-
 
 class GridError(ValueError):
     """Malformed grid or field definition."""
@@ -64,7 +62,8 @@ class RectilinearGrid:
         hi = np.stack([self.axes[d][ijk[d] + 1] for d in range(3)], axis=1)
         return lo, hi
 
-    def unflat(self, flat: int) -> Cell:
+    def unflat(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(i, j, k) index arrays of the cells with the given flat indices."""
         nx, ny, _ = self.shape
         i = flat % nx
         j = (flat // nx) % ny

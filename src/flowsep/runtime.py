@@ -1,11 +1,13 @@
 """Pipeline orchestration: seed, per-interval advect/label/assign/split loop,
 final boundary extraction, and the partitioned execution of that loop.
 
-There is one execution loop. It emulates process-level data parallelism
-in-process: workers own the particles inside their subdomain and all
-cross-worker state flows through typed messages (particle handoffs,
-seed-label triples) plus the partitioned label merge. A serial run is the
-1x1x1 partitioning of the same loop: one worker, no faces to merge, no
+There is one execution loop. Partitioning splits the grid into blocks and
+gives every particle one owner, the block that holds its position; ownership
+is a single array (-1 once the particle is dead) recomputed after each
+interval. Each block's particles are integrated as one batch, labels are
+merged across block faces, and a handoff is counted per (source,
+destination) block pair that particles moved between. A serial run is the
+1x1x1 partitioning of the same loop: one block, no faces to merge, no
 handoffs and no ghost-width check. Runs under any partitioning produce
 identical labelings, tables, and meshes.
 """
@@ -42,7 +44,6 @@ from .segment import (
     assign_labels,
     contribution_table,
     detect_splits,
-    labels_for_positions,
     write_table,
 )
 
@@ -128,7 +129,6 @@ def parse_config(path) -> PipelineConfig:
             substeps=int(raw.get("substeps", "1")),
             corrector=raw.get("corrector", "full"),
             trail_stride=int(raw.get("trail_stride", "8")),
-            direction="backward" if tf < t0 else "forward",
         )
         partitions = None
         if raw.get("partitions", "none") not in ("none", ""):
@@ -240,46 +240,6 @@ def _check_ghost_width(step_a: TimeStep, step_b: TimeStep, layout: PartitionLayo
         )
 
 
-# ---------------------------------------------------------------------------
-# the execution loop: workers and messages (serial runs have one worker)
-
-
-@dataclass
-class ParticleHandoff:
-    """Particles that left `src`'s core region and now belong to `dst`."""
-
-    src: int
-    dst: int
-    ids: np.ndarray
-
-
-@dataclass
-class SeedLabelTriples:
-    """Seed-label transfer batch: labels for `home`'s seeds, addressed by the
-    particles' seed ids within their home subdomain."""
-
-    home: int
-    local_idx: np.ndarray
-    labels: np.ndarray
-
-
-@dataclass
-class PartitionWorker:
-    pid: int
-    owned: np.ndarray  # sorted global particle ids currently owned
-    home_ids: np.ndarray  # global ids seeded in this worker's subdomain
-
-
-def partition_exchange(workers: list[PartitionWorker], messages: list[ParticleHandoff]) -> int:
-    """Apply handoff messages: move particle ownership between workers."""
-    for msg in messages:
-        src = workers[msg.src]
-        dst = workers[msg.dst]
-        src.owned = np.setdiff1d(src.owned, msg.ids, assume_unique=True)
-        dst.owned = np.union1d(dst.owned, msg.ids)
-    return len(messages)
-
-
 def _owners_for_positions(layout: PartitionLayout, grid, pos: np.ndarray) -> np.ndarray:
     """Owner pid per position; -1 for positions outside the domain."""
     idx, inside = locate_cells(grid, pos)
@@ -347,22 +307,14 @@ def _finish(config, ds, particles, initial_labeling, labelings, splits, s_meshes
 
 def _run(config: PipelineConfig, ds: TimeSeriesDataset, layout: PartitionLayout) -> RunResult:
     seq = _step_sequence(config.t0, config.tf)
+    if layout.nparts > 1:  # a single block has no neighbouring halo
+        for a, b in zip(seq, seq[1:]):
+            _check_ghost_width(ds.steps[a], ds.steps[b], layout)
     step0 = ds.steps[seq[0]]
     labels0 = label_features_partitioned(step0, config.tau, layout)
     particles = seed_particles(step0, config.advection.refinement, config.tau)
     initial_labeling = assign_labels(particles, labels0, step0, config.tau)
-    particles.label = initial_labeling.labels.copy()
-
-    # distribute particles to their home workers by seed position
-    owners = _owners_for_positions(layout, ds.grid, particles.seeds)
-    workers = []
-    for pid in range(layout.nparts):
-        ids = np.nonzero(owners == pid)[0]
-        workers.append(PartitionWorker(pid=pid, owned=ids.copy(), home_ids=ids))
-    home_of = owners.copy()
-    local_of = np.zeros(len(particles), dtype=np.int64)
-    for w in workers:
-        local_of[w.home_ids] = np.arange(w.home_ids.size)
+    owner = _owners_for_positions(layout, ds.grid, particles.seeds)
 
     report = RunReport(particles=len(particles))
     labelings = [initial_labeling]
@@ -373,67 +325,29 @@ def _run(config: PipelineConfig, ds: TimeSeriesDataset, layout: PartitionLayout)
     for k in range(len(seq) - 1):
         step_from = ds.steps[seq[k]]
         step_to = ds.steps[seq[k + 1]]
-        if layout.nparts > 1:  # a single block has no neighbouring halo
-            _check_ghost_width(step_from, step_to, layout)
         t_start = _time.perf_counter()
         eps_before = particles.eps > 0.0
 
-        # phases A+B: every worker integrates its own particles, then the
-        # corrector runs against the frozen pre-interval snapshot
+        # integrate each partition's particles as one batch, then correct
+        # against the frozen pre-interval snapshot
         advance_interval(
             particles, step_from, step_to, config.advection, config.tau,
-            [w.owned for w in workers],
+            [np.nonzero(owner == pid)[0] for pid in range(layout.nparts)],
         )
 
-        # phase C: ownership exchange
-        messages: list[ParticleHandoff] = []
-        for w in workers:
-            alive_ids = w.owned[particles.alive[w.owned]]
-            dead_ids = w.owned[~particles.alive[w.owned]]
-            if dead_ids.size:  # left the domain: claimed by no worker
-                w.owned = np.setdiff1d(w.owned, dead_ids, assume_unique=True)
-            if alive_ids.size == 0:
-                continue
-            now_owner = _owners_for_positions(layout, ds.grid, particles.pos[alive_ids])
-            for dst in np.unique(now_owner):
-                if dst == w.pid:
-                    continue
-                moved = alive_ids[now_owner == dst]
-                if dst < 0:
-                    particles.alive[moved] = False
-                    w.owned = np.setdiff1d(w.owned, moved, assume_unique=True)
-                    continue
-                messages.append(ParticleHandoff(src=w.pid, dst=int(dst), ids=moved))
-        partition_exchange(workers, messages)
-        report.handoffs.append(len(messages))
-        owned_all = np.concatenate([w.owned for w in workers])
-        if owned_all.size != np.unique(owned_all).size:
-            raise AssertionError("a particle is owned by two workers after exchange")
-        if owned_all.size != int(particles.alive.sum()):
-            raise AssertionError("alive particles and worker ownership went out of sync")
+        # ownership follows position; a particle outside every block dies
+        now = np.full(len(particles), -1, dtype=np.int64)
+        alive = np.nonzero(particles.alive)[0]
+        now[alive] = _owners_for_positions(layout, ds.grid, particles.pos[alive])
+        particles.alive &= now >= 0
+        moved = (now >= 0) & (now != owner)
+        report.handoffs.append(np.unique(owner[moved] * layout.nparts + now[moved]).size)
+        owner = now
 
-        # phase D: partitioned labeling, per-worker assignment, label transfer
         labels_k1 = label_features_partitioned(step_to, config.tau, layout)
-        triples: list[SeedLabelTriples] = []
-        for w in workers:
-            ids = w.owned[particles.alive[w.owned]]
-            if ids.size == 0:
-                continue
-            lab = labels_for_positions(particles.pos[ids], labels_k1, step_to, config.tau)
-            homes = home_of[ids]
-            for home in np.unique(homes):
-                sel = homes == home
-                triples.append(
-                    SeedLabelTriples(home=int(home), local_idx=local_of[ids[sel]], labels=lab[sel])
-                )
-        seed_labels = np.full(len(particles), -1, dtype=np.int32)
-        for msg in triples:
-            gids = workers[msg.home].home_ids[msg.local_idx]
-            seed_labels[gids] = msg.labels
-        cur_labeling = SeedLabeling(labels=seed_labels, time=step_to.time)
+        cur_labeling = assign_labels(particles, labels_k1, step_to, config.tau)
 
         # split detection, separation surfaces, trail label attachment
-        particles.label = cur_labeling.labels.copy()
         events = detect_splits(prev_labeling, cur_labeling, initial_labeling)
         for ev in events:
             splits.append((k, ev))

@@ -40,7 +40,6 @@ def probes_particle_set(points):
         lattice=np.zeros((n, 3), dtype=np.int64),
         pos=pts.copy(),
         alive=np.ones(n, dtype=bool),
-        label=np.full(n, -1, dtype=np.int32),
         eps=np.zeros(n),
         seed_volume=np.ones(n),
         refinement=0,
@@ -262,8 +261,6 @@ class TestConfigValidation:
             AdvectionConfig(substeps=0)
         with pytest.raises(ValueError):
             AdvectionConfig(corrector="sometimes")
-        with pytest.raises(ValueError):
-            AdvectionConfig(direction="sideways")
 
 
 class TestSingleStrayCorrection:

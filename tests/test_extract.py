@@ -49,7 +49,6 @@ def lattice_particle_set(grid, refinement, lattice_pts):
         lattice=lattice,
         pos=seeds.copy(),
         alive=np.ones(n, dtype=bool),
-        label=np.full(n, -1, dtype=np.int32),
         eps=np.zeros(n),
         seed_volume=np.ones(n),
         refinement=refinement,

@@ -18,11 +18,8 @@ from flowsep.grid import CellField, TimeSeriesDataset, TimeStep, uniform_grid
 from flowsep.runtime import (
     ConfigError,
     GhostWidthError,
-    ParticleHandoff,
-    PartitionWorker,
     PipelineConfig,
     parse_config,
-    partition_exchange,
     run_pipeline,
 )
 
@@ -59,7 +56,6 @@ class TestConfigParsing:
         assert cfg.advection.refinement == 1
         assert cfg.advection.substeps == 2
         assert cfg.advection.corrector == "stages-2-3"
-        assert cfg.advection.direction == "forward"
         assert cfg.partitions == (2, 1, 1)
         assert cfg.ghost_width == 3
         assert cfg.manifest == (tmp_path / "data/dataset.manifest").resolve()
@@ -68,7 +64,7 @@ class TestConfigParsing:
 
     def test_backward_direction_derived(self, tmp_path):
         cfg = parse_config(write_config(tmp_path / "c.cfg", manifest="m", t0=9, tf=2))
-        assert cfg.advection.direction == "backward"
+        assert runtime._step_sequence(cfg.t0, cfg.tf) == [9, 8, 7, 6, 5, 4, 3, 2]
 
     def test_unknown_key_rejected(self, tmp_path):
         path = write_config(tmp_path / "c.cfg", manifest="m", t0=0, tf=1, turbo="yes")
@@ -128,7 +124,7 @@ class TestBackwardRun:
             manifest=manifest,
             t0=9,
             tf=0,
-            advection=AdvectionConfig(refinement=1, direction="backward"),
+            advection=AdvectionConfig(refinement=1),
         )
         result = run_pipeline(cfg)
         # two initial features flow back into the single initial ball
@@ -141,17 +137,27 @@ class TestBackwardRun:
 
 
 class TestPartitionedRuntime:
-    def test_exchange_applies_messages(self):
-        workers = [
-            PartitionWorker(pid=0, owned=np.array([0, 1, 2]), home_ids=np.array([0, 1, 2])),
-            PartitionWorker(pid=1, owned=np.array([3]), home_ids=np.array([3])),
-        ]
-        n = partition_exchange(
-            workers, [ParticleHandoff(src=0, dst=1, ids=np.array([1]))]
+    @pytest.mark.parametrize(
+        "partitions, handoffs",
+        [((2, 2, 1), [1, 1, 1]), ((3, 2, 1), [1, 4, 4])],
+        ids=["2x2x1", "3x2x1"],
+    )
+    def test_handoffs_count_block_pairs(self, tmp_path, partitions, handoffs):
+        # one handoff per (source, destination) block pair per interval, not
+        # one per moved particle: 30-52 particles cross a cut each interval,
+        # between one pair of blocks on 2x2x1 and up to four on 3x2x1
+        sc = SyntheticScenario(
+            kind="rigid-rotation", cells=16, steps=4, span=1.0, radius=0.15, offset=0.2
         )
-        assert n == 1
-        assert workers[0].owned.tolist() == [0, 2]
-        assert workers[1].owned.tolist() == [1, 3]
+        manifest = write_dataset(generate_scenario(sc), tmp_path / "rot")
+        cfg = PipelineConfig(
+            manifest=manifest,
+            t0=0,
+            tf=3,
+            advection=AdvectionConfig(refinement=1),
+            partitions=partitions,
+        )
+        assert run_pipeline(cfg).report.handoffs == handoffs
 
     def test_static_particles_no_messages(self, tmp_path):
         sc = SyntheticScenario(kind="rigid-rotation", cells=12, steps=3, speed=0.0)
@@ -196,6 +202,26 @@ class TestPartitionedRuntime:
         cfg = PipelineConfig(manifest=manifest, t0=0, tf=1, partitions=(2, 1, 1))
         with pytest.raises(GhostWidthError):
             run_pipeline(cfg)
+
+    def test_ghost_width_checked_before_any_interval(self, tmp_path, monkeypatch):
+        # only the second of two intervals is too fast; the run must fail
+        # before integrating the first one
+        g = uniform_grid((8, 4, 4))
+        f = np.ones(g.ncells)
+        slow = np.zeros((3, g.ncells))
+        fast = np.zeros((3, g.ncells))
+        fast[0] = 5.0  # 40 cells of displacement per unit interval
+        steps = [
+            TimeStep(time=float(t), f=CellField(g, f), u=CellField(g, u, ncomp=3))
+            for t, u in ((0.0, slow), (1.0, slow), (2.0, fast))
+        ]
+        manifest = write_dataset(TimeSeriesDataset(grid=g, steps=steps), tmp_path / "late")
+        calls = []
+        monkeypatch.setattr(runtime, "advance_interval", lambda *a, **k: calls.append(k))
+        cfg = PipelineConfig(manifest=manifest, t0=0, tf=2, partitions=(2, 1, 1))
+        with pytest.raises(GhostWidthError):
+            run_pipeline(cfg)
+        assert calls == []
 
     def test_mode_equivalence_on_rotation(self, tmp_path):
         sc = SyntheticScenario(
