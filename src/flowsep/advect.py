@@ -298,10 +298,25 @@ def _norms(v: np.ndarray) -> np.ndarray:
 
 
 def _first_per_group(group: np.ndarray, *keys: np.ndarray) -> np.ndarray:
-    """Positions of each group's lexicographic minimum of `keys` (first key first)."""
-    order = np.lexsort(keys[::-1] + (group,))
-    g = group[order]
-    return order[np.r_[True, g[1:] != g[:-1]]]
+    """Positions of each group's lexicographic minimum of `keys` (first key first),
+    in group order; full ties go to the first position.
+
+    `group` must be non-empty and non-decreasing, so every group is one
+    contiguous run. Each key takes one segmented minimum over the rows still
+    tied for their run.
+    """
+    new = np.r_[True, group[1:] != group[:-1]]
+    starts = np.flatnonzero(new)
+    run = np.cumsum(new) - 1
+    tied = np.ones(group.size, dtype=bool)
+    for key in keys:
+        # rows already out of the tie hold the key's largest value
+        top = np.inf if key.dtype.kind == "f" else np.iinfo(key.dtype).max
+        masked = np.where(tied, key, top)
+        tied &= key == np.minimum.reduceat(masked, starts)[run]
+    pos = np.flatnonzero(tied)
+    r = run[pos]
+    return pos[np.r_[True, r[1:] != r[:-1]]]
 
 
 def _nearest_neighbors(
@@ -335,7 +350,7 @@ def _nearest_neighbors(
         total = int(count.sum())
         if total == 0:
             continue
-        owner = np.repeat(np.arange(rows.size), count)
+        owner = np.repeat(np.arange(rows.size), count)  # non-decreasing
         at = np.arange(total) + np.repeat(first - (np.cumsum(count) - count), count)
         p = cands[at]
         d2 = np.sum((pre_pos[p] - pre_pos[strays[rows[owner]]]) ** 2, axis=1)
@@ -401,7 +416,7 @@ def _nearest_capable_cells(grid, capable: np.ndarray, x: np.ndarray) -> np.ndarr
             hit = np.nonzero(inb & capable[flat])[0]
             if hit.size == 0:
                 continue
-            owner = rows[hit // offsets.shape[0]]
+            owner = rows[hit // offsets.shape[0]]  # non-decreasing: rows and hit ascend
             hc = cells[hit]
             centers = np.stack([cx[hc[:, 0]], cy[hc[:, 1]], cz[hc[:, 2]]], axis=1)
             d2 = np.sum((centers - x[owner]) ** 2, axis=1)

@@ -60,7 +60,10 @@ def read_grid(path) -> RectilinearGrid:
             (n,) = struct.unpack("<I", _read_exact(fh, 4, path, "axis header"))
             buf = _read_exact(fh, 8 * n, path, "axis coordinates")
             axes.append(np.frombuffer(buf, dtype="<f8").copy())
-    return RectilinearGrid(tuple(axes))
+    try:
+        return RectilinearGrid(tuple(axes))
+    except GridError as exc:
+        raise DatasetError(f"{path}: {exc}") from exc
 
 
 def write_timestep(step: TimeStep, path) -> None:

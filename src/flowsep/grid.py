@@ -28,6 +28,8 @@ class RectilinearGrid:
         for a in axes:
             if a.ndim != 1 or a.size < 2:
                 raise GridError("each axis needs at least 2 node coordinates (1 cell)")
+            if not np.all(np.isfinite(a)):
+                raise GridError("axis node coordinates must be finite")
             if not np.all(np.diff(a) > 0.0):
                 raise GridError("axis node coordinates must be strictly increasing")
         object.__setattr__(self, "axes", axes)
@@ -197,40 +199,50 @@ def _axis_weights(centers: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.nd
     return lo, w
 
 
+def _sample_cells(
+    grid: RectilinearGrid, pts: np.ndarray, *values: np.ndarray
+) -> list[np.ndarray]:
+    """Trilinear samples (ncomp, n) at points (n, 3) of each (ncomp, ncells) array
+    in `values`, all through one stencil.
+
+    Cell centers act as sample nodes; outside the center lattice values clamp
+    to the nearest center. Each corner's weight and flat index are computed
+    once and gathered from every array; corners are summed in the order 0..7.
+    """
+    nx, ny, _ = grid.shape
+    # per axis: (lower, upper) sample index and (1 - w, w) weight
+    idx, wgt = [], []
+    for d in range(3):
+        lo, w = _axis_weights(grid.centers[d], pts[:, d])
+        # clamp index growth on single-cell axes
+        idx.append((lo, np.minimum(lo + 1, grid.shape[d] - 1)))
+        wgt.append((1.0 - w, w))
+    out = [np.zeros((v.shape[0], pts.shape[0])) for v in values]
+    for bits in range(8):
+        bx, by, bz = bits & 1, (bits >> 1) & 1, (bits >> 2) & 1
+        w = wgt[0][bx] * wgt[1][by] * wgt[2][bz]
+        flat = idx[0][bx] + nx * (idx[1][by] + ny * idx[2][bz])
+        for v, acc in zip(values, out):
+            acc += w * v.take(flat, axis=1)
+    return out
+
+
 def sample_cell_field(field: CellField, pts: np.ndarray) -> np.ndarray:
     """Trilinear interpolation of a cell-centered field at points (n, 3).
 
     Cell centers act as sample nodes; outside the center lattice values clamp
     to the nearest center. Returns (n,) for scalar fields, (n, ncomp) else.
     """
-    grid = field.grid
     pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-    n = pts.shape[0]
-    nx, ny, _ = grid.shape
-    loc = []
-    for d in range(3):
-        loc.append(_axis_weights(grid.centers[d], pts[:, d]))
-    out = np.zeros((n, field.ncomp))
-    i0, wx = loc[0]
-    j0, wy = loc[1]
-    k0, wz = loc[2]
-    for bits in range(8):
-        bx, by, bz = bits & 1, (bits >> 1) & 1, (bits >> 2) & 1
-        wgt = (wx if bx else 1.0 - wx) * (wy if by else 1.0 - wy) * (wz if bz else 1.0 - wz)
-        # clamp index growth on single-cell axes
-        ii = np.minimum(i0 + bx, grid.shape[0] - 1)
-        jj = np.minimum(j0 + by, grid.shape[1] - 1)
-        kk = np.minimum(k0 + bz, grid.shape[2] - 1)
-        flat = ii + nx * (jj + ny * kk)
-        for c in range(field.ncomp):
-            out[:, c] += wgt * field.component(c)[flat]
-    return out[:, 0] if field.ncomp == 1 else out
+    (out,) = _sample_cells(field.grid, pts, field.values.reshape(field.ncomp, -1))
+    return out[0] if field.ncomp == 1 else out.T
 
 
 def sample_velocity(step_a: TimeStep, step_b: TimeStep, x, t: float) -> np.ndarray:
     """Velocity at (x, t): trilinear in space, linear blend in time.
 
-    Requires step_a.time <= t <= step_b.time.
+    Requires step_a.time <= t <= step_b.time. Both stored fields are sampled
+    through one stencil.
     """
     ta, tb = step_a.time, step_b.time
     span = tb - ta
@@ -239,14 +251,14 @@ def sample_velocity(step_a: TimeStep, step_b: TimeStep, x, t: float) -> np.ndarr
         raise ValueError(f"time {t} outside step interval [{ta}, {tb}]")
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
-    va = sample_cell_field(step_a.u, x)
+    pts = np.atleast_2d(x)
     if span == 0.0:
-        v = va
+        (v,) = _sample_cells(step_a.grid, pts, step_a.u.values)
     else:
         theta = min(max((t - ta) / span, 0.0), 1.0)
-        vb = sample_cell_field(step_b.u, x)
+        va, vb = _sample_cells(step_a.grid, pts, step_a.u.values, step_b.u.values)
         v = (1.0 - theta) * va + theta * vb
-    return v[0] if single else v
+    return v[:, 0] if single else np.ascontiguousarray(v.T)
 
 
 def fraction_gradients(step: TimeStep, flat: np.ndarray) -> np.ndarray:

@@ -513,3 +513,50 @@ def flat_index(grid, cell) -> int:
     """Flat index of one cell in the x-fastest layout."""
     nx, ny, _ = grid.shape
     return cell[0] + nx * (cell[1] + ny * cell[2])
+
+
+# --- per-field, per-corner trilinear sampling -----------------------------------
+
+
+def sample_cell_field_loop(field, pts) -> np.ndarray:
+    """Reference for `flowsep.grid.sample_cell_field`: one pass per corner and
+    component, each recomputing its weight and flat index. Returns (n,) for
+    scalar fields, (n, ncomp) else."""
+    grid = field.grid
+    pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
+    n = pts.shape[0]
+    nx, ny, _ = grid.shape
+    loc = []
+    for d in range(3):
+        c = grid.centers[d]
+        if c.size == 1:
+            loc.append((np.zeros(n, dtype=np.int64), np.zeros(n)))
+            continue
+        lo = np.clip(np.searchsorted(c, pts[:, d], side="right") - 1, 0, c.size - 2)
+        w = np.clip((pts[:, d] - c[lo]) / (c[lo + 1] - c[lo]), 0.0, 1.0)
+        loc.append((lo, w))
+    (i0, wx), (j0, wy), (k0, wz) = loc
+    values = field.values.reshape(field.ncomp, -1)
+    out = np.zeros((n, field.ncomp))
+    for bits in range(8):
+        bx, by, bz = bits & 1, (bits >> 1) & 1, (bits >> 2) & 1
+        wgt = (wx if bx else 1.0 - wx) * (wy if by else 1.0 - wy) * (wz if bz else 1.0 - wz)
+        ii = np.minimum(i0 + bx, grid.shape[0] - 1)
+        jj = np.minimum(j0 + by, grid.shape[1] - 1)
+        kk = np.minimum(k0 + bz, grid.shape[2] - 1)
+        flat = ii + nx * (jj + ny * kk)
+        for c in range(field.ncomp):
+            out[:, c] += wgt * values[c][flat]
+    return out[:, 0] if field.ncomp == 1 else out
+
+
+# --- per-group lexicographic minimum ---------------------------------------------
+
+
+def first_per_group_lexsort(group, *keys) -> np.ndarray:
+    """Reference for `flowsep.advect._first_per_group`: one lexsort over
+    (group, keys...), then the first row of each group; full ties go to the
+    first position because lexsort is stable."""
+    order = np.lexsort(keys[::-1] + (group,))
+    g = group[order]
+    return order[np.r_[True, g[1:] != g[:-1]]]

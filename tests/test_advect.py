@@ -19,7 +19,12 @@ from flowsep.advect import (
 )
 from flowsep.grid import CellField, RectilinearGrid, TimeStep, uniform_grid
 
-from .oracles import nearest_capable_cell, rotate_about_z, segment_box_entry
+from .oracles import (
+    first_per_group_lexsort,
+    nearest_capable_cell,
+    rotate_about_z,
+    segment_box_entry,
+)
 
 
 def make_step(grid, f, u, time=0.0):
@@ -334,3 +339,28 @@ class TestStage2Target:
             got = advect._nearest_capable_cells(grid, capable, pts)
         want = [nearest_capable_cell(axes, capable, p) for p in pts]
         assert got.tolist() == [-1 if w is None else w for w in want]
+
+
+@st.composite
+def grouped_keys(draw):
+    """Non-decreasing group ids in runs of length 1..n, quantised float keys
+    with many ties (as d^2 on a coarse lattice) and int64 second keys."""
+    runs = draw(st.lists(st.integers(1, 12), min_size=1, max_size=10))
+    gaps = draw(st.lists(st.integers(1, 3), min_size=len(runs), max_size=len(runs)))
+    group = np.repeat(np.cumsum(gaps) - 1, runs).astype(np.int64)
+    n = group.size
+    d2 = np.array(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))) * 0.125
+    second = np.array(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)), dtype=np.int64)
+    return group, d2, second
+
+
+class TestFirstPerGroup:
+    @settings(max_examples=200, deadline=None)
+    @given(case=grouped_keys())
+    def test_matches_lexsort(self, case):
+        group, d2, second = case
+        got = advect._first_per_group(group, d2, second)
+        assert got.tolist() == first_per_group_lexsort(group, d2, second).tolist()
+        # one key alone: full ties go to the first position of the run
+        got = advect._first_per_group(group, d2)
+        assert got.tolist() == first_per_group_lexsort(group, d2).tolist()

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowsep.grid import (
     CellField,
@@ -12,11 +14,12 @@ from flowsep.grid import (
     flat_indices,
     fraction_gradients,
     locate_cells,
+    sample_cell_field,
     sample_velocity,
     uniform_grid,
 )
 
-from .oracles import flat_index, locate_cell
+from .oracles import flat_index, locate_cell, sample_cell_field_loop
 
 
 def make_step(grid, f, u, time=0.0):
@@ -52,6 +55,12 @@ class TestRectilinearGrid:
     def test_rejects_single_node_axis(self):
         with pytest.raises(GridError):
             RectilinearGrid((np.array([0.0]), np.array([0.0, 1.0]), np.array([0.0, 1.0])))
+
+    @pytest.mark.parametrize("axis", [[-np.inf, 0.5, 1.0], [0.0, 0.5, np.inf], [0.0, np.nan, 1.0]])
+    def test_rejects_non_finite_node(self, axis):
+        # infinite end nodes are strictly increasing, so only the finiteness check rejects them
+        with pytest.raises(GridError):
+            RectilinearGrid((np.array(axis), np.array([0.0, 1.0]), np.array([0.0, 1.0])))
 
     def test_shape_and_volume(self):
         g = uniform_grid((4, 2, 3))
@@ -164,6 +173,63 @@ class TestSampleVelocity:
         b = constant_step(g, 0.5, (1.0, 0.0, 0.0), time=1.0)
         with pytest.raises(ValueError):
             sample_velocity(a, b, (0.5, 0.5, 0.5), 2.0)
+
+
+finite = st.floats(-10.0, 10.0, allow_nan=False)
+
+
+@st.composite
+def sampling_cases(draw):
+    """Two steps on a rectilinear grid with 1-6 cells per axis, points inside
+    and outside the center lattice (some exactly on centers or nodes), and a
+    time at either end of the interval or between; sometimes one step twice."""
+    axes = []
+    for _ in range(3):
+        n = draw(st.integers(1, 6))
+        steps = draw(st.lists(st.floats(0.1, 3.0), min_size=n, max_size=n))
+        axes.append(np.concatenate([[0.0], np.cumsum(steps)]))
+    grid = RectilinearGrid(tuple(axes))
+    n = grid.ncells
+    ta = draw(st.floats(-5.0, 5.0))
+    step_a = make_step(
+        grid,
+        np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))),
+        np.array(draw(st.lists(finite, min_size=3 * n, max_size=3 * n))).reshape(3, n),
+        time=ta,
+    )
+    if draw(st.booleans()):
+        step_b, t = step_a, ta
+    else:
+        tb = ta + draw(st.floats(0.01, 5.0))
+        u = np.array(draw(st.lists(finite, min_size=3 * n, max_size=3 * n))).reshape(3, n)
+        step_b = make_step(grid, step_a.f.values, u, time=tb)
+        t = draw(st.sampled_from([ta, tb]) | st.floats(ta, tb))
+    coord = [
+        st.floats(-1.0, float(a[-1]) + 1.0) | st.sampled_from(grid.centers[d].tolist() + a.tolist())
+        for d, a in enumerate(axes)
+    ]
+    count = draw(st.integers(1, 8))
+    pts = np.array([[draw(coord[d]) for d in range(3)] for _ in range(count)])
+    return step_a, step_b, t, pts
+
+
+class TestSamplerMatchesLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(case=sampling_cases())
+    def test_bitwise_equal_to_per_corner_loop(self, case):
+        step_a, step_b, t, pts = case
+        assert np.array_equal(sample_cell_field(step_a.f, pts), sample_cell_field_loop(step_a.f, pts))
+        assert np.array_equal(sample_cell_field(step_a.u, pts), sample_cell_field_loop(step_a.u, pts))
+        span = step_b.time - step_a.time
+        if span == 0.0:
+            want = sample_cell_field_loop(step_a.u, pts)
+        else:
+            theta = min(max((t - step_a.time) / span, 0.0), 1.0)
+            va = sample_cell_field_loop(step_a.u, pts)
+            vb = sample_cell_field_loop(step_b.u, pts)
+            want = (1.0 - theta) * va + theta * vb
+        assert np.array_equal(sample_velocity(step_a, step_b, pts, t), want)
+        assert np.array_equal(sample_velocity(step_a, step_b, pts[0], t), want[0])
 
 
 class TestGradient:

@@ -396,6 +396,22 @@ class TestCli:
         path = write_config(tmp_path / "run.cfg", manifest="ds/dataset.manifest", t0=0, tf=1)
         assert main(["run", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "node, value",
+        [(6, 0.75), (3, "nan"), (6, "inf"), (0, "-inf")],
+        ids=["decreasing", "nan", "last-inf", "first-neg-inf"],
+    )
+    def test_bad_grid_file_exit_code(self, tmp_path, capsys, node, value):
+        sc = SyntheticScenario(kind="rigid-rotation", cells=6, steps=2)
+        manifest = write_dataset(generate_scenario(sc), tmp_path / "ds")
+        # grid file: 12 header bytes, the x axis node count, then its 7 nodes
+        with open(tmp_path / "ds" / "grid.bin", "r+b") as fh:
+            fh.seek(16 + 8 * node)
+            fh.write(struct.pack("<d", float(value)))
+        path = write_config(tmp_path / "run.cfg", manifest="ds/dataset.manifest", t0=0, tf=1)
+        assert main(["run", "--config", str(path)]) == 2
+        assert "grid.bin" in capsys.readouterr().err
+
     def test_unusable_output_path_exit_code(self, tmp_path, monkeypatch, capsys):
         # the output's parent is a regular file: rejected before any data loads
         sc = SyntheticScenario(kind="rigid-rotation", cells=6, steps=2)
