@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,6 +38,12 @@ def _read_exact(fh, n: int, path, what: str) -> bytes:
     return buf
 
 
+def _expect_end(fh, path) -> None:
+    extra = os.fstat(fh.fileno()).st_size - fh.tell()
+    if extra:
+        raise DatasetError(f"{path}: {extra} trailing bytes after the payload")
+
+
 def write_grid(grid: RectilinearGrid, path) -> None:
     """Grid file: magic, u32 d, then per axis u32 node count + f64 coordinates."""
     with open(path, "wb") as fh:
@@ -60,6 +67,7 @@ def read_grid(path) -> RectilinearGrid:
             (n,) = struct.unpack("<I", _read_exact(fh, 4, path, "axis header"))
             buf = _read_exact(fh, 8 * n, path, "axis coordinates")
             axes.append(np.frombuffer(buf, dtype="<f8").copy())
+        _expect_end(fh, path)
     try:
         return RectilinearGrid(tuple(axes))
     except GridError as exc:
@@ -98,6 +106,7 @@ def read_timestep(path, grid: RectilinearGrid) -> TimeStep:
         for c in range(3):
             ubuf = _read_exact(fh, 8 * n, path, f"velocity component {c}")
             u[c] = np.frombuffer(ubuf, dtype="<f8")
+        _expect_end(fh, path)
     try:
         return TimeStep(time=time, f=CellField(grid, f), u=CellField(grid, u, ncomp=3))
     except GridError as exc:
@@ -141,6 +150,8 @@ def read_manifest(path) -> DatasetManifest:
         if not np.isfinite(t):
             raise DatasetError(f"{path}: bad manifest time {parts[0]!r}")
         steps.append((t, parts[1]))
+    if not steps:
+        raise DatasetError(f"{path}: manifest lists no steps")
     return DatasetManifest(grid_path=grid_path, steps=steps)
 
 

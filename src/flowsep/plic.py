@@ -8,21 +8,18 @@ is on the liquid side iff d = (x - a) . n <= l.
 
 Every interface cell (0 < f < 1) of a step is one row of the step's
 `PlicTable`, built on first use by `plic_table` and kept on the step. All
-offsets come from one batched bisection; the phase test, seeding and the
-corrector read the table.
+offsets come from the closed-form relations of Scardovelli & Zaleski (2000);
+the phase test, seeding and the corrector read the table.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import TimeStep, flat_indices, fraction_gradients, locate_cells
 
-MAX_BISECT = 60
-VOLUME_TOL = 1e-6
 # phase-test slack so particles projected exactly onto the patch plane count
 # as liquid (relative to the cell diagonal)
 PHASE_TOL = 1e-9
@@ -35,85 +32,93 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# batched truncated-box volumes and offset solve
+# closed-form volumes and offsets (Scardovelli & Zaleski, "Analytical relations
+# connecting linear interfaces and volume fractions in rectangular grids",
+# JCP 164, 2000). The box prod [0, w_i] cut by sum c_i y_i <= l (c_i >= 0) in
+# unit form: m = sort(c_i w_i) / sum c_i w_i, alpha = l / sum c_i w_i. For
+# alpha <= 1/2 the volume fraction V has five regions split at m1, m2 and
+# min(m3, m1 + m2); V(alpha) = 1 - V(1 - alpha) above:
+#   0  V0 = alpha^3 / (6 m1 m2 m3)
+#   1  V1 = (3 alpha (alpha - m1) + m1^2) / (6 m2 m3)
+#   2  V2 = V1 - (alpha - m2)^3 / (6 m1 m2 m3)
+#   3  V3 = (alpha - (m1 + m2) / 2) / m3          if m1 + m2 <= m3, else
+#   4  V4 = V2 - (alpha - m3)^3 / (6 m1 m2 m3)
+# V1 has the m1 corner expanded, so nothing cancels when m1 << m2. Each
+# region runs only on its own rows, where none of its denominators is zero.
 
 
-def _kept_terms(w: np.ndarray, c: np.ndarray):
-    """Per-row terms of the corner fraction of {y in prod [0, w_i] : sum c_i y_i <= rhs}.
-
-    Near-zero coefficients (c_i <= 1e-12 max c) drop out of the constraint:
-    their tilt contributes O(1e-12) volume but would wreck the conditioning.
-    Returns the kept count k, the kept products c_i w_i moved to the front in
-    axis order, and the inclusion-exclusion denominator (c_0 w_0 for k = 1,
-    k! c_0 .. c_{k-1} w_0 .. w_{k-1} for k >= 2, multiplied in that order).
-    """
-    keep = c > (1e-12 * c.max(axis=1, initial=0.0))[:, None]
-    k = keep.sum(axis=1)
-    order = np.argsort(~keep, axis=1, kind="stable")
-    ck = np.take_along_axis(np.where(keep, c, 0.0), order, axis=1)
-    wk = np.take_along_axis(w, order, axis=1)
-    cw = ck * wk
-    c0, c1, c2 = ck.T
-    w0, w1, w2 = wk.T
-    denom = np.select(
-        [k == 1, k == 2, k == 3],
-        [cw[:, 0], 2.0 * c0 * c1 * w0 * w1, 6.0 * c0 * c1 * c2 * w0 * w1 * w2],
-        1.0,
-    )
-    return k, cw, denom
+def _unit_form(w: np.ndarray, c: np.ndarray):
+    """Rows of m = sort(c_i w_i) / sum c_i w_i, and the sums sum c_i w_i."""
+    extent = row_dot(c, w)
+    return np.sort(c * w, axis=1) / extent[:, None], extent
 
 
-def _corner_fractions(k: np.ndarray, cw: np.ndarray, denom: np.ndarray, rhs: np.ndarray):
-    """Row-wise volume fraction for the terms of `_kept_terms`, by inclusion-exclusion
-    over the box corners (b_0 outermost, the sum taken in corner order)."""
-    out = np.where(rhs >= 0.0, 1.0, 0.0)  # no kept coefficient: all or nothing
-    one = k == 1
-    out[one] = np.clip(rhs[one] / denom[one], 0.0, 1.0)
-    for kk in (2, 3):
-        rows = np.nonzero(k == kk)[0]
-        if rows.size == 0:
-            continue
-        r = rhs[rows]
-        t = cw[rows]
-        total = np.zeros(rows.size)
-        for bits in itertools.product((0, 1), repeat=kk):
-            corner = r
-            for axis, b in enumerate(bits):
-                if b:
-                    corner = corner - t[:, axis]
-            term = corner * corner if kk == 2 else corner**3
-            if sum(bits) % 2:
-                term = -term
-            total += np.where(corner > 0.0, term, 0.0)
-        out[rows] = total / denom[rows]
-    return out
+def _knots(m: np.ndarray) -> np.ndarray:
+    """Per-row alpha at the region boundaries m1, m2 and min(m3, m1 + m2)."""
+    return np.minimum(m, m[:, :1] + m[:, 1:2])
+
+
+def _by_region(piece, x: np.ndarray, bounds: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """piece(k, x, m1, m2, m3) on the rows of each region k (found from the row's
+    three region boundaries in x), mirrored as 1 - piece(1 - x) above x = 1/2."""
+    upper = x > 0.5
+    x = np.where(upper, 1.0 - x, x)
+    region = (x[:, None] >= bounds).sum(axis=1)
+    region[(region == 3) & (m[:, 2] < m[:, 0] + m[:, 1])] = 4
+    out = np.empty(x.shape)
+    for k in range(5):
+        rows = region == k
+        out[rows] = piece(k, x[rows], *m[rows].T)
+    return np.where(upper, 1.0 - out, out)
+
+
+def _volume_piece(k, a, m1, m2, m3):
+    def cube(d):  # d^3 / (6 m1 m2 m3) as ratios, none above 1 where used
+        return (d / m1) * (d / m2) * (d / m3) / 6.0
+
+    if k == 0:
+        return cube(a)
+    if k == 3:
+        return (a - 0.5 * (m1 + m2)) / m3
+    v = (3.0 * (a / m2) * (a - m1) + m1 * (m1 / m2)) / (6.0 * m3)
+    if k >= 2:
+        v -= cube(a - m2)
+    if k == 4:
+        v -= cube(a - m3)
+    return v
+
+
+def _unit_fractions(m: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """Row-wise volume fraction of the unit cube below sum m_i x_i <= alpha."""
+    return _by_region(_volume_piece, np.clip(alpha, 0.0, 1.0), _knots(m), m)
+
+
+def _middle_root(r, cos3):
+    """Middle root of t^3 - 3 r^2 t + q = 0, given cos3 = -q / (2 r^3)."""
+    return 2.0 * r * np.cos(np.arccos(np.clip(cos3, -1.0, 1.0)) / 3.0 - 2.0 * np.pi / 3.0)
+
+
+def _alpha_piece(k, v, m1, m2, m3):
+    if k == 0:
+        return np.cbrt(6.0 * m1 * m2 * m3 * v)
+    if k == 1:
+        return 0.5 * m1 + np.sqrt(np.maximum(2.0 * m2 * m3 * v - m1 * m1 / 12.0, 0.0))
+    if k == 2:  # alpha = m1 + m2 + t, t^3 - 6 m1 m2 t + 3 m1 m2 (2 m3 v - m1 - m2) = 0
+        r = np.sqrt(2.0 * m1) * np.sqrt(m2)
+        return m1 + m2 + _middle_root(r, 0.75 * (m1 + m2 - 2.0 * m3 * v) / r)
+    if k == 3:
+        return m3 * v + 0.5 * (m1 + m2)
+    # alpha = 1/2 + t, t^3 - 3 (m1 m2 - (1/2 - m3)^2) t + 3 m1 m2 m3 (v - 1/2) = 0
+    r = np.sqrt(m1 * m2 - (0.5 - m3) ** 2)
+    return 0.5 + _middle_root(r, 1.5 * m1 * m2 * m3 * (0.5 - v) / r**3)
 
 
 def _solve_offsets(w: np.ndarray, c: np.ndarray, fractions: np.ndarray) -> np.ndarray:
-    """Row-wise plane offsets l with corner fraction == fraction, by bisection.
-
-    Each row bisects [0, sum c_i w_i] until |volume - fraction| <= VOLUME_TOL
-    (then it stops and keeps that midpoint) or MAX_BISECT iterations pass.
-    """
-    k, cw, denom = _kept_terms(w, c)
-    extent = row_dot(c, w)
-    l_lo = np.zeros(extent.size)
-    l_hi = extent.copy()
-    l_mid = 0.5 * extent
-    act = np.arange(extent.size)
-    for _ in range(MAX_BISECT):
-        if act.size == 0:
-            break
-        mid = 0.5 * (l_lo[act] + l_hi[act])
-        l_mid[act] = mid
-        v = _corner_fractions(k[act], cw[act], denom[act], mid)
-        f = fractions[act]
-        going = np.abs(v - f) > VOLUME_TOL
-        low = v < f
-        l_lo[act[going & low]] = mid[going & low]
-        l_hi[act[going & ~low]] = mid[going & ~low]
-        act = act[going]
-    return l_mid
+    """Row-wise plane offsets l with volume fraction == fraction (sum c_i w_i > 0);
+    each row's region comes from the volume fractions at its boundaries."""
+    m, extent = _unit_form(w, c)
+    bounds = _unit_fractions(np.repeat(m, 3, axis=0), _knots(m).ravel()).reshape(-1, 3)
+    return _by_region(_alpha_piece, fractions, bounds, m) * extent
 
 
 def truncated_volume(lo, hi, normal, anchor, offset: float) -> float:
@@ -122,19 +127,16 @@ def truncated_volume(lo, hi, normal, anchor, offset: float) -> float:
     `anchor` must be a corner of the box. Monotone non-decreasing in offset;
     0 at offset 0 (up to the degenerate corner) and 1 beyond the projected extent.
     """
-    lo = np.asarray(lo, dtype=np.float64)[None, :]
-    hi = np.asarray(hi, dtype=np.float64)[None, :]
-    n = np.asarray(normal, dtype=np.float64)[None, :]
-    a = np.asarray(anchor, dtype=np.float64)[None, :]
-    # substitute y_i in [0, w_i] measured from the anchor into the box; axes
-    # where the constraint coefficient is negative are reflected so all
-    # coefficients become non-negative
+    lo, hi, n, a = (np.asarray(v, dtype=np.float64)[None, :] for v in (lo, hi, normal, anchor))
+    # y_i in [0, w_i] measured from the anchor; axes with a negative
+    # coefficient are reflected so all coefficients become |n_i|
     w = hi - lo
     c = np.where(np.abs(a - lo) <= np.abs(a - hi), n, -n)
-    rhs = np.array([float(offset)])
-    for d in range(3):
-        rhs = np.where(c[:, d] < 0.0, rhs - c[:, d] * w[:, d], rhs)
-    return float(_corner_fractions(*_kept_terms(w, np.abs(c)), rhs)[0])
+    rhs = float(offset) - row_dot(np.minimum(c, 0.0), w)
+    m, extent = _unit_form(w, np.abs(c))
+    if extent[0] == 0.0:  # zero normal: all or nothing
+        return float(rhs[0] >= 0.0)
+    return float(_unit_fractions(m, rhs / extent)[0])
 
 
 def anchor_corner(lo, hi, normal) -> np.ndarray:
@@ -143,11 +145,7 @@ def anchor_corner(lo, hi, normal) -> np.ndarray:
 
 
 def solve_patch_offset(lo, hi, normal, fraction: float) -> float:
-    """Plane offset l with truncated_volume == fraction, by bisection.
-
-    Converges to |volume - fraction| <= VOLUME_TOL within MAX_BISECT iterations
-    (the volume is continuous and monotone in l).
-    """
+    """Plane offset l with truncated_volume == fraction, in closed form (normal != 0)."""
     w = (np.asarray(hi, dtype=np.float64) - np.asarray(lo, dtype=np.float64))[None, :]
     c = np.abs(np.asarray(normal, dtype=np.float64))[None, :]
     return float(_solve_offsets(w, c, np.array([float(fraction)]))[0])

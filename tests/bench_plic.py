@@ -5,7 +5,7 @@ Run explicitly (the file name keeps it out of the default test collection):
     pytest tests/bench_plic.py --benchmark-only
 
 Both run on one interval of a split sphere on 48^3 cells with refinement 1
-(29 597 particles, 1 380 of them strays), the interface-bound case.
+(29 589 particles, 1 375 of them strays), the interface-bound case.
 The corrector benchmark excludes the table build, which is timed on its own.
 """
 

@@ -9,6 +9,10 @@ shares only the case table with the library).
 
 from __future__ import annotations
 
+import itertools
+import math
+from fractions import Fraction
+
 import numpy as np
 
 from flowsep.marching import CASE_TRIS, CORNERS, EDGES
@@ -55,12 +59,11 @@ def subvoxel_fraction_points(normal, anchor, offset, n_sub=64) -> float:
 
 
 def corner_fraction(w: tuple, c: tuple, rhs: float) -> float:
-    """Scalar reference for the library's batched corner fraction: the volume
-    fraction of {y in prod [0, w_i] : sum c_i y_i <= rhs} for c_i >= 0, by
-    inclusion-exclusion over box corners with near-zero coefficients dropped.
-
-    This is the scalar form the library used before its PLIC solve was
-    batched; the batched solve must reproduce its offsets bit for bit.
+    """The volume fraction of {y in prod [0, w_i] : sum c_i y_i <= rhs} for
+    c_i >= 0, by inclusion-exclusion over box corners in floating point with
+    near-zero coefficients dropped: the form the library used before its
+    closed-form solve. It cancels badly when the kept c_i w_i span many orders
+    of magnitude; `exact_corner_fraction` is the exact reference.
     """
     cmax = max(c)
     if cmax <= 0.0:
@@ -94,8 +97,8 @@ def corner_fraction(w: tuple, c: tuple, rhs: float) -> float:
 
 
 def bisect_offset(lo, hi, normal, fraction: float, max_bisect=60, volume_tol=1e-6) -> float:
-    """Scalar reference for the plane-offset solve: bisection on corner_fraction
-    from [0, sum |n_i| w_i], stopping once |volume - fraction| <= volume_tol."""
+    """The former plane-offset solve: bisection on corner_fraction from
+    [0, sum |n_i| w_i], stopping once |volume - fraction| <= volume_tol."""
     w = tuple(float(v) for v in np.asarray(hi, dtype=np.float64) - np.asarray(lo, dtype=np.float64))
     c = tuple(abs(float(v)) for v in normal)
     extent = c[0] * w[0] + c[1] * w[1] + c[2] * w[2]
@@ -111,6 +114,23 @@ def bisect_offset(lo, hi, normal, fraction: float, max_bisect=60, volume_tol=1e-
         else:
             l_hi = l_mid
     return l_mid
+
+
+def exact_corner_fraction(w, c, rhs) -> Fraction:
+    """Exact volume fraction of {y in prod [0, w_i] : sum c_i y_i <= rhs} for c_i >= 0,
+    by inclusion-exclusion over the box corners in rational arithmetic.
+
+    Every float converts to a Fraction exactly and no coefficient is dropped:
+    an exactly zero coefficient leaves its axis out of the sum, which is exact.
+    """
+    p = [Fraction(float(ci)) * Fraction(float(wi)) for ci, wi in zip(c, w) if ci != 0.0]
+    r = Fraction(float(rhs))
+    total = Fraction(0)
+    for bits in itertools.product((0, 1), repeat=len(p)):
+        corner = r - sum(pi for pi, b in zip(p, bits) if b)
+        if corner >= 0:
+            total += (-1) ** sum(bits) * corner ** len(p)
+    return total / (math.factorial(len(p)) * math.prod(p))
 
 
 def ball_volume(radius: float) -> float:
@@ -197,8 +217,76 @@ _RAY_DIR = np.array([0.5234589234, 0.7162039485, 0.4612345721])
 _RAY_DIR = _RAY_DIR / np.linalg.norm(_RAY_DIR)
 
 
+def _plane_basis() -> np.ndarray:
+    """(2, 3) orthonormal basis of the plane normal to _RAY_DIR."""
+    a = np.cross(_RAY_DIR, [1.0, 0.0, 0.0])
+    a /= np.linalg.norm(a)
+    return np.stack([a, np.cross(_RAY_DIR, a)])
+
+
+def _ray_hits(p, v0, e1, e2) -> np.ndarray:
+    """Moller-Trumbore along _RAY_DIR, row by row over (point, triangle) pairs."""
+    d = _RAY_DIR
+    h = np.cross(d, e2)
+    det = np.einsum("ij,ij->i", e1, h)
+    ok = np.abs(det) > 1e-12
+    inv_det = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
+    svec = p - v0
+    u = np.einsum("ij,ij->i", svec, h) * inv_det
+    q = np.cross(svec, e1)
+    v = (q @ d) * inv_det
+    t = np.einsum("ij,ij->i", q, e2) * inv_det
+    return ok & (u >= 0.0) & (v >= 0.0) & (u + v <= 1.0) & (t > 1e-12)
+
+
+def _concat_ranges(start: np.ndarray, count: np.ndarray):
+    """The ranges start[i] .. start[i] + count[i] - 1, concatenated, and the i of each."""
+    owner = np.repeat(np.arange(start.size), count)
+    return owner, np.arange(owner.size) - np.repeat(np.cumsum(count) - count - start, count)
+
+
 def points_in_mesh(points: np.ndarray, vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    """Parity ray casting (Moller-Trumbore) along a fixed skew direction."""
+    """Parity ray casting along a fixed skew direction, culled: each point is cast
+    only against the triangles whose bounding boxes in the plane normal to the
+    ray (widened by a margin) contain its projection.
+
+    The boxes are binned on a square 2-D lattice of about one mean box per bin;
+    a point's candidates are the triangles listed in its bin.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    if triangles.shape[0] == 0:
+        return np.zeros(points.shape[0], dtype=bool)
+    basis = _plane_basis()
+    pp = points @ basis.T
+    tv = (vertices @ basis.T)[triangles]
+    margin = 1e-9 * (1.0 + np.abs(tv).max() + np.abs(pp).max(initial=0.0))
+    lo = tv.min(axis=1) - margin
+    hi = tv.max(axis=1) + margin
+    size = (hi - lo).mean()
+    origin = np.minimum(lo.min(axis=0), pp.min(axis=0, initial=np.inf))
+    b_lo, b_hi, b_pt = (((x - origin) // size).astype(np.int64) for x in (lo, hi, pp))
+    ncol = max(b_hi[:, 1].max(), b_pt[:, 1].max(initial=0)) + 1
+    # (bin, triangle) for every bin a triangle's box touches, sorted by bin
+    span = b_hi - b_lo + 1
+    tri, k = _concat_ranges(np.zeros(triangles.shape[0], dtype=np.int64), span[:, 0] * span[:, 1])
+    bins = (b_lo[tri, 0] + k // span[tri, 1]) * ncol + b_lo[tri, 1] + k % span[tri, 1]
+    order = np.argsort(bins, kind="stable")
+    bins, tri = bins[order], tri[order]
+    # each point against the triangles of its bin whose box holds it
+    key = b_pt[:, 0] * ncol + b_pt[:, 1]
+    start = np.searchsorted(bins, key, side="left")
+    pt, j = _concat_ranges(start, np.searchsorted(bins, key, side="right") - start)
+    cand = tri[j]
+    held = np.all((lo[cand] <= pp[pt]) & (pp[pt] <= hi[cand]), axis=1)
+    pt, cand = pt[held], triangles[cand[held]]
+    v0 = vertices[cand[:, 0]]
+    hit = _ray_hits(points[pt], v0, vertices[cand[:, 1]] - v0, vertices[cand[:, 2]] - v0)
+    return np.bincount(pt[hit], minlength=points.shape[0]) % 2 == 1
+
+
+def points_in_mesh_full(points: np.ndarray, vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    """Parity ray casting (Moller-Trumbore) along a fixed skew direction, every
+    point against every triangle: the reference for `points_in_mesh`."""
     points = np.atleast_2d(points)
     v0 = vertices[triangles[:, 0]]
     e1 = vertices[triangles[:, 1]] - v0

@@ -33,6 +33,7 @@ from .oracles import (
     edge_incidence_rows,
     obj_text_fstrings,
     points_in_mesh,
+    points_in_mesh_full,
     smooth_vertices_add_at,
 )
 from .test_marching import lattices
@@ -102,6 +103,11 @@ class TestExtractBoundary:
             ]
         )
         assert not points_in_mesh(outside_pts, mesh.vertices, mesh.triangles).any()
+        pts = np.vstack([ps.seeds, outside_pts, mesh.vertices])
+        assert np.array_equal(
+            points_in_mesh(pts, mesh.vertices, mesh.triangles),
+            points_in_mesh_full(pts, mesh.vertices, mesh.triangles),
+        )
 
     def test_no_seeds_empty_mesh(self):
         g = uniform_grid(4)

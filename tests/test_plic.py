@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from flowsep.grid import CellField, TimeStep, uniform_grid
 from flowsep.plic import (
-    VOLUME_TOL,
     anchor_corner,
     is_liquid_many,
     plic_table,
@@ -16,7 +15,16 @@ from flowsep.plic import (
     truncated_volume,
 )
 
-from .oracles import bisect_offset, flat_index, subvoxel_fraction, subvoxel_fraction_points
+from .oracles import (
+    bisect_offset,
+    exact_corner_fraction,
+    flat_index,
+    subvoxel_fraction,
+    subvoxel_fraction_points,
+)
+
+# round-trip tolerance |truncated_volume(solve_patch_offset(f)) - f| of the offsets
+VOLUME_TOL = 1e-6
 
 UNIT_LO = np.zeros(3)
 UNIT_HI = np.ones(3)
@@ -272,25 +280,45 @@ def _signed(magnitude):
 @st.composite
 def unit_normals(draw):
     """Axis-aligned, near-axis and general unit normals, so the solve sees one,
-    two and three kept coefficients.
-
-    Near-axis tilts are either dropped by the solver (<= 1e-13 of the largest
-    component) or at least 1e-3: kept tilts between those are ill-conditioned
-    in the inclusion-exclusion sum (see ROADMAP, PLIC conditioning).
-    """
+    two and three non-zero components, the small ones down to 1e-13."""
     kind = draw(st.sampled_from(["axis", "near-axis", "general"]))
     axis = draw(st.integers(0, 2))
     n = np.zeros(3)
     n[axis] = draw(st.sampled_from([-1.0, 1.0]))
     if kind == "near-axis":
+        tilt = st.one_of(st.floats(0.0, 0.1), st.floats(-13.0, -1.0).map(lambda e: 10.0**e))
         for d in range(3):
             if d != axis:
-                n[d] = draw(_signed(st.one_of(st.just(0.0), st.floats(0.0, 1e-13), st.floats(1e-3, 0.1))))
+                n[d] = draw(_signed(tilt))
     elif kind == "general":
         for d in range(3):
             n[d] = draw(_signed(st.one_of(st.just(0.0), st.floats(1e-3, 1.0))))
         n[axis] = draw(_signed(st.floats(0.5, 1.0)))
     return n / np.sqrt(n @ n)
+
+
+def near_axis_cells(count=300, seed=41):
+    """Cells with widths 0.1-10 and normals (+-1 on one axis) tilted by 1e-13..1e-3
+    (log-uniform, or exactly 0) on the other two, with fractions in (0, 1)."""
+    rng = np.random.default_rng(seed)
+    widths = rng.uniform(0.1, 10.0, (count, 3))
+    tilts = 10.0 ** rng.uniform(-13.0, -3.0, (count, 3))
+    normals = rng.choice([-1.0, 1.0], (count, 3)) * np.where(rng.random((count, 3)) < 0.8, tilts, 0.0)
+    normals[np.arange(count), rng.integers(0, 3, count)] = rng.choice([-1.0, 1.0], count)
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    return widths, normals, rng.uniform(0.0, 1.0, count)
+
+
+def split32_rows(split32):
+    """(widths, normal, fraction, table offset) of every non-degenerate interface
+    cell of the 10 split32 steps."""
+    ds, _ = split32
+    for step in ds.steps:
+        table = plic_table(step)
+        lo, hi = step.grid.cell_boxes(table.cells)
+        for row in np.nonzero(~table.degenerate)[0]:
+            f = float(step.f.values[table.cells[row]])
+            yield hi[row] - lo[row], table.normals[row], f, table.offsets[row]
 
 
 class TestTableProperties:
@@ -307,15 +335,28 @@ class TestTableProperties:
         a = anchor_corner(lo, hi, normal)
         assert abs(truncated_volume(lo, hi, normal, a, offset) - fraction) <= VOLUME_TOL
 
-    def test_offsets_bitwise_equal_scalar_bisection(self, split32):
-        ds, _ = split32
+    def test_offsets_match_bisection_in_volume(self, split32):
+        # the closed form and the former scalar bisection give the same volume
+        # within the bisection's stopping tolerance
         checked = 0
-        for step in ds.steps:
-            table = plic_table(step)
-            lo, hi = step.grid.cell_boxes(table.cells)
-            for row in np.nonzero(~table.degenerate)[0]:
-                f = float(step.f.values[table.cells[row]])
-                want = bisect_offset(lo[row], hi[row], table.normals[row], f)
-                assert table.offsets[row] == want
-                checked += 1
+        for w, normal, f, offset in split32_rows(split32):
+            want = bisect_offset(np.zeros(3), w, normal, f, volume_tol=VOLUME_TOL)
+            c = np.abs(normal)
+            got = exact_corner_fraction(w, c, offset) - exact_corner_fraction(w, c, want)
+            assert abs(got) <= VOLUME_TOL
+            checked += 1
         assert checked > 1000
+
+
+class TestExactVolume:
+    """The exact rational volume below every offset equals the cell's fraction."""
+
+    def test_split32_table_offsets(self, split32):
+        for w, normal, f, offset in split32_rows(split32):
+            assert abs(float(exact_corner_fraction(w, np.abs(normal), offset)) - f) <= 1e-12
+
+    def test_near_axis_offsets(self):
+        lo = np.zeros(3)
+        for w, normal, f in zip(*near_axis_cells()):
+            offset = solve_patch_offset(lo, w, normal, f)
+            assert abs(float(exact_corner_fraction(w, np.abs(normal), offset)) - f) <= 1e-12

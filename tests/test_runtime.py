@@ -23,7 +23,7 @@ from flowsep.runtime import (
     run_pipeline,
 )
 
-from .oracles import flat_index, points_in_mesh
+from .oracles import flat_index, points_in_mesh, points_in_mesh_full
 
 
 def write_config(path, **kv):
@@ -397,6 +397,24 @@ class TestCli:
         assert main(["run", "--config", str(path)]) == 2
 
     @pytest.mark.parametrize(
+        "fault, named",
+        [("no-steps", "dataset.manifest"), ("step-tail", "step_0001.bin"), ("grid-tail", "grid.bin")],
+        ids=["no-steps", "step-tail", "grid-tail"],
+    )
+    def test_malformed_dataset_exit_code(self, tmp_path, capsys, fault, named):
+        # a manifest without steps, or a step or grid file with bytes past its payload
+        sc = SyntheticScenario(kind="rigid-rotation", cells=6, steps=2)
+        manifest = write_dataset(generate_scenario(sc), tmp_path / "ds")
+        if fault == "no-steps":
+            manifest.write_text(manifest.read_text().splitlines()[0] + "\n")
+        else:
+            with open(tmp_path / "ds" / named, "ab") as fh:
+                fh.write(b"\0" * 8)
+        path = write_config(tmp_path / "run.cfg", manifest="ds/dataset.manifest", t0=0, tf=1)
+        assert main(["run", "--config", str(path)]) == 2
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "node, value",
         [(6, 0.75), (3, "nan"), (6, "inf"), (0, "-inf")],
         ids=["decreasing", "nan", "last-inf", "first-neg-inf"],
@@ -447,6 +465,17 @@ class TestEnclosureOnAdvectedRun:
             inside = points_in_mesh(result.particles.seeds, mesh.vertices, mesh.triangles)
             member = result.final_labeling.labels == mesh.label
             assert np.array_equal(inside, member)
+
+    def test_culled_ray_cast_equals_full_cast(self, split32_result):
+        # the oracle's box culling drops no crossing: a fixed sample of the seeds
+        # and every fourth mesh vertex (points on the surface) against the full cast
+        seeds = split32_result.particles.seeds
+        rng = np.random.default_rng(5)
+        for mesh in split32_result.b_meshes:
+            pts = np.vstack([seeds[rng.choice(len(seeds), 1500, replace=False)], mesh.vertices[::4]])
+            inside = points_in_mesh(pts, mesh.vertices, mesh.triangles)
+            assert np.array_equal(inside, points_in_mesh_full(pts, mesh.vertices, mesh.triangles))
+            assert inside.any() and not inside.all()
 
 
 class TestTrailFrames:
