@@ -163,12 +163,6 @@ def is_watertight(mesh: TriangleMesh) -> bool:
     return bool(np.all(counts == 2))
 
 
-def boundary_vertices(mesh: TriangleMesh) -> np.ndarray:
-    """Indices of vertices on open-boundary edges (incidence one)."""
-    edges, counts = edge_incidence(mesh)
-    return np.unique(edges[counts == 1])
-
-
 def smooth_mesh(mesh: TriangleMesh, iterations: int = 10, lam: float = 0.5) -> TriangleMesh:
     """Uniform-umbrella Laplacian smoothing; open-boundary vertices stay fixed.
 
@@ -241,20 +235,6 @@ def write_obj(mesh: TriangleMesh, path) -> None:
     lines = ["v %r %r %r" % tuple(r) for r in verts]
     lines += ["f %d %d %d" % tuple(r) for r in (mesh.triangles + 1).tolist()]
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_obj(path) -> tuple[np.ndarray, np.ndarray]:
-    verts = []
-    tris = []
-    for ln in Path(path).read_text().splitlines():
-        parts = ln.split()
-        if not parts:
-            continue
-        if parts[0] == "v":
-            verts.append([float(p) for p in parts[1:4]])
-        elif parts[0] == "f":
-            tris.append([int(p) - 1 for p in parts[1:4]])
-    return np.array(verts).reshape(-1, 3), np.array(tris, dtype=np.int32).reshape(-1, 3)
 
 
 def export_meshes(meshes: list[TriangleMesh], out_dir, min_triangles: int = 0) -> Path:

@@ -44,6 +44,7 @@ from .segment import (
     assign_labels,
     contribution_table,
     detect_splits,
+    write_epsilon,
     write_table,
 )
 
@@ -383,8 +384,5 @@ def _export(result: RunResult) -> None:
     ]
     export_meshes(meshes, out / "meshes", min_triangles=cfg.min_triangles)
     write_table(result.table, out / "contributions.tsv")
-    lines = ["seed\tx\ty\tz\teps"]
-    for p, (s, e) in enumerate(zip(result.particles.seeds, result.particles.eps)):
-        lines.append(f"{p}\t{float(s[0])!r}\t{float(s[1])!r}\t{float(s[2])!r}\t{float(e)!r}")
-    (out / "epsilon.tsv").write_text("\n".join(lines) + "\n")
+    write_epsilon(result.particles, out / "epsilon.tsv")
     (out / "report.tsv").write_text(result.report.to_text())

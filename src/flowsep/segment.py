@@ -1,4 +1,5 @@
-"""Seed-label transfer, volumetric contribution tables, and split detection.
+"""Seed-label transfer, volumetric contribution tables, the per-seed epsilon
+file, and split detection.
 
 The label a particle acquires at a later time is transferred back to its seed
 point; grouping seeds by (initial label, final label) estimates how the volume
@@ -17,6 +18,7 @@ from .grid import TimeStep, flat_indices, fraction_gradients, locate_cells, samp
 from .labeling import LabelField
 
 GRADIENT_WALK_MAX = 8  # cap on the label search walk up the fraction gradient
+EXPORT_ROWS = 1 << 14  # rows of epsilon.tsv formatted per block
 
 
 @dataclass
@@ -107,20 +109,20 @@ def contribution_table(
 
     The volume estimate of a row is the summed represented volume of its seeds
     (cell volume / (2^3)^r per seed); invalid-label seeds are retained as
-    j = -1 rows so mass loss stays visible.
+    j = -1 rows so mass loss stays visible. Rows are sorted by (i, j).
     """
-    li = initial.labels
-    lf = final.labels
-    pairs = np.stack([li, lf], axis=1)
-    uniq, inv = np.unique(pairs, axis=0, return_inverse=True)
-    counts = np.bincount(inv)
-    vols = np.zeros(uniq.shape[0])
-    np.add.at(vols, inv, particles.seed_volume)
-    rows = [
-        (int(uniq[r, 0]), int(uniq[r, 1]), int(counts[r]), float(vols[r]))
-        for r in range(uniq.shape[0])
-    ]
-    rows.sort(key=lambda row: (row[0], row[1]))
+    li = initial.labels.astype(np.int64)
+    lf = final.labels.astype(np.int64)
+    # labels are >= -1, so the key (i + 1) * base + (j + 1) sorts as (i, j)
+    base = int(lf.max()) + 2 if lf.size else 1
+    keys, inv, counts = np.unique(
+        (li + 1) * base + (lf + 1), return_inverse=True, return_counts=True
+    )
+    # bincount sums every bin in array order, as a sequential scatter-add would
+    vols = np.bincount(inv, weights=particles.seed_volume, minlength=keys.size)
+    rows = list(
+        zip((keys // base - 1).tolist(), (keys % base - 1).tolist(), counts.tolist(), vols.tolist())
+    )
     return ContributionTable(rows=rows, t0=initial.time, tf=final.time)
 
 
@@ -137,6 +139,27 @@ def read_table(path) -> ContributionTable:
         i, j, c, v = ln.split("\t")
         rows.append((int(i), int(j), int(c), float(v)))
     return ContributionTable(rows=rows, t0=float("nan"), tf=float("nan"))
+
+
+def _repr_column(col: np.ndarray) -> list[str]:
+    """`repr` of each float, called once per distinct float64 bit pattern.
+
+    Keying on bits keeps -0.0 apart from 0.0, which compare equal.
+    """
+    bits, inv = np.unique(col.view(np.int64), return_inverse=True)
+    text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    return text[inv].tolist()
+
+
+def write_epsilon(particles: ParticleSet, path) -> None:
+    """`seed x y z eps` rows, one per seed in seed order; floats as `repr`."""
+    cols = [*particles.seeds.T, particles.eps]
+    with open(path, "w") as fh:
+        fh.write("seed\tx\ty\tz\teps\n")
+        for a in range(0, len(particles), EXPORT_ROWS):
+            b = min(a + EXPORT_ROWS, len(particles))
+            text = [_repr_column(c[a:b]) for c in cols]
+            fh.write("\n".join(map("\t".join, zip(map(str, range(a, b)), *text))) + "\n")
 
 
 @dataclass(frozen=True)

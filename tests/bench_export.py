@@ -1,4 +1,5 @@
-"""Micro-benchmarks for the export tail: mesh smoothing and OBJ export.
+"""Micro-benchmarks for the export tail: mesh smoothing, OBJ export, the
+contribution table and `epsilon.tsv`.
 
 Run explicitly (the file name keeps it out of the default test collection):
 
@@ -9,6 +10,10 @@ each, about the count and size of the B and S meshes of a droplets-r0 run) and
 one ball mesh of about 25k triangles (radius 26 on 60^3 nodes, the size of an
 orbit-r2-p8 boundary). Smoothing uses the pipeline defaults (10 iterations,
 lambda 0.5).
+
+The table and `epsilon.tsv` cases use the seeds of the orbit ball (radius 0.2
+on 32^3 cells, refinement 2, about 70k seeds on a per-axis lattice) with 2 %
+of them carrying a nonzero eps, and 3 % of the final labels set to -1.
 """
 
 from __future__ import annotations
@@ -16,8 +21,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from flowsep.advect import seed_particles
+from flowsep.dataset_io import SyntheticScenario, generate_scenario
 from flowsep.extract import TriangleMesh, export_meshes, smooth_mesh
+from flowsep.labeling import label_features
 from flowsep.marching import marching_cubes
+from flowsep.segment import SeedLabeling, assign_labels, contribution_table, write_epsilon
 
 from .bench_marching import ball_lattice
 
@@ -41,6 +50,25 @@ def large():
     mesh = ball_mesh(60, 26.0, 0)
     assert 20_000 < mesh.triangles.shape[0] < 30_000
     return [mesh]
+
+
+@pytest.fixture(scope="module")
+def orbit_seeds():
+    ds = generate_scenario(
+        SyntheticScenario(
+            kind="rigid-rotation", cells=32, steps=2, span=np.pi / 2 / 19, speed=1.0,
+            offset=0.25, radius=0.2, center=(0.50938, 0.49375, 0.50313),
+        )
+    )
+    step0 = ds.steps[0]
+    particles = seed_particles(step0, refinement=2)
+    rng = np.random.default_rng(0)
+    n = len(particles)
+    moved = rng.random(n) < 0.02
+    particles.eps[moved] = rng.uniform(0.0, 0.05, moved.sum())
+    initial = assign_labels(particles, label_features(step0), step0)
+    final = np.where(rng.random(n) < 0.03, -1, initial.labels).astype(np.int32)
+    return particles, initial, SeedLabeling(labels=final, time=1.0)
 
 
 def smooth_all(meshes):
@@ -67,3 +95,16 @@ def test_export_large(benchmark, large, tmp_path):
     meshes = smooth_all(large)
     manifest = benchmark(export_meshes, meshes, tmp_path / "meshes")
     assert len(manifest.read_text().splitlines()) == 2
+
+
+def test_write_epsilon(benchmark, orbit_seeds, tmp_path):
+    particles, _, _ = orbit_seeds
+    path = tmp_path / "epsilon.tsv"
+    benchmark(write_epsilon, particles, path)
+    assert path.read_text().count("\n") == 1 + len(particles)
+
+
+def test_contribution_table(benchmark, orbit_seeds):
+    particles, initial, final = orbit_seeds
+    table = benchmark(contribution_table, initial, final, particles)
+    assert sum(c for _, _, c, _ in table.rows) == len(particles)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -556,6 +557,55 @@ def obj_text_fstrings(vertices, triangles) -> str:
     lines = [f"v {float(x)!r} {float(y)!r} {float(z)!r}" for x, y, z in vertices]
     lines += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in triangles]
     return "\n".join(lines) + "\n"
+
+
+def boundary_vertices(mesh) -> np.ndarray:
+    """Indices of vertices on open-boundary edges (incidence one)."""
+    edges, counts = edge_incidence_rows(mesh.triangles)
+    return np.unique(edges[counts == 1])
+
+
+def read_obj(path) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices and 0-based triangles of an OBJ file's `v` and `f` lines."""
+    verts = []
+    tris = []
+    for ln in Path(path).read_text().splitlines():
+        parts = ln.split()
+        if not parts:
+            continue
+        if parts[0] == "v":
+            verts.append([float(p) for p in parts[1:4]])
+        elif parts[0] == "f":
+            tris.append([int(p) - 1 for p in parts[1:4]])
+    return np.array(verts).reshape(-1, 3), np.array(tris, dtype=np.int32).reshape(-1, 3)
+
+
+# --- run-tail tables (per-seed f-strings, row-unique pairs with scatter-add) ----
+
+
+def epsilon_text_fstrings(seeds, eps) -> str:
+    """Reference for the text `flowsep.segment.write_epsilon` writes: one
+    f-string per seed, each float through `float(...)!r`."""
+    lines = ["seed\tx\ty\tz\teps"]
+    for p, (s, e) in enumerate(zip(seeds, eps)):
+        lines.append(f"{p}\t{float(s[0])!r}\t{float(s[1])!r}\t{float(s[2])!r}\t{float(e)!r}")
+    return "\n".join(lines) + "\n"
+
+
+def contribution_rows_add_at(initial_labels, final_labels, seed_volume) -> list:
+    """Reference for the rows of `flowsep.segment.contribution_table`: a
+    row-wise unique over (i, j) pairs, `np.add.at` volumes and a Python sort."""
+    pairs = np.stack([initial_labels, final_labels], axis=1)
+    uniq, inv = np.unique(pairs, axis=0, return_inverse=True)
+    counts = np.bincount(inv)
+    vols = np.zeros(uniq.shape[0])
+    np.add.at(vols, inv, seed_volume)
+    rows = [
+        (int(uniq[r, 0]), int(uniq[r, 1]), int(counts[r]), float(vols[r]))
+        for r in range(uniq.shape[0])
+    ]
+    rows.sort(key=lambda row: (row[0], row[1]))
+    return rows
 
 
 # --- split detection (one mask per group) ------------------------------------

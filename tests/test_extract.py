@@ -11,14 +11,12 @@ from hypothesis import strategies as st
 from flowsep.advect import ParticleSet
 from flowsep.extract import (
     TriangleMesh,
-    boundary_vertices,
     edge_incidence,
     export_meshes,
     extract_boundary,
     extract_separation_surface,
     filter_small_components,
     is_watertight,
-    read_obj,
     seed_axis_coords,
     smooth_mesh,
     triangle_components,
@@ -29,11 +27,13 @@ from flowsep.marching import marching_cubes
 from flowsep.segment import SeedLabeling, SplitEvent
 
 from .oracles import (
+    boundary_vertices,
     count_components,
     edge_incidence_rows,
     obj_text_fstrings,
     points_in_mesh,
     points_in_mesh_full,
+    read_obj,
     smooth_vertices_add_at,
 )
 from .test_marching import lattices

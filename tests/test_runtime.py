@@ -13,7 +13,6 @@ from flowsep.dataset_io import (
     generate_scenario,
     write_dataset,
 )
-from flowsep.extract import read_obj
 from flowsep.grid import CellField, TimeSeriesDataset, TimeStep, uniform_grid
 from flowsep.runtime import (
     ConfigError,
@@ -22,8 +21,9 @@ from flowsep.runtime import (
     parse_config,
     run_pipeline,
 )
+from flowsep.segment import read_table
 
-from .oracles import flat_index, points_in_mesh, points_in_mesh_full
+from .oracles import flat_index, points_in_mesh, points_in_mesh_full, read_obj
 
 
 def write_config(path, **kv):
@@ -276,8 +276,15 @@ class TestReportAndArtifacts:
         name = lines[1].split("\t")[0]
         verts, tris = read_obj(out / "meshes" / name)
         assert verts.shape[1] == 3 and tris.shape[1] == 3
-        eps_lines = (out / "epsilon.tsv").read_text().splitlines()
-        assert len(eps_lines) == 1 + len(result.particles)
+        # epsilon.tsv parses back to the seeds and eps bit for bit
+        header, *rows = (out / "epsilon.tsv").read_text().splitlines()
+        assert header == "seed\tx\ty\tz\teps"
+        fields = [r.split("\t") for r in rows]
+        assert [int(f[0]) for f in fields] == list(range(len(result.particles)))
+        values = np.array([[float(v) for v in f[1:]] for f in fields]).reshape(-1, 4)
+        assert np.array_equal(values[:, :3].view(np.int64), result.particles.seeds.view(np.int64))
+        assert np.array_equal(values[:, 3].view(np.int64), result.particles.eps.view(np.int64))
+        assert read_table(out / "contributions.tsv").rows == result.table.rows
 
 
 class TestCli:

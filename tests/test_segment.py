@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +19,7 @@ from flowsep.grid import (
 )
 from flowsep.labeling import LabelField, label_features
 from flowsep.segment import (
+    EXPORT_ROWS,
     GRADIENT_WALK_MAX,
     SeedLabeling,
     assign_labels,
@@ -23,10 +27,16 @@ from flowsep.segment import (
     detect_splits,
     labels_for_positions,
     read_table,
+    write_epsilon,
     write_table,
 )
 
-from .oracles import detect_splits_loop, walk_up_gradient
+from .oracles import (
+    contribution_rows_add_at,
+    detect_splits_loop,
+    epsilon_text_fstrings,
+    walk_up_gradient,
+)
 from .test_advect import probes_particle_set
 
 
@@ -212,6 +222,32 @@ class TestContributionTable:
         header = path.read_text().splitlines()[0]
         assert header == "i\tj\tcount\tvolume"
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.sampled_from([0, 1, 2, 7, 60, 500]),
+        top=st.sampled_from([0, 1, 5, 2**20]),
+        minus_one=st.tuples(st.booleans(), st.booleans()),
+        dead=st.sampled_from([0.0, 0.3, 1.0]),
+    )
+    def test_rows_equal_scatter_add(self, seed, n, top, minus_one, dead):
+        rng = np.random.default_rng(seed)
+        # a few distinct labels per column, each heavily repeated; -1 in the
+        # pool on request, and a `dead` share of final labels forced to -1
+        pools = [
+            np.append(rng.integers(0, top + 1, rng.integers(1, 6)), [-1] if neg else [])
+            for neg in minus_one
+        ]
+        li, lf = (rng.choice(pool, n).astype(np.int32) for pool in pools)
+        lf[rng.random(n) < dead] = -1
+        ps = probes_particle_set(np.zeros((n, 3)))
+        ps.seed_volume = rng.uniform(0.01, 10.0, n)  # full mantissas expose summation order
+        got = contribution_table(SeedLabeling(li, 0.0), SeedLabeling(lf, 1.0), ps).rows
+        want = contribution_rows_add_at(li, lf, ps.seed_volume)
+        assert [r[:3] for r in got] == [r[:3] for r in want]
+        assert [tuple(map(type, r)) for r in got] == [tuple(map(type, r)) for r in want]
+        assert [r[3].hex() for r in got] == [r[3].hex() for r in want]
+
 
 class TestDetectSplits:
     def test_identical_labelings_no_splits(self):
@@ -309,3 +345,35 @@ class TestConservationProperty:
             rows = [(c, v) for ii, _, c, v in table.rows if ii == i]
             assert sum(c for c, _ in rows) == seeded.size
             assert np.isclose(sum(v for _, v in rows), seeded.sum(), rtol=1e-12, atol=0.0)
+
+
+# -0.0 beside 0.0, NaNs with other payloads and signs, infinities, subnormals
+_NAN_BITS = np.array([0x7FF8000000000000, 0x7FF0000000000001, -0x0008000000000000], dtype=np.int64)
+SPECIAL_FLOATS = np.concatenate(
+    [[0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072e-308], _NAN_BITS.view(np.float64)]
+)
+
+
+class TestWriteEpsilon:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.sampled_from([0, 1, EXPORT_ROWS - 1, EXPORT_ROWS, EXPORT_ROWS + 1]),
+        seed=st.integers(0, 2**32 - 1),
+        drawn=st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=8),
+        nodes=st.integers(1, 64),
+    )
+    def test_file_equals_fstrings(self, n, seed, drawn, nodes):
+        rng = np.random.default_rng(seed)
+        lattice = (np.arange(nodes) + 0.5) / nodes  # repeated per-axis seed coordinates
+        pool = np.concatenate([SPECIAL_FLOATS, np.array(drawn, dtype=np.float64), lattice])
+        cols = pool[rng.integers(0, pool.size, (n, 4))]
+        if n >= SPECIAL_FLOATS.size:  # every special value in every column
+            for c in range(4):
+                cols[rng.permutation(n)[: SPECIAL_FLOATS.size], c] = SPECIAL_FLOATS
+        ps = probes_particle_set(cols[:, :3])
+        ps.eps = cols[:, 3].copy()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "epsilon.tsv"
+            write_epsilon(ps, path)
+            got = path.read_bytes()
+        assert got == epsilon_text_fstrings(ps.seeds, ps.eps).encode()
