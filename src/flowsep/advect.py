@@ -10,8 +10,7 @@ phase and accumulates the introduced displacement per particle.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +37,6 @@ class AdvectionConfig:
     refinement: int = 0
     substeps: int = 1
     corrector: str = "full"
-    trail_stride: int = 8
 
     def __post_init__(self):
         if self.refinement < 0:
@@ -47,16 +45,6 @@ class AdvectionConfig:
             raise ValueError("substeps must be >= 1")
         if self.corrector not in CORRECTOR_MODES:
             raise ValueError(f"corrector must be one of {CORRECTOR_MODES}")
-        if self.trail_stride < 1:
-            raise ValueError("trail stride must be >= 1")
-
-
-@dataclass
-class TrailFrame:
-    time: float
-    positions: np.ndarray
-    alive: np.ndarray
-    labels: np.ndarray | None = None
 
 
 @dataclass
@@ -74,16 +62,9 @@ class ParticleSet:
     eps: np.ndarray  # (n,) accumulated correction displacement
     seed_volume: np.ndarray  # (n,) represented volume per seed
     refinement: int
-    trail: list[TrailFrame] = field(default_factory=list)
-    intervals_done: int = 0
 
     def __len__(self) -> int:
         return self.seeds.shape[0]
-
-    def record_trail(self, time: float) -> TrailFrame:
-        frame = TrailFrame(time=time, positions=self.pos.copy(), alive=self.alive.copy())
-        self.trail.append(frame)
-        return frame
 
 
 def seed_particles(step: TimeStep, refinement: int = 0, tau: float = 0.0) -> ParticleSet:
@@ -200,10 +181,6 @@ def advance_interval(
 
     if config.corrector != "off":
         correct_strays(particles, pre_pos, step_from, step_to, config, tau)
-
-    particles.intervals_done += 1
-    if particles.intervals_done % config.trail_stride == 0:
-        particles.record_trail(step_to.time)
     return particles
 
 
@@ -245,7 +222,9 @@ def correct_strays(
     x = particles.pos[strays]
     x1 = x.copy()
     if config.corrector == "full":
-        best = _nearest_neighbors(grid, pre_pos, np.nonzero(particles.alive & valid)[0], strays)
+        best = _nearest_neighbors(
+            grid, pre_pos, np.nonzero(particles.alive & valid)[0], strays, particles.refinement
+        )
         hit = best >= 0
         x1[hit] = pre_pos[strays[hit]] + (particles.pos[best[hit]] - pre_pos[best[hit]])
     eps = _norms(x1 - x)
@@ -319,46 +298,159 @@ def _first_per_group(group: np.ndarray, *keys: np.ndarray) -> np.ndarray:
     return pos[np.r_[True, r[1:] != r[:-1]]]
 
 
+# (stray, bin) pairs examined at once by the stage-1 bin search, which bounds
+# its temporaries whatever the refinement and ring radius
+BIN_BLOCK = 1 << 16
+
+
+def _bin_faces(grid, s: int) -> list[np.ndarray]:
+    """Per axis, the n * s + 1 faces of the seed-lattice bins: each cell split
+    into s bins of equal width. Faces at multiples of s are the grid nodes
+    exactly, and interior faces are clipped into their cell, so the faces never
+    decrease and `bin // s` is the cell `locate_cells` gives."""
+    faces = []
+    for a, w in zip(grid.axes, grid.widths):
+        f = a[:-1, None] + (np.arange(s) / s)[None, :] * w[:, None]
+        f[:, 0] = a[:-1]
+        faces.append(np.append(np.minimum(f, a[1:, None]).ravel(), a[-1]))
+    return faces
+
+
 def _nearest_neighbors(
-    grid, pre_pos: np.ndarray, candidates: np.ndarray, strays: np.ndarray
+    grid, pre_pos: np.ndarray, candidates: np.ndarray, strays: np.ndarray, refinement: int
 ) -> np.ndarray:
     """Per stray, the candidate nearest to it in the pre-interval snapshot among the
     3x3x3 cells around the stray's pre-interval cell (-1 where there is none).
 
-    Ties go to the lowest particle index. Candidate cell keys are sorted once;
-    each of the 27 neighbor offsets is one `searchsorted`, and the running best
-    is kept across offsets.
+    Ties go to the lowest particle index. Positions are binned on the seed
+    lattice: every cell splits into 2^refinement bins per axis. Only the bins
+    of cells around strays get a slot in a counting table (`bincount` +
+    `cumsum`). Chebyshev rings of bins 0, 1, 2, ... are expanded around each
+    stray's bin, clipped to its 3x3x3 cells, and the per-stray (d^2, index)
+    minimum is kept across rings. A stray retires once its best d^2 is
+    strictly below the squared distance to the nearest unsearched bin face (an
+    equal candidate could hold a lower index), or when its cells are
+    exhausted; the bound uses the faces the positions were binned by, so no
+    nearer candidate is skipped. Rings are examined in blocks of at most
+    `BIN_BLOCK` (stray, bin) pairs.
     """
     best = np.full(strays.size, -1, dtype=np.int64)
-    cidx, cin = locate_cells(grid, pre_pos[candidates])
-    keys = flat_indices(grid, cidx[cin])
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    cands = candidates[cin][order]
-    sidx, sin = locate_cells(grid, pre_pos[strays])
+    s = 2**refinement
+    shape = np.array(grid.shape)
+    faces = _bin_faces(grid, s)
+    last = shape * s - 1
+
+    def bins_of(idx):
+        """Per-axis bins of pre_pos[idx], clamped into the grid (so the upper
+        domain face is in the final bin), and which points lie in the domain,
+        as `locate_cells` has it."""
+        bins, inside = [], np.ones(idx.size, dtype=bool)
+        for d in range(3):
+            x = pre_pos[idx, d]
+            b = np.searchsorted(faces[d], x, side="right") - 1
+            inside &= (b >= 0) & (x <= faces[d][-1])
+            bins.append(np.clip(b, 0, last[d], out=b))
+        return bins, inside
+
+    sbin, sin = bins_of(strays)
     rows = np.nonzero(sin)[0]
-    sidx = sidx[rows]
+    if rows.size == 0 or candidates.size == 0:
+        return best
+    sbin = np.stack(sbin, axis=1)[rows]
+    xs = pre_pos[strays[rows]]
+    scell = sbin // s
+    blo = np.maximum(scell - 1, 0) * s  # bins of the 3x3x3 cells, clipped to the grid
+    bhi = np.minimum(scell + 2, shape) * s - 1
+
+    # table slots only for the cells around strays: mark stray cells, dilate by one
+    region = np.zeros(grid.shape, dtype=bool)
+    region[scell[:, 0], scell[:, 1], scell[:, 2]] = True
+    for d in range(3):
+        along = np.moveaxis(region, d, 0)
+        grown = along.copy()
+        grown[1:] |= along[:-1]
+        grown[:-1] |= along[1:]
+        region = np.moveaxis(grown, 0, d)
+    slot = np.where(region.ravel(), np.cumsum(region) - 1, -1)  # C order over (i, j, k)
+    nslots = int(slot.max()) + 1
+
+    def keys_of(bins):
+        """Table keys of bins given per axis, -1 for bins of cells outside the region."""
+        key = np.zeros(bins[0].size, dtype=np.int64)  # the flat cell first
+        sub = np.zeros(bins[0].size, dtype=np.int64)
+        for d in range(3):
+            key *= shape[d]
+            key += bins[d] // s
+            sub *= s
+            sub += bins[d] % s
+        key = slot[key]
+        out = key < 0
+        key *= s**3
+        key += sub
+        key[out] = -1
+        return key
+
+    def table():
+        """Candidates in the region in key order, and `ends`: the candidates of
+        table key k are cands[ends[k]:ends[k + 1]]."""
+        cbin, cin = bins_of(candidates)
+        key = keys_of(cbin)
+        near = np.nonzero(cin & (key >= 0))[0]
+        key = key[near]
+        ends = np.zeros(nslots * s**3 + 1, dtype=np.int64)
+        np.cumsum(np.bincount(key, minlength=ends.size - 1), out=ends[1:])
+        return candidates[near[np.argsort(key, kind="stable")]], ends
+
+    cands, ends = table()
+    cpos = pre_pos[cands]
+
     best_d2 = np.full(rows.size, np.inf)
     best_p = np.full(rows.size, -1, dtype=np.int64)
-    shape = np.array(grid.shape)
-    for off in itertools.product((-1, 0, 1), repeat=3):
-        nb = sidx + np.array(off)
-        ok = np.all((nb >= 0) & (nb < shape), axis=1)
-        key = flat_indices(grid, nb)
-        first = np.searchsorted(keys, key, side="left")
-        count = np.where(ok, np.searchsorted(keys, key, side="right") - first, 0)
-        total = int(count.sum())
+
+    def scan(part, offsets):
+        """Fold the candidates of the bins at `offsets` around the strays
+        `part` (ascending) into their running (d^2, index) minimum."""
+        bins = sbin[part][:, None, :] + offsets[None, :, :]
+        ok = np.all((bins >= blo[part][:, None, :]) & (bins <= bhi[part][:, None, :]), axis=2)
+        hit = np.nonzero(ok.ravel())[0]
+        key = keys_of(bins.reshape(-1, 3)[hit].T)
+        first = ends[key]
+        n = ends[key + 1] - first
+        total = int(n.sum())
         if total == 0:
-            continue
-        owner = np.repeat(np.arange(rows.size), count)  # non-decreasing
-        at = np.arange(total) + np.repeat(first - (np.cumsum(count) - count), count)
+            return
+        owner = np.repeat(part[hit // offsets.shape[0]], n)  # non-decreasing
+        at = np.arange(total) + np.repeat(first - (np.cumsum(n) - n), n)
         p = cands[at]
-        d2 = np.sum((pre_pos[p] - pre_pos[strays[rows[owner]]]) ** 2, axis=1)
+        d2 = np.sum((cpos[at] - xs[owner]) ** 2, axis=1)
         win = _first_per_group(owner, d2, p)
         w, wd2, wp = owner[win], d2[win], p[win]
         better = (wd2 < best_d2[w]) | ((wd2 == best_d2[w]) & (wp < best_p[w]))
         best_d2[w[better]] = wd2[better]
         best_p[w[better]] = wp[better]
+
+    todo = np.arange(rows.size)
+    ring = 0
+    while todo.size:
+        offsets = _ring_offsets(ring)
+        block = max(1, BIN_BLOCK // offsets.shape[0])
+        for b in range(0, todo.size, block):
+            scan(todo[b : b + block], offsets)
+        # squared distance to the nearest face of an unsearched bin in the clip
+        sb, x = sbin[todo], xs[todo]
+        bound = np.full(todo.size, np.inf)
+        left = np.zeros(todo.size, dtype=bool)
+        for d in range(3):
+            up = sb[:, d] + ring + 1
+            down = sb[:, d] - ring - 1
+            for more, gap in (
+                (up <= bhi[todo, d], faces[d][np.minimum(up, last[d])] - x[:, d]),
+                (down >= blo[todo, d], x[:, d] - faces[d][np.maximum(down + 1, 0)]),
+            ):
+                bound = np.where(more, np.minimum(bound, gap * gap), bound)
+                left |= more
+        todo = todo[left & ~(best_d2[todo] < bound)]
+        ring += 1
     best[rows] = best_p
     return best
 

@@ -62,12 +62,14 @@ def _padded_axis(coords: np.ndarray, lo: int, hi: int, fallback_spacing: float):
     return np.concatenate([[head], core, [tail]])
 
 
-def _lattice_box(grid, refinement, lattice_pts: np.ndarray):
-    """Indicator array shape/offset plus padded node coordinates for a seed set."""
+def _lattice_box(grid, refinement, lattice_pts: np.ndarray, coords):
+    """Indicator array shape/offset plus padded node coordinates for a seed set;
+    `coords` are the grid's seed lattice coordinates, computed here if None."""
     lo = lattice_pts.min(axis=0)
     hi = lattice_pts.max(axis=0)
     shape = tuple(int(h - l + 3) for l, h in zip(lo, hi))
-    coords = seed_axis_coords(grid, refinement)
+    if coords is None:
+        coords = seed_axis_coords(grid, refinement)
     s = 2**refinement
     axes = tuple(
         _padded_axis(coords[d], int(lo[d]), int(hi[d]), grid.widths[d][0] / s)
@@ -87,14 +89,22 @@ def _empty_mesh(kind, label, timestamp=None) -> TriangleMesh:
 
 
 def extract_boundary(
-    grid: RectilinearGrid, particles: ParticleSet, labeling: SeedLabeling, label: int
+    grid: RectilinearGrid,
+    particles: ParticleSet,
+    labeling: SeedLabeling,
+    label: int,
+    coords: tuple[np.ndarray, ...] | None = None,
 ) -> TriangleMesh:
-    """Closed boundary around the seeds carrying `label`; empty mesh if none do."""
+    """Closed boundary around the seeds carrying `label`; empty mesh if none do.
+
+    `coords` is `seed_axis_coords(grid, particles.refinement)`, passed in by
+    callers that extract many meshes so it is built once.
+    """
     sel = np.nonzero(labeling.labels == label)[0]
     if sel.size == 0:
         return _empty_mesh("boundary", label)
     pts = particles.lattice[sel]
-    lo, shape, axes = _lattice_box(grid, particles.refinement, pts)
+    lo, shape, axes = _lattice_box(grid, particles.refinement, pts, coords)
     inside = np.zeros(shape, dtype=bool)
     off = pts - lo + 1
     inside[off[:, 0], off[:, 1], off[:, 2]] = True
@@ -108,12 +118,14 @@ def extract_separation_surface(
     event: SplitEvent,
     pair: tuple[int, int],
     next_labeling: SeedLabeling,
+    coords: tuple[np.ndarray, ...] | None = None,
 ) -> TriangleMesh:
     """Open surface between the two sub-segments of a split, stamped t_{k+1}.
 
     Nodes of the splitting group take +/- for the two labels; everything else
     (other labels, other groups, empty lattice points) is invalid, which both
-    drives the case lookup and prunes triangles on the invalid rim.
+    drives the case lookup and prunes triangles on the invalid rim. `coords`
+    is as for `extract_boundary`.
     """
     j1, j2 = pair
     members = event.seed_indices
@@ -123,7 +135,7 @@ def extract_separation_surface(
     if plus_pts.shape[0] == 0 or minus_pts.shape[0] == 0:
         return _empty_mesh("separation", (j1, j2), event.time_next)
     all_pts = np.concatenate([plus_pts, minus_pts])
-    lo, shape, axes = _lattice_box(grid, particles.refinement, all_pts)
+    lo, shape, axes = _lattice_box(grid, particles.refinement, all_pts, coords)
     plus = np.zeros(shape, dtype=bool)
     minus = np.zeros(shape, dtype=bool)
     po = plus_pts - lo + 1

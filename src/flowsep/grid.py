@@ -121,6 +121,8 @@ class TimeStep:
     plic: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not np.isfinite(self.time):  # NaN passes every order and match check
+            raise GridError(f"step time must be finite, got {self.time}")
         if self.f.grid is not self.u.grid:
             raise GridError("f and u must share one grid")
         if self.f.ncomp != 1:

@@ -33,6 +33,7 @@ from .extract import (
     export_meshes,
     extract_boundary,
     extract_separation_surface,
+    seed_axis_coords,
     smooth_mesh,
 )
 from .grid import TimeSeriesDataset, TimeStep, locate_cells
@@ -92,7 +93,6 @@ _CONFIG_KEYS = {
     "refinement",
     "substeps",
     "corrector",
-    "trail_stride",
     "partitions",
     "ghost_width",
     "output",
@@ -129,7 +129,6 @@ def parse_config(path) -> PipelineConfig:
             refinement=int(raw.get("refinement", "0")),
             substeps=int(raw.get("substeps", "1")),
             corrector=raw.get("corrector", "full"),
-            trail_stride=int(raw.get("trail_stride", "8")),
         )
         partitions = None
         if raw.get("partitions", "none") not in ("none", ""):
@@ -276,7 +275,7 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
     return result
 
 
-def _finish(config, ds, particles, initial_labeling, labelings, splits, s_meshes, report):
+def _finish(config, ds, coords, particles, initial_labeling, labelings, splits, s_meshes, report):
     """Run tail: contribution table, boundary extraction, report statistics."""
     final_labeling = labelings[-1]
     table = contribution_table(initial_labeling, final_labeling, particles)
@@ -285,7 +284,7 @@ def _finish(config, ds, particles, initial_labeling, labelings, splits, s_meshes
     b_meshes = []
     final_labels = np.unique(final_labeling.labels)
     for j in final_labels[final_labels >= 0]:
-        b_meshes.append(extract_boundary(ds.grid, particles, final_labeling, int(j)))
+        b_meshes.append(extract_boundary(ds.grid, particles, final_labeling, int(j), coords))
     report.b_seconds = _time.perf_counter() - t_b
 
     if len(particles):
@@ -314,6 +313,7 @@ def _run(config: PipelineConfig, ds: TimeSeriesDataset, layout: PartitionLayout)
     step0 = ds.steps[seq[0]]
     labels0 = label_features_partitioned(step0, config.tau, layout)
     particles = seed_particles(step0, config.advection.refinement, config.tau)
+    coords = seed_axis_coords(ds.grid, particles.refinement)  # for every mesh of the run
     initial_labeling = assign_labels(particles, labels0, step0, config.tau)
     owner = _owners_for_positions(layout, ds.grid, particles.seeds)
 
@@ -348,16 +348,16 @@ def _run(config: PipelineConfig, ds: TimeSeriesDataset, layout: PartitionLayout)
         labels_k1 = label_features_partitioned(step_to, config.tau, layout)
         cur_labeling = assign_labels(particles, labels_k1, step_to, config.tau)
 
-        # split detection, separation surfaces, trail label attachment
+        # split detection and separation surfaces
         events = detect_splits(prev_labeling, cur_labeling, initial_labeling)
         for ev in events:
             splits.append((k, ev))
             for pair in itertools.combinations(ev.next_labels, 2):
-                mesh = extract_separation_surface(ds.grid, particles, ev, pair, cur_labeling)
+                mesh = extract_separation_surface(
+                    ds.grid, particles, ev, pair, cur_labeling, coords
+                )
                 if not mesh.empty:
                     s_meshes.append(mesh)
-        if particles.trail and particles.trail[-1].time == step_to.time:
-            particles.trail[-1].labels = cur_labeling.labels.copy()
 
         prev_labeling = cur_labeling
         labelings.append(cur_labeling)
@@ -372,7 +372,9 @@ def _run(config: PipelineConfig, ds: TimeSeriesDataset, layout: PartitionLayout)
                 features=labels_k1.count,
             )
         )
-    return _finish(config, ds, particles, initial_labeling, labelings, splits, s_meshes, report)
+    return _finish(
+        config, ds, coords, particles, initial_labeling, labelings, splits, s_meshes, report
+    )
 
 
 def _export(result: RunResult) -> None:

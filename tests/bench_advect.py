@@ -4,10 +4,13 @@ Run explicitly (the file name keeps it out of the default test collection):
 
     pytest tests/bench_advect.py --benchmark-only
 
-Both run on one interval of the orbit shape: a ball of radius 0.2 orbiting
-the domain center at radius 0.25 in a rigid rotation, 32^3 cells, refinement
-2 (64 subcells per liquid cell, about 70k particles), over a 1/76 turn. The
-corrector benchmark reuses the step's PLIC table, as a run does.
+The orbit cases run on one interval of the orbit shape: a ball of radius 0.2
+orbiting the domain center at radius 0.25 in a rigid rotation, 32^3 cells,
+refinement 2 (64 subcells per liquid cell, about 70k particles), over a 1/76
+turn. The corrector benchmark reuses the step's PLIC table, as a run does.
+The r = 3 case is the stage-1 search of the first interval of the split
+sphere on 32^3 cells over 10 steps (centre offset 0.3/-0.2/0.3 cells): about
+560k particles, 37k of them strays.
 """
 
 from __future__ import annotations
@@ -17,9 +20,26 @@ import copy
 import numpy as np
 import pytest
 
+from flowsep import advect
 from flowsep.advect import AdvectionConfig, correct_strays, rk4_positions, seed_particles
 from flowsep.dataset_io import SyntheticScenario, generate_scenario
-from flowsep.plic import plic_table
+from flowsep.plic import is_liquid_many, plic_table
+
+
+def _advected(step0, step1, refinement):
+    particles = seed_particles(step0, refinement=refinement)
+    pre_pos = particles.pos.copy()
+    particles.pos = rk4_positions(step0, step1, pre_pos)
+    plic_table(step1)
+    return particles, pre_pos
+
+
+def _stage1_args(step1, particles, pre_pos):
+    """Arguments of the stage-1 search as `correct_strays` passes them (every
+    particle stays in the domain over these intervals)."""
+    valid = is_liquid_many(step1, particles.pos, 0.0)
+    candidates, strays = np.nonzero(valid)[0], np.nonzero(~valid)[0]
+    return step1.grid, pre_pos, candidates, strays, particles.refinement
 
 
 @pytest.fixture(scope="module")
@@ -31,11 +51,22 @@ def orbit_interval():
         )
     )
     step0, step1 = ds.steps
-    particles = seed_particles(step0, refinement=2)
-    pre_pos = particles.pos.copy()
-    particles.pos = rk4_positions(step0, step1, pre_pos)
-    plic_table(step1)
+    particles, pre_pos = _advected(step0, step1, 2)
     return step0, step1, particles, pre_pos
+
+
+@pytest.fixture(scope="module")
+def split32_r3_interval():
+    h = 1.0 / 32
+    ds = generate_scenario(
+        SyntheticScenario(
+            kind="split-sphere", cells=32, steps=2, span=1.0 / 9, radius=0.2, speed=0.25,
+            center=tuple(0.5 + h * np.array([0.3, -0.2, 0.3])),
+        )
+    )
+    step0, step1 = ds.steps
+    particles, pre_pos = _advected(step0, step1, 3)
+    return step1, particles, pre_pos
 
 
 def test_rk4_positions(benchmark, orbit_interval):
@@ -53,3 +84,16 @@ def test_correct_strays(benchmark, orbit_interval):
 
     strays = benchmark.pedantic(correct_strays, setup=fresh, rounds=20)
     assert strays.size > 0
+
+
+def test_nearest_neighbors(benchmark, orbit_interval):
+    _, step1, particles, pre_pos = orbit_interval
+    args = _stage1_args(step1, particles, pre_pos)
+    best = benchmark(advect._nearest_neighbors, *args)
+    assert best.size == args[3].size > 0
+
+
+def test_nearest_neighbors_r3(benchmark, split32_r3_interval):
+    args = _stage1_args(*split32_r3_interval)
+    best = benchmark.pedantic(advect._nearest_neighbors, args=args, rounds=3)
+    assert best.size == args[3].size > 30000

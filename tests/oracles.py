@@ -4,7 +4,10 @@ Everything here is deliberately implemented without reusing the library's own
 code paths: brute-force counting, raster-scan union-find, parity ray casting,
 closed-form kinematics, and the scalar loops and per-group or scatter-add
 forms that the library replaced with array code (the marching-cubes loop
-shares only the case table with the library).
+shares only the case table with the library). The stage-1 neighbour oracle is
+the library's former search, kept as it was: it locates cells and takes the
+per-stray minimum with the library's own functions, each pinned to a scalar
+oracle here.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
+from flowsep.advect import _first_per_group
+from flowsep.grid import flat_indices, locate_cells
 from flowsep.marching import CASE_TRIS, CORNERS, EDGES
 
 # --- half-space / box volume oracles ---------------------------------------
@@ -698,3 +703,51 @@ def first_per_group_lexsort(group, *keys) -> np.ndarray:
     order = np.lexsort(keys[::-1] + (group,))
     g = group[order]
     return order[np.r_[True, g[1:] != g[:-1]]]
+
+
+# --- stage-1 nearest valid neighbour (all candidates of the 27 cells) -----------
+
+
+def nearest_neighbors_cell_keys(
+    grid, pre_pos: np.ndarray, candidates: np.ndarray, strays: np.ndarray
+) -> np.ndarray:
+    """Reference for `flowsep.advect._nearest_neighbors` (its former body): per
+    stray, the candidate nearest to it in the pre-interval snapshot among the
+    3x3x3 cells around the stray's pre-interval cell (-1 where there is none).
+
+    Ties go to the lowest particle index. Candidate cell keys are sorted once;
+    each of the 27 neighbor offsets is one `searchsorted`, and the running best
+    is kept across offsets.
+    """
+    best = np.full(strays.size, -1, dtype=np.int64)
+    cidx, cin = locate_cells(grid, pre_pos[candidates])
+    keys = flat_indices(grid, cidx[cin])
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    cands = candidates[cin][order]
+    sidx, sin = locate_cells(grid, pre_pos[strays])
+    rows = np.nonzero(sin)[0]
+    sidx = sidx[rows]
+    best_d2 = np.full(rows.size, np.inf)
+    best_p = np.full(rows.size, -1, dtype=np.int64)
+    shape = np.array(grid.shape)
+    for off in itertools.product((-1, 0, 1), repeat=3):
+        nb = sidx + np.array(off)
+        ok = np.all((nb >= 0) & (nb < shape), axis=1)
+        key = flat_indices(grid, nb)
+        first = np.searchsorted(keys, key, side="left")
+        count = np.where(ok, np.searchsorted(keys, key, side="right") - first, 0)
+        total = int(count.sum())
+        if total == 0:
+            continue
+        owner = np.repeat(np.arange(rows.size), count)  # non-decreasing
+        at = np.arange(total) + np.repeat(first - (np.cumsum(count) - count), count)
+        p = cands[at]
+        d2 = np.sum((pre_pos[p] - pre_pos[strays[rows[owner]]]) ** 2, axis=1)
+        win = _first_per_group(owner, d2, p)
+        w, wd2, wp = owner[win], d2[win], p[win]
+        better = (wd2 < best_d2[w]) | ((wd2 == best_d2[w]) & (wp < best_p[w]))
+        best_d2[w[better]] = wd2[better]
+        best_p[w[better]] = wp[better]
+    best[rows] = best_p
+    return best

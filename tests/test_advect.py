@@ -22,6 +22,7 @@ from flowsep.grid import CellField, RectilinearGrid, TimeStep, uniform_grid
 from .oracles import (
     first_per_group_lexsort,
     nearest_capable_cell,
+    nearest_neighbors_cell_keys,
     rotate_about_z,
     segment_box_entry,
 )
@@ -140,14 +141,6 @@ class TestIntegration:
         orders = [np.log2(errors[i] / errors[i + 1]) for i in range(3)]
         for order in orders:
             assert 3.5 <= order <= 4.5
-
-    def test_trail_recording_stride(self):
-        step_times = [liquid_block_step(2, time=float(t)) for t in range(5)]
-        ps = probes_particle_set([[0.5, 0.5, 0.5]])
-        cfg = AdvectionConfig(corrector="off", trail_stride=2)
-        for k in range(4):
-            advance_interval(ps, step_times[k], step_times[k + 1], cfg)
-        assert [frame.time for frame in ps.trail] == [2.0, 4.0]
 
 
 class TestCorrector:
@@ -339,6 +332,87 @@ class TestStage2Target:
             got = advect._nearest_capable_cells(grid, capable, pts)
         want = [nearest_capable_cell(axes, capable, p) for p in pts]
         assert got.tolist() == [-1 if w is None else w for w in want]
+
+
+@st.composite
+def stage1_cases(draw):
+    """A rectilinear grid with unequal spacing, some cells only a few ulps wide,
+    a refinement 0-3, positions drawn from a small per-axis pool (bin faces, so
+    cell faces and both domain faces, bin midpoints, points outside the
+    domain), so that equal d^2 ties are common, a candidate / stray / dead role
+    per position and a bin block size."""
+    r = draw(st.integers(0, 3))
+    s = 2**r
+    axes, pools = [], []
+    for _ in range(3):
+        node = draw(st.sampled_from([-1.0, 0.0, 0.25]))
+        nodes = [node]
+        for _ in range(draw(st.integers(1, 4))):
+            kind = draw(st.sampled_from(["dyadic", "dyadic", "float", "ulps"]))
+            if kind == "ulps":
+                for _ in range(draw(st.integers(1, 3))):
+                    node = np.nextafter(node, np.inf)
+            elif kind == "float":
+                node += draw(st.floats(0.05, 2.0))
+            else:
+                node += draw(st.sampled_from([0.25, 0.5, 0.75, 1.0]))
+            nodes.append(node)
+        a = np.array(nodes)
+        axes.append(a)
+        w = np.diff(a)
+        faces = (a[:-1, None] + (np.arange(s) / s)[None, :] * w[:, None]).ravel()
+        mids = (a[:-1, None] + ((np.arange(s) + 0.5) / s)[None, :] * w[:, None]).ravel()
+        pools.append(np.concatenate([faces, mids, [a[-1], a[0] - 0.5, a[-1] + 0.5]]))
+    n = draw(st.integers(1, 30))
+    pos = np.array([[p[draw(st.integers(0, p.size - 1))] for p in pools] for _ in range(n)])
+    role = np.array(draw(st.lists(st.sampled_from([0, 0, 1, 2]), min_size=n, max_size=n)))
+    if (role == 1).any() and draw(st.booleans()):
+        # two candidates mirrored about a stray along one axis, the upper one
+        # first: on a uniform lattice they tie, and the upper one can lie on
+        # the bin face that bounds the search when the lower one is found
+        x = pos[draw(st.sampled_from(np.nonzero(role == 1)[0].tolist()))]
+        d = draw(st.integers(0, 2))
+        upper, lower = x.copy(), x.copy()
+        upper[d] = pools[d][draw(st.integers(0, pools[d].size - 1))]
+        lower[d] = x[d] - (upper[d] - x[d])
+        pos = np.vstack([upper, lower, pos])
+        role = np.r_[0, 0, role]
+    block = draw(st.sampled_from([1, 3, advect.BIN_BLOCK]))
+    return axes, r, pos, np.nonzero(role == 0)[0], np.nonzero(role == 1)[0], block
+
+
+_UNIT4 = [np.arange(5.0), np.array([0.0, 1.0]), np.array([0.0, 1.0])]  # 4 x 1 x 1 cells
+# the nearest candidates tie at d^2 = 0.25: index 2 in the stray's own cell,
+# index 0 on the lower face of the next cell, exactly at the retirement bound
+_TIE_ON_FACE = (_UNIT4, 0, np.array([[2.0, 0.5, 0.5], [1.5, 0.5, 0.5], [1.5, 0.5, 0.0]]),
+                np.array([0, 2]), np.array([1]), advect.BIN_BLOCK)
+# the only candidate lies in the first bin above (below) the first stray's
+# 3x3x3 cells, and in range of the second stray
+_ABOVE_RANGE = (_UNIT4, 1, np.array([[2.25, 0.5, 0.5], [0.25, 0.5, 0.5], [3.75, 0.5, 0.5]]),
+                np.array([0]), np.array([1, 2]), 1)
+_BELOW_RANGE = (_UNIT4, 1, np.array([[1.75, 0.5, 0.5], [3.75, 0.5, 0.5], [0.25, 0.5, 0.5]]),
+                np.array([0]), np.array([1, 2]), 1)
+# one cell; a candidate below the domain on every axis is out of range
+_BELOW_DOMAIN = ([np.array([0.0, 1.0])] * 3, 1,
+                 np.array([[-0.5, -0.5, -0.5], [0.5, 0.5, 0.5], [0.25, 0.5, 0.5]]),
+                 np.array([0, 2]), np.array([1]), advect.BIN_BLOCK)
+
+
+class TestStage1Search:
+    @settings(max_examples=300, deadline=None)
+    @given(case=stage1_cases())
+    @example(case=_TIE_ON_FACE)
+    @example(case=_ABOVE_RANGE)
+    @example(case=_BELOW_RANGE)
+    @example(case=_BELOW_DOMAIN)
+    def test_bin_search_equals_cell_key_search(self, case):
+        axes, r, pos, candidates, strays, block = case
+        grid = RectilinearGrid(tuple(axes))
+        with mock.patch.object(advect, "BIN_BLOCK", block):
+            got = advect._nearest_neighbors(grid, pos, candidates, strays, r)
+        want = nearest_neighbors_cell_keys(grid, pos, candidates, strays)
+        assert got.dtype == want.dtype
+        assert got.tolist() == want.tolist()
 
 
 @st.composite

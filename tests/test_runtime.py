@@ -43,7 +43,6 @@ class TestConfigParsing:
             refinement=1,
             substeps=2,
             corrector="stages-2-3",
-            trail_stride=4,
             partitions="2x1x1",
             ghost_width=3,
             output="out",
@@ -247,6 +246,41 @@ class TestPartitionedRuntime:
         assert sum(part.report.handoffs) > 0  # rotation does cross the cuts
 
 
+    def test_serial_and_partitioned_record_the_same_intervals(self, tmp_path):
+        # the only particle leaves the domain in the first interval; the second
+        # interval still labels the (all-dead) set
+        g = uniform_grid((4, 2, 2))
+        f = np.zeros(g.ncells)
+        f[flat_index(g, (3, 0, 0))] = 1.0
+        u = np.zeros((3, g.ncells))
+        u[0] = 1.5 * 0.25  # 1.5 cells per interval
+        steps = [
+            TimeStep(time=float(t), f=CellField(g, f), u=CellField(g, u, ncomp=3))
+            for t in (0.0, 1.0, 2.0)
+        ]
+        manifest = write_dataset(TimeSeriesDataset(grid=g, steps=steps), tmp_path / "leave")
+        results = []
+        for partitions in (None, (2, 1, 1)):
+            cfg = PipelineConfig(
+                manifest=manifest,
+                t0=0,
+                tf=2,
+                partitions=partitions,
+                advection=AdvectionConfig(corrector="off"),
+            )
+            result = run_pipeline(cfg)
+            assert result.report.particles == 1
+            assert not result.particles.alive.any()
+            results.append(result)
+        serial, part = results
+        assert len(serial.labelings) == len(part.labelings) == 3
+        for a, b in zip(serial.labelings, part.labelings):
+            assert a.time == b.time
+            assert np.array_equal(a.labels, b.labels)
+        assert np.array_equal(serial.particles.pos, part.particles.pos)
+        assert np.array_equal(serial.particles.alive, part.particles.alive)
+
+
 class TestReportAndArtifacts:
     def test_interval_stats_cover_each_interval_once(self, split32_result):
         report = split32_result.report
@@ -353,6 +387,12 @@ class TestCli:
         path = write_config(tmp_path / "bad.cfg", manifest="m", t0=0, tf=1, bogus="x")
         assert main(["run", "--config", str(path)]) == 1
 
+    def test_removed_trail_stride_exit_code(self, tmp_path, capsys):
+        # trails are gone; a config that still sets their stride is an unknown key
+        path = write_config(tmp_path / "old.cfg", manifest="m", t0=0, tf=1, trail_stride=8)
+        assert main(["run", "--config", str(path)]) == 1
+        assert "trail_stride" in capsys.readouterr().err
+
     def test_data_error_exit_code(self, tmp_path):
         path = write_config(tmp_path / "run.cfg", manifest="missing.manifest", t0=0, tf=1)
         assert main(["run", "--config", str(path)]) == 2
@@ -405,15 +445,26 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "fault, named",
-        [("no-steps", "dataset.manifest"), ("step-tail", "step_0001.bin"), ("grid-tail", "grid.bin")],
-        ids=["no-steps", "step-tail", "grid-tail"],
+        [
+            ("no-steps", "dataset.manifest"),
+            ("step-tail", "step_0001.bin"),
+            ("grid-tail", "grid.bin"),
+            ("step-nan-time", "step_0001.bin"),
+        ],
+        ids=["no-steps", "step-tail", "grid-tail", "step-nan-time"],
     )
     def test_malformed_dataset_exit_code(self, tmp_path, capsys, fault, named):
-        # a manifest without steps, or a step or grid file with bytes past its payload
+        # a manifest without steps, a step or grid file with bytes past its
+        # payload, or a step file whose time is NaN
         sc = SyntheticScenario(kind="rigid-rotation", cells=6, steps=2)
         manifest = write_dataset(generate_scenario(sc), tmp_path / "ds")
         if fault == "no-steps":
             manifest.write_text(manifest.read_text().splitlines()[0] + "\n")
+        elif fault == "step-nan-time":
+            # step header: 8 magic bytes, 4 u32 dims, then the f64 time
+            with open(tmp_path / "ds" / named, "r+b") as fh:
+                fh.seek(24)
+                fh.write(struct.pack("<d", float("nan")))
         else:
             with open(tmp_path / "ds" / named, "ab") as fh:
                 fh.write(b"\0" * 8)
@@ -483,47 +534,3 @@ class TestEnclosureOnAdvectedRun:
             inside = points_in_mesh(pts, mesh.vertices, mesh.triangles)
             assert np.array_equal(inside, points_in_mesh_full(pts, mesh.vertices, mesh.triangles))
             assert inside.any() and not inside.all()
-
-
-class TestTrailFrames:
-    def test_stride_and_labels(self, split32_result):
-        trail = split32_result.particles.trail
-        assert len(trail) == 1  # 9 intervals, stride 8
-        frame = trail[0]
-        assert frame.labels is not None
-        assert frame.positions.shape == split32_result.particles.pos.shape
-        assert set(np.unique(frame.labels)).issubset({-1, 0, 1})
-
-    def test_serial_and_partitioned_record_the_same_frames(self, tmp_path):
-        # the only particle leaves the domain in the first interval; the
-        # second interval still records its (all-dead) frame
-        g = uniform_grid((4, 2, 2))
-        f = np.zeros(g.ncells)
-        f[flat_index(g, (3, 0, 0))] = 1.0
-        u = np.zeros((3, g.ncells))
-        u[0] = 1.5 * 0.25  # 1.5 cells per interval
-        steps = [
-            TimeStep(time=float(t), f=CellField(g, f), u=CellField(g, u, ncomp=3))
-            for t in (0.0, 1.0, 2.0)
-        ]
-        manifest = write_dataset(TimeSeriesDataset(grid=g, steps=steps), tmp_path / "leave")
-        trails = []
-        for partitions in (None, (2, 1, 1)):
-            cfg = PipelineConfig(
-                manifest=manifest,
-                t0=0,
-                tf=2,
-                partitions=partitions,
-                advection=AdvectionConfig(corrector="off", trail_stride=1),
-            )
-            result = run_pipeline(cfg)
-            assert result.report.particles == 1
-            assert not result.particles.alive.any()
-            trails.append(result.particles.trail)
-        serial, part = trails
-        assert [fr.time for fr in serial] == [1.0, 2.0]
-        assert [fr.time for fr in part] == [1.0, 2.0]
-        for a, b in zip(serial, part):
-            assert np.array_equal(a.positions, b.positions)
-            assert np.array_equal(a.alive, b.alive)
-            assert np.array_equal(a.labels, b.labels)
