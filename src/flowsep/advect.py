@@ -263,8 +263,10 @@ def correct_strays(
     particles.alive[strays[dropped]] = False
     particles.eps[strays] += eps
 
-    # phase invariant: every alive particle is phase-consistent after correction
-    still = phase_violations(particles, step_to, tau)
+    # phase invariant: every alive particle is phase-consistent after
+    # correction; only the kept strays moved, so only they are tested again
+    kept_ids = strays[kept]
+    still = kept_ids[~is_liquid_many(step_to, particles.pos[kept_ids], tau)]
     if still.size:
         raise PhaseConsistencyError(
             f"corrector left {still.size} phase-inconsistent particles (first: {still[:5]})"

@@ -38,6 +38,13 @@ def _read_exact(fh, n: int, path, what: str) -> bytes:
     return buf
 
 
+def _read_into(fh, out: np.ndarray, path, what: str) -> None:
+    """Fill the contiguous array `out` straight from the file."""
+    got = fh.readinto(out)
+    if got != out.nbytes:
+        raise TruncatedPayloadError(f"{path}: truncated {what} ({got} of {out.nbytes} bytes)")
+
+
 def _expect_end(fh, path) -> None:
     extra = os.fstat(fh.fileno()).st_size - fh.tell()
     if extra:
@@ -100,12 +107,11 @@ def read_timestep(path, grid: RectilinearGrid) -> TimeStep:
             )
         (time,) = struct.unpack("<d", _read_exact(fh, 8, path, "step header"))
         n = grid.ncells
-        fbuf = _read_exact(fh, 8 * n, path, "fraction payload")
-        f = np.frombuffer(fbuf, dtype="<f8").copy()
-        u = np.empty((3, n))
+        f = np.empty(n, dtype="<f8")
+        _read_into(fh, f, path, "fraction payload")
+        u = np.empty((3, n), dtype="<f8")
         for c in range(3):
-            ubuf = _read_exact(fh, 8 * n, path, f"velocity component {c}")
-            u[c] = np.frombuffer(ubuf, dtype="<f8")
+            _read_into(fh, u[c], path, f"velocity component {c}")
         _expect_end(fh, path)
     try:
         return TimeStep(time=time, f=CellField(grid, f), u=CellField(grid, u, ncomp=3))
@@ -171,24 +177,85 @@ def write_dataset(ds: TimeSeriesDataset, out_dir) -> Path:
     return mpath
 
 
-def load_dataset(manifest_path) -> TimeSeriesDataset:
+def _series_files(manifest_path) -> tuple[RectilinearGrid, list[tuple[float, Path]]]:
+    """The dataset grid and the manifest's (time, step path) entries."""
     mpath = Path(manifest_path)
     manifest = read_manifest(mpath)
     base = mpath.parent
     grid_file = base / manifest.grid_path
     if not grid_file.exists():
         raise DatasetError(f"{manifest_path}: grid file {grid_file} does not exist")
-    grid = read_grid(grid_file)
+    return read_grid(grid_file), [(t, base / rel) for t, rel in manifest.steps]
+
+
+def _read_checked_step(manifest_path, grid, t: float, spath: Path, prev: float | None) -> TimeStep:
+    """One manifest step, checked against its manifest time `t` and to come
+    strictly after the previous step's time `prev` (None for the first)."""
+    if not spath.exists():
+        raise DatasetError(f"{manifest_path}: step file {spath} does not exist")
+    step = read_timestep(spath, grid)
+    if abs(step.time - t) > 1e-12 * max(1.0, abs(t)):
+        raise DatasetError(f"{spath}: step time {step.time} disagrees with manifest {t}")
+    if prev is not None and step.time <= prev:
+        raise DatasetError(f"{spath}: step time {step.time} does not follow {prev}")
+    return step
+
+
+def load_dataset(manifest_path) -> TimeSeriesDataset:
+    """Read and check every step of a dataset and keep them all."""
+    grid, entries = _series_files(manifest_path)
     steps = []
-    for t, rel in manifest.steps:
-        spath = base / rel
-        if not spath.exists():
-            raise DatasetError(f"{manifest_path}: step file {spath} does not exist")
-        step = read_timestep(spath, grid)
-        if abs(step.time - t) > 1e-12 * max(1.0, abs(t)):
-            raise DatasetError(f"{spath}: step time {step.time} disagrees with manifest {t}")
-        steps.append(step)
+    for t, spath in entries:
+        prev = steps[-1].time if steps else None
+        steps.append(_read_checked_step(manifest_path, grid, t, spath, prev))
     return TimeSeriesDataset(grid=grid, steps=steps)
+
+
+@dataclass
+class StepSeries:
+    """A checked dataset whose steps are read when they are needed.
+
+    `scan_dataset` fills it in one validating pass over every step file and
+    keeps only the steps it is asked for. `take(k)` hands a kept step over
+    and forgets it, or reads step k again; a step read again must carry the
+    time the pass recorded, bit for bit.
+    """
+
+    grid: RectilinearGrid
+    paths: list[Path]
+    times: list[float]
+    umax: np.ndarray  # (nsteps, 3) per-axis max |u| of every step
+    kept: dict[int, TimeStep]
+
+    def __len__(self) -> int:
+        return len(self.paths)
+
+    def take(self, k: int) -> TimeStep:
+        step = self.kept.pop(k, None)
+        if step is not None:
+            return step
+        path, t = self.paths[k], self.times[k]
+        step = read_timestep(path, self.grid)
+        if struct.pack("<d", step.time) != struct.pack("<d", t):
+            raise DatasetError(f"{path}: step time {step.time!r} differs from {t!r} read before")
+        return step
+
+
+def scan_dataset(manifest_path, keep=()) -> StepSeries:
+    """Validating pre-pass: read and check every step as `load_dataset` does,
+    record each step's time and per-axis max |u|, and keep only the steps
+    whose indices are in `keep`."""
+    grid, entries = _series_files(manifest_path)
+    times, umax, kept = [], [], {}
+    for k, (t, spath) in enumerate(entries):
+        step = _read_checked_step(manifest_path, grid, t, spath, times[-1] if times else None)
+        times.append(step.time)
+        umax.append([np.abs(step.u.component(d)).max(initial=0.0) for d in range(3)])
+        if k in keep:
+            kept[k] = step
+        del step  # an unkept step is freed before the next read
+    paths = [spath for _, spath in entries]
+    return StepSeries(grid, paths, times, np.array(umax).reshape(-1, 3), kept)
 
 
 SCENARIO_KINDS = ("split-sphere", "rigid-rotation", "merge-then-split", "shear-stretch")

@@ -17,7 +17,7 @@ from .advect import ParticleSet
 from .grid import RectilinearGrid
 from .labeling import connected_components
 from .marching import marching_cubes
-from .segment import SeedLabeling, SplitEvent
+from .segment import EXPORT_ROWS, SeedLabeling, SplitEvent
 
 
 @dataclass
@@ -201,13 +201,18 @@ def smooth_mesh(mesh: TriangleMesh, iterations: int = 10, lam: float = 0.5) -> T
     other = np.concatenate([edges[:, 1], edges[:, 0]])
     degree = np.bincount(ends, minlength=nv).astype(np.float64)
     degree[degree == 0] = 1.0
-    bins = (3 * ends[:, None] + np.arange(3)).ravel()  # (vertex, axis) bins
     v = mesh.vertices.copy()
+    moved = np.empty_like(v)
     for _ in range(iterations):
-        acc = np.bincount(bins, weights=v[other].ravel(), minlength=3 * nv).reshape(nv, 3)
-        moved = v + lam * (acc / degree[:, None] - v)
+        for d in range(3):  # one axis at a time bounds the temporaries
+            moved[:, d] = np.bincount(ends, weights=v[other, d], minlength=nv)
+        # v + lam * (acc / degree - v), in place
+        moved /= degree[:, None]
+        moved -= v
+        moved *= lam
+        moved += v
         moved[fixed] = v[fixed]
-        v = moved
+        v, moved = moved, v
     return TriangleMesh(
         vertices=v, triangles=mesh.triangles.copy(), kind=mesh.kind,
         label=mesh.label, timestamp=mesh.timestamp,
@@ -243,10 +248,19 @@ def filter_small_components(mesh: TriangleMesh, min_triangles: int) -> TriangleM
 
 
 def write_obj(mesh: TriangleMesh, path) -> None:
-    verts = np.asarray(mesh.vertices, dtype=np.float64).tolist()
-    lines = ["v %r %r %r" % tuple(r) for r in verts]
-    lines += ["f %d %d %d" % tuple(r) for r in (mesh.triangles + 1).tolist()]
-    Path(path).write_text("\n".join(lines) + "\n")
+    """`v` rows (floats as `repr`), then 1-based `f` rows, formatted and
+    written `EXPORT_ROWS` at a time; a mesh without rows is one empty line."""
+    verts = np.asarray(mesh.vertices, dtype=np.float64)
+    tris = mesh.triangles
+    with open(path, "w") as fh:
+        if not (len(verts) or len(tris)):
+            fh.write("\n")
+        for a in range(0, len(verts), EXPORT_ROWS):
+            rows = verts[a : a + EXPORT_ROWS].tolist()
+            fh.write("".join(["v %r %r %r\n" % tuple(r) for r in rows]))
+        for a in range(0, len(tris), EXPORT_ROWS):
+            rows = (tris[a : a + EXPORT_ROWS] + 1).tolist()
+            fh.write("".join(["f %d %d %d\n" % tuple(r) for r in rows]))
 
 
 def export_meshes(meshes: list[TriangleMesh], out_dir, min_triangles: int = 0) -> Path:

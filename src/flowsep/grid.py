@@ -169,14 +169,15 @@ def locate_cells(grid: RectilinearGrid, pts: np.ndarray) -> tuple[np.ndarray, np
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
     n = pts.shape[0]
-    idx = np.zeros((n, 3), dtype=np.int64)
+    idx = np.empty((n, 3), dtype=np.int64)
     inside = np.ones(n, dtype=bool)
     for d in range(3):
         a = grid.axes[d]
-        i = np.searchsorted(a, pts[:, d], side="right") - 1
-        np.minimum(i, a.size - 2, out=i)  # last node belongs to the final cell
-        inside &= (pts[:, d] >= a[0]) & (pts[:, d] <= a[-1])
-        idx[:, d] = i
+        x = pts[:, d]
+        i = np.searchsorted(a, x, side="right")  # NaN sorts past the last node
+        inside &= (i > 0) & (x <= a[-1])  # i > 0 iff x >= a[0]
+        np.minimum(i, a.size - 1, out=i)  # last node belongs to the final cell
+        np.subtract(i, 1, out=idx[:, d])
     return idx, inside
 
 

@@ -27,7 +27,7 @@ from .advect import (
     advance_interval,
     seed_particles,
 )
-from .dataset_io import DatasetError, load_dataset
+from .dataset_io import DatasetError, StepSeries, scan_dataset
 from .extract import (
     TriangleMesh,
     export_meshes,
@@ -36,7 +36,7 @@ from .extract import (
     seed_axis_coords,
     smooth_mesh,
 )
-from .grid import TimeSeriesDataset, TimeStep, locate_cells
+from .grid import locate_cells
 from .labeling import PartitionLayout, label_features_partitioned
 from .segment import (
     ContributionTable,
@@ -222,15 +222,13 @@ def _step_sequence(t0: int, tf: int) -> list[int]:
     return list(range(t0, tf - 1, -1))
 
 
-def _check_ghost_width(step_a: TimeStep, step_b: TimeStep, layout: PartitionLayout) -> None:
-    grid = step_a.grid
-    dt = abs(step_b.time - step_a.time)
+def _check_ghost_width(series: StepSeries, a: int, b: int, layout: PartitionLayout) -> None:
+    """Interval a -> b, from the times and max |u| the pre-pass recorded."""
+    grid = series.grid
+    dt = abs(series.times[b] - series.times[a])
     needed = 0.0
     for d in range(3):
-        umax = max(
-            float(np.abs(step_a.u.component(d)).max(initial=0.0)),
-            float(np.abs(step_b.u.component(d)).max(initial=0.0)),
-        )
+        umax = max(float(series.umax[a, d]), float(series.umax[b, d]))
         wmin = float(grid.widths[d].min())
         needed = max(needed, umax * dt / wmin)
     if int(np.ceil(needed)) > layout.ghost_width:
@@ -256,26 +254,28 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
             Path(config.output).mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"output {config.output}: {exc}") from exc
-    ds = load_dataset(config.manifest)
+    # every step is read and checked here; only the run's first two stay
+    ahead = 1 if config.tf > config.t0 else -1 if config.tf < config.t0 else 0
+    series = scan_dataset(config.manifest, keep={config.t0, config.t0 + ahead})
     for name, idx in (("t0", config.t0), ("tf", config.tf)):
-        if not 0 <= idx < len(ds):
-            raise ConfigError(f"{name} index {idx} outside dataset of {len(ds)} steps")
+        if not 0 <= idx < len(series):
+            raise ConfigError(f"{name} index {idx} outside dataset of {len(series)} steps")
     try:
         layout = PartitionLayout(
             counts=config.partitions or (1, 1, 1),
-            shape=ds.grid.shape,
+            shape=series.grid.shape,
             ghost_width=config.ghost_width,
         )
     except ValueError as exc:
         raise ConfigError(f"partitions: {exc}") from exc
 
-    result = _run(config, ds, layout)
+    result = _run(config, series, layout)
     if config.output is not None:
         _export(result)
     return result
 
 
-def _finish(config, ds, coords, particles, initial_labeling, labelings, splits, s_meshes, report):
+def _finish(config, grid, coords, particles, initial_labeling, labelings, splits, s_meshes, report):
     """Run tail: contribution table, boundary extraction, report statistics."""
     final_labeling = labelings[-1]
     table = contribution_table(initial_labeling, final_labeling, particles)
@@ -284,7 +284,7 @@ def _finish(config, ds, coords, particles, initial_labeling, labelings, splits, 
     b_meshes = []
     final_labels = np.unique(final_labeling.labels)
     for j in final_labels[final_labels >= 0]:
-        b_meshes.append(extract_boundary(ds.grid, particles, final_labeling, int(j), coords))
+        b_meshes.append(extract_boundary(grid, particles, final_labeling, int(j), coords))
     report.b_seconds = _time.perf_counter() - t_b
 
     if len(particles):
@@ -305,17 +305,20 @@ def _finish(config, ds, coords, particles, initial_labeling, labelings, splits, 
     )
 
 
-def _run(config: PipelineConfig, ds: TimeSeriesDataset, layout: PartitionLayout) -> RunResult:
+def _run(config: PipelineConfig, series: StepSeries, layout: PartitionLayout) -> RunResult:
+    """The loop holds two steps, `step_from` and `step_to`; the step that
+    leaves the window, and its PLIC table, are freed before the next is read."""
     seq = _step_sequence(config.t0, config.tf)
+    grid = series.grid
     if layout.nparts > 1:  # a single block has no neighbouring halo
         for a, b in zip(seq, seq[1:]):
-            _check_ghost_width(ds.steps[a], ds.steps[b], layout)
-    step0 = ds.steps[seq[0]]
-    labels0 = label_features_partitioned(step0, config.tau, layout)
-    particles = seed_particles(step0, config.advection.refinement, config.tau)
-    coords = seed_axis_coords(ds.grid, particles.refinement)  # for every mesh of the run
-    initial_labeling = assign_labels(particles, labels0, step0, config.tau)
-    owner = _owners_for_positions(layout, ds.grid, particles.seeds)
+            _check_ghost_width(series, a, b, layout)
+    step_to = series.take(seq[0])
+    labels0 = label_features_partitioned(step_to, config.tau, layout)
+    particles = seed_particles(step_to, config.advection.refinement, config.tau)
+    coords = seed_axis_coords(grid, particles.refinement)  # for every mesh of the run
+    initial_labeling = assign_labels(particles, labels0, step_to, config.tau)
+    owner = _owners_for_positions(layout, grid, particles.seeds)
 
     report = RunReport(particles=len(particles))
     labelings = [initial_labeling]
@@ -324,8 +327,8 @@ def _run(config: PipelineConfig, ds: TimeSeriesDataset, layout: PartitionLayout)
     prev_labeling = initial_labeling
 
     for k in range(len(seq) - 1):
-        step_from = ds.steps[seq[k]]
-        step_to = ds.steps[seq[k + 1]]
+        step_from = step_to  # drops the previous step_from
+        step_to = series.take(seq[k + 1])
         t_start = _time.perf_counter()
         eps_before = particles.eps > 0.0
 
@@ -339,7 +342,7 @@ def _run(config: PipelineConfig, ds: TimeSeriesDataset, layout: PartitionLayout)
         # ownership follows position; a particle outside every block dies
         now = np.full(len(particles), -1, dtype=np.int64)
         alive = np.nonzero(particles.alive)[0]
-        now[alive] = _owners_for_positions(layout, ds.grid, particles.pos[alive])
+        now[alive] = _owners_for_positions(layout, grid, particles.pos[alive])
         particles.alive &= now >= 0
         moved = (now >= 0) & (now != owner)
         report.handoffs.append(np.unique(owner[moved] * layout.nparts + now[moved]).size)
@@ -354,7 +357,7 @@ def _run(config: PipelineConfig, ds: TimeSeriesDataset, layout: PartitionLayout)
             splits.append((k, ev))
             for pair in itertools.combinations(ev.next_labels, 2):
                 mesh = extract_separation_surface(
-                    ds.grid, particles, ev, pair, cur_labeling, coords
+                    grid, particles, ev, pair, cur_labeling, coords
                 )
                 if not mesh.empty:
                     s_meshes.append(mesh)
@@ -372,8 +375,9 @@ def _run(config: PipelineConfig, ds: TimeSeriesDataset, layout: PartitionLayout)
                 features=labels_k1.count,
             )
         )
+    step_from = step_to = None  # no step is needed past the loop
     return _finish(
-        config, ds, coords, particles, initial_labeling, labelings, splits, s_meshes, report
+        config, grid, coords, particles, initial_labeling, labelings, splits, s_meshes, report
     )
 
 

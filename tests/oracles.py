@@ -652,6 +652,23 @@ def locate_cell(grid, x):
     return tuple(cell)
 
 
+def locate_cells_passes(grid, pts):
+    """Reference for `flowsep.grid.locate_cells` (its former body): the index
+    is clamped and the inside test takes both domain faces as separate
+    full-size passes per axis."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
+    n = pts.shape[0]
+    idx = np.zeros((n, 3), dtype=np.int64)
+    inside = np.ones(n, dtype=bool)
+    for d in range(3):
+        a = grid.axes[d]
+        i = np.searchsorted(a, pts[:, d], side="right") - 1
+        np.minimum(i, a.size - 2, out=i)  # last node belongs to the final cell
+        inside &= (pts[:, d] >= a[0]) & (pts[:, d] <= a[-1])
+        idx[:, d] = i
+    return idx, inside
+
+
 def flat_index(grid, cell) -> int:
     """Flat index of one cell in the x-fastest layout."""
     nx, ny, _ = grid.shape

@@ -15,6 +15,7 @@ from flowsep.dataset_io import (
     read_grid,
     read_manifest,
     read_timestep,
+    scan_dataset,
     write_dataset,
     write_grid,
     write_manifest,
@@ -80,6 +81,24 @@ class TestBinaryRoundTrip:
         with pytest.raises(TruncatedPayloadError):
             read_timestep(path, g)
 
+    @pytest.mark.parametrize(
+        "keep, what",
+        [(32 + 10, "fraction payload (10 of 64 bytes)"),
+         (32 + 2 * 64 + 10, "velocity component 1 (10 of 64 bytes)"),
+         (32 + 4 * 64 - 40, "velocity component 2 (24 of 64 bytes)")],
+        ids=["fraction", "velocity-1", "velocity-2"],
+    )
+    def test_truncated_payload_message(self, tmp_path, keep, what):
+        # 32 header bytes, then f and the three velocity components, 64 bytes each
+        g = uniform_grid(2)
+        step = random_step(g, np.random.default_rng(3))
+        path = tmp_path / "step.bin"
+        write_timestep(step, path)
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(TruncatedPayloadError) as exc:
+            read_timestep(path, g)
+        assert str(exc.value) == f"{path}: truncated {what}"
+
 
 class TestManifest:
     def test_roundtrip(self, tmp_path):
@@ -115,6 +134,41 @@ class TestManifest:
         for a, b in zip(ds.steps, back.steps):
             assert np.array_equal(a.f.values, b.f.values)
             assert np.array_equal(a.u.values, b.u.values)
+
+
+class TestScanDataset:
+    def test_records_every_step_and_keeps_the_asked_ones(self, tmp_path):
+        sc = SyntheticScenario(kind="rigid-rotation", cells=6, steps=5)
+        manifest = write_dataset(generate_scenario(sc), tmp_path / "ds")
+        full = load_dataset(manifest)
+        series = scan_dataset(manifest, keep=(3, 1))
+        assert len(series) == 5 and sorted(series.kept) == [1, 3]
+        assert series.times == [s.time for s in full.steps]
+        for k, step in enumerate(full.steps):
+            want = [np.abs(step.u.component(d)).max() for d in range(3)]
+            assert series.umax[k].tolist() == want
+        kept = series.kept[1]
+        assert series.take(1) is kept and 1 not in series.kept  # handed over once
+        for k in (1, 2):  # read again from its file
+            step = series.take(k)
+            assert step.time == full.steps[k].time
+            assert np.array_equal(step.f.values, full.steps[k].f.values)
+            assert np.array_equal(step.u.values, full.steps[k].u.values)
+
+    def test_step_times_must_increase(self, tmp_path):
+        # manifest times 1 and 1 + 1e-13 increase and each step time matches
+        # its own within the tolerance, but the two step times are equal
+        g = uniform_grid(2)
+        write_grid(g, tmp_path / "grid.bin")
+        for name in ("a.bin", "b.bin"):
+            write_timestep(random_step(g, np.random.default_rng(6), time=1.0), tmp_path / name)
+        write_manifest(
+            DatasetManifest(grid_path="grid.bin", steps=[(1.0, "a.bin"), (1.0 + 1e-13, "b.bin")]),
+            tmp_path / "ds.manifest",
+        )
+        for read in (load_dataset, scan_dataset):
+            with pytest.raises(DatasetError, match="b.bin"):
+                read(tmp_path / "ds.manifest")
 
 
 class TestScenarios:

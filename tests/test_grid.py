@@ -19,7 +19,7 @@ from flowsep.grid import (
     uniform_grid,
 )
 
-from .oracles import flat_index, locate_cell, sample_cell_field_loop
+from .oracles import flat_index, locate_cell, locate_cells_passes, sample_cell_field_loop
 
 
 def make_step(grid, f, u, time=0.0):
@@ -77,6 +77,29 @@ class TestRectilinearGrid:
         assert [flat_index(g, cell) for cell in ijk] == flat.tolist()
 
 
+@st.composite
+def locate_cases(draw):
+    """A rectilinear grid of 1-6 cells per axis and up to 30 points whose
+    coordinates are nodes (both domain faces included), their float
+    neighbours, NaN, +-inf, or uniform draws inside and around the domain."""
+    axes = []
+    for _ in range(3):
+        widths = draw(st.lists(st.floats(0.01, 2.0), min_size=1, max_size=6))
+        axes.append(draw(st.floats(-1.0, 1.0)) + np.concatenate([[0.0], np.cumsum(widths)]))
+    coords = [
+        st.one_of(
+            st.sampled_from(
+                [*a, *np.nextafter(a, -np.inf), *np.nextafter(a, np.inf), np.nan, np.inf, -np.inf]
+            ),
+            st.floats(a[0] - 1.0, a[-1] + 1.0),
+        )
+        for a in axes
+    ]
+    n = draw(st.integers(0, 30))
+    pts = np.array([[draw(c) for c in coords] for _ in range(n)]).reshape(n, 3)
+    return RectilinearGrid(tuple(axes)), pts
+
+
 def locate(grid, x):
     """One point through locate_cells: its cell, or None outside the domain."""
     idx, inside = locate_cells(grid, x)
@@ -111,6 +134,17 @@ class TestLocateCell:
         last = idx == np.array(g.shape) - 1
         assert np.all(lo <= pts)
         assert np.all(np.where(last, pts <= hi, pts < hi))
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=locate_cases())
+    def test_bitwise_equal_to_masked_passes(self, case):
+        # every row, also those outside the domain, equals the former body's
+        grid, pts = case
+        idx, inside = locate_cells(grid, pts)
+        want_idx, want_inside = locate_cells_passes(grid, pts)
+        assert idx.dtype == want_idx.dtype and idx.shape == want_idx.shape
+        assert np.array_equal(idx, want_idx)
+        assert np.array_equal(inside, want_inside)
 
     def test_vectorized_matches_scalar(self):
         g = uniform_grid((3, 4, 5))

@@ -1,14 +1,16 @@
 from __future__ import annotations
 
 import struct
+import weakref
 
 import numpy as np
 import pytest
 
 from flowsep.advect import AdvectionConfig
-from flowsep import runtime
+from flowsep import dataset_io, runtime
 from flowsep.cli import main
 from flowsep.dataset_io import (
+    DatasetError,
     SyntheticScenario,
     generate_scenario,
     write_dataset,
@@ -281,6 +283,87 @@ class TestPartitionedRuntime:
         assert np.array_equal(serial.particles.alive, part.particles.alive)
 
 
+class TestStepWindow:
+    """The run checks every step in a pre-pass, then holds two at a time."""
+
+    @pytest.fixture(scope="class")
+    def rotation6(self, tmp_path_factory):
+        sc = SyntheticScenario(
+            kind="rigid-rotation", cells=16, steps=6, span=1.0, radius=0.15, offset=0.2
+        )
+        return write_dataset(generate_scenario(sc), tmp_path_factory.mktemp("rot6") / "ds")
+
+    @pytest.mark.parametrize(
+        "t0, tf, partitions",
+        [(0, 5, None), (0, 5, (2, 2, 2)), (5, 0, None)],
+        ids=["serial", "2x2x2", "backward"],
+    )
+    def test_at_most_two_resident_steps(self, rotation6, monkeypatch, t0, tf, partitions):
+        refs = []
+        init = TimeStep.__post_init__
+
+        def tracked(step):
+            init(step)
+            refs.append(weakref.ref(step))
+
+        def resident():
+            return sum(r() is not None for r in refs)
+
+        def counting(name, module, counts):
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, **k: counts.append(resident()) or fn(*a, **k))
+
+        intervals, reads = [], []
+        monkeypatch.setattr(TimeStep, "__post_init__", tracked)
+        counting("advance_interval", runtime, intervals)
+        counting("read_timestep", dataset_io, reads)
+        cfg = PipelineConfig(
+            manifest=rotation6, t0=t0, tf=tf, partitions=partitions,
+            advection=AdvectionConfig(refinement=1),
+        )
+        result = run_pipeline(cfg)
+        assert len(result.report.intervals) == 5
+        assert len(intervals) == 5 and max(intervals) <= 2
+        # the pre-pass reads all six steps holding at most the two it keeps;
+        # in the loop, the step leaving the window is gone before each read
+        assert len(reads) == 6 + 4
+        assert max(reads[:6]) <= 2 and reads[6:] == [1, 1, 1, 1]
+        assert resident() == 0
+
+    @pytest.mark.parametrize("tf", [5, 1], ids=["in-run", "past-tf"])
+    def test_bad_last_step_fails_before_seeding(self, tmp_path, monkeypatch, capsys, tf):
+        sc = SyntheticScenario(kind="rigid-rotation", cells=6, steps=6)
+        write_dataset(generate_scenario(sc), tmp_path / "ds")
+        with open(tmp_path / "ds" / "step_0005.bin", "r+b") as fh:
+            fh.seek(32)  # the first fraction value
+            fh.write(struct.pack("<d", float("nan")))
+        seeded = []
+        monkeypatch.setattr(runtime, "seed_particles", lambda *a, **k: seeded.append(a))
+        path = write_config(tmp_path / "run.cfg", manifest="ds/dataset.manifest", t0=0, tf=tf)
+        assert main(["run", "--config", str(path)]) == 2
+        assert "step_0005.bin" in capsys.readouterr().err
+        assert seeded == []
+
+    @pytest.mark.parametrize(
+        "time", [0.9, float(np.nextafter(1.0, 2.0))], ids=["other", "one-ulp"]
+    )
+    def test_step_time_changed_after_prepass(self, tmp_path, monkeypatch, time):
+        # the manifest check would let one ulp pass; the re-read must match bit for bit
+        sc = SyntheticScenario(kind="rigid-rotation", cells=6, steps=4)
+        manifest = write_dataset(generate_scenario(sc), tmp_path / "ds")
+        seed = runtime.seed_particles
+
+        def rewrite_then_seed(*a, **k):
+            with open(tmp_path / "ds" / "step_0003.bin", "r+b") as fh:
+                fh.seek(24)  # the step time, after 8 magic bytes and 4 u32 dims
+                fh.write(struct.pack("<d", time))
+            return seed(*a, **k)
+
+        monkeypatch.setattr(runtime, "seed_particles", rewrite_then_seed)
+        with pytest.raises(DatasetError, match="step_0003.bin"):
+            run_pipeline(PipelineConfig(manifest=manifest, t0=0, tf=3))
+
+
 class TestReportAndArtifacts:
     def test_interval_stats_cover_each_interval_once(self, split32_result):
         report = split32_result.report
@@ -494,8 +577,8 @@ class TestCli:
         write_dataset(generate_scenario(sc), tmp_path / "ds")
         (tmp_path / "notadir").write_text("")
         loads = []
-        load = runtime.load_dataset
-        monkeypatch.setattr(runtime, "load_dataset", lambda m: loads.append(m) or load(m))
+        scan = runtime.scan_dataset
+        monkeypatch.setattr(runtime, "scan_dataset", lambda m, **k: loads.append(m) or scan(m, **k))
         path = write_config(
             tmp_path / "run.cfg", manifest="ds/dataset.manifest", t0=0, tf=1, output="notadir/out"
         )
