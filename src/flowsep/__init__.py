@@ -27,10 +27,12 @@ from .dataset_io import (
 from .extract import (
     TriangleMesh,
     export_meshes,
+    extract_boundaries,
     extract_boundary,
     extract_separation_surface,
     is_watertight,
     smooth_mesh,
+    smooth_meshes,
 )
 from .grid import (
     CellField,
@@ -83,6 +85,7 @@ __all__ = [
     "contribution_table",
     "detect_splits",
     "export_meshes",
+    "extract_boundaries",
     "extract_boundary",
     "extract_separation_surface",
     "generate_scenario",
@@ -97,6 +100,7 @@ __all__ = [
     "sample_velocity",
     "seed_particles",
     "smooth_mesh",
+    "smooth_meshes",
     "truncated_volume",
     "uniform_grid",
     "write_dataset",

@@ -8,6 +8,7 @@ padded by one node so closed surfaces actually close.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,6 +19,9 @@ from .grid import RectilinearGrid
 from .labeling import connected_components
 from .marching import marching_cubes
 from .segment import EXPORT_ROWS, SeedLabeling, SplitEvent
+
+PACK_NODES = 1 << 14  # lattice nodes per marching-cubes call of boundary extraction
+SMOOTH_VERTICES = 1 << 12  # vertices per group of meshes smoothed together
 
 
 @dataclass
@@ -48,34 +52,21 @@ def seed_axis_coords(grid: RectilinearGrid, refinement: int) -> tuple[np.ndarray
     return tuple(out)
 
 
-def _padded_axis(coords: np.ndarray, lo: int, hi: int, fallback_spacing: float):
-    """Coordinates for lattice indices [lo-1, hi+1], extrapolating one step out."""
-    n = coords.size
-    core = coords[max(lo, 0) : hi + 1]
-    if n >= 2:
-        first_step = coords[1] - coords[0]
-        last_step = coords[-1] - coords[-2]
-    else:
-        first_step = last_step = fallback_spacing
-    head = coords[lo - 1] if lo - 1 >= 0 else coords[0] - first_step
-    tail = coords[hi + 1] if hi + 1 < n else coords[-1] + last_step
-    return np.concatenate([[head], core, [tail]])
-
-
-def _lattice_box(grid, refinement, lattice_pts: np.ndarray, coords):
-    """Indicator array shape/offset plus padded node coordinates for a seed set;
-    `coords` are the grid's seed lattice coordinates, computed here if None."""
-    lo = lattice_pts.min(axis=0)
-    hi = lattice_pts.max(axis=0)
-    shape = tuple(int(h - l + 3) for l, h in zip(lo, hi))
-    if coords is None:
-        coords = seed_axis_coords(grid, refinement)
+def padded_seed_coords(grid: RectilinearGrid, refinement: int) -> tuple[np.ndarray, ...]:
+    """`seed_axis_coords` with one node extrapolated at each end: entry m is
+    the coordinate of lattice index m - 1, so a box over lattice indices
+    [lo, hi] and its padding shell reads `C[d][lo : hi + 3]`. A one-node
+    axis extrapolates by its cell width."""
     s = 2**refinement
-    axes = tuple(
-        _padded_axis(coords[d], int(lo[d]), int(hi[d]), grid.widths[d][0] / s)
-        for d in range(3)
-    )
-    return lo, shape, axes
+    out = []
+    for d, coords in enumerate(seed_axis_coords(grid, refinement)):
+        if coords.size >= 2:
+            first_step = coords[1] - coords[0]
+            last_step = coords[-1] - coords[-2]
+        else:
+            first_step = last_step = grid.widths[d][0] / s
+        out.append(np.concatenate([[coords[0] - first_step], coords, [coords[-1] + last_step]]))
+    return tuple(out)
 
 
 def _empty_mesh(kind, label, timestamp=None) -> TriangleMesh:
@@ -88,6 +79,109 @@ def _empty_mesh(kind, label, timestamp=None) -> TriangleMesh:
     )
 
 
+def _pack_groups(shape: np.ndarray) -> list[int]:
+    """Start indices of runs of consecutive boxes (plus the end) whose lattices,
+    laid side by side along x and padded to the largest y and z extent, have
+    at most `PACK_NODES` nodes; a larger box is a run of its own."""
+    bounds = [0]
+    nx = ny = nz = 0
+    for b, (sx, sy, sz) in enumerate(shape.tolist()):
+        my, mz = max(ny, sy), max(nz, sz)
+        if b > bounds[-1] and (nx + sx) * my * mz > PACK_NODES:
+            bounds.append(b)
+            nx, my, mz = 0, sy, sz
+        nx, ny, nz = nx + sx, my, mz
+    bounds.append(shape.shape[0])
+    return bounds
+
+
+def extract_boundaries(
+    grid: RectilinearGrid,
+    particles: ParticleSet,
+    labeling: SeedLabeling,
+    labels: Iterable[int],
+    coords: tuple[np.ndarray, ...] | None = None,
+) -> list[TriangleMesh]:
+    """Closed boundary around the seeds of each label in `labels`, in that
+    order; an empty mesh for a label that no seed carries.
+
+    Each label's seeds span a box of lattice nodes with a False padding
+    shell. Consecutive boxes are laid side by side along x in one lattice of
+    at most `PACK_NODES` nodes and triangulated by one `marching_cubes` call
+    on index axes. The shells keep every mixed cube inside one box, so a
+    box's triangles and first-visit vertex ids form one run, in the order a
+    lattice of that box alone gives; the ids are rebased to the run's first
+    and each vertex is read as the midpoint of its lattice edge in `coords`,
+    `padded_seed_coords(grid, particles.refinement)`, which callers that
+    extract many meshes build once.
+    """
+    if coords is None:
+        coords = padded_seed_coords(grid, particles.refinement)
+    labels = [int(j) for j in labels]
+    order = np.argsort(labeling.labels, kind="stable")
+    ranked = labeling.labels[order]
+    start = np.searchsorted(ranked, labels, side="left")
+    count = np.searchsorted(ranked, labels, side="right") - start
+    meshes = [None if n else _empty_mesh("boundary", j) for j, n in zip(labels, count.tolist())]
+    boxes = np.nonzero(count)[0]
+    if boxes.size == 0:
+        return meshes
+    # the seeds of every box, box after box; `first` is each box's first row
+    count = count[boxes]
+    first = np.cumsum(count) - count
+    rows = np.repeat(start[boxes] - first, count)
+    rows += np.arange(rows.size)
+    sel = order[rows]
+    del order, ranked, rows
+    lo = np.empty((boxes.size, 3), dtype=np.int64)
+    hi = np.empty((boxes.size, 3), dtype=np.int64)
+    for d in range(3):
+        col = particles.lattice[sel, d]
+        lo[:, d] = np.minimum.reduceat(col, first)
+        hi[:, d] = np.maximum.reduceat(col, first)
+    shape = hi - lo + 3
+
+    bounds = _pack_groups(shape)
+    for b0, b1 in zip(bounds, bounds[1:]):
+        dims = shape[b0:b1]
+        x0 = np.cumsum(dims[:, 0]) - dims[:, 0]  # each box's first x node
+        base = lo[b0:b1].copy()  # packed node p is padded-coords index p + base
+        base[:, 0] -= x0
+        inside = np.zeros((int(x0[-1] + dims[-1, 0]), *dims[:, 1:].max(axis=0).tolist()), bool)
+        r0 = int(first[b0])
+        pts = particles.lattice[sel[r0 : r0 + int(count[b0:b1].sum())]]
+        pts -= np.repeat(base - 1, count[b0:b1], axis=0)
+        inside[pts[:, 0], pts[:, 1], pts[:, 2]] = True
+        del pts
+        index_axes = tuple(np.arange(n) for n in inside.shape)
+        verts, tris = marching_cubes(inside, index_axes)
+        del inside
+        # a vertex at index position x lies on the lattice edge between
+        # nodes floor(x) and ceil(x), in the box whose x range holds it
+        box = np.searchsorted(x0, verts[:, 0], side="right") - 1
+        for d in range(3):
+            x = verts[:, d]
+            lower = x.astype(np.int64)
+            upper = lower + (x != lower)
+            shift = base[box, d]
+            lower += shift
+            upper += shift
+            verts[:, d] = 0.5 * (coords[d][lower] + coords[d][upper])
+        nv = np.bincount(box, minlength=b1 - b0)
+        nt = np.bincount(box[tris[:, 0]], minlength=b1 - b0)
+        v0 = np.cumsum(nv) - nv
+        t0 = np.cumsum(nt) - nt
+        tris -= np.repeat(v0.astype(tris.dtype), nt)[:, None]
+        for b, va, vb, ta, tb in zip(
+            boxes[b0:b1].tolist(), v0.tolist(), (v0 + nv).tolist(),
+            t0.tolist(), (t0 + nt).tolist(),
+        ):
+            meshes[b] = TriangleMesh(
+                vertices=verts[va:vb], triangles=tris[ta:tb], kind="boundary", label=labels[b]
+            )
+    return meshes
+
+
 def extract_boundary(
     grid: RectilinearGrid,
     particles: ParticleSet,
@@ -95,21 +189,8 @@ def extract_boundary(
     label: int,
     coords: tuple[np.ndarray, ...] | None = None,
 ) -> TriangleMesh:
-    """Closed boundary around the seeds carrying `label`; empty mesh if none do.
-
-    `coords` is `seed_axis_coords(grid, particles.refinement)`, passed in by
-    callers that extract many meshes so it is built once.
-    """
-    sel = np.nonzero(labeling.labels == label)[0]
-    if sel.size == 0:
-        return _empty_mesh("boundary", label)
-    pts = particles.lattice[sel]
-    lo, shape, axes = _lattice_box(grid, particles.refinement, pts, coords)
-    inside = np.zeros(shape, dtype=bool)
-    off = pts - lo + 1
-    inside[off[:, 0], off[:, 1], off[:, 2]] = True
-    verts, tris = marching_cubes(inside, axes)
-    return TriangleMesh(vertices=verts, triangles=tris, kind="boundary", label=label)
+    """Closed boundary around the seeds carrying `label`; empty mesh if none do."""
+    return extract_boundaries(grid, particles, labeling, [label], coords)[0]
 
 
 def extract_separation_surface(
@@ -125,7 +206,7 @@ def extract_separation_surface(
     Nodes of the splitting group take +/- for the two labels; everything else
     (other labels, other groups, empty lattice points) is invalid, which both
     drives the case lookup and prunes triangles on the invalid rim. `coords`
-    is as for `extract_boundary`.
+    is as for `extract_boundaries`.
     """
     j1, j2 = pair
     members = event.seed_indices
@@ -135,7 +216,12 @@ def extract_separation_surface(
     if plus_pts.shape[0] == 0 or minus_pts.shape[0] == 0:
         return _empty_mesh("separation", (j1, j2), event.time_next)
     all_pts = np.concatenate([plus_pts, minus_pts])
-    lo, shape, axes = _lattice_box(grid, particles.refinement, all_pts, coords)
+    lo = all_pts.min(axis=0)
+    hi = all_pts.max(axis=0)
+    shape = tuple((hi - lo + 3).tolist())
+    if coords is None:
+        coords = padded_seed_coords(grid, particles.refinement)
+    axes = tuple(coords[d][lo[d] : hi[d] + 3] for d in range(3))
     plus = np.zeros(shape, dtype=bool)
     minus = np.zeros(shape, dtype=bool)
     po = plus_pts - lo + 1
@@ -150,14 +236,7 @@ def extract_separation_surface(
     )
 
 
-def edge_incidence(mesh: TriangleMesh) -> tuple[np.ndarray, np.ndarray]:
-    """Undirected edges (a < b, in lexicographic order) of the mesh with their
-    triangle incidence counts.
-
-    Each edge is keyed as a * n + b with n above every vertex index, so one
-    1-D unique gives the rows in the same order as a row-wise unique.
-    """
-    t = mesh.triangles
+def _edge_incidence(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if t.shape[0] == 0:
         return np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=np.int64)
     a = t.astype(np.int64).T.ravel()
@@ -165,6 +244,16 @@ def edge_incidence(mesh: TriangleMesh) -> tuple[np.ndarray, np.ndarray]:
     n = int(t.max()) + 1
     keys, counts = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_counts=True)
     return np.stack([keys // n, keys % n], axis=1), counts
+
+
+def edge_incidence(mesh: TriangleMesh) -> tuple[np.ndarray, np.ndarray]:
+    """Undirected edges (a < b, in lexicographic order) of the mesh with their
+    triangle incidence counts.
+
+    Each edge is keyed as a * n + b with n above every vertex index, so one
+    1-D unique gives the rows in the same order as a row-wise unique.
+    """
+    return _edge_incidence(mesh.triangles)
 
 
 def is_watertight(mesh: TriangleMesh) -> bool:
@@ -175,48 +264,92 @@ def is_watertight(mesh: TriangleMesh) -> bool:
     return bool(np.all(counts == 2))
 
 
-def smooth_mesh(mesh: TriangleMesh, iterations: int = 10, lam: float = 0.5) -> TriangleMesh:
-    """Uniform-umbrella Laplacian smoothing; open-boundary vertices stay fixed.
+def _smooth_vertices(meshes: list[TriangleMesh], iterations: int, lam: float):
+    """Smoothed vertices of non-empty meshes, smoothed as one vertex array.
 
-    Connectivity is unchanged; 0 iterations is the identity.
+    Mesh m's vertices are numbered from the sum of the earlier meshes' vertex
+    counts, so the group's edges, in lexicographic order, are mesh 0's edges,
+    then mesh 1's, and so on. Every bin of the neighbour sums therefore gets
+    the same terms in the same order as when its mesh is smoothed alone.
     """
-    if not 0.0 < lam <= 1.0:
-        raise ValueError("smoothing factor must be in (0, 1]")
-    if mesh.empty or iterations == 0:
-        return TriangleMesh(
-            vertices=mesh.vertices.copy(),
-            triangles=mesh.triangles.copy(),
-            kind=mesh.kind,
-            label=mesh.label,
-            timestamp=mesh.timestamp,
-        )
-    edges, counts = edge_incidence(mesh)
-    nv = mesh.vertices.shape[0]
-    fixed = np.zeros(nv, dtype=bool)
-    fixed[edges[counts == 1].ravel()] = True
+    sizes = [m.vertices.shape[0] for m in meshes]
+    starts = np.cumsum(sizes) - sizes
+    # one row per axis, so each gather and sum reads contiguous values
+    v = np.concatenate([m.vertices.T for m in meshes], axis=1)
+    tris = np.concatenate([m.triangles + s for m, s in zip(meshes, starts.tolist())])
+    edges, counts = _edge_incidence(tris)
+    del tris
+    nv = v.shape[1]
+    fixed = edges[counts == 1].ravel()  # open-rim vertices, some twice
     # Each edge adds its far end to both of its ends: first over edges[:, 0],
     # then over edges[:, 1]. bincount sums every bin in array order, so the
     # sums carry the same bits as two sequential scatter-adds would.
     ends = np.concatenate([edges[:, 0], edges[:, 1]])
     other = np.concatenate([edges[:, 1], edges[:, 0]])
+    del edges, counts
     degree = np.bincount(ends, minlength=nv).astype(np.float64)
     degree[degree == 0] = 1.0
-    v = mesh.vertices.copy()
     moved = np.empty_like(v)
     for _ in range(iterations):
         for d in range(3):  # one axis at a time bounds the temporaries
-            moved[:, d] = np.bincount(ends, weights=v[other, d], minlength=nv)
+            moved[d] = np.bincount(ends, weights=v[d].take(other), minlength=nv)
         # v + lam * (acc / degree - v), in place
-        moved /= degree[:, None]
+        moved /= degree
         moved -= v
         moved *= lam
         moved += v
-        moved[fixed] = v[fixed]
+        moved[:, fixed] = v[:, fixed]
         v, moved = moved, v
-    return TriangleMesh(
-        vertices=v, triangles=mesh.triangles.copy(), kind=mesh.kind,
-        label=mesh.label, timestamp=mesh.timestamp,
-    )
+    del moved
+    return np.split(v.T.copy(), starts[1:].tolist())
+
+
+def _smooth_group(meshes: list[TriangleMesh], iterations: int, lam: float):
+    moves = [not m.empty and iterations > 0 for m in meshes]
+    live = [m for m, move in zip(meshes, moves) if move]
+    smoothed = iter(_smooth_vertices(live, iterations, lam) if live else ())
+    for mesh, move in zip(meshes, moves):
+        yield TriangleMesh(
+            vertices=next(smoothed) if move else mesh.vertices.copy(),
+            triangles=mesh.triangles.copy(), kind=mesh.kind,
+            label=mesh.label, timestamp=mesh.timestamp,
+        )
+
+
+def _smooth_groups(meshes, iterations: int, lam: float) -> Iterator[TriangleMesh]:
+    group: list[TriangleMesh] = []
+    size = 0
+    for mesh in meshes:
+        nv = 0 if mesh.empty else mesh.vertices.shape[0]
+        if group and size + nv > SMOOTH_VERTICES:
+            yield from _smooth_group(group, iterations, lam)
+            group, size = [], 0
+        group.append(mesh)
+        size += nv
+    if group:
+        yield from _smooth_group(group, iterations, lam)
+
+
+def smooth_meshes(
+    meshes: Iterable[TriangleMesh], iterations: int = 10, lam: float = 0.5
+) -> Iterator[TriangleMesh]:
+    """Uniform-umbrella Laplacian smoothing of each mesh, in order; open-boundary
+    vertices stay fixed, connectivity is unchanged and 0 iterations is the
+    identity.
+
+    Consecutive meshes are smoothed together in groups of at most
+    `SMOOTH_VERTICES` vertices (a larger mesh is a group of its own), with the
+    bits of smoothing each alone. The meshes are yielded group by group, as
+    the iterator is consumed; `lam` is checked at the call.
+    """
+    if not 0.0 < lam <= 1.0:
+        raise ValueError("smoothing factor must be in (0, 1]")
+    return _smooth_groups(meshes, iterations, lam)
+
+
+def smooth_mesh(mesh: TriangleMesh, iterations: int = 10, lam: float = 0.5) -> TriangleMesh:
+    """`smooth_meshes` of one mesh."""
+    return next(smooth_meshes([mesh], iterations, lam))
 
 
 def triangle_components(mesh: TriangleMesh) -> np.ndarray:
@@ -248,23 +381,25 @@ def filter_small_components(mesh: TriangleMesh, min_triangles: int) -> TriangleM
 
 
 def write_obj(mesh: TriangleMesh, path) -> None:
-    """`v` rows (floats as `repr`), then 1-based `f` rows, formatted and
-    written `EXPORT_ROWS` at a time; a mesh without rows is one empty line."""
+    """`v` rows (floats as `repr`), then 1-based `f` rows, formatted through
+    one format string per block of `EXPORT_ROWS` rows and written block by
+    block; a mesh without rows is one empty line."""
     verts = np.asarray(mesh.vertices, dtype=np.float64)
     tris = mesh.triangles
     with open(path, "w") as fh:
         if not (len(verts) or len(tris)):
             fh.write("\n")
         for a in range(0, len(verts), EXPORT_ROWS):
-            rows = verts[a : a + EXPORT_ROWS].tolist()
-            fh.write("".join(["v %r %r %r\n" % tuple(r) for r in rows]))
+            block = verts[a : a + EXPORT_ROWS]
+            fh.write("v %r %r %r\n" * len(block) % tuple(block.ravel().tolist()))
         for a in range(0, len(tris), EXPORT_ROWS):
-            rows = (tris[a : a + EXPORT_ROWS] + 1).tolist()
-            fh.write("".join(["f %d %d %d\n" % tuple(r) for r in rows]))
+            block = tris[a : a + EXPORT_ROWS] + 1
+            fh.write("f %d %d %d\n" * len(block) % tuple(block.ravel().tolist()))
 
 
-def export_meshes(meshes: list[TriangleMesh], out_dir, min_triangles: int = 0) -> Path:
-    """One OBJ per mesh plus a manifest line each; returns the manifest path."""
+def export_meshes(meshes: Iterable[TriangleMesh], out_dir, min_triangles: int = 0) -> Path:
+    """One OBJ per mesh plus a manifest line each; returns the manifest path.
+    Each mesh is written as the iteration reaches it."""
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)

@@ -31,10 +31,10 @@ from .dataset_io import DatasetError, StepSeries, scan_dataset
 from .extract import (
     TriangleMesh,
     export_meshes,
-    extract_boundary,
+    extract_boundaries,
     extract_separation_surface,
-    seed_axis_coords,
-    smooth_mesh,
+    padded_seed_coords,
+    smooth_meshes,
 )
 from .grid import locate_cells
 from .labeling import PartitionLayout, label_features_partitioned
@@ -281,10 +281,10 @@ def _finish(config, grid, coords, particles, initial_labeling, labelings, splits
     table = contribution_table(initial_labeling, final_labeling, particles)
 
     t_b = _time.perf_counter()
-    b_meshes = []
     final_labels = np.unique(final_labeling.labels)
-    for j in final_labels[final_labels >= 0]:
-        b_meshes.append(extract_boundary(grid, particles, final_labeling, int(j), coords))
+    b_meshes = extract_boundaries(
+        grid, particles, final_labeling, final_labels[final_labels >= 0], coords
+    )
     report.b_seconds = _time.perf_counter() - t_b
 
     if len(particles):
@@ -316,7 +316,7 @@ def _run(config: PipelineConfig, series: StepSeries, layout: PartitionLayout) ->
     step_to = series.take(seq[0])
     labels0 = label_features_partitioned(step_to, config.tau, layout)
     particles = seed_particles(step_to, config.advection.refinement, config.tau)
-    coords = seed_axis_coords(grid, particles.refinement)  # for every mesh of the run
+    coords = padded_seed_coords(grid, particles.refinement)  # for every mesh of the run
     initial_labeling = assign_labels(particles, labels0, step_to, config.tau)
     owner = _owners_for_positions(layout, grid, particles.seeds)
 
@@ -384,10 +384,10 @@ def _run(config: PipelineConfig, series: StepSeries, layout: PartitionLayout) ->
 def _export(result: RunResult) -> None:
     out = Path(result.config.output)
     cfg = result.config
-    meshes = [
-        smooth_mesh(m, cfg.smooth_iterations, cfg.smooth_lambda)
-        for m in result.b_meshes + result.s_meshes
-    ]
+    # smoothed group by group as the export reaches them
+    meshes = smooth_meshes(
+        result.b_meshes + result.s_meshes, cfg.smooth_iterations, cfg.smooth_lambda
+    )
     export_meshes(meshes, out / "meshes", min_triangles=cfg.min_triangles)
     write_table(result.table, out / "contributions.tsv")
     write_epsilon(result.particles, out / "epsilon.tsv")

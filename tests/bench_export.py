@@ -1,5 +1,5 @@
-"""Micro-benchmarks for the export tail: mesh smoothing, OBJ export, the
-contribution table and `epsilon.tsv`.
+"""Micro-benchmarks for the run tail: boundary extraction, mesh smoothing, OBJ
+export, the contribution table and `epsilon.tsv`.
 
 Run explicitly (the file name keeps it out of the default test collection):
 
@@ -8,8 +8,12 @@ Run explicitly (the file name keeps it out of the default test collection):
 Two mesh sets: 460 small ball meshes (radius 2.2 on 7^3 nodes, 152 triangles
 each, about the count and size of the B and S meshes of a droplets-r0 run) and
 one ball mesh of about 25k triangles (radius 26 on 60^3 nodes, the size of an
-orbit-r2-p8 boundary). Smoothing uses the pipeline defaults (10 iterations,
-lambda 0.5).
+orbit-r2-p8 boundary). Smoothing goes through `smooth_meshes` with the
+pipeline defaults (10 iterations, lambda 0.5).
+
+The boundary case extracts 460 boundaries at once, each around a ball of
+radius 2.2 nodes in a 7^3-node box (`droplet_seed_set` of the extraction
+tests), as the B step of a droplets-r0 run does.
 
 The table and `epsilon.tsv` cases use the seeds of the orbit ball (radius 0.2
 on 32^3 cells, refinement 2, about 70k seeds on a per-axis lattice) with 2 %
@@ -23,12 +27,19 @@ import pytest
 
 from flowsep.advect import seed_particles
 from flowsep.dataset_io import SyntheticScenario, generate_scenario
-from flowsep.extract import TriangleMesh, export_meshes, smooth_mesh
+from flowsep.extract import (
+    TriangleMesh,
+    export_meshes,
+    extract_boundaries,
+    padded_seed_coords,
+    smooth_meshes,
+)
 from flowsep.labeling import label_features
 from flowsep.marching import marching_cubes
 from flowsep.segment import SeedLabeling, assign_labels, contribution_table, write_epsilon
 
 from .bench_marching import ball_lattice
+from .test_extract import droplet_seed_set
 
 
 def ball_mesh(n: int, radius: float, label: int) -> TriangleMesh:
@@ -72,7 +83,14 @@ def orbit_seeds():
 
 
 def smooth_all(meshes):
-    return [smooth_mesh(m, 10, 0.5) for m in meshes]
+    return list(smooth_meshes(meshes, 10, 0.5))
+
+
+def test_boundaries_many_boxes(benchmark):
+    grid, particles, labeling = droplet_seed_set()
+    coords = padded_seed_coords(grid, 0)
+    out = benchmark(extract_boundaries, grid, particles, labeling, range(460), coords)
+    assert sum(not m.empty for m in out) == 460
 
 
 def test_smooth_droplets(benchmark, droplets):

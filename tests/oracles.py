@@ -7,7 +7,8 @@ forms that the library replaced with array code (the marching-cubes loop
 shares only the case table with the library). The stage-1 neighbour oracle is
 the library's former search, kept as it was: it locates cells and takes the
 per-stray minimum with the library's own functions, each pinned to a scalar
-oracle here.
+oracle here. The per-label boundary oracle calls the library's
+`marching_cubes`, itself pinned to the scalar loop here, once per label.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from flowsep.advect import _first_per_group
+from flowsep.extract import seed_axis_coords
 from flowsep.grid import flat_indices, locate_cells
-from flowsep.marching import CASE_TRIS, CORNERS, EDGES
+from flowsep.marching import CASE_TRIS, CORNERS, EDGES, marching_cubes
 
 # --- half-space / box volume oracles ---------------------------------------
 
@@ -515,6 +517,50 @@ def _node_coords(flat: int, ni: int, nj: int, ax, ay, az) -> np.ndarray:
     j = (flat // ni) % nj
     k = flat // (ni * nj)
     return np.array([ax[i], ay[j], az[k]])
+
+
+# --- boundary extraction (one lattice and one marching-cubes call per label) ----
+
+
+def _padded_axis(coords: np.ndarray, lo: int, hi: int, fallback_spacing: float):
+    """Coordinates for lattice indices [lo-1, hi+1], extrapolating one step out."""
+    n = coords.size
+    core = coords[max(lo, 0) : hi + 1]
+    if n >= 2:
+        first_step = coords[1] - coords[0]
+        last_step = coords[-1] - coords[-2]
+    else:
+        first_step = last_step = fallback_spacing
+    head = coords[lo - 1] if lo - 1 >= 0 else coords[0] - first_step
+    tail = coords[hi + 1] if hi + 1 < n else coords[-1] + last_step
+    return np.concatenate([[head], core, [tail]])
+
+
+def boundary_mesh_loop(grid, particles, labeling, labels) -> list:
+    """Reference for `flowsep.extract.extract_boundaries`: per label, the
+    label's seeds set True in their own padded box lattice, one
+    `marching_cubes` call on the box's node coordinates; (vertices,
+    triangles) per label, empty arrays for a label no seed carries."""
+    coords = seed_axis_coords(grid, particles.refinement)
+    s = 2**particles.refinement
+    out = []
+    for label in labels:
+        sel = np.nonzero(labeling.labels == label)[0]
+        if sel.size == 0:
+            out.append((np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int32)))
+            continue
+        pts = particles.lattice[sel]
+        lo = pts.min(axis=0)
+        hi = pts.max(axis=0)
+        axes = tuple(
+            _padded_axis(coords[d], int(lo[d]), int(hi[d]), grid.widths[d][0] / s)
+            for d in range(3)
+        )
+        inside = np.zeros(tuple(int(h - l + 3) for l, h in zip(lo, hi)), dtype=bool)
+        off = pts - lo + 1
+        inside[off[:, 0], off[:, 1], off[:, 2]] = True
+        out.append(marching_cubes(inside, axes))
+    return out
 
 
 # --- mesh export tail (row-unique edges, scatter-add smoothing, f-strings) ----

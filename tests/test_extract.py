@@ -1,32 +1,39 @@
 from __future__ import annotations
 
 import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowsep import extract
 from flowsep.advect import ParticleSet
 from flowsep.extract import (
     TriangleMesh,
     edge_incidence,
     export_meshes,
+    extract_boundaries,
     extract_boundary,
     extract_separation_surface,
     filter_small_components,
     is_watertight,
+    padded_seed_coords,
     seed_axis_coords,
     smooth_mesh,
+    smooth_meshes,
     triangle_components,
     write_obj,
 )
-from flowsep.grid import uniform_grid
+from flowsep.grid import RectilinearGrid, uniform_grid
 from flowsep.marching import marching_cubes
-from flowsep.segment import SeedLabeling, SplitEvent
+from flowsep.segment import EXPORT_ROWS, SeedLabeling, SplitEvent
 
 from .oracles import (
+    boundary_mesh_loop,
     boundary_vertices,
     count_components,
     edge_incidence_rows,
@@ -399,3 +406,165 @@ class TestExportKernelsMatchOracles:
             write_obj(mesh, path)
             got = path.read_bytes()
         assert got == obj_text_fstrings(mesh.vertices, mesh.triangles).encode()
+
+
+@st.composite
+def labeled_seed_sets(draw):
+    """A rectilinear grid (1-4 cells per axis, unequal widths), refinement
+    0-2, a random subset of its seed lattice and labels -1..5: blocks of the
+    lattice share a label, some seeds get a random one, and the label list
+    holds every label once in random order plus one that no seed carries."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    refinement = draw(st.integers(0, 2))
+    cells = [draw(st.integers(1, 4)) for _ in range(3)]
+    grid = RectilinearGrid(tuple(np.cumsum(rng.uniform(0.2, 2.0, n + 1)) for n in cells))
+    n = [c * 2**refinement for c in cells]
+    pts = np.stack(np.meshgrid(*map(np.arange, n), indexing="ij"), axis=-1).reshape(-1, 3)
+    pts = pts[rng.random(pts.shape[0]) < draw(st.floats(0.05, 1.0))]
+    if pts.shape[0] == 0:
+        pts = np.zeros((1, 3), dtype=np.int64)
+    block = draw(st.integers(1, 4))
+    labels = (pts // block) @ np.array([1, 2, 3]) % 6 - 1
+    noisy = rng.random(pts.shape[0]) < draw(st.floats(0.0, 0.3))
+    labels[noisy] = rng.integers(-1, 6, noisy.sum())
+    ps = lattice_particle_set(grid, refinement, pts)
+    labeling = SeedLabeling(labels=labels.astype(np.int32), time=0.0)
+    wanted = rng.permutation(np.append(np.unique(labels[labels >= 0]), 9)).tolist()
+    return grid, ps, labeling, wanted
+
+
+def assert_mesh_bits(got: TriangleMesh, want_vertices, want_triangles):
+    assert got.vertices.dtype == want_vertices.dtype
+    assert got.triangles.dtype == want_triangles.dtype
+    assert got.vertices.shape == want_vertices.shape
+    assert np.array_equal(got.vertices.view(np.int64), want_vertices.view(np.int64))
+    assert np.array_equal(got.triangles, want_triangles)
+
+
+def droplet_seed_set(count=460):
+    """`count` balls of radius 2.2 nodes on a 6-node spacing, each in a box
+    of 7^3 nodes: about the box and mesh sizes of the boundaries of a
+    droplets-r0 run."""
+    g = uniform_grid(48)
+    pts = np.stack(np.meshgrid(*[np.arange(48)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    centre = pts // 6 * 6 + 3
+    keep = np.sum((pts - centre) ** 2, axis=1) <= 2.2**2
+    pts, centre = pts[keep], centre[keep]
+    ball = (centre // 6) @ np.array([64, 8, 1])
+    labels = np.where(ball < count, ball, -1).astype(np.int32)
+    return g, lattice_particle_set(g, 0, pts), SeedLabeling(labels=labels, time=0.0)
+
+
+def traced_peak(fn, *args):
+    """Peak bytes traced while `fn(*args)` runs, its result held until the end.
+    Callers warm `fn` up first, so lazy imports are not counted."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    del out
+    return peak
+
+
+class TestBatchedTailMatchesPerMesh:
+    @settings(max_examples=200, deadline=None)
+    @given(case=labeled_seed_sets(), pack=st.sampled_from(["one", "few", "default"]))
+    def test_boundaries_bit_equal_to_per_label_loop(self, case, pack):
+        grid, ps, labeling, wanted = case
+        want = boundary_mesh_loop(grid, ps, labeling, wanted)
+        # "few": any two boxes fit one lattice, usually not many more do
+        box = max(
+            (int(np.prod(np.ptp(ps.lattice[labeling.labels == j], axis=0) + 3))
+             for j in wanted if np.any(labeling.labels == j)),
+            default=1,
+        )
+        nodes = {"one": 1, "few": 2 * box, "default": extract.PACK_NODES}[pack]
+        coords = padded_seed_coords(grid, ps.refinement)
+        with mock.patch.object(extract, "PACK_NODES", nodes):
+            got = extract_boundaries(grid, ps, labeling, wanted, coords)
+        assert [m.label for m in got] == wanted
+        for mesh, (v, t), label in zip(got, want, wanted):
+            assert mesh.kind == "boundary"
+            assert mesh.empty == (label == 9)
+            assert_mesh_bits(mesh, v, t)
+
+    def test_packing_makes_fewer_marching_cubes_calls(self):
+        g, ps, labeling = droplet_seed_set(count=40)
+        labels = list(range(40))
+        want = boundary_mesh_loop(g, ps, labeling, labels)
+        # one box per call, three boxes per call, all 40 in one call
+        for nodes, calls in ((1, 40), (3 * 7**3, 14), (extract.PACK_NODES, 1)):
+            with mock.patch.object(extract, "PACK_NODES", nodes), mock.patch.object(
+                extract, "marching_cubes", wraps=marching_cubes
+            ) as mc:
+                got = extract_boundaries(g, ps, labeling, labels)
+            assert mc.call_count == calls
+            for mesh, (v, t) in zip(got, want):
+                assert_mesh_bits(mesh, v, t)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        meshes=st.lists(
+            st.one_of(lattice_meshes(), st.just(None)), min_size=0, max_size=8
+        ),
+        iterations=st.integers(0, 12),
+        lam=st.floats(0.0, 1.0, exclude_min=True),
+        bound=st.sampled_from([1, 16, 64, 4096]),
+    )
+    def test_grouped_smoothing_bit_equal_to_scatter_add(self, meshes, iterations, lam, bound):
+        # None stands for an empty mesh; bound 1 makes every mesh exceed it
+        meshes = [
+            TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), np.int32), "boundary", 3)
+            if m is None else m
+            for m in meshes
+        ]
+        with mock.patch.object(extract, "SMOOTH_VERTICES", bound):
+            got = list(smooth_meshes(meshes, iterations, lam))
+        assert len(got) == len(meshes)
+        for mesh, out in zip(meshes, got):
+            want = smooth_vertices_add_at(mesh.vertices, mesh.triangles, iterations, lam)
+            assert_mesh_bits(out, want, mesh.triangles)
+            assert (out.kind, out.label, out.timestamp) == (mesh.kind, mesh.label, mesh.timestamp)
+            assert not np.shares_memory(out.vertices, mesh.vertices)
+
+    def test_grouped_smoothing_checks_lambda_at_the_call(self):
+        with pytest.raises(ValueError):
+            smooth_meshes([], iterations=1, lam=1.5)
+        with pytest.raises(ValueError):
+            smooth_meshes([], iterations=1, lam=0.0)
+
+    @pytest.mark.parametrize("rows", [0, EXPORT_ROWS, EXPORT_ROWS + 1])
+    def test_obj_block_edges_equal_fstrings(self, rows, tmp_path):
+        rng = np.random.default_rng(rows)
+        verts = rng.normal(size=(rows, 3)) * 10.0 ** rng.integers(-6, 6, (rows, 1))
+        tris = rng.integers(0, max(rows, 1), size=(rows, 3)).astype(np.int32)
+        mesh = TriangleMesh(vertices=verts, triangles=tris, kind="boundary", label=0)
+        write_obj(mesh, tmp_path / "mesh.obj")
+        assert (tmp_path / "mesh.obj").read_bytes() == obj_text_fstrings(verts, tris).encode()
+
+
+class TestTailMemoryBound:
+    """The batched tail holds at most twice the traced peak of the per-mesh
+    path on droplet-size boxes and meshes; one batch of all of them holds
+    several times more."""
+
+    def test_boundary_extraction_peak(self):
+        g, ps, labeling = droplet_seed_set()
+        labels = list(range(460))
+        coords = padded_seed_coords(g, 0)
+        boundary_mesh_loop(g, ps, labeling, labels[:2])
+        extract_boundaries(g, ps, labeling, labels[:2], coords)
+        per_label = traced_peak(boundary_mesh_loop, g, ps, labeling, labels)
+        batched = traced_peak(extract_boundaries, g, ps, labeling, labels, coords)
+        assert batched <= 2 * per_label
+
+    def test_smoothing_peak(self):
+        g, ps, labeling = droplet_seed_set()
+        meshes = extract_boundaries(g, ps, labeling, range(460))
+        assert 50 < np.mean([m.vertices.shape[0] for m in meshes]) < 150
+        list(smooth_meshes(meshes[:2]))
+        per_mesh = traced_peak(lambda: [smooth_mesh(m) for m in meshes])
+        grouped = traced_peak(lambda: list(smooth_meshes(meshes)))
+        assert grouped <= 2 * per_mesh
