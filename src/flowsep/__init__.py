@@ -28,10 +28,8 @@ from .extract import (
     TriangleMesh,
     export_meshes,
     extract_boundaries,
-    extract_boundary,
     extract_separation_surface,
     is_watertight,
-    smooth_mesh,
     smooth_meshes,
 )
 from .grid import (
@@ -86,7 +84,6 @@ __all__ = [
     "detect_splits",
     "export_meshes",
     "extract_boundaries",
-    "extract_boundary",
     "extract_separation_surface",
     "generate_scenario",
     "is_watertight",
@@ -99,7 +96,6 @@ __all__ = [
     "run_pipeline",
     "sample_velocity",
     "seed_particles",
-    "smooth_mesh",
     "smooth_meshes",
     "truncated_volume",
     "uniform_grid",

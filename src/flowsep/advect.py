@@ -149,38 +149,38 @@ def rk4_positions(
     return x
 
 
+# alive particles integrated at once, which bounds the RK4 temporaries
+# whatever the particle count
+RK4_BLOCK = 1 << 13
+
+
 def advance_interval(
     particles: ParticleSet,
     step_from: TimeStep,
     step_to: TimeStep,
     config: AdvectionConfig,
     tau: float = 0.0,
-    batches: list[np.ndarray] | None = None,
 ) -> ParticleSet:
     """Integrate all alive particles over one stored-data interval.
 
-    `batches` are the per-partition particle-id groups, each sorted and
-    integrated one at a time (default: one batch of all particles), which
-    bounds the RK4 temporaries by the batch size. Particles leaving the
-    domain are marked dead (never corrected). With the corrector enabled,
-    stray particles are repositioned afterwards and the phase invariant
-    re-checked.
+    The alive particles are integrated in index order, `RK4_BLOCK` at a time;
+    RK4 treats every particle alone, so the blocks never change a result.
+    Particles leaving the domain are marked dead (never corrected). With the
+    corrector enabled, stray particles are repositioned afterwards and the
+    phase invariant re-checked.
     """
     grid = step_from.grid
-    if batches is None:
-        batches = [np.arange(len(particles))]
     pre_pos = particles.pos.copy()
-    for ids in batches:
-        idx = ids[particles.alive[ids]]
-        if idx.size == 0:
-            continue
+    alive = np.nonzero(particles.alive)[0]
+    for b in range(0, alive.size, RK4_BLOCK):
+        idx = alive[b : b + RK4_BLOCK]
         pos = rk4_positions(step_from, step_to, particles.pos[idx], config.substeps)
         particles.pos[idx] = pos
         inside = np.all((pos >= grid.lo) & (pos <= grid.hi), axis=1)
         particles.alive[idx[~inside]] = False
 
     if config.corrector != "off":
-        correct_strays(particles, pre_pos, step_from, step_to, config, tau)
+        correct_strays(particles, pre_pos, step_to, config, tau)
     return particles
 
 
@@ -196,7 +196,6 @@ def phase_violations(particles: ParticleSet, step: TimeStep, tau: float = 0.0) -
 def correct_strays(
     particles: ParticleSet,
     pre_pos: np.ndarray,
-    step_from: TimeStep,
     step_to: TimeStep,
     config: AdvectionConfig,
     tau: float,

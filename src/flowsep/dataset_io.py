@@ -125,7 +125,6 @@ class DatasetManifest:
 
     grid_path: str
     steps: list[tuple[float, str]]
-    version: int = 1
 
     def __post_init__(self):
         times = [t for t, _ in self.steps]

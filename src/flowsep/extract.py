@@ -182,17 +182,6 @@ def extract_boundaries(
     return meshes
 
 
-def extract_boundary(
-    grid: RectilinearGrid,
-    particles: ParticleSet,
-    labeling: SeedLabeling,
-    label: int,
-    coords: tuple[np.ndarray, ...] | None = None,
-) -> TriangleMesh:
-    """Closed boundary around the seeds carrying `label`; empty mesh if none do."""
-    return extract_boundaries(grid, particles, labeling, [label], coords)[0]
-
-
 def extract_separation_surface(
     grid: RectilinearGrid,
     particles: ParticleSet,
@@ -345,11 +334,6 @@ def smooth_meshes(
     if not 0.0 < lam <= 1.0:
         raise ValueError("smoothing factor must be in (0, 1]")
     return _smooth_groups(meshes, iterations, lam)
-
-
-def smooth_mesh(mesh: TriangleMesh, iterations: int = 10, lam: float = 0.5) -> TriangleMesh:
-    """`smooth_meshes` of one mesh."""
-    return next(smooth_meshes([mesh], iterations, lam))
 
 
 def triangle_components(mesh: TriangleMesh) -> np.ndarray:

@@ -209,20 +209,21 @@ def marching_cubes(
     keys = 3 * (i + ni * (j + nj * k))[cube, None] + edge_key[CASE_EDGES[cases[cube], nth]]
 
     if invalid is None:
-        visited, kept = keys.ravel(), keys
+        visited, kept = keys.ravel(), slice(None)  # every triangle is kept
     else:
         inv_flat = np.asarray(invalid, dtype=bool).reshape(-1, order="F")
         low, axis = np.divmod(keys, 3)
         bad = inv_flat[low] | inv_flat[low + stride[axis]]
         # a discarded triangle visits its edges up to the first invalid one
         visit = ~np.logical_or.accumulate(bad, axis=1)
-        visited, kept = keys[visit], keys[visit[:, 2]]
-        if kept.size == 0:
+        if not visit[:, 2].any():
             return _empty()
+        # the visited entries that belong to kept triangles
+        visited, kept = keys[visit], np.broadcast_to(visit[:, 2:], visit.shape)[visit]
 
     # number the visited lattice edges by first visit; keep those of kept triangles
-    uniq, first = np.unique(visited, return_index=True)
-    slot = np.searchsorted(uniq, kept)
+    uniq, first, slot = np.unique(visited, return_index=True, return_inverse=True)
+    slot = slot[kept]
     used = np.zeros(uniq.size, dtype=bool)
     used[slot] = True
     order = np.nonzero(used)[0]
@@ -236,4 +237,4 @@ def marching_cubes(
     for d in range(3):
         a = np.asarray(axes[d], dtype=np.float64)
         verts[:, d] = 0.5 * (a[node[d]] + a[node[d] + (axis == d)])
-    return verts, vid[slot]
+    return verts, vid[slot].reshape(-1, 3)

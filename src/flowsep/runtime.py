@@ -4,19 +4,21 @@ final boundary extraction, and the partitioned execution of that loop.
 There is one execution loop. Partitioning splits the grid into blocks and
 gives every particle one owner, the block that holds its position; ownership
 is a single array (-1 once the particle is dead) recomputed after each
-interval. Each block's particles are integrated as one batch, labels are
-merged across block faces, and a handoff is counted per (source,
-destination) block pair that particles moved between. A serial run is the
-1x1x1 partitioning of the same loop: one block, no faces to merge, no
-handoffs and no ghost-width check. Runs under any partitioning produce
-identical labelings, tables, and meshes.
+interval. The layout only labels, counts handoffs and gates the ghost-width
+check: labels are merged across block faces, a handoff is counted per
+(source, destination) block pair that particles moved between, and the ghost
+width is checked for every interval before the first. Integration ignores
+it: RK4 takes the alive particles in fixed blocks of `advect.RK4_BLOCK`. A
+serial run is the 1x1x1 partitioning of the same loop: one block, no faces
+to merge, no handoffs and no ghost-width check. Runs under any partitioning
+produce identical labelings, tables, and meshes.
 """
 
 from __future__ import annotations
 
 import itertools
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -85,25 +87,37 @@ class PipelineConfig:
             raise ConfigError(f"min_triangles must be >= 0, got {self.min_triangles}")
 
 
+def _partitions(text: str) -> tuple[int, int, int] | None:
+    if text in ("none", ""):
+        return None
+    parts = tuple(int(v) for v in text.split("x"))
+    if len(parts) != 3 or any(p < 1 for p in parts):
+        raise ConfigError(f"bad partitions spec {text!r}")
+    return parts
+
+
+# config key -> converter of its text; a missing key takes the dataclass default
 _CONFIG_KEYS = {
-    "manifest",
-    "t0",
-    "tf",
-    "tau",
-    "refinement",
-    "substeps",
-    "corrector",
-    "partitions",
-    "ghost_width",
-    "output",
-    "smooth_iterations",
-    "smooth_lambda",
-    "min_triangles",
+    "manifest": Path,
+    "t0": int,
+    "tf": int,
+    "tau": float,
+    "refinement": int,
+    "substeps": int,
+    "corrector": str,
+    "partitions": _partitions,
+    "ghost_width": int,
+    "output": Path,
+    "smooth_iterations": int,
+    "smooth_lambda": float,
+    "min_triangles": int,
 }
+_ADVECTION_KEYS = {f.name for f in fields(AdvectionConfig)}
 
 
 def parse_config(path) -> PipelineConfig:
-    """Parse a line-oriented `key = value` config file; unknown keys are errors."""
+    """Parse a line-oriented `key = value` config file; unknown keys are errors.
+    Paths are relative to the config file's directory."""
     path = Path(path)
     raw: dict[str, str] = {}
     for lineno, ln in enumerate(path.read_text().splitlines(), start=1):
@@ -121,34 +135,15 @@ def parse_config(path) -> PipelineConfig:
     for required in ("manifest", "t0", "tf"):
         if required not in raw:
             raise ConfigError(f"{path}: missing required key {required!r}")
-    base = path.parent
     try:
-        t0 = int(raw["t0"])
-        tf = int(raw["tf"])
+        kwargs = {key: _CONFIG_KEYS[key](text) for key, text in raw.items()}
+        for key in ("manifest", "output"):
+            if key in kwargs:
+                kwargs[key] = (path.parent / kwargs[key]).resolve()
         advection = AdvectionConfig(
-            refinement=int(raw.get("refinement", "0")),
-            substeps=int(raw.get("substeps", "1")),
-            corrector=raw.get("corrector", "full"),
+            **{key: kwargs.pop(key) for key in _ADVECTION_KEYS & kwargs.keys()}
         )
-        partitions = None
-        if raw.get("partitions", "none") not in ("none", ""):
-            parts = tuple(int(v) for v in raw["partitions"].split("x"))
-            if len(parts) != 3 or any(p < 1 for p in parts):
-                raise ConfigError(f"bad partitions spec {raw['partitions']!r}")
-            partitions = parts
-        return PipelineConfig(
-            manifest=(base / raw["manifest"]).resolve(),
-            t0=t0,
-            tf=tf,
-            output=(base / raw["output"]).resolve() if "output" in raw else None,
-            tau=float(raw.get("tau", "0")),
-            advection=advection,
-            partitions=partitions,
-            ghost_width=int(raw.get("ghost_width", "2")),
-            smooth_iterations=int(raw.get("smooth_iterations", "10")),
-            smooth_lambda=float(raw.get("smooth_lambda", "0.5")),
-            min_triangles=int(raw.get("min_triangles", "0")),
-        )
+        return PipelineConfig(advection=advection, **kwargs)
     except (ValueError, TypeError) as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -255,8 +250,7 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
         except OSError as exc:
             raise ConfigError(f"output {config.output}: {exc}") from exc
     # every step is read and checked here; only the run's first two stay
-    ahead = 1 if config.tf > config.t0 else -1 if config.tf < config.t0 else 0
-    series = scan_dataset(config.manifest, keep={config.t0, config.t0 + ahead})
+    series = scan_dataset(config.manifest, keep=set(_step_sequence(config.t0, config.tf)[:2]))
     for name, idx in (("t0", config.t0), ("tf", config.tf)):
         if not 0 <= idx < len(series):
             raise ConfigError(f"{name} index {idx} outside dataset of {len(series)} steps")
@@ -273,36 +267,6 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
     if config.output is not None:
         _export(result)
     return result
-
-
-def _finish(config, grid, coords, particles, initial_labeling, labelings, splits, s_meshes, report):
-    """Run tail: contribution table, boundary extraction, report statistics."""
-    final_labeling = labelings[-1]
-    table = contribution_table(initial_labeling, final_labeling, particles)
-
-    t_b = _time.perf_counter()
-    final_labels = np.unique(final_labeling.labels)
-    b_meshes = extract_boundaries(
-        grid, particles, final_labeling, final_labels[final_labels >= 0], coords
-    )
-    report.b_seconds = _time.perf_counter() - t_b
-
-    if len(particles):
-        report.max_eps = float(particles.eps.max())
-        report.mean_eps = float(particles.eps.mean())
-        report.corrected_fraction = float(np.mean(particles.eps > 0.0))
-    report.splits = splits
-    return RunResult(
-        config=config,
-        particles=particles,
-        initial_labeling=initial_labeling,
-        final_labeling=final_labeling,
-        labelings=labelings,
-        table=table,
-        b_meshes=b_meshes,
-        s_meshes=s_meshes,
-        report=report,
-    )
 
 
 def _run(config: PipelineConfig, series: StepSeries, layout: PartitionLayout) -> RunResult:
@@ -322,7 +286,6 @@ def _run(config: PipelineConfig, series: StepSeries, layout: PartitionLayout) ->
 
     report = RunReport(particles=len(particles))
     labelings = [initial_labeling]
-    splits: list[tuple[int, SplitEvent]] = []
     s_meshes: list[TriangleMesh] = []
     prev_labeling = initial_labeling
 
@@ -332,12 +295,8 @@ def _run(config: PipelineConfig, series: StepSeries, layout: PartitionLayout) ->
         t_start = _time.perf_counter()
         eps_before = particles.eps > 0.0
 
-        # integrate each partition's particles as one batch, then correct
-        # against the frozen pre-interval snapshot
-        advance_interval(
-            particles, step_from, step_to, config.advection, config.tau,
-            [np.nonzero(owner == pid)[0] for pid in range(layout.nparts)],
-        )
+        # integrate, then correct against the frozen pre-interval snapshot
+        advance_interval(particles, step_from, step_to, config.advection, config.tau)
 
         # ownership follows position; a particle outside every block dies
         now = np.full(len(particles), -1, dtype=np.int64)
@@ -354,7 +313,7 @@ def _run(config: PipelineConfig, series: StepSeries, layout: PartitionLayout) ->
         # split detection and separation surfaces
         events = detect_splits(prev_labeling, cur_labeling, initial_labeling)
         for ev in events:
-            splits.append((k, ev))
+            report.splits.append((k, ev))
             for pair in itertools.combinations(ev.next_labels, 2):
                 mesh = extract_separation_surface(
                     grid, particles, ev, pair, cur_labeling, coords
@@ -376,8 +335,30 @@ def _run(config: PipelineConfig, series: StepSeries, layout: PartitionLayout) ->
             )
         )
     step_from = step_to = None  # no step is needed past the loop
-    return _finish(
-        config, grid, coords, particles, initial_labeling, labelings, splits, s_meshes, report
+
+    # run tail: contribution table, boundary extraction, report statistics
+    final_labeling = labelings[-1]
+    table = contribution_table(initial_labeling, final_labeling, particles)
+    t_b = _time.perf_counter()
+    final_labels = np.unique(final_labeling.labels)
+    b_meshes = extract_boundaries(
+        grid, particles, final_labeling, final_labels[final_labels >= 0], coords
+    )
+    report.b_seconds = _time.perf_counter() - t_b
+    if len(particles):
+        report.max_eps = float(particles.eps.max())
+        report.mean_eps = float(particles.eps.mean())
+        report.corrected_fraction = float(np.mean(particles.eps > 0.0))
+    return RunResult(
+        config=config,
+        particles=particles,
+        initial_labeling=initial_labeling,
+        final_labeling=final_labeling,
+        labelings=labelings,
+        table=table,
+        b_meshes=b_meshes,
+        s_meshes=s_meshes,
+        report=report,
     )
 
 

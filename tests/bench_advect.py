@@ -76,11 +76,11 @@ def test_rk4_positions(benchmark, orbit_interval):
 
 
 def test_correct_strays(benchmark, orbit_interval):
-    step0, step1, particles, pre_pos = orbit_interval
+    _, step1, particles, pre_pos = orbit_interval
     config = AdvectionConfig(corrector="full", refinement=2)
 
     def fresh():
-        return (copy.deepcopy(particles), pre_pos, step0, step1, config, 0.0), {}
+        return (copy.deepcopy(particles), pre_pos, step1, config, 0.0), {}
 
     strays = benchmark.pedantic(correct_strays, setup=fresh, rounds=20)
     assert strays.size > 0

@@ -43,11 +43,11 @@ def test_table_build(benchmark, split_interval):
 
 
 def test_correct_strays(benchmark, split_interval):
-    step0, step1, particles, pre_pos = split_interval
+    _, step1, particles, pre_pos = split_interval
     config = AdvectionConfig(corrector="full", refinement=1)
 
     def fresh():
-        return (copy.deepcopy(particles), pre_pos, step0, step1, config, 0.0), {}
+        return (copy.deepcopy(particles), pre_pos, step1, config, 0.0), {}
 
     strays = benchmark.pedantic(correct_strays, setup=fresh, rounds=20)
     assert strays.size > 0

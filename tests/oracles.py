@@ -578,7 +578,7 @@ def edge_incidence_rows(triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def smooth_vertices_add_at(vertices, triangles, iterations: int, lam: float) -> np.ndarray:
-    """Reference for the vertices of `flowsep.extract.smooth_mesh`: umbrella
+    """Reference for the vertices of `flowsep.extract.smooth_meshes`: umbrella
     smoothing with two `np.add.at` scatter-adds per iteration and the
     open-boundary vertices held fixed."""
     v = np.array(vertices, dtype=np.float64)

@@ -15,7 +15,7 @@ from flowsep.advect import (
     phase_violations,
     seed_particles,
 )
-from flowsep.extract import edge_incidence, is_watertight, smooth_mesh
+from flowsep.extract import edge_incidence, is_watertight, smooth_meshes
 from flowsep.grid import CellField, TimeStep, uniform_grid
 from flowsep.labeling import PartitionLayout, label_features, label_features_partitioned
 from flowsep.plic import anchor_corner, solve_patch_offset, truncated_volume
@@ -271,7 +271,7 @@ def test_criterion_10_mesh_topology(split64_result, merge48_result):
             assert np.any(counts == 1)
             n_s += 1
         for mesh in result.b_meshes + result.s_meshes:
-            smoothed = smooth_mesh(mesh, iterations=10, lam=0.5)
+            smoothed = next(smooth_meshes([mesh], iterations=10, lam=0.5))
             assert smoothed.vertices.shape == mesh.vertices.shape
             assert np.array_equal(smoothed.triangles, mesh.triangles)
     return f"{n_b} boundary + {n_s} separation meshes"

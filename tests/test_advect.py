@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -143,6 +145,69 @@ class TestIntegration:
             assert 3.5 <= order <= 4.5
 
 
+def rotation_steps(cells=8, angle=1.0):
+    """Rigid rotation about the z axis through the domain centre by `angle`
+    over one interval. The first step is liquid everywhere; the second only
+    below x = 0.5, so integration strands particles in gas for the corrector,
+    and the particles near the x-y corners rotate out of the domain."""
+    g = uniform_grid(cells)
+    cx, cy, _ = (c.ravel(order="F") for c in np.meshgrid(*g.centers, indexing="ij"))
+    u = np.zeros((3, g.ncells))
+    u[0] = -angle * (cy - 0.5)
+    u[1] = angle * (cx - 0.5)
+    f_to = (cx < 0.5).astype(float)
+    return make_step(g, np.ones(g.ncells), u, 0.0), make_step(g, f_to, u, 1.0)
+
+
+def traced_peak(fn, *args):
+    """Peak bytes traced while `fn(*args)` runs; callers warm `fn` up first."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlockedIntegration:
+    @pytest.mark.parametrize("corrector", ["off", "full"])
+    def test_block_size_never_changes_a_bit(self, monkeypatch, corrector):
+        step_a, step_b = rotation_steps()
+        seeded = seed_particles(step_a, refinement=1)
+        cfg = AdvectionConfig(corrector=corrector)
+        runs = []
+        for block in (7, len(seeded)):
+            ps = copy.deepcopy(seeded)
+            monkeypatch.setattr(advect, "RK4_BLOCK", block)
+            advance_interval(ps, step_a, step_b, cfg)
+            runs.append(ps)
+        # the leavers fall into many blocks of 7
+        left = np.nonzero(~runs[0].alive)[0]
+        assert np.unique(left // 7).size > 1
+        for name in ("pos", "alive", "eps"):
+            assert np.array_equal(getattr(runs[0], name), getattr(runs[1], name))
+
+    def test_peak_memory_bounded_by_one_block(self):
+        step_a = liquid_block_step(4, time=0.0, u=(0.1, 0.0, 0.0))
+        step_b = liquid_block_step(4, time=1.0, u=(0.1, 0.0, 0.0))
+        rng = np.random.default_rng(3)
+        cfg = AdvectionConfig(corrector="off")
+
+        def particles(n):
+            return probes_particle_set(rng.uniform(0.25, 0.75, size=(n, 3)))
+
+        one, many = particles(advect.RK4_BLOCK), particles(8 * advect.RK4_BLOCK)
+        advance_interval(particles(2), step_a, step_b, cfg)
+        per_block = traced_peak(advance_interval, one, step_a, step_b, cfg)
+        blocked = traced_peak(advance_interval, many, step_a, step_b, cfg)
+        # what the interval must hold for all n: the pre_pos copy and the
+        # alive indices
+        n = len(many)
+        state = many.pos.nbytes + n * np.dtype(np.intp).itemsize
+        assert np.all(many.alive)
+        assert blocked <= state + 2 * per_block
+
+
 class TestCorrector:
     def test_valid_particles_untouched(self):
         step_a = liquid_block_step(4, time=0.0)
@@ -156,12 +221,9 @@ class TestCorrector:
         # the right and must land on that cell's right face
         g = uniform_grid((3, 1, 1), hi=(3.0, 1.0, 1.0))
         step = make_step(g, np.array([1.0, 0.0, 0.0]), np.zeros((3, 3)), time=1.0)
-        step0 = make_step(g, np.array([1.0, 0.0, 0.0]), np.zeros((3, 3)), time=0.0)
         ps = probes_particle_set([[1.6, 0.5, 0.5]])
         pre = np.array([[1.6, 0.5, 0.5]])
-        corrected = correct_strays(
-            ps, pre, step0, step, AdvectionConfig(corrector="stages-2-3"), 0.0
-        )
+        corrected = correct_strays(ps, pre, step, AdvectionConfig(corrector="stages-2-3"), 0.0)
         assert corrected.tolist() == [0]
         entry = segment_box_entry((1.6, 0.5, 0.5), (0.5, 0.5, 0.5), (0, 0, 0), (1, 1, 1))
         assert np.allclose(ps.pos[0], entry, atol=1e-6)
@@ -174,10 +236,9 @@ class TestCorrector:
         g = uniform_grid((3, 1, 1), hi=(3.0, 1.0, 1.0))
         f = np.array([1.0, 0.5, 0.0])
         step = make_step(g, f, np.zeros((3, 3)), time=1.0)
-        step0 = make_step(g, f, np.zeros((3, 3)), time=0.0)
         ps = probes_particle_set([[1.75, 0.0, 0.0]])
         pre = ps.pos.copy()
-        correct_strays(ps, pre, step0, step, AdvectionConfig(corrector="stages-2-3"), 0.0)
+        correct_strays(ps, pre, step, AdvectionConfig(corrector="stages-2-3"), 0.0)
         assert np.allclose(ps.pos[0], (1.5, 0.0, 0.0), atol=1e-6)
         assert np.isclose(ps.eps[0], 0.25, atol=1e-6)
 
@@ -187,13 +248,12 @@ class TestCorrector:
         g = uniform_grid((4, 1, 1), hi=(4.0, 1.0, 1.0))
         f = np.array([1.0, 1.0, 0.0, 0.0])
         u = np.zeros((3, 4))
-        step0 = make_step(g, f, u, time=0.0)
         step1 = make_step(g, f, u, time=1.0)
         ps = probes_particle_set([[0.5, 0.5, 0.5], [1.5, 0.5, 0.5]])
         pre = ps.pos.copy()
         # simulate an integration that left particle 1 stranded in gas
         ps.pos[1] = [2.5, 0.5, 0.5]
-        correct_strays(ps, pre, step0, step1, AdvectionConfig(corrector="full"), 0.0)
+        correct_strays(ps, pre, step1, AdvectionConfig(corrector="full"), 0.0)
         # neighbor displacement is zero, so the stray returns to its pre position
         assert np.allclose(ps.pos[1], pre[1], atol=1e-12)
         assert np.isclose(ps.eps[1], 1.0, atol=1e-12)
@@ -265,13 +325,10 @@ class TestSingleStrayCorrection:
     def test_single_particle_stage2(self):
         g = uniform_grid((3, 1, 1), hi=(3.0, 1.0, 1.0))
         f = np.array([1.0, 0.0, 0.0])
-        step0 = make_step(g, f, np.zeros((3, 3)), time=0.0)
         step1 = make_step(g, f, np.zeros((3, 3)), time=1.0)
         ps = probes_particle_set([[1.6, 0.5, 0.5]])
         pre = ps.pos.copy()
-        corrected = correct_strays(
-            ps, pre, step0, step1, AdvectionConfig(corrector="full"), 0.0
-        )
+        corrected = correct_strays(ps, pre, step1, AdvectionConfig(corrector="full"), 0.0)
         assert corrected.tolist() == [0]
         assert np.allclose(ps.pos[0], (1.0, 0.5, 0.5), atol=1e-6)
         assert np.isclose(ps.eps[0], 0.6, atol=1e-6)

@@ -17,13 +17,11 @@ from flowsep.extract import (
     edge_incidence,
     export_meshes,
     extract_boundaries,
-    extract_boundary,
     extract_separation_surface,
     filter_small_components,
     is_watertight,
     padded_seed_coords,
     seed_axis_coords,
-    smooth_mesh,
     smooth_meshes,
     triangle_components,
     write_obj,
@@ -83,7 +81,7 @@ class TestExtractBoundary:
         g = uniform_grid(4)
         ps = lattice_particle_set(g, 0, [[2, 2, 2]])
         labeling = SeedLabeling(labels=np.zeros(1, dtype=np.int32), time=0.0)
-        mesh = extract_boundary(g, ps, labeling, 0)
+        mesh = extract_boundaries(g, ps, labeling, [0])[0]
         assert mesh.vertices.shape[0] == 6
         assert mesh.triangles.shape[0] == 8
         assert is_watertight(mesh)
@@ -94,7 +92,7 @@ class TestExtractBoundary:
         block = [[i, j, k] for i in (1, 2) for j in (1, 2) for k in (1, 2)]
         ps = lattice_particle_set(g, 0, block)
         labeling = SeedLabeling(labels=np.zeros(8, dtype=np.int32), time=0.0)
-        mesh = extract_boundary(g, ps, labeling, 0)
+        mesh = extract_boundaries(g, ps, labeling, [0])[0]
         assert is_watertight(mesh)
         assert euler_characteristic(mesh) == 2
         # oracle: parity ray casting classifies the seeds inside and the
@@ -120,7 +118,7 @@ class TestExtractBoundary:
         g = uniform_grid(4)
         ps = lattice_particle_set(g, 0, [[0, 0, 0]])
         labeling = SeedLabeling(labels=np.zeros(1, dtype=np.int32), time=0.0)
-        mesh = extract_boundary(g, ps, labeling, 7)
+        mesh = extract_boundaries(g, ps, labeling, [7])[0]
         assert mesh.empty
         assert mesh.kind == "boundary"
 
@@ -128,7 +126,7 @@ class TestExtractBoundary:
         g = uniform_grid(2)
         ps = lattice_particle_set(g, 1, [[1, 1, 1], [2, 1, 1]])
         labeling = SeedLabeling(labels=np.zeros(2, dtype=np.int32), time=0.0)
-        mesh = extract_boundary(g, ps, labeling, 0)
+        mesh = extract_boundaries(g, ps, labeling, [0])[0]
         coords = seed_axis_coords(g, 1)
         spacing = coords[0][1] - coords[0][0]
         # every vertex coordinate is either a lattice coordinate or a midpoint
@@ -146,7 +144,7 @@ class TestExtractBoundary:
         pts = blob_a + blob_b
         ps = lattice_particle_set(g, 0, pts)
         labeling = SeedLabeling(labels=np.zeros(len(pts), dtype=np.int32), time=0.0)
-        mesh = extract_boundary(g, ps, labeling, 0)
+        mesh = extract_boundaries(g, ps, labeling, [0])[0]
         comp = triangle_components(mesh)
         node_mask = np.zeros((8, 8, 8), dtype=bool)
         for i, j, k in pts:
@@ -161,7 +159,7 @@ class TestExtractBoundary:
             pts = np.unique(rng.integers(0, 6, size=(n, 3)), axis=0)
             ps = lattice_particle_set(g, 0, pts)
             labeling = SeedLabeling(labels=np.zeros(pts.shape[0], dtype=np.int32), time=0.0)
-            mesh = extract_boundary(g, ps, labeling, 0)
+            mesh = extract_boundaries(g, ps, labeling, [0])[0]
             assert is_watertight(mesh)
 
 
@@ -236,17 +234,17 @@ class TestSmoothing:
         lattice = np.argwhere(inside.reshape(cells, cells, cells))
         ps = lattice_particle_set(g, 0, lattice)
         labeling = SeedLabeling(labels=np.zeros(lattice.shape[0], dtype=np.int32), time=0.0)
-        return extract_boundary(g, ps, labeling, 0), g
+        return extract_boundaries(g, ps, labeling, [0])[0], g
 
     def test_zero_iterations_identity(self):
         mesh, _ = self._ball_mesh()
-        out = smooth_mesh(mesh, iterations=0)
+        out = next(smooth_meshes([mesh], iterations=0))
         assert np.array_equal(out.vertices, mesh.vertices)
         assert np.array_equal(out.triangles, mesh.triangles)
 
     def test_contraction_of_closed_mesh(self):
         mesh, _ = self._ball_mesh()
-        out = smooth_mesh(mesh, iterations=40, lam=0.5)
+        out = next(smooth_meshes([mesh], iterations=40, lam=0.5))
         r_before = np.linalg.norm(mesh.vertices - 0.5, axis=1).max()
         r_after = np.linalg.norm(out.vertices - 0.5, axis=1).max()
         assert r_after < r_before
@@ -256,14 +254,14 @@ class TestSmoothing:
         # mesh away from it by more than one lattice cell
         mesh, g = self._ball_mesh(r=0.35, cells=16)
         cell = 1.0 / 16
-        out = smooth_mesh(mesh, iterations=10, lam=0.5)
+        out = next(smooth_meshes([mesh], iterations=10, lam=0.5))
         d_before = np.abs(np.linalg.norm(mesh.vertices - 0.5, axis=1) - 0.35).max()
         d_after = np.abs(np.linalg.norm(out.vertices - 0.5, axis=1) - 0.35).max()
         assert d_after <= max(d_before, cell)
 
     def test_connectivity_preserved(self):
         mesh, _ = self._ball_mesh()
-        out = smooth_mesh(mesh, iterations=5)
+        out = next(smooth_meshes([mesh], iterations=5))
         assert out.vertices.shape == mesh.vertices.shape
         assert np.array_equal(out.triangles, mesh.triangles)
 
@@ -273,7 +271,7 @@ class TestSmoothing:
         minus = [[3, j, k] for j in range(1, 5) for k in range(1, 5)]
         ps, event, nxt = _separation_inputs(g, plus, minus)
         mesh = extract_separation_surface(g, ps, event, (0, 1), nxt)
-        out = smooth_mesh(mesh, iterations=10)
+        out = next(smooth_meshes([mesh], iterations=10))
         rim = boundary_vertices(mesh)
         assert 0 < rim.size < mesh.vertices.shape[0]
         assert np.array_equal(out.vertices[rim], mesh.vertices[rim])
@@ -285,7 +283,7 @@ class TestSmoothing:
     def test_lambda_validated(self):
         mesh, _ = self._ball_mesh()
         with pytest.raises(ValueError):
-            smooth_mesh(mesh, iterations=1, lam=0.0)
+            next(smooth_meshes([mesh], iterations=1, lam=0.0))
 
 
 class TestExport:
@@ -310,7 +308,7 @@ class TestExport:
         g = uniform_grid(4)
         ps = lattice_particle_set(g, 0, [[1, 1, 1], [2, 1, 1], [2, 2, 1]])
         labeling = SeedLabeling(labels=np.zeros(3, dtype=np.int32), time=0.0)
-        mesh = extract_boundary(g, ps, labeling, 0)
+        mesh = extract_boundaries(g, ps, labeling, [0])[0]
         path = tmp_path / "mesh.obj"
         write_obj(mesh, path)
         verts, tris = read_obj(path)
@@ -342,7 +340,7 @@ class TestExport:
         pts = [[1, 1, 1]] + [[i, j, 5] for i in (4, 5) for j in (4, 5)]
         ps = lattice_particle_set(g, 0, pts)
         labeling = SeedLabeling(labels=np.zeros(len(pts), dtype=np.int32), time=0.0)
-        mesh = extract_boundary(g, ps, labeling, 0)
+        mesh = extract_boundaries(g, ps, labeling, [0])[0]
         filtered = filter_small_components(mesh, min_triangles=10)
         assert triangle_components(mesh).max() + 1 == 2
         assert triangle_components(filtered).max() + 1 == 1
@@ -353,7 +351,7 @@ class TestExport:
         pts = np.unique(rng.integers(0, 6, size=(30, 3)), axis=0)
         ps = lattice_particle_set(g, 0, pts)
         labeling = SeedLabeling(labels=np.zeros(pts.shape[0], dtype=np.int32), time=0.0)
-        mesh = extract_boundary(g, ps, labeling, 0)
+        mesh = extract_boundaries(g, ps, labeling, [0])[0]
         v = mesh.vertices
         t = mesh.triangles
         areas = 0.5 * np.linalg.norm(
@@ -392,7 +390,7 @@ class TestExportKernelsMatchOracles:
         lam=st.floats(0.0, 1.0, exclude_min=True),
     )
     def test_smoothing_bit_equal_to_scatter_add(self, mesh, iterations, lam):
-        got = smooth_mesh(mesh, iterations, lam).vertices
+        got = next(smooth_meshes([mesh], iterations, lam)).vertices
         want = smooth_vertices_add_at(mesh.vertices, mesh.triangles, iterations, lam)
         assert got.dtype == want.dtype
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -400,7 +398,7 @@ class TestExportKernelsMatchOracles:
     @settings(max_examples=100, deadline=None)
     @given(mesh=lattice_meshes(), iterations=st.integers(0, 3))
     def test_obj_text_equals_fstrings(self, mesh, iterations):
-        mesh = smooth_mesh(mesh, iterations)  # vertices with full-length mantissas
+        mesh = next(smooth_meshes([mesh], iterations))  # vertices with full-length mantissas
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "mesh.obj"
             write_obj(mesh, path)
@@ -565,6 +563,6 @@ class TestTailMemoryBound:
         meshes = extract_boundaries(g, ps, labeling, range(460))
         assert 50 < np.mean([m.vertices.shape[0] for m in meshes]) < 150
         list(smooth_meshes(meshes[:2]))
-        per_mesh = traced_peak(lambda: [smooth_mesh(m) for m in meshes])
+        per_mesh = traced_peak(lambda: [next(smooth_meshes([m])) for m in meshes])
         grouped = traced_peak(lambda: list(smooth_meshes(meshes)))
         assert grouped <= 2 * per_mesh

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import struct
 import weakref
 
@@ -62,6 +63,32 @@ class TestConfigParsing:
         assert cfg.manifest == (tmp_path / "data/dataset.manifest").resolve()
         assert cfg.output == (tmp_path / "out").resolve()
         assert cfg.min_triangles == 10
+
+    def test_missing_keys_take_dataclass_defaults(self, tmp_path):
+        cfg = parse_config(write_config(tmp_path / "c.cfg", manifest="m", t0=0, tf=3))
+        want = PipelineConfig(manifest=(tmp_path / "m").resolve(), t0=0, tf=3)
+        for f in dataclasses.fields(PipelineConfig):
+            assert getattr(cfg, f.name) == getattr(want, f.name), f.name
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("partitions", "2x1"),
+            ("partitions", "0x1x1"),
+            ("partitions", "ax1x1"),
+            ("corrector", "sometimes"),
+            ("refinement", "-1"),
+            ("substeps", "1.5"),
+            ("tau", "1.5"),
+            ("ghost_width", "1"),
+            ("smooth_lambda", "0"),
+            ("min_triangles", "-2"),
+        ],
+    )
+    def test_bad_optional_value(self, tmp_path, key, value):
+        path = write_config(tmp_path / "c.cfg", manifest="m", t0=0, tf=1, **{key: value})
+        with pytest.raises(ConfigError):
+            parse_config(path)
 
     def test_backward_direction_derived(self, tmp_path):
         cfg = parse_config(write_config(tmp_path / "c.cfg", manifest="m", t0=9, tf=2))
