@@ -11,7 +11,14 @@ import sys
 from pathlib import Path
 
 from .advect import PhaseConsistencyError
-from .dataset_io import SCENARIO_KINDS, DatasetError, SyntheticScenario, generate_scenario, write_dataset
+from .dataset_io import (
+    SCENARIO_KINDS,
+    DatasetError,
+    SyntheticScenario,
+    generate_scenario,
+    read_utf8,
+    write_dataset,
+)
 from .runtime import ConfigError, parse_config, run_pipeline
 
 EXIT_OK = 0
@@ -86,7 +93,7 @@ def _cmd_report(args) -> int:
     report_file = Path(args.run) / "report.tsv"
     if not report_file.exists():
         raise DatasetError(f"no report at {report_file}")
-    sys.stdout.write(report_file.read_text())
+    sys.stdout.write(read_utf8(report_file))
     return EXIT_OK
 
 

@@ -138,8 +138,16 @@ def write_manifest(manifest: DatasetManifest, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def read_utf8(path, error: type[Exception] = DatasetError) -> str:
+    """A text file's contents; bytes that are not UTF-8 raise `error`."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+
+
 def read_manifest(path) -> DatasetManifest:
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
+    lines = [ln for ln in read_utf8(path).splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("grid\t"):
         raise DatasetError(f"{path}: manifest must start with a 'grid\\t<path>' header line")
     grid_path = lines[0].split("\t", 1)[1]

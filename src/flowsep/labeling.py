@@ -1,5 +1,6 @@
-"""Connected components: the package's one union-find, and feature labeling
-on the f > tau mask (serial labeling is the 1x1x1 partitioning).
+"""Connected components: the package's one union-find, feature labeling on
+the f > tau mask (serial labeling is the 1x1x1 partitioning), and the
+partition layout whose block edges also give each particle its owner block.
 
 Features are 6-connected (face neighbors only). Labels are dense and canonical:
 components are numbered by ascending smallest flat cell index, so serial and
@@ -74,57 +75,49 @@ def label_features(step: TimeStep, tau: float = 0.0) -> LabelField:
     return label_features_partitioned(step, tau, layout)
 
 
-def _split_ranges(n: int, parts: int) -> list[tuple[int, int]]:
-    bounds = np.linspace(0, n, parts + 1).astype(int)
-    return [(int(bounds[i]), int(bounds[i + 1])) for i in range(parts)]
-
-
 @dataclass
 class PartitionLayout:
-    """Axis-aligned partitioning of the cell grid with ghost halos."""
+    """Axis-aligned partitioning of the cell grid into blocks.
+
+    `edges[d]` holds the `counts[d] + 1` cell indices that bound the blocks
+    along axis d, from 0 to `shape[d]`. Blocks are numbered x-fastest.
+    """
 
     counts: tuple[int, int, int]
     shape: tuple[int, int, int]
-    ghost_width: int = 2
-    ranges: list[list[tuple[int, int]]] = field(init=False)
+    edges: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False)
 
     def __post_init__(self):
-        if self.ghost_width < 2:
-            raise ValueError("ghost width must be >= 2")
         for d in range(3):
             if not 1 <= self.counts[d] <= self.shape[d]:
                 raise ValueError(
                     f"axis {d}: cannot split {self.shape[d]} cells into "
                     f"{self.counts[d]} partitions"
                 )
-        self.ranges = [_split_ranges(self.shape[d], self.counts[d]) for d in range(3)]
+        self.edges = tuple(
+            np.linspace(0, self.shape[d], self.counts[d] + 1).astype(np.int64) for d in range(3)
+        )
 
     @property
     def nparts(self) -> int:
         px, py, pz = self.counts
         return px * py * pz
 
-    def part_coords(self, pid: int) -> tuple[int, int, int]:
-        px, py, _ = self.counts
-        return (pid % px, (pid // px) % py, pid // (px * py))
-
-    def part_id(self, coords):
-        """Partition id of block coordinates (ints or per-axis index arrays)."""
-        px, py, _ = self.counts
-        return coords[0] + px * (coords[1] + py * coords[2])
-
     def block(self, pid: int) -> list[tuple[int, int]]:
         """Core cell index range [start, stop) per axis for one partition."""
-        a, b, c = self.part_coords(pid)
-        return [self.ranges[0][a], self.ranges[1][b], self.ranges[2][c]]
+        coords = np.unravel_index(pid, self.counts, order="F")
+        return [(int(e[c]), int(e[c + 1])) for e, c in zip(self.edges, coords)]
 
-    def owners_of_cells(self, idx: np.ndarray) -> np.ndarray:
-        """Vectorized owner lookup for an (n, 3) cell-index array."""
-        coords = []
-        for d in range(3):
-            starts = np.array([r[0] for r in self.ranges[d]])
-            coords.append(np.searchsorted(starts, idx[:, d], side="right") - 1)
-        return self.part_id(coords)
+    def owners(self, grid: RectilinearGrid, pos: np.ndarray) -> np.ndarray:
+        """Block of each in-domain position (n, 3): per axis, the number of
+        cut planes (the nodes at interior block edges) at or below the
+        coordinate. This is the block of the cell `locate_cells` gives it,
+        the last node included; a 1x1x1 layout has no cut planes."""
+        coords = [
+            np.searchsorted(grid.axes[d][self.edges[d][1:-1]], pos[:, d], side="right")
+            for d in range(3)
+        ]
+        return np.ravel_multi_index(coords, self.counts, order="F")
 
 
 def label_features_partitioned(
@@ -152,7 +145,7 @@ def label_features_partitioned(
     roots, comp = np.unique(root3[mask3], return_inverse=True)
     pairs = [np.empty((2, 0), dtype=np.int64)]
     for axis in range(3):
-        for cut, _ in layout.ranges[axis][1:]:
+        for cut in layout.edges[axis][1:-1]:
             below = [slice(None)] * 3
             above = [slice(None)] * 3
             below[axis] = cut - 1

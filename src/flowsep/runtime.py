@@ -3,15 +3,17 @@ final boundary extraction, and the partitioned execution of that loop.
 
 There is one execution loop. Partitioning splits the grid into blocks and
 gives every particle one owner, the block that holds its position; ownership
-is a single array (-1 once the particle is dead) recomputed after each
-interval. The layout only labels, counts handoffs and gates the ghost-width
-check: labels are merged across block faces, a handoff is counted per
-(source, destination) block pair that particles moved between, and the ghost
-width is checked for every interval before the first. Integration ignores
-it: RK4 takes the alive particles in fixed blocks of `advect.RK4_BLOCK`. A
-serial run is the 1x1x1 partitioning of the same loop: one block, no faces
-to merge, no handoffs and no ghost-width check. Runs under any partitioning
-produce identical labelings, tables, and meshes.
+is a single array (-1 once the particle is dead) that `PartitionLayout.owners`
+fills from the layout's cut planes after each interval. The layout only
+labels, counts handoffs and gates the ghost-width check: labels are merged
+across block faces, a handoff is counted per (source, destination) block pair
+that particles moved between, and the ghost width is checked for every
+interval before the first. Ownership never kills: `advance_interval` has
+already killed every particle that left the domain. Integration ignores the
+layout: RK4 takes the alive particles in fixed blocks of `advect.RK4_BLOCK`.
+A serial run is the 1x1x1 partitioning of the same loop: one block, no cut
+planes, no faces to merge, no handoffs and no ghost-width check. Runs under
+any partitioning produce identical labelings, tables, and meshes.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .advect import (
     advance_interval,
     seed_particles,
 )
-from .dataset_io import DatasetError, StepSeries, scan_dataset
+from .dataset_io import DatasetError, StepSeries, read_utf8, scan_dataset
 from .extract import (
     TriangleMesh,
     export_meshes,
@@ -38,7 +40,6 @@ from .extract import (
     padded_seed_coords,
     smooth_meshes,
 )
-from .grid import locate_cells
 from .labeling import PartitionLayout, label_features_partitioned
 from .segment import (
     ContributionTable,
@@ -88,7 +89,7 @@ class PipelineConfig:
 
 
 def _partitions(text: str) -> tuple[int, int, int] | None:
-    if text in ("none", ""):
+    if text == "none":
         return None
     parts = tuple(int(v) for v in text.split("x"))
     if len(parts) != 3 or any(p < 1 for p in parts):
@@ -120,7 +121,7 @@ def parse_config(path) -> PipelineConfig:
     Paths are relative to the config file's directory."""
     path = Path(path)
     raw: dict[str, str] = {}
-    for lineno, ln in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, ln in enumerate(read_utf8(path, ConfigError).splitlines(), start=1):
         ln = ln.strip()
         if not ln or ln.startswith("#"):
             continue
@@ -131,6 +132,8 @@ def parse_config(path) -> PipelineConfig:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in raw:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        if not value:
+            raise ConfigError(f"{path}:{lineno}: empty value for key {key!r}")
         raw[key] = value
     for required in ("manifest", "t0", "tf"):
         if required not in raw:
@@ -211,13 +214,12 @@ class RunResult:
     report: RunReport
 
 
-def _step_sequence(t0: int, tf: int) -> list[int]:
-    if tf >= t0:
-        return list(range(t0, tf + 1))
-    return list(range(t0, tf - 1, -1))
+def _step_sequence(t0: int, tf: int) -> range:
+    step = 1 if tf >= t0 else -1
+    return range(t0, tf + step, step)
 
 
-def _check_ghost_width(series: StepSeries, a: int, b: int, layout: PartitionLayout) -> None:
+def _check_ghost_width(series: StepSeries, a: int, b: int, ghost_width: int) -> None:
     """Interval a -> b, from the times and max |u| the pre-pass recorded."""
     grid = series.grid
     dt = abs(series.times[b] - series.times[a])
@@ -226,20 +228,11 @@ def _check_ghost_width(series: StepSeries, a: int, b: int, layout: PartitionLayo
         umax = max(float(series.umax[a, d]), float(series.umax[b, d]))
         wmin = float(grid.widths[d].min())
         needed = max(needed, umax * dt / wmin)
-    if int(np.ceil(needed)) > layout.ghost_width:
+    if int(np.ceil(needed)) > ghost_width:
         raise GhostWidthError(
             f"interval displacement spans {needed:.2f} cells, ghost width is "
-            f"{layout.ghost_width}; increase ghost_width or the partition size"
+            f"{ghost_width}; increase ghost_width or the partition size"
         )
-
-
-def _owners_for_positions(layout: PartitionLayout, grid, pos: np.ndarray) -> np.ndarray:
-    """Owner pid per position; -1 for positions outside the domain."""
-    idx, inside = locate_cells(grid, pos)
-    owners = np.full(pos.shape[0], -1, dtype=np.int64)
-    if inside.any():
-        owners[inside] = layout.owners_of_cells(idx[inside])
-    return owners
 
 
 def run_pipeline(config: PipelineConfig) -> RunResult:
@@ -250,16 +243,12 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
         except OSError as exc:
             raise ConfigError(f"output {config.output}: {exc}") from exc
     # every step is read and checked here; only the run's first two stay
-    series = scan_dataset(config.manifest, keep=set(_step_sequence(config.t0, config.tf)[:2]))
+    series = scan_dataset(config.manifest, keep=_step_sequence(config.t0, config.tf)[:2])
     for name, idx in (("t0", config.t0), ("tf", config.tf)):
         if not 0 <= idx < len(series):
             raise ConfigError(f"{name} index {idx} outside dataset of {len(series)} steps")
     try:
-        layout = PartitionLayout(
-            counts=config.partitions or (1, 1, 1),
-            shape=series.grid.shape,
-            ghost_width=config.ghost_width,
-        )
+        layout = PartitionLayout(counts=config.partitions or (1, 1, 1), shape=series.grid.shape)
     except ValueError as exc:
         raise ConfigError(f"partitions: {exc}") from exc
 
@@ -276,13 +265,13 @@ def _run(config: PipelineConfig, series: StepSeries, layout: PartitionLayout) ->
     grid = series.grid
     if layout.nparts > 1:  # a single block has no neighbouring halo
         for a, b in zip(seq, seq[1:]):
-            _check_ghost_width(series, a, b, layout)
+            _check_ghost_width(series, a, b, config.ghost_width)
     step_to = series.take(seq[0])
     labels0 = label_features_partitioned(step_to, config.tau, layout)
     particles = seed_particles(step_to, config.advection.refinement, config.tau)
     coords = padded_seed_coords(grid, particles.refinement)  # for every mesh of the run
     initial_labeling = assign_labels(particles, labels0, step_to, config.tau)
-    owner = _owners_for_positions(layout, grid, particles.seeds)
+    owner = layout.owners(grid, particles.seeds)
 
     report = RunReport(particles=len(particles))
     labelings = [initial_labeling]
@@ -298,11 +287,9 @@ def _run(config: PipelineConfig, series: StepSeries, layout: PartitionLayout) ->
         # integrate, then correct against the frozen pre-interval snapshot
         advance_interval(particles, step_from, step_to, config.advection, config.tau)
 
-        # ownership follows position; a particle outside every block dies
+        # ownership follows position; every alive particle is in the domain
         now = np.full(len(particles), -1, dtype=np.int64)
-        alive = np.nonzero(particles.alive)[0]
-        now[alive] = _owners_for_positions(layout, grid, particles.pos[alive])
-        particles.alive &= now >= 0
+        now[particles.alive] = layout.owners(grid, particles.pos[particles.alive])
         moved = (now >= 0) & (now != owner)
         report.handoffs.append(np.unique(owner[moved] * layout.nparts + now[moved]).size)
         owner = now

@@ -715,6 +715,17 @@ def locate_cells_passes(grid, pts):
     return idx, inside
 
 
+def owners_of_cells(layout, grid, pos):
+    """Reference for `flowsep.labeling.PartitionLayout.owners` (the runtime's
+    former lookup): the cell of each position from `locate_cells`, then per
+    axis the last block whose start index is at or below the cell index,
+    numbered x-fastest; -1 outside the domain."""
+    idx, inside = locate_cells(grid, pos)
+    px, py, _ = layout.counts
+    c = [np.searchsorted(layout.edges[d][:-1], idx[:, d], side="right") - 1 for d in range(3)]
+    return np.where(inside, c[0] + px * (c[1] + py * c[2]), -1)
+
+
 def flat_index(grid, cell) -> int:
     """Flat index of one cell in the x-fastest layout."""
     nx, ny, _ = grid.shape

@@ -19,7 +19,7 @@ from flowsep.advect import (
     rk4_positions,
     seed_particles,
 )
-from flowsep.grid import CellField, RectilinearGrid, TimeStep, uniform_grid
+from flowsep.grid import CellField, RectilinearGrid, TimeStep, locate_cells, uniform_grid
 
 from .oracles import (
     first_per_group_lexsort,
@@ -206,6 +206,34 @@ class TestBlockedIntegration:
         state = many.pos.nbytes + n * np.dtype(np.intp).itemsize
         assert np.all(many.alive)
         assert blocked <= state + 2 * per_block
+
+
+class TestAliveInsideDomain:
+    """After an interval every alive particle lies in the closed domain box,
+    so the run's owner lookup never meets a particle outside every block."""
+
+    CORRECTORS = ["off", "stages-2-3", "full"]
+
+    @pytest.mark.parametrize("corrector", CORRECTORS)
+    def test_rotation_with_leavers(self, corrector):
+        step_a, step_b = rotation_steps()
+        ps = seed_particles(step_a, refinement=1)
+        advance_interval(ps, step_a, step_b, AdvectionConfig(corrector=corrector))
+        assert not ps.alive.all()  # the corner particles left
+        assert (ps.eps > 0).any() == (corrector != "off")  # and strays were moved
+        assert locate_cells(step_b.grid, ps.pos[ps.alive])[1].all()
+
+    @pytest.mark.parametrize("corrector", CORRECTORS)
+    def test_split_with_strays(self, split32, corrector):
+        ds, _ = split32
+        ps = seed_particles(ds.steps[0], refinement=1)
+        cfg = AdvectionConfig(corrector=corrector, refinement=1)
+        strays = 0
+        for k in range(len(ds) - 1):
+            advance_interval(ps, ds.steps[k], ds.steps[k + 1], cfg)
+            strays += phase_violations(ps, ds.steps[k + 1]).size
+            assert locate_cells(ds.grid, ps.pos[ps.alive])[1].all()
+        assert (strays > 0 if corrector == "off" else (ps.eps > 0).any())
 
 
 class TestCorrector:

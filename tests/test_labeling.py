@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowsep.grid import CellField, TimeStep, uniform_grid
+from flowsep.grid import CellField, RectilinearGrid, TimeStep, uniform_grid
 from flowsep.labeling import (
     PartitionLayout,
     connected_components,
@@ -13,7 +13,7 @@ from flowsep.labeling import (
     label_features_partitioned,
 )
 
-from .oracles import UnionFind, union_find_label
+from .oracles import UnionFind, owners_of_cells, union_find_label
 
 
 def mask_step(mask3, time=0.0):
@@ -98,14 +98,14 @@ class TestPartitionLayout:
             covered[i0:i1, j0:j1, k0:k1] += 1
         assert np.all(covered == 1)
 
-    def test_ghost_width_minimum(self):
-        with pytest.raises(ValueError):
-            PartitionLayout(counts=(2, 2, 2), shape=(8, 8, 8), ghost_width=1)
-
     def test_owner_lookup(self):
+        # the lower domain corner, the last x node, a cell centre, the cut
+        # plane x = 0.5 (owned by the block above it) and the upper corner
         layout = PartitionLayout(counts=(2, 1, 1), shape=(8, 4, 4))
-        idx = np.array([[0, 0, 0], [7, 0, 0], [3, 1, 1], [4, 0, 0], [7, 3, 3]])
-        assert layout.owners_of_cells(idx).tolist() == [0, 1, 0, 1, 1]
+        pos = np.array(
+            [[0, 0, 0], [1, 0, 0], [0.4375, 0.375, 0.375], [0.5, 0, 0], [1, 1, 1]], dtype=float
+        )
+        assert layout.owners(uniform_grid((8, 4, 4)), pos).tolist() == [0, 1, 0, 1, 1]
 
     def test_too_many_partitions_rejected(self):
         with pytest.raises(ValueError):
@@ -170,6 +170,25 @@ def masks_with_layouts(draw):
 
 
 @st.composite
+def layouts_with_points(draw):
+    """Unequally spaced axes of 1-9 cells, 1 to n blocks per axis, and points
+    whose coordinates lie on nodes (the cut planes and both domain faces among
+    them), one ulp either side of a node within the domain, or inside cells."""
+    shape = tuple(draw(st.integers(1, 9)) for _ in range(3))
+    counts = tuple(draw(st.integers(1, n)) for n in shape)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    axes, coords = [], []
+    for n in shape:
+        a = np.cumsum(np.concatenate([[rng.uniform(-2.0, 2.0)], rng.uniform(0.05, 3.0, n)]))
+        ulp = np.concatenate([np.nextafter(a, -np.inf), np.nextafter(a, np.inf)])
+        inner = a[:-1] + rng.random(n) * np.diff(a)
+        pool = np.concatenate([a, ulp[(ulp >= a[0]) & (ulp <= a[-1])], inner])
+        axes.append(a)
+        coords.append(rng.choice(pool, 200))
+    return RectilinearGrid(tuple(axes)), counts, np.stack(coords, axis=1)
+
+
+@st.composite
 def edge_lists(draw):
     """Random graphs whose edge lists always hold self-loops and duplicates."""
     n = draw(st.integers(1, 40))
@@ -189,6 +208,15 @@ class TestProperties:
         oracle_labels, oracle_count = union_find_label(mask)
         assert lf.count == oracle_count
         assert np.array_equal(lf.view3d(), oracle_labels)
+
+    @settings(max_examples=100, deadline=None)
+    @given(layouts_with_points())
+    def test_owners_match_cell_lookup(self, case):
+        grid, counts, pos = case
+        layout = PartitionLayout(counts=counts, shape=grid.shape)
+        want = owners_of_cells(layout, grid, pos)
+        assert np.all(want >= 0)  # every point lies in the domain
+        assert np.array_equal(layout.owners(grid, pos), want)
 
     @settings(max_examples=100, deadline=None)
     @given(edge_lists())

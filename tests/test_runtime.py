@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import struct
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -83,16 +84,20 @@ class TestConfigParsing:
             ("ghost_width", "1"),
             ("smooth_lambda", "0"),
             ("min_triangles", "-2"),
+            ("partitions", ""),
+            ("output", ""),
+            ("manifest", ""),
         ],
     )
     def test_bad_optional_value(self, tmp_path, key, value):
-        path = write_config(tmp_path / "c.cfg", manifest="m", t0=0, tf=1, **{key: value})
+        kv = {"manifest": "m", "t0": 0, "tf": 1, key: value}
+        path = write_config(tmp_path / "c.cfg", **kv)
         with pytest.raises(ConfigError):
             parse_config(path)
 
     def test_backward_direction_derived(self, tmp_path):
         cfg = parse_config(write_config(tmp_path / "c.cfg", manifest="m", t0=9, tf=2))
-        assert runtime._step_sequence(cfg.t0, cfg.tf) == [9, 8, 7, 6, 5, 4, 3, 2]
+        assert list(runtime._step_sequence(cfg.t0, cfg.tf)) == [9, 8, 7, 6, 5, 4, 3, 2]
 
     def test_unknown_key_rejected(self, tmp_path):
         path = write_config(tmp_path / "c.cfg", manifest="m", t0=0, tf=1, turbo="yes")
@@ -143,6 +148,19 @@ class TestDegenerateRun:
         cfg = PipelineConfig(manifest=manifest, t0=0, tf=99)
         with pytest.raises(ConfigError):
             run_pipeline(cfg)
+
+    def test_far_tf_rejected_without_building_its_steps(self, tmp_path):
+        # the range check must not first list the million step indices up to tf
+        sc = SyntheticScenario(kind="rigid-rotation", cells=4, steps=2)
+        manifest = write_dataset(generate_scenario(sc), tmp_path / "ds")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="tf index 1000000"):
+                run_pipeline(PipelineConfig(manifest=manifest, t0=0, tf=10**6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestBackwardRun:
@@ -509,6 +527,29 @@ class TestCli:
 
     def test_report_missing_run_dir(self, tmp_path):
         assert main(["report", "--run", str(tmp_path / "nope")]) == 2
+
+    @pytest.mark.parametrize(
+        "target, code, prefix",
+        [("config", 1, "config error:"), ("manifest", 2, "data error:"), ("report", 2, "data error:")],
+        ids=["config", "manifest", "report"],
+    )
+    def test_undecodable_text_exit_code(self, tmp_path, capsys, target, code, prefix):
+        # a stray Latin-1 byte (0xe9) in a config file, manifest or report.tsv
+        sc = SyntheticScenario(kind="rigid-rotation", cells=4, steps=2)
+        manifest = write_dataset(generate_scenario(sc), tmp_path / "ds")
+        path = write_config(tmp_path / "run.cfg", manifest="ds/dataset.manifest", t0=0, tf=1)
+        if target == "report":
+            (tmp_path / "out").mkdir()
+            (tmp_path / "out" / "report.tsv").write_bytes(b"summary\tparticles\t\xe9\n")
+            argv = ["report", "--run", str(tmp_path / "out")]
+        else:
+            bad = path if target == "config" else manifest
+            bad.write_bytes(bad.read_bytes() + b"# caf\xe9\n")
+            argv = ["run", "--config", str(path)]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith(prefix)
+        assert "Traceback" not in err
 
     def test_ghost_width_below_two_exit_code(self, tmp_path):
         path = write_config(tmp_path / "run.cfg", manifest="m", t0=0, tf=1, ghost_width=1)
