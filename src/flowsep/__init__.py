@@ -41,7 +41,6 @@ from .grid import (
     uniform_grid,
 )
 from .labeling import LabelField, PartitionLayout, label_features, label_features_partitioned
-from .plic import truncated_volume
 from .runtime import (
     PipelineConfig,
     RunReport,
@@ -97,7 +96,6 @@ __all__ = [
     "sample_velocity",
     "seed_particles",
     "smooth_meshes",
-    "truncated_volume",
     "uniform_grid",
     "write_dataset",
     "write_timestep",

@@ -1,4 +1,9 @@
-"""Dataset files (bit-exact binary steps, grid, manifest) and synthetic test datasets."""
+"""Dataset files (bit-exact binary steps, grid, manifest), the one pass that
+reads and checks a dataset's steps, and synthetic test datasets.
+
+`scan_dataset` reads every step file once, runs every check on it and keeps
+only the steps it is asked for; `load_dataset` is that pass keeping them all.
+"""
 
 from __future__ import annotations
 
@@ -195,29 +200,6 @@ def _series_files(manifest_path) -> tuple[RectilinearGrid, list[tuple[float, Pat
     return read_grid(grid_file), [(t, base / rel) for t, rel in manifest.steps]
 
 
-def _read_checked_step(manifest_path, grid, t: float, spath: Path, prev: float | None) -> TimeStep:
-    """One manifest step, checked against its manifest time `t` and to come
-    strictly after the previous step's time `prev` (None for the first)."""
-    if not spath.exists():
-        raise DatasetError(f"{manifest_path}: step file {spath} does not exist")
-    step = read_timestep(spath, grid)
-    if abs(step.time - t) > 1e-12 * max(1.0, abs(t)):
-        raise DatasetError(f"{spath}: step time {step.time} disagrees with manifest {t}")
-    if prev is not None and step.time <= prev:
-        raise DatasetError(f"{spath}: step time {step.time} does not follow {prev}")
-    return step
-
-
-def load_dataset(manifest_path) -> TimeSeriesDataset:
-    """Read and check every step of a dataset and keep them all."""
-    grid, entries = _series_files(manifest_path)
-    steps = []
-    for t, spath in entries:
-        prev = steps[-1].time if steps else None
-        steps.append(_read_checked_step(manifest_path, grid, t, spath, prev))
-    return TimeSeriesDataset(grid=grid, steps=steps)
-
-
 @dataclass
 class StepSeries:
     """A checked dataset whose steps are read when they are needed.
@@ -231,7 +213,6 @@ class StepSeries:
     grid: RectilinearGrid
     paths: list[Path]
     times: list[float]
-    umax: np.ndarray  # (nsteps, 3) per-axis max |u| of every step
     kept: dict[int, TimeStep]
 
     def __len__(self) -> int:
@@ -249,20 +230,30 @@ class StepSeries:
 
 
 def scan_dataset(manifest_path, keep=()) -> StepSeries:
-    """Validating pre-pass: read and check every step as `load_dataset` does,
-    record each step's time and per-axis max |u|, and keep only the steps
-    whose indices are in `keep`."""
+    """Validating pass: read and check every step, each against its manifest
+    time and to come strictly after the step before, record its time, and
+    keep only the steps whose indices are in `keep`."""
     grid, entries = _series_files(manifest_path)
-    times, umax, kept = [], [], {}
+    times, kept = [], {}
     for k, (t, spath) in enumerate(entries):
-        step = _read_checked_step(manifest_path, grid, t, spath, times[-1] if times else None)
+        if not spath.exists():
+            raise DatasetError(f"{manifest_path}: step file {spath} does not exist")
+        step = read_timestep(spath, grid)
+        if abs(step.time - t) > 1e-12 * max(1.0, abs(t)):
+            raise DatasetError(f"{spath}: step time {step.time} disagrees with manifest {t}")
+        if times and step.time <= times[-1]:
+            raise DatasetError(f"{spath}: step time {step.time} does not follow {times[-1]}")
         times.append(step.time)
-        umax.append([np.abs(step.u.component(d)).max(initial=0.0) for d in range(3)])
         if k in keep:
             kept[k] = step
         del step  # an unkept step is freed before the next read
-    paths = [spath for _, spath in entries]
-    return StepSeries(grid, paths, times, np.array(umax).reshape(-1, 3), kept)
+    return StepSeries(grid, [spath for _, spath in entries], times, kept)
+
+
+def load_dataset(manifest_path) -> TimeSeriesDataset:
+    """`scan_dataset` keeping every step, as one in-memory dataset."""
+    series = scan_dataset(manifest_path, keep=range(len(read_manifest(manifest_path).steps)))
+    return TimeSeriesDataset(grid=series.grid, steps=[series.take(k) for k in range(len(series))])
 
 
 SCENARIO_KINDS = ("split-sphere", "rigid-rotation", "merge-then-split", "shear-stretch")
@@ -305,10 +296,10 @@ class SyntheticScenario:
             value = getattr(self, name)
             if not np.all(np.isfinite(value)):
                 raise DatasetError(f"{name} must be finite, got {value}")
-        if self.steps < 2:
-            raise DatasetError("need at least 2 steps")
-        if self.cells < 2:
-            raise DatasetError("need at least 2 cells per axis")
+        for name, least in (("cells", 2), ("steps", 2), ("subsamples", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < least:
+                raise DatasetError(f"{name} must be an integer >= {least}, got {value!r}")
 
     # --- analytic definitions -------------------------------------------------
 

@@ -121,34 +121,9 @@ def _solve_offsets(w: np.ndarray, c: np.ndarray, fractions: np.ndarray) -> np.nd
     return _by_region(_alpha_piece, fractions, bounds, m) * extent
 
 
-def truncated_volume(lo, hi, normal, anchor, offset: float) -> float:
-    """Exact fraction of the box [lo, hi] inside {(x - anchor) . n <= offset}.
-
-    `anchor` must be a corner of the box. Monotone non-decreasing in offset;
-    0 at offset 0 (up to the degenerate corner) and 1 beyond the projected extent.
-    """
-    lo, hi, n, a = (np.asarray(v, dtype=np.float64)[None, :] for v in (lo, hi, normal, anchor))
-    # y_i in [0, w_i] measured from the anchor; axes with a negative
-    # coefficient are reflected so all coefficients become |n_i|
-    w = hi - lo
-    c = np.where(np.abs(a - lo) <= np.abs(a - hi), n, -n)
-    rhs = float(offset) - row_dot(np.minimum(c, 0.0), w)
-    m, extent = _unit_form(w, np.abs(c))
-    if extent[0] == 0.0:  # zero normal: all or nothing
-        return float(rhs[0] >= 0.0)
-    return float(_unit_fractions(m, rhs / extent)[0])
-
-
 def anchor_corner(lo, hi, normal) -> np.ndarray:
     """Deepest-liquid corner: minimal projection onto the normal, ties toward lo."""
     return np.where(np.asarray(normal) < 0.0, hi, lo)
-
-
-def solve_patch_offset(lo, hi, normal, fraction: float) -> float:
-    """Plane offset l with truncated_volume == fraction, in closed form (normal != 0)."""
-    w = (np.asarray(hi, dtype=np.float64) - np.asarray(lo, dtype=np.float64))[None, :]
-    c = np.abs(np.asarray(normal, dtype=np.float64))[None, :]
-    return float(_solve_offsets(w, c, np.array([float(fraction)]))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -5,15 +5,14 @@ There is one execution loop. Partitioning splits the grid into blocks and
 gives every particle one owner, the block that holds its position; ownership
 is a single array (-1 once the particle is dead) that `PartitionLayout.owners`
 fills from the layout's cut planes after each interval. The layout only
-labels, counts handoffs and gates the ghost-width check: labels are merged
-across block faces, a handoff is counted per (source, destination) block pair
-that particles moved between, and the ghost width is checked for every
-interval before the first. Ownership never kills: `advance_interval` has
-already killed every particle that left the domain. Integration ignores the
-layout: RK4 takes the alive particles in fixed blocks of `advect.RK4_BLOCK`.
-A serial run is the 1x1x1 partitioning of the same loop: one block, no cut
-planes, no faces to merge, no handoffs and no ghost-width check. Runs under
-any partitioning produce identical labelings, tables, and meshes.
+labels and counts handoffs: labels are merged across block faces, and a
+handoff is counted per (source, destination) block pair that particles moved
+between. Ownership never kills: `advance_interval` has already killed every
+particle that left the domain. Integration ignores the layout: RK4 samples
+the global fields and takes the alive particles in fixed blocks of
+`advect.RK4_BLOCK`. A serial run is the 1x1x1 partitioning of the same loop:
+one block, no cut planes, no faces to merge and no handoffs. Runs under any
+partitioning produce identical labelings, tables, and meshes.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from .advect import (
     advance_interval,
     seed_particles,
 )
-from .dataset_io import DatasetError, StepSeries, read_utf8, scan_dataset
+from .dataset_io import StepSeries, read_manifest, read_utf8, scan_dataset
 from .extract import (
     TriangleMesh,
     export_meshes,
@@ -57,10 +56,6 @@ class ConfigError(ValueError):
     """Bad pipeline configuration (unknown key, missing field, bad value)."""
 
 
-class GhostWidthError(DatasetError):
-    """Configured ghost width cannot cover one interval's particle displacement."""
-
-
 @dataclass
 class PipelineConfig:
     manifest: Path
@@ -70,14 +65,11 @@ class PipelineConfig:
     tau: float = 0.0
     advection: AdvectionConfig = field(default_factory=AdvectionConfig)
     partitions: tuple[int, int, int] | None = None
-    ghost_width: int = 2
     smooth_iterations: int = 10
     smooth_lambda: float = 0.5
     min_triangles: int = 0
 
     def __post_init__(self):
-        if self.ghost_width < 2:
-            raise ConfigError(f"ghost_width must be >= 2, got {self.ghost_width}")
         if not 0.0 <= self.tau < 1.0:
             raise ConfigError(f"tau must lie in [0, 1), got {self.tau}")
         if self.smooth_iterations < 0:
@@ -107,7 +99,6 @@ _CONFIG_KEYS = {
     "substeps": int,
     "corrector": str,
     "partitions": _partitions,
-    "ghost_width": int,
     "output": Path,
     "smooth_iterations": int,
     "smooth_lambda": float,
@@ -219,22 +210,6 @@ def _step_sequence(t0: int, tf: int) -> range:
     return range(t0, tf + step, step)
 
 
-def _check_ghost_width(series: StepSeries, a: int, b: int, ghost_width: int) -> None:
-    """Interval a -> b, from the times and max |u| the pre-pass recorded."""
-    grid = series.grid
-    dt = abs(series.times[b] - series.times[a])
-    needed = 0.0
-    for d in range(3):
-        umax = max(float(series.umax[a, d]), float(series.umax[b, d]))
-        wmin = float(grid.widths[d].min())
-        needed = max(needed, umax * dt / wmin)
-    if int(np.ceil(needed)) > ghost_width:
-        raise GhostWidthError(
-            f"interval displacement spans {needed:.2f} cells, ghost width is "
-            f"{ghost_width}; increase ghost_width or the partition size"
-        )
-
-
 def run_pipeline(config: PipelineConfig) -> RunResult:
     """Execute the full pipeline and (optionally) export its artifacts."""
     if config.output is not None:
@@ -242,11 +217,12 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
             Path(config.output).mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"output {config.output}: {exc}") from exc
+    nsteps = len(read_manifest(config.manifest).steps)  # before any step file is read
+    for name, idx in (("t0", config.t0), ("tf", config.tf)):
+        if not 0 <= idx < nsteps:
+            raise ConfigError(f"{name} index {idx} outside dataset of {nsteps} steps")
     # every step is read and checked here; only the run's first two stay
     series = scan_dataset(config.manifest, keep=_step_sequence(config.t0, config.tf)[:2])
-    for name, idx in (("t0", config.t0), ("tf", config.tf)):
-        if not 0 <= idx < len(series):
-            raise ConfigError(f"{name} index {idx} outside dataset of {len(series)} steps")
     try:
         layout = PartitionLayout(counts=config.partitions or (1, 1, 1), shape=series.grid.shape)
     except ValueError as exc:
@@ -263,9 +239,6 @@ def _run(config: PipelineConfig, series: StepSeries, layout: PartitionLayout) ->
     leaves the window, and its PLIC table, are freed before the next is read."""
     seq = _step_sequence(config.t0, config.tf)
     grid = series.grid
-    if layout.nparts > 1:  # a single block has no neighbouring halo
-        for a, b in zip(seq, seq[1:]):
-            _check_ghost_width(series, a, b, config.ghost_width)
     step_to = series.take(seq[0])
     labels0 = label_features_partitioned(step_to, config.tau, layout)
     particles = seed_particles(step_to, config.advection.refinement, config.tau)

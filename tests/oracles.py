@@ -9,6 +9,9 @@ the library's former search, kept as it was: it locates cells and takes the
 per-stray minimum with the library's own functions, each pinned to a scalar
 oracle here. The per-label boundary oracle calls the library's
 `marching_cubes`, itself pinned to the scalar loop here, once per label.
+`truncated_volume` and `solve_patch_offset` are not oracles but one-box
+wrappers over the PLIC closed form, so the tests can put that form itself
+against the counting and rational oracles box by box.
 """
 
 from __future__ import annotations
@@ -24,6 +27,35 @@ from flowsep.advect import _first_per_group
 from flowsep.extract import seed_axis_coords
 from flowsep.grid import flat_indices, locate_cells
 from flowsep.marching import CASE_TRIS, CORNERS, EDGES, marching_cubes
+from flowsep.plic import _solve_offsets, _unit_form, _unit_fractions, row_dot
+
+# --- the PLIC closed form on one box ----------------------------------------
+
+
+def truncated_volume(lo, hi, normal, anchor, offset: float) -> float:
+    """Exact fraction of the box [lo, hi] inside {(x - anchor) . n <= offset}.
+
+    `anchor` must be a corner of the box. Monotone non-decreasing in offset;
+    0 at offset 0 (up to the degenerate corner) and 1 beyond the projected extent.
+    """
+    lo, hi, n, a = (np.asarray(v, dtype=np.float64)[None, :] for v in (lo, hi, normal, anchor))
+    # y_i in [0, w_i] measured from the anchor; axes with a negative
+    # coefficient are reflected so all coefficients become |n_i|
+    w = hi - lo
+    c = np.where(np.abs(a - lo) <= np.abs(a - hi), n, -n)
+    rhs = float(offset) - row_dot(np.minimum(c, 0.0), w)
+    m, extent = _unit_form(w, np.abs(c))
+    if extent[0] == 0.0:  # zero normal: all or nothing
+        return float(rhs[0] >= 0.0)
+    return float(_unit_fractions(m, rhs / extent)[0])
+
+
+def solve_patch_offset(lo, hi, normal, fraction: float) -> float:
+    """Plane offset l with truncated_volume == fraction, in closed form (normal != 0)."""
+    w = (np.asarray(hi, dtype=np.float64) - np.asarray(lo, dtype=np.float64))[None, :]
+    c = np.abs(np.asarray(normal, dtype=np.float64))[None, :]
+    return float(_solve_offsets(w, c, np.array([float(fraction)]))[0])
+
 
 # --- half-space / box volume oracles ---------------------------------------
 

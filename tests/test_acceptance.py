@@ -18,7 +18,7 @@ from flowsep.advect import (
 from flowsep.extract import edge_incidence, is_watertight, smooth_meshes
 from flowsep.grid import CellField, TimeStep, uniform_grid
 from flowsep.labeling import PartitionLayout, label_features, label_features_partitioned
-from flowsep.plic import anchor_corner, solve_patch_offset, truncated_volume
+from flowsep.plic import anchor_corner
 from flowsep.runtime import PipelineConfig, run_pipeline
 
 from .oracles import (
@@ -26,7 +26,9 @@ from .oracles import (
     first_disconnection_step,
     points_in_mesh,
     rotate_about_z,
+    solve_patch_offset,
     subvoxel_fraction,
+    truncated_volume,
     union_find_label,
 )
 

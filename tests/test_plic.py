@@ -11,16 +11,16 @@ from flowsep.plic import (
     is_liquid_many,
     plic_table,
     project_many,
-    solve_patch_offset,
-    truncated_volume,
 )
 
 from .oracles import (
     bisect_offset,
     exact_corner_fraction,
     flat_index,
+    solve_patch_offset,
     subvoxel_fraction,
     subvoxel_fraction_points,
+    truncated_volume,
 )
 
 # round-trip tolerance |truncated_volume(solve_patch_offset(f)) - f| of the offsets

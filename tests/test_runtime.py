@@ -20,7 +20,6 @@ from flowsep.dataset_io import (
 from flowsep.grid import CellField, TimeSeriesDataset, TimeStep, uniform_grid
 from flowsep.runtime import (
     ConfigError,
-    GhostWidthError,
     PipelineConfig,
     parse_config,
     run_pipeline,
@@ -48,7 +47,6 @@ class TestConfigParsing:
             substeps=2,
             corrector="stages-2-3",
             partitions="2x1x1",
-            ghost_width=3,
             output="out",
             smooth_iterations=5,
             smooth_lambda=0.4,
@@ -60,7 +58,6 @@ class TestConfigParsing:
         assert cfg.advection.substeps == 2
         assert cfg.advection.corrector == "stages-2-3"
         assert cfg.partitions == (2, 1, 1)
-        assert cfg.ghost_width == 3
         assert cfg.manifest == (tmp_path / "data/dataset.manifest").resolve()
         assert cfg.output == (tmp_path / "out").resolve()
         assert cfg.min_triangles == 10
@@ -81,7 +78,6 @@ class TestConfigParsing:
             ("refinement", "-1"),
             ("substeps", "1.5"),
             ("tau", "1.5"),
-            ("ghost_width", "1"),
             ("smooth_lambda", "0"),
             ("min_triangles", "-2"),
             ("partitions", ""),
@@ -162,6 +158,22 @@ class TestDegenerateRun:
             tracemalloc.stop()
         assert peak < 2 * 2**20
 
+    def test_tf_checked_before_any_step_file(self, tmp_path, monkeypatch, capsys):
+        sc = SyntheticScenario(kind="rigid-rotation", cells=4, steps=3)
+        write_dataset(generate_scenario(sc), tmp_path / "ds")
+        path = write_config(tmp_path / "run.cfg", manifest="ds/dataset.manifest", t0=0, tf=99)
+        reads = []
+        read = dataset_io.read_timestep
+        monkeypatch.setattr(dataset_io, "read_timestep", lambda *a: reads.append(a) or read(*a))
+        assert main(["run", "--config", str(path)]) == 1
+        assert reads == []
+        # a truncated step file does not turn the config typo into a data error
+        step = tmp_path / "ds" / "step_0002.bin"
+        step.write_bytes(step.read_bytes()[:-8])
+        assert main(["run", "--config", str(path)]) == 1
+        assert reads == []
+        assert "tf index 99 outside dataset of 3 steps" in capsys.readouterr().err
+
 
 class TestBackwardRun:
     def test_split_sphere_reversed_contributions(self, split32):
@@ -235,39 +247,58 @@ class TestPartitionedRuntime:
         assert result.report.particles == 1
         assert result.report.handoffs == [1]
 
-    def test_ghost_width_violation_aborts(self, tmp_path):
-        g = uniform_grid((8, 4, 4))
-        f = np.ones(g.ncells)
-        u = np.zeros((3, g.ncells))
-        u[0] = 5.0  # 40 cells of displacement per unit interval
-        steps = [
-            TimeStep(time=float(t), f=CellField(g, f), u=CellField(g, u, ncomp=3))
-            for t in (0.0, 1.0)
-        ]
-        manifest = write_dataset(TimeSeriesDataset(grid=g, steps=steps), tmp_path / "fast")
-        cfg = PipelineConfig(manifest=manifest, t0=0, tf=1, partitions=(2, 1, 1))
-        with pytest.raises(GhostWidthError):
-            run_pipeline(cfg)
+    @pytest.mark.parametrize("data", ["rotation", "box"])
+    def test_fast_flow_bitwise_equal_serial(self, tmp_path, data):
+        # one interval moves particles 16 to 22 cells, past any block: RK4
+        # samples the global fields, owners come from global positions and
+        # labels merge across cut faces, so no layout needs a halo
+        if data == "rotation":
+            sc = SyntheticScenario(kind="rigid-rotation", cells=16, steps=3, speed=6.0)
+            ds = generate_scenario(sc)
+        else:
+            g = uniform_grid((8, 4, 4))
+            u = np.zeros((3, g.ncells))
+            u[0] = 2.0
+            ds = TimeSeriesDataset(
+                grid=g,
+                steps=[
+                    TimeStep(time=t, f=CellField(g, np.ones(g.ncells)), u=CellField(g, u, ncomp=3))
+                    for t in (0.0, 1.0)
+                ],
+            )
+        manifest = write_dataset(ds, tmp_path / data)
+        tf = len(ds) - 1
 
-    def test_ghost_width_checked_before_any_interval(self, tmp_path, monkeypatch):
-        # only the second of two intervals is too fast; the run must fail
-        # before integrating the first one
-        g = uniform_grid((8, 4, 4))
-        f = np.ones(g.ncells)
-        slow = np.zeros((3, g.ncells))
-        fast = np.zeros((3, g.ncells))
-        fast[0] = 5.0  # 40 cells of displacement per unit interval
-        steps = [
-            TimeStep(time=float(t), f=CellField(g, f), u=CellField(g, u, ncomp=3))
-            for t, u in ((0.0, slow), (1.0, slow), (2.0, fast))
-        ]
-        manifest = write_dataset(TimeSeriesDataset(grid=g, steps=steps), tmp_path / "late")
-        calls = []
-        monkeypatch.setattr(runtime, "advance_interval", lambda *a, **k: calls.append(k))
-        cfg = PipelineConfig(manifest=manifest, t0=0, tf=2, partitions=(2, 1, 1))
-        with pytest.raises(GhostWidthError):
-            run_pipeline(cfg)
-        assert calls == []
+        def run(partitions):
+            return run_pipeline(
+                PipelineConfig(
+                    manifest=manifest,
+                    t0=0,
+                    tf=tf,
+                    advection=AdvectionConfig(refinement=1),
+                    partitions=partitions,
+                )
+            )
+
+        def bits(a):
+            return np.ascontiguousarray(a).view(np.uint8)
+
+        serial = run(None)
+        for partitions in ((2, 2, 2), (4, 2, 1)):
+            part = run(partitions)
+            assert np.array_equal(bits(serial.particles.pos), bits(part.particles.pos))
+            assert np.array_equal(bits(serial.particles.eps), bits(part.particles.eps))
+            assert np.array_equal(serial.particles.alive, part.particles.alive)
+            assert len(serial.labelings) == len(part.labelings) == tf + 1
+            for a, b in zip(serial.labelings, part.labelings):
+                assert np.array_equal(a.labels, b.labels)
+            assert serial.table.rows == part.table.rows
+            meshes = serial.b_meshes + serial.s_meshes, part.b_meshes + part.s_meshes
+            assert len(meshes[0]) == len(meshes[1])
+            for a, b in zip(*meshes):
+                assert (a.kind, a.label, a.timestamp) == (b.kind, b.label, b.timestamp)
+                assert np.array_equal(bits(a.vertices), bits(b.vertices))
+                assert np.array_equal(a.triangles, b.triangles)
 
     def test_mode_equivalence_on_rotation(self, tmp_path):
         sc = SyntheticScenario(
@@ -521,6 +552,12 @@ class TestCli:
         assert main(["run", "--config", str(path)]) == 1
         assert "trail_stride" in capsys.readouterr().err
 
+    def test_removed_ghost_width_exit_code(self, tmp_path, capsys):
+        # there is no halo to size; a config that still sets its width is an unknown key
+        path = write_config(tmp_path / "old.cfg", manifest="m", t0=0, tf=1, ghost_width=3)
+        assert main(["run", "--config", str(path)]) == 1
+        assert "ghost_width" in capsys.readouterr().err
+
     def test_data_error_exit_code(self, tmp_path):
         path = write_config(tmp_path / "run.cfg", manifest="missing.manifest", t0=0, tf=1)
         assert main(["run", "--config", str(path)]) == 2
@@ -550,10 +587,6 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(prefix)
         assert "Traceback" not in err
-
-    def test_ghost_width_below_two_exit_code(self, tmp_path):
-        path = write_config(tmp_path / "run.cfg", manifest="m", t0=0, tf=1, ghost_width=1)
-        assert main(["run", "--config", str(path)]) == 1
 
     @pytest.mark.parametrize(
         "key, value",
