@@ -19,6 +19,7 @@ from .grid import (
     flat_indices,
     locate_cells,
     sample_velocity,
+    subcell_lattice,
 )
 from .plic import is_liquid_many, liquid_capable, plic_table, project_many, row_dot
 
@@ -70,48 +71,45 @@ class ParticleSet:
 def seed_particles(step: TimeStep, refinement: int = 0, tau: float = 0.0) -> ParticleSet:
     """Seed subcell centers of every cell with f > tau that pass the phase test.
 
-    Pure-liquid cells take all (2^3)^r seeds; interface cells keep only centers
-    strictly on the liquid side of the PLIC patch (d < l), and degenerate-normal
-    cells keep all of their centers iff f > 0.5. Seeds are ordered by cell flat
-    index, then by subcell (x fastest).
+    Each candidate cell takes the lattice indices of its (2^3)^r subcells, and
+    the `subcell_lattice` centres gathered at them serve the phase test and
+    the seeds. Pure-liquid cells keep all of them; interface cells keep only
+    centers strictly on the liquid side of the PLIC patch (d < l), and
+    degenerate-normal cells keep all of their centers iff f > 0.5. Seeds are
+    ordered by cell flat index, then by subcell (x fastest); a seed's volume
+    is its cell's width product over (2^3)^r.
     """
     grid = step.grid
     r = int(refinement)
     s = 2**r
+    centres, _ = subcell_lattice(grid, r)
     fvals = step.f.values
     cand_cells = np.nonzero(fvals > tau)[0]
 
-    # subcell offsets within a cell, x-fastest order
-    oi, oj, ok = np.meshgrid(np.arange(s), np.arange(s), np.arange(s), indexing="ij")
-    sub_idx = np.stack(
-        [oi.reshape(-1, order="F"), oj.reshape(-1, order="F"), ok.reshape(-1, order="F")],
-        axis=1,
-    )
+    # (cells, subcells) lattice index per axis; subcell m of a cell is
+    # (m % s, m // s % s, m // s^2) within it, x fastest
+    ijk = grid.unflat(cand_cells)
+    sub = np.arange(s**3)
+    lattice = [i[:, None] * s + sub // s**d % s for d, i in enumerate(ijk)]
 
-    ijk = np.stack(grid.unflat(cand_cells), axis=1)
-    lo, hi = grid.cell_boxes(cand_cells)
-    w = hi - lo
-    # (cells, subcells, 3)
-    centers = lo[:, None, :] + ((sub_idx + 0.5) / s)[None, :, :] * w[:, None, :]
-
-    keep = np.ones(centers.shape[:2], dtype=bool)
+    keep = np.ones((cand_cells.size, s**3), dtype=bool)
     fc = fvals[cand_cells]
     mixed = np.nonzero(fc < 1.0)[0]
     if mixed.size:
         table = plic_table(step)
         rows = table.rows(cand_cells[mixed])
-        rel = centers[mixed] - table.anchors[rows][:, None, :]
-        d = row_dot(rel, table.normals[rows][:, None, :])
+        at = np.stack([c[i[mixed]] for c, i in zip(centres, lattice)], axis=2)
+        d = row_dot(at - table.anchors[rows][:, None, :], table.normals[rows][:, None, :])
         keep[mixed] = np.where(
             table.degenerate[rows][:, None],
             (fc[mixed] > 0.5)[:, None],
             d < table.offsets[rows][:, None],
         )
 
-    cell_of, sub_of = np.nonzero(keep)
-    seeds_arr = centers[cell_of, sub_of]
-    lattice_arr = (ijk[cell_of] * s + sub_idx[sub_of]).astype(np.int64)
-    vol_arr = (w[:, 0] * w[:, 1] * w[:, 2])[cell_of] / s**3
+    lattice_arr = np.stack([i[keep] for i in lattice], axis=1)
+    seeds_arr = np.stack([c[i] for c, i in zip(centres, lattice_arr.T)], axis=1)
+    wx, wy, wz = (w[i] for w, i in zip(grid.widths, ijk))
+    vol_arr = np.repeat(wx * wy * wz / s**3, keep.sum(axis=1))
     n = seeds_arr.shape[0]
     return ParticleSet(
         seeds=seeds_arr,
@@ -304,19 +302,6 @@ def _first_per_group(group: np.ndarray, *keys: np.ndarray) -> np.ndarray:
 BIN_BLOCK = 1 << 16
 
 
-def _bin_faces(grid, s: int) -> list[np.ndarray]:
-    """Per axis, the n * s + 1 faces of the seed-lattice bins: each cell split
-    into s bins of equal width. Faces at multiples of s are the grid nodes
-    exactly, and interior faces are clipped into their cell, so the faces never
-    decrease and `bin // s` is the cell `locate_cells` gives."""
-    faces = []
-    for a, w in zip(grid.axes, grid.widths):
-        f = a[:-1, None] + (np.arange(s) / s)[None, :] * w[:, None]
-        f[:, 0] = a[:-1]
-        faces.append(np.append(np.minimum(f, a[1:, None]).ravel(), a[-1]))
-    return faces
-
-
 def _nearest_neighbors(
     grid, pre_pos: np.ndarray, candidates: np.ndarray, strays: np.ndarray, refinement: int
 ) -> np.ndarray:
@@ -338,7 +323,7 @@ def _nearest_neighbors(
     best = np.full(strays.size, -1, dtype=np.int64)
     s = 2**refinement
     shape = np.array(grid.shape)
-    faces = _bin_faces(grid, s)
+    _, faces = subcell_lattice(grid, refinement)
     last = shape * s - 1
 
     def bins_of(idx):

@@ -111,7 +111,7 @@ def main(argv=None) -> int:
     except (DatasetError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (PhaseConsistencyError, AssertionError) as exc:
+    except PhaseConsistencyError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

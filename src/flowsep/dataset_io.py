@@ -189,7 +189,7 @@ def write_dataset(ds: TimeSeriesDataset, out_dir) -> Path:
     return mpath
 
 
-def _series_files(manifest_path) -> tuple[RectilinearGrid, list[tuple[float, Path]]]:
+def dataset_files(manifest_path) -> tuple[RectilinearGrid, list[tuple[float, Path]]]:
     """The dataset grid and the manifest's (time, step path) entries."""
     mpath = Path(manifest_path)
     manifest = read_manifest(mpath)
@@ -233,7 +233,7 @@ def scan_dataset(manifest_path, keep=()) -> StepSeries:
     """Validating pass: read and check every step, each against its manifest
     time and to come strictly after the step before, record its time, and
     keep only the steps whose indices are in `keep`."""
-    grid, entries = _series_files(manifest_path)
+    grid, entries = dataset_files(manifest_path)
     times, kept = [], {}
     for k, (t, spath) in enumerate(entries):
         if not spath.exists():

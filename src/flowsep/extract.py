@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .advect import ParticleSet
-from .grid import RectilinearGrid
+from .grid import RectilinearGrid, subcell_lattice
 from .labeling import connected_components
 from .marching import marching_cubes
 from .segment import EXPORT_ROWS, SeedLabeling, SplitEvent
@@ -40,26 +40,14 @@ class TriangleMesh:
         return self.triangles.shape[0] == 0
 
 
-def seed_axis_coords(grid: RectilinearGrid, refinement: int) -> tuple[np.ndarray, ...]:
-    """Per-axis coordinates of all subcell centers (the global seed lattice)."""
-    s = 2**refinement
-    out = []
-    for d in range(3):
-        lo = grid.axes[d][:-1]
-        w = grid.widths[d]
-        rel = (np.arange(s) + 0.5) / s
-        out.append((np.repeat(lo, s) + np.tile(rel, lo.size) * np.repeat(w, s)))
-    return tuple(out)
-
-
 def padded_seed_coords(grid: RectilinearGrid, refinement: int) -> tuple[np.ndarray, ...]:
-    """`seed_axis_coords` with one node extrapolated at each end: entry m is
-    the coordinate of lattice index m - 1, so a box over lattice indices
-    [lo, hi] and its padding shell reads `C[d][lo : hi + 3]`. A one-node
-    axis extrapolates by its cell width."""
+    """The `subcell_lattice` centres (the global seed lattice) with one node
+    extrapolated at each end: entry m is the coordinate of lattice index
+    m - 1, so a box over lattice indices [lo, hi] and its padding shell reads
+    `C[d][lo : hi + 3]`. A one-node axis extrapolates by its cell width."""
     s = 2**refinement
     out = []
-    for d, coords in enumerate(seed_axis_coords(grid, refinement)):
+    for d, coords in enumerate(subcell_lattice(grid, refinement)[0]):
         if coords.size >= 2:
             first_step = coords[1] - coords[0]
             last_step = coords[-1] - coords[-2]

@@ -181,6 +181,30 @@ def locate_cells(grid: RectilinearGrid, pts: np.ndarray) -> tuple[np.ndarray, np
     return idx, inside
 
 
+def subcell_lattice(
+    grid: RectilinearGrid, refinement: int
+) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Per axis, the centres (n * s,) and faces (n * s + 1,) of the subcells
+    that split each of its n cells into s = 2^refinement equal parts.
+
+    Subcell k of cell i has lattice index i * s + k and spans k / s to
+    (k + 1) / s of the cell width, with its centre halfway. Faces at
+    multiples of s are the grid nodes exactly, and interior faces are clipped
+    into their cell, so the faces never decrease and `bin // s` is the cell
+    `locate_cells` gives.
+    """
+    s = 2**refinement
+    centres, faces = [], []
+    for a, w in zip(grid.axes, grid.widths):
+        # every half subcell: even columns are lower faces, odd ones centres
+        at = a[:-1, None] + (np.arange(2 * s) / (2 * s))[None, :] * w[:, None]
+        low = np.minimum(at[:, 0::2], a[1:, None])
+        low[:, 0] = a[:-1]
+        centres.append(at[:, 1::2].ravel())
+        faces.append(np.append(low.ravel(), a[-1]))
+    return tuple(centres), tuple(faces)
+
+
 def flat_indices(grid: RectilinearGrid, idx: np.ndarray) -> np.ndarray:
     nx, ny, _ = grid.shape
     return idx[:, 0] + nx * (idx[:, 1] + ny * idx[:, 2])

@@ -30,7 +30,7 @@ from .advect import (
     advance_interval,
     seed_particles,
 )
-from .dataset_io import StepSeries, read_manifest, read_utf8, scan_dataset
+from .dataset_io import StepSeries, dataset_files, read_utf8, scan_dataset
 from .extract import (
     TriangleMesh,
     export_meshes,
@@ -217,16 +217,16 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
             Path(config.output).mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"output {config.output}: {exc}") from exc
-    nsteps = len(read_manifest(config.manifest).steps)  # before any step file is read
+    grid, entries = dataset_files(config.manifest)  # before any step file is read
     for name, idx in (("t0", config.t0), ("tf", config.tf)):
-        if not 0 <= idx < nsteps:
-            raise ConfigError(f"{name} index {idx} outside dataset of {nsteps} steps")
-    # every step is read and checked here; only the run's first two stay
-    series = scan_dataset(config.manifest, keep=_step_sequence(config.t0, config.tf)[:2])
+        if not 0 <= idx < len(entries):
+            raise ConfigError(f"{name} index {idx} outside dataset of {len(entries)} steps")
     try:
-        layout = PartitionLayout(counts=config.partitions or (1, 1, 1), shape=series.grid.shape)
+        layout = PartitionLayout(counts=config.partitions or (1, 1, 1), shape=grid.shape)
     except ValueError as exc:
         raise ConfigError(f"partitions: {exc}") from exc
+    # every step is read and checked here; only the run's first two stay
+    series = scan_dataset(config.manifest, keep=_step_sequence(config.t0, config.tf)[:2])
 
     result = _run(config, series, layout)
     if config.output is not None:

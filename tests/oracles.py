@@ -9,6 +9,8 @@ the library's former search, kept as it was: it locates cells and takes the
 per-stray minimum with the library's own functions, each pinned to a scalar
 oracle here. The per-label boundary oracle calls the library's
 `marching_cubes`, itself pinned to the scalar loop here, once per label.
+The subcell-lattice references are the three derivations of seed centres,
+seeds and bin faces that the library's `subcell_lattice` replaced.
 `truncated_volume` and `solve_patch_offset` are not oracles but one-box
 wrappers over the PLIC closed form, so the tests can put that form itself
 against the counting and rational oracles box by box.
@@ -24,7 +26,6 @@ from pathlib import Path
 import numpy as np
 
 from flowsep.advect import _first_per_group
-from flowsep.extract import seed_axis_coords
 from flowsep.grid import flat_indices, locate_cells
 from flowsep.marching import CASE_TRIS, CORNERS, EDGES, marching_cubes
 from flowsep.plic import _solve_offsets, _unit_form, _unit_fractions, row_dot
@@ -549,6 +550,51 @@ def _node_coords(flat: int, ni: int, nj: int, ax, ay, az) -> np.ndarray:
     j = (flat // ni) % nj
     k = flat // (ni * nj)
     return np.array([ax[i], ay[j], az[k]])
+
+
+# --- the subcell lattice as seeding, extraction and stage 1 once derived it ----
+
+
+def seed_axis_coords(grid, refinement: int) -> tuple[np.ndarray, ...]:
+    """Per-axis coordinates of all subcell centers (the global seed lattice)."""
+    s = 2**refinement
+    out = []
+    for d in range(3):
+        lo = grid.axes[d][:-1]
+        w = grid.widths[d]
+        rel = (np.arange(s) + 0.5) / s
+        out.append((np.repeat(lo, s) + np.tile(rel, lo.size) * np.repeat(w, s)))
+    return tuple(out)
+
+
+def bin_faces(grid, s: int) -> list[np.ndarray]:
+    """Per axis, the n * s + 1 faces of the seed-lattice bins: each cell split
+    into s bins of equal width, interior faces clipped into their cell."""
+    faces = []
+    for a, w in zip(grid.axes, grid.widths):
+        f = a[:-1, None] + (np.arange(s) / s)[None, :] * w[:, None]
+        f[:, 0] = a[:-1]
+        faces.append(np.append(np.minimum(f, a[1:, None]).ravel(), a[-1]))
+    return faces
+
+
+def subcell_seeds(grid, cells: np.ndarray, refinement: int):
+    """Every subcell of the given cells from the cells' boxes, ordered by cell,
+    then by subcell (x fastest): centres (m, 3), lattice indices (m, 3) and
+    volumes (m,)."""
+    s = 2**refinement
+    oi, oj, ok = np.meshgrid(np.arange(s), np.arange(s), np.arange(s), indexing="ij")
+    sub_idx = np.stack(
+        [oi.reshape(-1, order="F"), oj.reshape(-1, order="F"), ok.reshape(-1, order="F")],
+        axis=1,
+    )
+    ijk = np.stack(grid.unflat(cells), axis=1)
+    lo, hi = grid.cell_boxes(cells)
+    w = hi - lo
+    centers = lo[:, None, :] + ((sub_idx + 0.5) / s)[None, :, :] * w[:, None, :]
+    lattice = ijk[:, None, :] * s + sub_idx[None, :, :]
+    volume = np.repeat((w[:, 0] * w[:, 1] * w[:, 2]) / s**3, s**3)
+    return centers.reshape(-1, 3), lattice.reshape(-1, 3).astype(np.int64), volume
 
 
 # --- boundary extraction (one lattice and one marching-cubes call per label) ----

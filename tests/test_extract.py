@@ -21,12 +21,11 @@ from flowsep.extract import (
     filter_small_components,
     is_watertight,
     padded_seed_coords,
-    seed_axis_coords,
     smooth_meshes,
     triangle_components,
     write_obj,
 )
-from flowsep.grid import RectilinearGrid, uniform_grid
+from flowsep.grid import RectilinearGrid, subcell_lattice, uniform_grid
 from flowsep.marching import marching_cubes
 from flowsep.segment import EXPORT_ROWS, SeedLabeling, SplitEvent
 
@@ -39,6 +38,7 @@ from .oracles import (
     points_in_mesh,
     points_in_mesh_full,
     read_obj,
+    seed_axis_coords,
     smooth_vertices_add_at,
 )
 from .test_marching import lattices
@@ -47,8 +47,8 @@ from .test_marching import lattices
 def lattice_particle_set(grid, refinement, lattice_pts):
     """ParticleSet stub with seeds at given global subcell lattice coordinates."""
     lattice = np.atleast_2d(np.asarray(lattice_pts, dtype=np.int64))
-    coords = seed_axis_coords(grid, refinement)
-    seeds = np.stack([coords[d][lattice[:, d]] for d in range(3)], axis=1)
+    centres, _ = subcell_lattice(grid, refinement)
+    seeds = np.stack([centres[d][lattice[:, d]] for d in range(3)], axis=1)
     n = lattice.shape[0]
     return ParticleSet(
         seeds=seeds,

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowsep.advect import seed_particles
+from flowsep.extract import padded_seed_coords
 from flowsep.grid import (
     CellField,
     GridError,
@@ -16,10 +18,20 @@ from flowsep.grid import (
     locate_cells,
     sample_cell_field,
     sample_velocity,
+    subcell_lattice,
     uniform_grid,
 )
 
-from .oracles import flat_index, locate_cell, locate_cells_passes, sample_cell_field_loop
+from .oracles import (
+    _padded_axis,
+    bin_faces,
+    flat_index,
+    locate_cell,
+    locate_cells_passes,
+    sample_cell_field_loop,
+    seed_axis_coords,
+    subcell_seeds,
+)
 
 
 def make_step(grid, f, u, time=0.0):
@@ -320,3 +332,55 @@ class TestValidation:
         s1 = constant_step(g, 0.5, (0, 0, 0), time=0.0)
         with pytest.raises(GridError):
             TimeSeriesDataset(grid=g, steps=[s0, s1])
+
+
+@st.composite
+def subcell_cases(draw):
+    """A rectilinear grid of 1-7 unequal cells per axis, a fraction field whose
+    cells are empty, full or mixed (some at f = 0.5), and a refinement 0-3."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    axes = tuple(
+        rng.uniform(-1.0, 1.0) + np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 2.0, n))])
+        for n in (draw(st.integers(1, 7)) for _ in range(3))
+    )
+    grid = RectilinearGrid(axes)
+    f = rng.choice([0.0, 0.0, 1.0, 1.0, 0.5, rng.uniform()], grid.ncells)
+    return grid, f, draw(st.integers(0, 3))
+
+
+class TestSubcellLattice:
+    @settings(max_examples=200, deadline=None)
+    @given(case=subcell_cases())
+    def test_bitwise_equal_to_former_derivations(self, case):
+        grid, f, r = case
+        s = 2**r
+        centres, faces = subcell_lattice(grid, r)
+        want_centres, want_faces = seed_axis_coords(grid, r), bin_faces(grid, s)
+        padded = padded_seed_coords(grid, r)
+        for d in range(3):
+            assert centres[d].tobytes() == want_centres[d].tobytes()
+            assert faces[d].tobytes() == want_faces[d].tobytes()
+            assert faces[d][::s].tobytes() == grid.axes[d].tobytes()
+            want = _padded_axis(want_centres[d], 0, centres[d].size - 1, grid.widths[d][0] / s)
+            assert padded[d].tobytes() == want.tobytes()
+
+        ps = seed_particles(make_step(grid, f, np.zeros((3, grid.ncells))), r)
+        at = np.stack([centres[d][ps.lattice[:, d]] for d in range(3)], axis=1)
+        assert at.tobytes() == ps.seeds.tobytes()
+        wx, wy, wz = (grid.widths[d][ps.lattice[:, d] // s] for d in range(3))
+        assert (wx * wy * wz / 8**r).tobytes() == ps.seed_volume.tobytes()
+
+        # the seeds are the former cell-box seeds in their order, less
+        # subcells of mixed cells only
+        cells = np.nonzero(f > 0.0)[0]
+        seeds, lattice, volume = subcell_seeds(grid, cells, r)
+        dims = [n * s for n in grid.shape]
+        key = np.ravel_multi_index(lattice.T, dims)
+        order = np.argsort(key)
+        pos = order[np.searchsorted(key, np.ravel_multi_index(ps.lattice.T, dims), sorter=order)]
+        assert np.all(np.diff(pos) > 0)
+        assert seeds[pos].tobytes() == ps.seeds.tobytes()
+        assert volume[pos].tobytes() == ps.seed_volume.tobytes()
+        dropped = np.ones(key.size, dtype=bool)
+        dropped[pos] = False
+        assert np.all(f[np.repeat(cells, s**3)][dropped] < 1.0)

@@ -8,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
-from flowsep.advect import AdvectionConfig
+from flowsep.advect import AdvectionConfig, PhaseConsistencyError
 from flowsep import dataset_io, runtime
 from flowsep.cli import main
 from flowsep.dataset_io import (
@@ -173,6 +173,29 @@ class TestDegenerateRun:
         assert main(["run", "--config", str(path)]) == 1
         assert reads == []
         assert "tf index 99 outside dataset of 3 steps" in capsys.readouterr().err
+
+    def bad_partitions_run(self, tmp_path):
+        sc = SyntheticScenario(kind="split-sphere", cells=8, steps=3)
+        write_dataset(generate_scenario(sc), tmp_path / "ds")
+        return write_config(
+            tmp_path / "run.cfg", manifest="ds/dataset.manifest", t0=0, tf=2, partitions="99x1x1"
+        )
+
+    def test_partitions_checked_before_any_step_file(self, tmp_path, monkeypatch):
+        path = self.bad_partitions_run(tmp_path)
+        reads = []
+        read = dataset_io.read_timestep
+        monkeypatch.setattr(dataset_io, "read_timestep", lambda *a: reads.append(a) or read(*a))
+        assert main(["run", "--config", str(path)]) == 1
+        assert reads == []
+
+    def test_partitions_error_beats_truncated_step(self, tmp_path, capsys):
+        # a truncated step file does not turn the layout error into a data error
+        path = self.bad_partitions_run(tmp_path)
+        step = tmp_path / "ds" / "step_0002.bin"
+        step.write_bytes(step.read_bytes()[:-8])
+        assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("config error: partitions:")
 
 
 class TestBackwardRun:
@@ -557,6 +580,20 @@ class TestCli:
         path = write_config(tmp_path / "old.cfg", manifest="m", t0=0, tf=1, ghost_width=3)
         assert main(["run", "--config", str(path)]) == 1
         assert "ghost_width" in capsys.readouterr().err
+
+    def test_internal_invariant_exit_code(self, tmp_path, monkeypatch, capsys):
+        sc = SyntheticScenario(kind="rigid-rotation", cells=4, steps=2)
+        write_dataset(generate_scenario(sc), tmp_path / "ds")
+        path = write_config(tmp_path / "run.cfg", manifest="ds/dataset.manifest", t0=0, tf=1)
+
+        def fail(*args, **kwargs):
+            raise PhaseConsistencyError("corrector left 1 phase-inconsistent particles")
+
+        monkeypatch.setattr(runtime, "advance_interval", fail)
+        assert main(["run", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal invariant violation:")
+        assert "Traceback" not in err
 
     def test_data_error_exit_code(self, tmp_path):
         path = write_config(tmp_path / "run.cfg", manifest="missing.manifest", t0=0, tf=1)
