@@ -297,9 +297,10 @@ def _first_per_group(group: np.ndarray, *keys: np.ndarray) -> np.ndarray:
     return pos[np.r_[True, r[1:] != r[:-1]]]
 
 
-# (stray, bin) pairs examined at once by the stage-1 bin search, which bounds
-# its temporaries whatever the refinement and ring radius
-BIN_BLOCK = 1 << 16
+# (stray, bin) pairs examined at once by the stage-1 bin search, and (stray,
+# cell) pairs by the stage-2 cell search: this bounds the temporaries of both
+# ring searches whatever the refinement and ring radius
+RING_BLOCK = 1 << 16
 
 
 def _nearest_neighbors(
@@ -318,7 +319,7 @@ def _nearest_neighbors(
     equal candidate could hold a lower index), or when its cells are
     exhausted; the bound uses the faces the positions were binned by, so no
     nearer candidate is skipped. Rings are examined in blocks of at most
-    `BIN_BLOCK` (stray, bin) pairs.
+    `RING_BLOCK` (stray, bin) pairs.
     """
     best = np.full(strays.size, -1, dtype=np.int64)
     s = 2**refinement
@@ -419,7 +420,7 @@ def _nearest_neighbors(
     ring = 0
     while todo.size:
         offsets = _ring_offsets(ring)
-        block = max(1, BIN_BLOCK // offsets.shape[0])
+        block = max(1, RING_BLOCK // offsets.shape[0])
         for b in range(0, todo.size, block):
             scan(todo[b : b + block], offsets)
         # squared distance to the nearest face of an unsearched bin in the clip
@@ -439,11 +440,6 @@ def _nearest_neighbors(
         ring += 1
     best[rows] = best_p
     return best
-
-
-# (stray, ring cell) pairs examined at once by the ring search, which bounds
-# its temporaries whatever the ring radius
-RING_BLOCK = 1 << 16
 
 
 def _ring_offsets(ring: int) -> np.ndarray:

@@ -242,7 +242,7 @@ def is_watertight(mesh: TriangleMesh) -> bool:
 
 
 def _smooth_vertices(meshes: list[TriangleMesh], iterations: int, lam: float):
-    """Smoothed vertices of non-empty meshes, smoothed as one vertex array.
+    """Smoothed vertices of meshes, smoothed as one vertex array.
 
     Mesh m's vertices are numbered from the sum of the earlier meshes' vertex
     counts, so the group's edges, in lexicographic order, are mesh 0's edges,
@@ -253,6 +253,8 @@ def _smooth_vertices(meshes: list[TriangleMesh], iterations: int, lam: float):
     starts = np.cumsum(sizes) - sizes
     # one row per axis, so each gather and sum reads contiguous values
     v = np.concatenate([m.vertices.T for m in meshes], axis=1)
+    if iterations == 0:
+        return np.split(v.T.copy(), starts[1:].tolist())
     tris = np.concatenate([m.triangles + s for m, s in zip(meshes, starts.tolist())])
     edges, counts = _edge_incidence(tris)
     del tris
@@ -265,7 +267,9 @@ def _smooth_vertices(meshes: list[TriangleMesh], iterations: int, lam: float):
     other = np.concatenate([edges[:, 1], edges[:, 0]])
     del edges, counts
     degree = np.bincount(ends, minlength=nv).astype(np.float64)
-    degree[degree == 0] = 1.0
+    lone = degree == 0  # vertices of no edge have no neighbours to move towards
+    fixed = np.concatenate([fixed, np.flatnonzero(lone)])
+    degree[lone] = 1.0
     moved = np.empty_like(v)
     for _ in range(iterations):
         for d in range(3):  # one axis at a time bounds the temporaries
@@ -282,13 +286,9 @@ def _smooth_vertices(meshes: list[TriangleMesh], iterations: int, lam: float):
 
 
 def _smooth_group(meshes: list[TriangleMesh], iterations: int, lam: float):
-    moves = [not m.empty and iterations > 0 for m in meshes]
-    live = [m for m, move in zip(meshes, moves) if move]
-    smoothed = iter(_smooth_vertices(live, iterations, lam) if live else ())
-    for mesh, move in zip(meshes, moves):
+    for mesh, vertices in zip(meshes, _smooth_vertices(meshes, iterations, lam)):
         yield TriangleMesh(
-            vertices=next(smoothed) if move else mesh.vertices.copy(),
-            triangles=mesh.triangles.copy(), kind=mesh.kind,
+            vertices=vertices, triangles=mesh.triangles.copy(), kind=mesh.kind,
             label=mesh.label, timestamp=mesh.timestamp,
         )
 
@@ -297,7 +297,7 @@ def _smooth_groups(meshes, iterations: int, lam: float) -> Iterator[TriangleMesh
     group: list[TriangleMesh] = []
     size = 0
     for mesh in meshes:
-        nv = 0 if mesh.empty else mesh.vertices.shape[0]
+        nv = mesh.vertices.shape[0]
         if group and size + nv > SMOOTH_VERTICES:
             yield from _smooth_group(group, iterations, lam)
             group, size = [], 0
@@ -311,8 +311,8 @@ def smooth_meshes(
     meshes: Iterable[TriangleMesh], iterations: int = 10, lam: float = 0.5
 ) -> Iterator[TriangleMesh]:
     """Uniform-umbrella Laplacian smoothing of each mesh, in order; open-boundary
-    vertices stay fixed, connectivity is unchanged and 0 iterations is the
-    identity.
+    vertices and vertices of no triangle stay fixed, connectivity is
+    unchanged and 0 iterations is the identity.
 
     Consecutive meshes are smoothed together in groups of at most
     `SMOOTH_VERTICES` vertices (a larger mesh is a group of its own), with the

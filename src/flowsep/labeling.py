@@ -1,10 +1,13 @@
 """Connected components: the package's one union-find, feature labeling on
 the f > tau mask (serial labeling is the 1x1x1 partitioning), and the
-partition layout whose block edges also give each particle its owner block.
+partition layout whose cut planes split the labeling's face pairs and give
+each particle its owner block.
 
 Features are 6-connected (face neighbors only). Labels are dense and canonical:
 components are numbered by ascending smallest flat cell index, so serial and
-partitioned labeling produce identical arrays.
+partitioned labeling produce identical arrays. Any layout labels in two
+union-find calls: one over the face pairs within blocks, one over the local
+components joined by the pairs across cuts.
 """
 
 from __future__ import annotations
@@ -54,19 +57,29 @@ def connected_components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             parent = jumped
 
 
-def _face_pairs(mask3: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flat (x-fastest) indices of the face-adjacent cell pairs inside a 3D mask."""
+def _face_pairs(mask3: np.ndarray, cuts) -> tuple[np.ndarray, np.ndarray]:
+    """Flat (x-fastest) indices of the face-adjacent cell pairs inside a 3D
+    mask, as two (2, n) arrays of (lower, upper) cells: the pairs within a
+    block and the pairs across a cut. `cuts[d]` holds the interior block edges
+    along axis d; a pair crosses a cut when its upper cell sits on one."""
     flat3 = np.arange(mask3.size).reshape(mask3.shape, order="F")
-    a, b = [], []
+    strides = (1, mask3.shape[0], mask3.shape[0] * mask3.shape[1])
+    within, across = [], []
     for axis in range(3):
         lo = [slice(None)] * 3
         hi = [slice(None)] * 3
         lo[axis] = slice(0, -1)
         hi[axis] = slice(1, None)
         both = mask3[tuple(lo)] & mask3[tuple(hi)]
-        a.append(flat3[tuple(lo)][both])
-        b.append(flat3[tuple(hi)][both])
-    return np.concatenate(a), np.concatenate(b)
+        lower = flat3[tuple(lo)]
+        lo[axis] = cuts[axis] - 1  # the slabs of pairs whose upper cell is on a cut
+        slab = tuple(lo)
+        a = lower[slab][both[slab]]
+        across.append(np.stack([a, a + strides[axis]]))
+        both[slab] = False
+        a = lower[both]
+        within.append(np.stack([a, a + strides[axis]]))
+    return np.concatenate(within, axis=1), np.concatenate(across, axis=1)
 
 
 def label_features(step: TimeStep, tau: float = 0.0) -> LabelField:
@@ -103,11 +116,6 @@ class PartitionLayout:
         px, py, pz = self.counts
         return px * py * pz
 
-    def block(self, pid: int) -> list[tuple[int, int]]:
-        """Core cell index range [start, stop) per axis for one partition."""
-        coords = np.unravel_index(pid, self.counts, order="F")
-        return [(int(e[c]), int(e[c + 1])) for e, c in zip(self.edges, coords)]
-
     def owners(self, grid: RectilinearGrid, pos: np.ndarray) -> np.ndarray:
         """Block of each in-domain position (n, 3): per axis, the number of
         cut planes (the nodes at interior block edges) at or below the
@@ -123,40 +131,26 @@ class PartitionLayout:
 def label_features_partitioned(
     step: TimeStep, tau: float, layout: PartitionLayout
 ) -> LabelField:
-    """Partitioned labeling: local components per block, an equivalence merge
-    over the cut faces between blocks, then dense ids in canonical order."""
+    """Partitioned labeling: one union-find over the face pairs within blocks
+    gives each cell the smallest flat index of its component in its block, a
+    second one merges these local components over the pairs across the cut
+    planes, then dense ids in canonical order."""
     grid = step.grid
     if layout.shape != grid.shape:
         raise ValueError(f"layout shape {layout.shape} does not match grid {grid.shape}")
     mask3 = step.f.view3d() > tau
-    flat3 = np.arange(grid.ncells).reshape(grid.shape, order="F")
-
-    # local labeling per block: each cell's root is the smallest flat index of
-    # its component within the block (x-fastest order is kept inside a block)
-    root3 = np.empty(grid.shape, dtype=np.int64)
-    for pid in range(layout.nparts):
-        blk = tuple(slice(lo, hi) for lo, hi in layout.block(pid))
-        sub = mask3[blk]
-        local = connected_components(sub.size, *_face_pairs(sub))
-        root3[blk] = flat3[blk].reshape(-1, order="F")[local].reshape(sub.shape, order="F")
+    within, across = _face_pairs(mask3, [e[1:-1] for e in layout.edges])
+    root = connected_components(grid.ncells, *within)
 
     # number the local components of all blocks by their roots, then merge
-    # the ones that touch across a cut face
-    roots, comp = np.unique(root3[mask3], return_inverse=True)
-    pairs = [np.empty((2, 0), dtype=np.int64)]
-    for axis in range(3):
-        for cut in layout.edges[axis][1:-1]:
-            below = [slice(None)] * 3
-            above = [slice(None)] * 3
-            below[axis] = cut - 1
-            above[axis] = cut
-            both = mask3[tuple(below)] & mask3[tuple(above)]
-            pairs.append(np.stack([root3[tuple(below)][both], root3[tuple(above)][both]]))
-    a, b = np.searchsorted(roots, np.concatenate(pairs, axis=1))
+    # the ones that touch across a cut
+    mask = mask3.reshape(-1, order="F")
+    roots, comp = np.unique(root[mask], return_inverse=True)
+    a, b = np.searchsorted(roots, root[across])
     merged = connected_components(roots.size, a, b)
 
     # dense ids: rank of each feature's smallest flat index
     ids, dense = np.unique(merged, return_inverse=True)
-    labels3 = np.full(grid.shape, -1, dtype=np.int32)
-    labels3[mask3] = dense[comp]
-    return LabelField(grid=grid, labels=labels3.reshape(-1, order="F"), count=ids.size)
+    labels = np.full(grid.ncells, -1, dtype=np.int32)
+    labels[mask] = dense[comp]
+    return LabelField(grid=grid, labels=labels, count=ids.size)

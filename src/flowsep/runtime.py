@@ -249,7 +249,6 @@ def _run(config: PipelineConfig, series: StepSeries, layout: PartitionLayout) ->
     report = RunReport(particles=len(particles))
     labelings = [initial_labeling]
     s_meshes: list[TriangleMesh] = []
-    prev_labeling = initial_labeling
 
     for k in range(len(seq) - 1):
         step_from = step_to  # drops the previous step_from
@@ -271,7 +270,7 @@ def _run(config: PipelineConfig, series: StepSeries, layout: PartitionLayout) ->
         cur_labeling = assign_labels(particles, labels_k1, step_to, config.tau)
 
         # split detection and separation surfaces
-        events = detect_splits(prev_labeling, cur_labeling, initial_labeling)
+        events = detect_splits(labelings[-1], cur_labeling, initial_labeling)
         for ev in events:
             report.splits.append((k, ev))
             for pair in itertools.combinations(ev.next_labels, 2):
@@ -281,7 +280,6 @@ def _run(config: PipelineConfig, series: StepSeries, layout: PartitionLayout) ->
                 if not mesh.empty:
                     s_meshes.append(mesh)
 
-        prev_labeling = cur_labeling
         labelings.append(cur_labeling)
         report.intervals.append(
             IntervalStats(

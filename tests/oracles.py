@@ -658,7 +658,7 @@ def edge_incidence_rows(triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def smooth_vertices_add_at(vertices, triangles, iterations: int, lam: float) -> np.ndarray:
     """Reference for the vertices of `flowsep.extract.smooth_meshes`: umbrella
     smoothing with two `np.add.at` scatter-adds per iteration and the
-    open-boundary vertices held fixed."""
+    open-boundary vertices and the vertices of no edge held fixed."""
     v = np.array(vertices, dtype=np.float64)
     if triangles.shape[0] == 0 or iterations == 0:
         return v
@@ -669,6 +669,7 @@ def smooth_vertices_add_at(vertices, triangles, iterations: int, lam: float) -> 
     degree = np.zeros(nv)
     np.add.at(degree, edges[:, 0], 1.0)
     np.add.at(degree, edges[:, 1], 1.0)
+    fixed[degree == 0] = True
     degree[degree == 0] = 1.0
     for _ in range(iterations):
         acc = np.zeros_like(v)
@@ -802,6 +803,33 @@ def owners_of_cells(layout, grid, pos):
     px, py, _ = layout.counts
     c = [np.searchsorted(layout.edges[d][:-1], idx[:, d], side="right") - 1 for d in range(3)]
     return np.where(inside, c[0] + px * (c[1] + py * c[2]), -1)
+
+
+def blocks_of_cells(layout) -> np.ndarray:
+    """Block of every cell (flat, x-fastest): per axis the last block whose
+    start index is at or below the cell index, numbered x-fastest."""
+    c = [
+        np.searchsorted(layout.edges[d][:-1], np.arange(n), side="right") - 1
+        for d, n in enumerate(layout.shape)
+    ]
+    return np.ravel_multi_index(np.meshgrid(*c, indexing="ij"), layout.counts, order="F").ravel(
+        order="F"
+    )
+
+
+def face_pairs_loop(mask3: np.ndarray) -> list[tuple[int, int]]:
+    """Reference for the pairs `flowsep.labeling._face_pairs` returns: every
+    (cell, upper face neighbour) flat index pair of two mask cells, found one
+    cell and axis at a time, sorted."""
+    nx, ny, _ = mask3.shape
+    pairs = []
+    for cell in np.argwhere(mask3).tolist():
+        for axis in range(3):
+            up = list(cell)
+            up[axis] += 1
+            if up[axis] < mask3.shape[axis] and mask3[tuple(up)]:
+                pairs.append(tuple(c[0] + nx * (c[1] + ny * c[2]) for c in (cell, up)))
+    return sorted(pairs)
 
 
 def flat_index(grid, cell) -> int:

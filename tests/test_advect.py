@@ -462,7 +462,7 @@ def stage1_cases(draw):
         lower[d] = x[d] - (upper[d] - x[d])
         pos = np.vstack([upper, lower, pos])
         role = np.r_[0, 0, role]
-    block = draw(st.sampled_from([1, 3, advect.BIN_BLOCK]))
+    block = draw(st.sampled_from([1, 3, advect.RING_BLOCK]))
     return axes, r, pos, np.nonzero(role == 0)[0], np.nonzero(role == 1)[0], block
 
 
@@ -470,7 +470,7 @@ _UNIT4 = [np.arange(5.0), np.array([0.0, 1.0]), np.array([0.0, 1.0])]  # 4 x 1 x
 # the nearest candidates tie at d^2 = 0.25: index 2 in the stray's own cell,
 # index 0 on the lower face of the next cell, exactly at the retirement bound
 _TIE_ON_FACE = (_UNIT4, 0, np.array([[2.0, 0.5, 0.5], [1.5, 0.5, 0.5], [1.5, 0.5, 0.0]]),
-                np.array([0, 2]), np.array([1]), advect.BIN_BLOCK)
+                np.array([0, 2]), np.array([1]), advect.RING_BLOCK)
 # the only candidate lies in the first bin above (below) the first stray's
 # 3x3x3 cells, and in range of the second stray
 _ABOVE_RANGE = (_UNIT4, 1, np.array([[2.25, 0.5, 0.5], [0.25, 0.5, 0.5], [3.75, 0.5, 0.5]]),
@@ -480,7 +480,7 @@ _BELOW_RANGE = (_UNIT4, 1, np.array([[1.75, 0.5, 0.5], [3.75, 0.5, 0.5], [0.25, 
 # one cell; a candidate below the domain on every axis is out of range
 _BELOW_DOMAIN = ([np.array([0.0, 1.0])] * 3, 1,
                  np.array([[-0.5, -0.5, -0.5], [0.5, 0.5, 0.5], [0.25, 0.5, 0.5]]),
-                 np.array([0, 2]), np.array([1]), advect.BIN_BLOCK)
+                 np.array([0, 2]), np.array([1]), advect.RING_BLOCK)
 
 
 class TestStage1Search:
@@ -493,7 +493,7 @@ class TestStage1Search:
     def test_bin_search_equals_cell_key_search(self, case):
         axes, r, pos, candidates, strays, block = case
         grid = RectilinearGrid(tuple(axes))
-        with mock.patch.object(advect, "BIN_BLOCK", block):
+        with mock.patch.object(advect, "RING_BLOCK", block):
             got = advect._nearest_neighbors(grid, pos, candidates, strays, r)
         want = nearest_neighbors_cell_keys(grid, pos, candidates, strays)
         assert got.dtype == want.dtype

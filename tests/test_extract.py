@@ -505,17 +505,18 @@ class TestBatchedTailMatchesPerMesh:
     @settings(max_examples=100, deadline=None)
     @given(
         meshes=st.lists(
-            st.one_of(lattice_meshes(), st.just(None)), min_size=0, max_size=8
+            st.one_of(lattice_meshes(), st.integers(0, 3)), min_size=0, max_size=8
         ),
         iterations=st.integers(0, 12),
         lam=st.floats(0.0, 1.0, exclude_min=True),
         bound=st.sampled_from([1, 16, 64, 4096]),
     )
     def test_grouped_smoothing_bit_equal_to_scatter_add(self, meshes, iterations, lam, bound):
-        # None stands for an empty mesh; bound 1 makes every mesh exceed it
+        # an int k stands for an empty mesh of k vertices (no triangles);
+        # bound 1 makes every mesh exceed it
         meshes = [
-            TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), np.int32), "boundary", 3)
-            if m is None else m
+            TriangleMesh(np.full((m, 3), 0.5 + m), np.zeros((0, 3), np.int32), "boundary", 3)
+            if isinstance(m, int) else m
             for m in meshes
         ]
         with mock.patch.object(extract, "SMOOTH_VERTICES", bound):

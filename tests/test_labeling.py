@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,12 +10,19 @@ from hypothesis import strategies as st
 from flowsep.grid import CellField, RectilinearGrid, TimeStep, uniform_grid
 from flowsep.labeling import (
     PartitionLayout,
+    _face_pairs,
     connected_components,
     label_features,
     label_features_partitioned,
 )
 
-from .oracles import UnionFind, owners_of_cells, union_find_label
+from .oracles import (
+    UnionFind,
+    blocks_of_cells,
+    face_pairs_loop,
+    owners_of_cells,
+    union_find_label,
+)
 
 
 def mask_step(mask3, time=0.0):
@@ -93,9 +102,12 @@ class TestPartitionLayout:
     def test_tiles_exactly(self):
         layout = PartitionLayout(counts=(2, 3, 2), shape=(10, 9, 7))
         covered = np.zeros((10, 9, 7), dtype=int)
-        for pid in range(layout.nparts):
-            (i0, i1), (j0, j1), (k0, k1) = layout.block(pid)
-            covered[i0:i1, j0:j1, k0:k1] += 1
+        ranges = [list(zip(e[:-1].tolist(), e[1:].tolist())) for e in layout.edges]
+        blocks = list(itertools.product(*ranges))
+        assert len(blocks) == layout.nparts
+        for blk in blocks:
+            assert all(lo < hi for lo, hi in blk)
+            covered[tuple(slice(lo, hi) for lo, hi in blk)] += 1
         assert np.all(covered == 1)
 
     def test_owner_lookup(self):
@@ -208,6 +220,20 @@ class TestProperties:
         oracle_labels, oracle_count = union_find_label(mask)
         assert lf.count == oracle_count
         assert np.array_equal(lf.view3d(), oracle_labels)
+
+    @settings(max_examples=60, deadline=None)
+    @given(masks_with_layouts())
+    def test_face_pairs_split_at_the_cuts(self, case):
+        # labels cannot tell a pair put in the wrong list, since both lists
+        # reach a union-find; the split itself is checked here
+        mask, counts = case
+        layout = PartitionLayout(counts=counts, shape=mask.shape)
+        within, across = _face_pairs(mask, [e[1:-1] for e in layout.edges])
+        block = blocks_of_cells(layout)
+        assert np.all(block[within[0]] == block[within[1]])
+        assert np.all(block[across[0]] != block[across[1]])
+        pairs = np.concatenate([within, across], axis=1).T.tolist()
+        assert sorted(map(tuple, pairs)) == face_pairs_loop(mask)
 
     @settings(max_examples=100, deadline=None)
     @given(layouts_with_points())
