@@ -37,10 +37,11 @@ class TruncatedPayloadError(DatasetError):
 
 
 def _read_exact(fh, n: int, path, what: str) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise TruncatedPayloadError(f"{path}: truncated {what} ({len(buf)} of {n} bytes)")
-    return buf
+    # n may come from the file: check it against the bytes left before reading
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:
+        raise TruncatedPayloadError(f"{path}: truncated {what} ({left} of {n} bytes)")
+    return fh.read(n)
 
 
 def _read_into(fh, out: np.ndarray, path, what: str) -> None:
@@ -144,9 +145,9 @@ def write_manifest(manifest: DatasetManifest, path) -> None:
 
 
 def read_utf8(path, error: type[Exception] = DatasetError) -> str:
-    """A text file's contents; bytes that are not UTF-8 raise `error`."""
+    """A text file's contents minus any byte-order mark; non-UTF-8 bytes raise `error`."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
 
@@ -229,11 +230,12 @@ class StepSeries:
         return step
 
 
-def scan_dataset(manifest_path, keep=()) -> StepSeries:
+def scan_dataset(manifest_path, keep=(), files=None) -> StepSeries:
     """Validating pass: read and check every step, each against its manifest
     time and to come strictly after the step before, record its time, and
-    keep only the steps whose indices are in `keep`."""
-    grid, entries = dataset_files(manifest_path)
+    keep only the steps whose indices are in `keep`. `files` is
+    `dataset_files(manifest_path)` when the caller has read it already."""
+    grid, entries = files or dataset_files(manifest_path)
     times, kept = [], {}
     for k, (t, spath) in enumerate(entries):
         if not spath.exists():
@@ -252,7 +254,8 @@ def scan_dataset(manifest_path, keep=()) -> StepSeries:
 
 def load_dataset(manifest_path) -> TimeSeriesDataset:
     """`scan_dataset` keeping every step, as one in-memory dataset."""
-    series = scan_dataset(manifest_path, keep=range(len(read_manifest(manifest_path).steps)))
+    files = dataset_files(manifest_path)
+    series = scan_dataset(manifest_path, range(len(files[1])), files)
     return TimeSeriesDataset(grid=series.grid, steps=[series.take(k) for k in range(len(series))])
 
 

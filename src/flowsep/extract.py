@@ -2,12 +2,15 @@
 mesh smoothing, small utilities, and OBJ export.
 
 All geometry lives at the initial time in seed space: the indicator lattices
-are built on the seed positions of one feature (node spacing = cell size / 2^r),
-padded by one node so closed surfaces actually close.
+are built on the seed positions of one feature or label pair (node spacing =
+cell size / 2^r), padded by one node so closed surfaces actually close, and
+both kinds of mesh come from one builder that packs many such lattices into
+each marching-cubes call.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,7 +23,7 @@ from .labeling import connected_components
 from .marching import marching_cubes
 from .segment import EXPORT_ROWS, SeedLabeling, SplitEvent
 
-PACK_NODES = 1 << 14  # lattice nodes per marching-cubes call of boundary extraction
+PACK_NODES = 1 << 14  # lattice nodes per marching-cubes call of mesh extraction
 SMOOTH_VERTICES = 1 << 12  # vertices per group of meshes smoothed together
 
 
@@ -71,79 +74,64 @@ def _pack_groups(shape: np.ndarray) -> list[int]:
     """Start indices of runs of consecutive boxes (plus the end) whose lattices,
     laid side by side along x and padded to the largest y and z extent, have
     at most `PACK_NODES` nodes; a larger box is a run of its own."""
-    bounds = [0]
+    bounds = []
     nx = ny = nz = 0
     for b, (sx, sy, sz) in enumerate(shape.tolist()):
         my, mz = max(ny, sy), max(nz, sz)
-        if b > bounds[-1] and (nx + sx) * my * mz > PACK_NODES:
+        if not bounds or (nx + sx) * my * mz > PACK_NODES:
             bounds.append(b)
             nx, my, mz = 0, sy, sz
         nx, ny, nz = nx + sx, my, mz
-    bounds.append(shape.shape[0])
-    return bounds
+    return bounds + [shape.shape[0]]
 
 
-def extract_boundaries(
-    grid: RectilinearGrid,
-    particles: ParticleSet,
-    labeling: SeedLabeling,
-    labels: Iterable[int],
-    coords: tuple[np.ndarray, ...] | None = None,
-) -> list[TriangleMesh]:
-    """Closed boundary around the seeds of each label in `labels`, in that
-    order; an empty mesh for a label that no seed carries.
+def _lattice_meshes(particles: ParticleSet, sel, count, coords, plus=None) -> list[tuple]:
+    """(vertices, triangles) of each run of seeds, run i being the next
+    `count[i]` (> 0) seed indices of `sel`: the closed boundary of its seeds
+    or, with the mask `plus` over `sel`, the open surface between its plus
+    seeds and its others, every node that holds none of its seeds invalid.
 
-    Each label's seeds span a box of lattice nodes with a False padding
-    shell. Consecutive boxes are laid side by side along x in one lattice of
-    at most `PACK_NODES` nodes and triangulated by one `marching_cubes` call
-    on index axes. The shells keep every mixed cube inside one box, so a
-    box's triangles and first-visit vertex ids form one run, in the order a
-    lattice of that box alone gives; the ids are rebased to the run's first
-    and each vertex is read as the midpoint of its lattice edge in `coords`,
-    `padded_seed_coords(grid, particles.refinement)`, which callers that
-    extract many meshes build once.
+    Consecutive runs' boxes of lattice nodes, each with a padding shell, are
+    laid side by side along x in one lattice of at most `PACK_NODES` nodes
+    and triangulated by one `marching_cubes` call on index axes. The shells
+    keep every mixed cube inside one box, so a box's triangles and
+    first-visit vertex ids form one run, in the order a lattice of that box
+    alone gives; the ids are rebased to the run's first and each vertex is
+    read as the midpoint of its lattice edge in `coords`.
     """
-    if coords is None:
-        coords = padded_seed_coords(grid, particles.refinement)
-    labels = [int(j) for j in labels]
-    order = np.argsort(labeling.labels, kind="stable")
-    ranked = labeling.labels[order]
-    start = np.searchsorted(ranked, labels, side="left")
-    count = np.searchsorted(ranked, labels, side="right") - start
-    meshes = [None if n else _empty_mesh("boundary", j) for j, n in zip(labels, count.tolist())]
-    boxes = np.nonzero(count)[0]
-    if boxes.size == 0:
-        return meshes
-    # the seeds of every box, box after box; `first` is each box's first row
-    count = count[boxes]
     first = np.cumsum(count) - count
-    rows = np.repeat(start[boxes] - first, count)
-    rows += np.arange(rows.size)
-    sel = order[rows]
-    del order, ranked, rows
-    lo = np.empty((boxes.size, 3), dtype=np.int64)
-    hi = np.empty((boxes.size, 3), dtype=np.int64)
+    lo = np.empty((count.size, 3), dtype=np.int64)
+    hi = np.empty((count.size, 3), dtype=np.int64)
     for d in range(3):
         col = particles.lattice[sel, d]
         lo[:, d] = np.minimum.reduceat(col, first)
         hi[:, d] = np.maximum.reduceat(col, first)
+    del col
     shape = hi - lo + 3
 
+    out = []
     bounds = _pack_groups(shape)
     for b0, b1 in zip(bounds, bounds[1:]):
         dims = shape[b0:b1]
         x0 = np.cumsum(dims[:, 0]) - dims[:, 0]  # each box's first x node
         base = lo[b0:b1].copy()  # packed node p is padded-coords index p + base
         base[:, 0] -= x0
-        inside = np.zeros((int(x0[-1] + dims[-1, 0]), *dims[:, 1:].max(axis=0).tolist()), bool)
-        r0 = int(first[b0])
-        pts = particles.lattice[sel[r0 : r0 + int(count[b0:b1].sum())]]
+        size = (int(x0[-1] + dims[-1, 0]), *dims[:, 1:].max(axis=0).tolist())
+        rows = slice(int(first[b0]), int(first[b0] + count[b0:b1].sum()))
+        pts = particles.lattice[sel[rows]]
         pts -= np.repeat(base - 1, count[b0:b1], axis=0)
-        inside[pts[:, 0], pts[:, 1], pts[:, 2]] = True
-        del pts
-        index_axes = tuple(np.arange(n) for n in inside.shape)
-        verts, tris = marching_cubes(inside, index_axes)
-        del inside
+        member = np.zeros(size, bool)
+        member[pts[:, 0], pts[:, 1], pts[:, 2]] = True
+        if plus is None:
+            inside, invalid = member, None
+        else:
+            inside, invalid = np.zeros(size, bool), ~member
+            pts = pts[plus[rows]]
+            inside[pts[:, 0], pts[:, 1], pts[:, 2]] = True
+        del pts, member
+        index_axes = tuple(np.arange(n) for n in size)
+        verts, tris = marching_cubes(inside, index_axes, invalid=invalid)
+        del inside, invalid
         # a vertex at index position x lies on the lattice edge between
         # nodes floor(x) and ceil(x), in the box whose x range holds it
         box = np.searchsorted(x0, verts[:, 0], side="right") - 1
@@ -160,57 +148,79 @@ def extract_boundaries(
         v0 = np.cumsum(nv) - nv
         t0 = np.cumsum(nt) - nt
         tris -= np.repeat(v0.astype(tris.dtype), nt)[:, None]
-        for b, va, vb, ta, tb in zip(
-            boxes[b0:b1].tolist(), v0.tolist(), (v0 + nv).tolist(),
-            t0.tolist(), (t0 + nt).tolist(),
+        for va, vb, ta, tb in zip(
+            v0.tolist(), (v0 + nv).tolist(), t0.tolist(), (t0 + nt).tolist()
         ):
-            meshes[b] = TriangleMesh(
-                vertices=verts[va:vb], triangles=tris[ta:tb], kind="boundary", label=labels[b]
-            )
-    return meshes
+            out.append((verts[va:vb], tris[ta:tb]))
+    return out
+
+
+def extract_boundaries(
+    grid: RectilinearGrid,
+    particles: ParticleSet,
+    labeling: SeedLabeling,
+    labels: Iterable[int],
+    coords: tuple[np.ndarray, ...] | None = None,
+) -> list[TriangleMesh]:
+    """Closed boundary around the seeds of each label in `labels`, in that
+    order; an empty mesh for a label that no seed carries. `coords` is
+    `padded_seed_coords(grid, particles.refinement)`, which callers that
+    extract many meshes build once."""
+    if coords is None:
+        coords = padded_seed_coords(grid, particles.refinement)
+    labels = [int(j) for j in labels]
+    order = np.argsort(labeling.labels, kind="stable")
+    ranked = labeling.labels[order]
+    start = np.searchsorted(ranked, labels, side="left")
+    count = np.searchsorted(ranked, labels, side="right") - start
+    # the seeds of every label that has some, label after label
+    runs = count[count > 0]
+    rows = np.repeat(start[count > 0] - (np.cumsum(runs) - runs), runs)
+    rows += np.arange(rows.size)
+    sel = order[rows]
+    del order, ranked, rows
+    found = iter(_lattice_meshes(particles, sel, runs, coords))
+    return [
+        TriangleMesh(*next(found), kind="boundary", label=j) if n else _empty_mesh("boundary", j)
+        for j, n in zip(labels, count.tolist())
+    ]
 
 
 def extract_separation_surface(
     grid: RectilinearGrid,
     particles: ParticleSet,
-    event: SplitEvent,
-    pair: tuple[int, int],
+    events: list[SplitEvent],
     next_labeling: SeedLabeling,
     coords: tuple[np.ndarray, ...] | None = None,
-) -> TriangleMesh:
-    """Open surface between the two sub-segments of a split, stamped t_{k+1}.
-
-    Nodes of the splitting group take +/- for the two labels; everything else
-    (other labels, other groups, empty lattice points) is invalid, which both
-    drives the case lookup and prunes triangles on the invalid rim. `coords`
-    is as for `extract_boundaries`.
+) -> list[TriangleMesh]:
+    """Open surface between the two sub-segments of each pair of next labels
+    of each split, stamped t_{k+1}: one mesh per (event, pair), in event
+    order and each event's pairs in `itertools.combinations` order. The
+    event's seeds of the pair's first label are +, of its second -; every
+    other node is invalid, which both drives the case lookup and prunes
+    triangles on the invalid rim. `coords` is as for `extract_boundaries`.
     """
-    j1, j2 = pair
-    members = event.seed_indices
-    nxt = next_labeling.labels[members]
-    plus_pts = particles.lattice[members[nxt == j1]]
-    minus_pts = particles.lattice[members[nxt == j2]]
-    if plus_pts.shape[0] == 0 or minus_pts.shape[0] == 0:
-        return _empty_mesh("separation", (j1, j2), event.time_next)
-    all_pts = np.concatenate([plus_pts, minus_pts])
-    lo = all_pts.min(axis=0)
-    hi = all_pts.max(axis=0)
-    shape = tuple((hi - lo + 3).tolist())
     if coords is None:
         coords = padded_seed_coords(grid, particles.refinement)
-    axes = tuple(coords[d][lo[d] : hi[d] + 3] for d in range(3))
-    plus = np.zeros(shape, dtype=bool)
-    minus = np.zeros(shape, dtype=bool)
-    po = plus_pts - lo + 1
-    mo = minus_pts - lo + 1
-    plus[po[:, 0], po[:, 1], po[:, 2]] = True
-    minus[mo[:, 0], mo[:, 1], mo[:, 2]] = True
-    invalid = ~(plus | minus)
-    verts, tris = marching_cubes(plus, axes, invalid=invalid)
-    return TriangleMesh(
-        vertices=verts, triangles=tris, kind="separation", label=(j1, j2),
-        timestamp=event.time_next,
-    )
+    pairs, sel, plus = [], [], []
+    for ev in events:
+        nxt = next_labeling.labels[ev.seed_indices]
+        for j1, j2 in itertools.combinations(ev.next_labels, 2):
+            run = (nxt == j1) | (nxt == j2)
+            pairs.append((j1, j2, ev.time_next, np.count_nonzero(run)))
+            sel.append(ev.seed_indices[run])
+            plus.append(nxt[run] == j1)
+    if not pairs:
+        return []
+    sel, plus = np.concatenate(sel), np.concatenate(plus)
+    count = np.array([n for *_, n in pairs])
+    runs = count[count > 0]  # a pair that no seed carries has no box
+    found = iter(_lattice_meshes(particles, sel, runs, coords, plus))
+    return [
+        TriangleMesh(*next(found), kind="separation", label=(j1, j2), timestamp=t)
+        if n else _empty_mesh("separation", (j1, j2), t)
+        for j1, j2, t, n in pairs
+    ]
 
 
 def _edge_incidence(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

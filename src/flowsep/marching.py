@@ -12,9 +12,10 @@ Extraction is one gather: the mixed cubes are repeated by their case's
 triangle count, the triangles' cube edges are read from the padded case table
 and keyed as lattice edges, and `np.unique` numbers the vertices.
 
-The signed variant treats invalid nodes as negative for the case lookup and
-afterwards discards every triangle with a vertex on a lattice edge incident to
-an invalid node, which opens the surface along the invalid rim.
+The signed variant treats invalid nodes as negative for the case lookup, skips
+cubes with no valid negative corner and discards every triangle with a vertex
+on a lattice edge incident to an invalid node, which opens the surface along
+the invalid rim.
 """
 
 from __future__ import annotations
@@ -163,10 +164,6 @@ EDGE_AXIS = np.array([e // 4 for e in range(12)])
 EDGE_LOW = np.array([CORNERS[u] for u, _ in EDGES])  # lower corner offset per edge
 
 
-def _empty():
-    return np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int32)
-
-
 def marching_cubes(
     inside: np.ndarray,
     axes: tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -188,19 +185,22 @@ def marching_cubes(
     inside = np.asarray(inside, dtype=bool)
     ni, nj, nk = inside.shape
     if min(ni, nj, nk) < 2 or not inside.any():
-        return _empty()
+        return np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int32)
 
-    case = np.zeros((ni - 1, nj - 1, nk - 1), dtype=np.uint16)
+    # bits 0-7 of a cube's code mark its inside corners, bits 8-15 its valid
+    # outside ones; a cube keeps triangles only with both, since each crossing
+    # edge of a cube without a valid outside corner ends at an invalid node
+    outside = ~inside if invalid is None else ~(inside | np.asarray(invalid, dtype=bool))
+    node = inside.astype(np.uint16) | outside.astype(np.uint16) << 8
+    code = np.zeros((ni - 1, nj - 1, nk - 1), dtype=np.uint16)
     for c, (cx, cy, cz) in enumerate(CORNERS):
-        case += inside[cx : cx + ni - 1, cy : cy + nj - 1, cz : cz + nk - 1].astype(
-            np.uint16
-        ) << c
-    i, j, k = np.nonzero((case > 0) & (case < 255))
-    if i.size == 0:
-        return _empty()
+        code += node[cx : cx + ni - 1, cy : cy + nj - 1, cz : cz + nk - 1] << c
+    del outside, node
+    i, j, k = np.nonzero(((code & 255) > 0) & (code > 255))
 
     # one row per triangle; a lattice edge is keyed 3 * (flat lower node) + axis
-    cases = case[i, j, k]
+    cases = code[i, j, k] & 255
+    del code
     counts = CASE_COUNTS[cases]
     cube = np.repeat(np.arange(cases.size), counts)
     nth = np.arange(cube.size) - np.repeat(np.cumsum(counts) - counts, counts)
@@ -216,8 +216,6 @@ def marching_cubes(
         bad = inv_flat[low] | inv_flat[low + stride[axis]]
         # a discarded triangle visits its edges up to the first invalid one
         visit = ~np.logical_or.accumulate(bad, axis=1)
-        if not visit[:, 2].any():
-            return _empty()
         # the visited entries that belong to kept triangles
         visited, kept = keys[visit], np.broadcast_to(visit[:, 2:], visit.shape)[visit]
 

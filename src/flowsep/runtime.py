@@ -17,7 +17,6 @@ partitioning produce identical labelings, tables, and meshes.
 
 from __future__ import annotations
 
-import itertools
 import time as _time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -226,7 +225,8 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
     except ValueError as exc:
         raise ConfigError(f"partitions: {exc}") from exc
     # every step is read and checked here; only the run's first two stay
-    series = scan_dataset(config.manifest, keep=_step_sequence(config.t0, config.tf)[:2])
+    keep = _step_sequence(config.t0, config.tf)[:2]
+    series = scan_dataset(config.manifest, keep, files=(grid, entries))
 
     result = _run(config, series, layout)
     if config.output is not None:
@@ -271,14 +271,9 @@ def _run(config: PipelineConfig, series: StepSeries, layout: PartitionLayout) ->
 
         # split detection and separation surfaces
         events = detect_splits(labelings[-1], cur_labeling, initial_labeling)
-        for ev in events:
-            report.splits.append((k, ev))
-            for pair in itertools.combinations(ev.next_labels, 2):
-                mesh = extract_separation_surface(
-                    grid, particles, ev, pair, cur_labeling, coords
-                )
-                if not mesh.empty:
-                    s_meshes.append(mesh)
+        report.splits += [(k, ev) for ev in events]
+        meshes = extract_separation_surface(grid, particles, events, cur_labeling, coords)
+        s_meshes += [mesh for mesh in meshes if not mesh.empty]
 
         labelings.append(cur_labeling)
         report.intervals.append(

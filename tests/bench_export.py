@@ -13,7 +13,10 @@ pipeline defaults (10 iterations, lambda 0.5).
 
 The boundary case extracts 460 boundaries at once, each around a ball of
 radius 2.2 nodes in a 7^3-node box (`droplet_seed_set` of the extraction
-tests), as the B step of a droplets-r0 run does.
+tests), as the B step of a droplets-r0 run does. The separation case
+extracts 80 surfaces in one call, each between the two halves of such a
+ball (`droplet_split_events`): about the pair count and box size of the S
+meshes of a droplets-r0 run, whose 77 pairs come in five calls.
 
 The table and `epsilon.tsv` cases use the seeds of the orbit ball (radius 0.2
 on 32^3 cells, refinement 2, about 70k seeds on a per-axis lattice) with 2 %
@@ -31,6 +34,7 @@ from flowsep.extract import (
     TriangleMesh,
     export_meshes,
     extract_boundaries,
+    extract_separation_surface,
     padded_seed_coords,
     smooth_meshes,
 )
@@ -39,7 +43,7 @@ from flowsep.marching import marching_cubes
 from flowsep.segment import SeedLabeling, assign_labels, contribution_table, write_epsilon
 
 from .bench_marching import ball_lattice
-from .test_extract import droplet_seed_set
+from .test_extract import droplet_seed_set, droplet_split_events
 
 
 def ball_mesh(n: int, radius: float, label: int) -> TriangleMesh:
@@ -91,6 +95,13 @@ def test_boundaries_many_boxes(benchmark):
     coords = padded_seed_coords(grid, 0)
     out = benchmark(extract_boundaries, grid, particles, labeling, range(460), coords)
     assert sum(not m.empty for m in out) == 460
+
+
+def test_separation_many_pairs(benchmark):
+    grid, particles, next_labeling, events = droplet_split_events(80)
+    coords = padded_seed_coords(grid, 0)
+    out = benchmark(extract_separation_surface, grid, particles, events, next_labeling, coords)
+    assert sum(not m.empty for m in out) == 80
 
 
 def test_smooth_droplets(benchmark, droplets):

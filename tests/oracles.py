@@ -7,8 +7,9 @@ forms that the library replaced with array code (the marching-cubes loop
 shares only the case table with the library). The stage-1 neighbour oracle is
 the library's former search, kept as it was: it locates cells and takes the
 per-stray minimum with the library's own functions, each pinned to a scalar
-oracle here. The per-label boundary oracle calls the library's
-`marching_cubes`, itself pinned to the scalar loop here, once per label.
+oracle here. The per-label boundary oracle and the per-pair separation
+oracle call the library's `marching_cubes`, itself pinned to the scalar loop
+here, once per label or label pair.
 The subcell-lattice references are the three derivations of seed centres,
 seeds and bin faces that the library's `subcell_lattice` replaced.
 `truncated_volume` and `solve_patch_offset` are not oracles but one-box
@@ -638,6 +639,43 @@ def boundary_mesh_loop(grid, particles, labeling, labels) -> list:
         off = pts - lo + 1
         inside[off[:, 0], off[:, 1], off[:, 2]] = True
         out.append(marching_cubes(inside, axes))
+    return out
+
+
+def separation_mesh_loop(grid, particles, events, next_labeling) -> list:
+    """Reference for `flowsep.extract.extract_separation_surface`: per event
+    and per pair (j1, j2) of its next labels, the event's seeds of label j1
+    set True (+) and those of j2 (-) in their own padded box lattice, every
+    other node invalid, one `marching_cubes` call on the box's node
+    coordinates; (vertices, triangles) per pair, empty arrays for a pair
+    with no seed on one side."""
+    coords = seed_axis_coords(grid, particles.refinement)
+    s = 2**particles.refinement
+    out = []
+    for event in events:
+        members = event.seed_indices
+        nxt = next_labeling.labels[members]
+        for j1, j2 in itertools.combinations(event.next_labels, 2):
+            plus_pts = particles.lattice[members[nxt == j1]]
+            minus_pts = particles.lattice[members[nxt == j2]]
+            if plus_pts.shape[0] == 0 or minus_pts.shape[0] == 0:
+                out.append((np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int32)))
+                continue
+            all_pts = np.concatenate([plus_pts, minus_pts])
+            lo = all_pts.min(axis=0)
+            hi = all_pts.max(axis=0)
+            axes = tuple(
+                _padded_axis(coords[d], int(lo[d]), int(hi[d]), grid.widths[d][0] / s)
+                for d in range(3)
+            )
+            shape = tuple(int(h - l + 3) for l, h in zip(lo, hi))
+            plus = np.zeros(shape, dtype=bool)
+            minus = np.zeros(shape, dtype=bool)
+            po = plus_pts - lo + 1
+            mo = minus_pts - lo + 1
+            plus[po[:, 0], po[:, 1], po[:, 2]] = True
+            minus[mo[:, 0], mo[:, 1], mo[:, 2]] = True
+            out.append(marching_cubes(plus, axes, invalid=~(plus | minus)))
     return out
 
 

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -99,6 +102,25 @@ class TestBinaryRoundTrip:
             read_timestep(path, g)
         assert str(exc.value) == f"{path}: truncated {what}"
 
+    def test_huge_grid_node_count_is_checked_before_reading(self, tmp_path):
+        # grid file: 8 magic bytes, the u32 dimension count, then the x node count
+        path = tmp_path / "grid.bin"
+        write_grid(uniform_grid(8), path)
+        with open(path, "r+b") as fh:
+            fh.seek(12)
+            fh.write(struct.pack("<I", 0xFFFFFFFF))
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedPayloadError) as exc:
+                read_grid(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # left after the x count: 3 axes of 9 nodes and the y and z counts
+        left = 3 * 9 * 8 + 2 * 4
+        assert str(exc.value) == f"{path}: truncated axis coordinates ({left} of {8 * 0xFFFFFFFF} bytes)"
+        assert peak < 1 << 20
+
 
 class TestManifest:
     def test_roundtrip(self, tmp_path):
@@ -124,6 +146,13 @@ class TestManifest:
         )
         with pytest.raises(DatasetError):
             load_dataset(tmp_path / "ds.manifest")
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        m = DatasetManifest(grid_path="grid.bin", steps=[(0.0, "a.bin"), (1.5, "b.bin")])
+        path = tmp_path / "ds.manifest"
+        write_manifest(m, path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert read_manifest(path) == m
 
     def test_dataset_roundtrip(self, tmp_path):
         sc = SyntheticScenario(kind="rigid-rotation", cells=8, steps=3)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -39,6 +40,7 @@ from .oracles import (
     points_in_mesh_full,
     read_obj,
     seed_axis_coords,
+    separation_mesh_loop,
     smooth_vertices_add_at,
 )
 from .test_marching import lattices
@@ -187,7 +189,7 @@ class TestSeparationSurface:
         # an invalid node, so nothing survives (single-cube case enumeration)
         g = uniform_grid(6)
         ps, event, nxt = _separation_inputs(g, [[2, 2, 2]], [[3, 2, 2]])
-        mesh = extract_separation_surface(g, ps, event, (0, 1), nxt)
+        mesh = extract_separation_surface(g, ps, [event], nxt)[0]
         assert mesh.empty
 
     def test_slab_pair_keeps_midplane(self):
@@ -195,7 +197,7 @@ class TestSeparationSurface:
         plus = [[2, j, k] for j in range(1, 5) for k in range(1, 5)]
         minus = [[3, j, k] for j in range(1, 5) for k in range(1, 5)]
         ps, event, nxt = _separation_inputs(g, plus, minus)
-        mesh = extract_separation_surface(g, ps, event, (0, 1), nxt)
+        mesh = extract_separation_surface(g, ps, [event], nxt)[0]
         assert not mesh.empty
         coords = seed_axis_coords(g, 0)
         midplane = 0.5 * (coords[0][2] + coords[0][3])
@@ -209,7 +211,7 @@ class TestSeparationSurface:
         plus = [[2, j, k] for j in range(1, 5) for k in range(1, 5)]
         minus = [[3, j, k] for j in range(1, 5) for k in range(1, 5)]
         ps, event, nxt = _separation_inputs(g, plus, minus)
-        mesh = extract_separation_surface(g, ps, event, (0, 1), nxt)
+        mesh = extract_separation_surface(g, ps, [event], nxt)[0]
         edges, counts = edge_incidence(mesh)
         assert counts.max() <= 2
         assert np.any(counts == 1)  # has an open rim
@@ -221,7 +223,7 @@ class TestSeparationSurface:
         minus = [[4, j, k] for j in range(2, 6) for k in range(2, 6)]
         middle = [[3, j, k] for j in range(2, 6) for k in range(2, 6)]
         ps, event, nxt = _separation_inputs(g, plus, minus, extra_invalid=middle)
-        mesh = extract_separation_surface(g, ps, event, (0, 1), nxt)
+        mesh = extract_separation_surface(g, ps, [event], nxt)[0]
         assert mesh.empty
 
 
@@ -270,7 +272,7 @@ class TestSmoothing:
         plus = [[2, j, k] for j in range(1, 5) for k in range(1, 5)]
         minus = [[3, j, k] for j in range(1, 5) for k in range(1, 5)]
         ps, event, nxt = _separation_inputs(g, plus, minus)
-        mesh = extract_separation_surface(g, ps, event, (0, 1), nxt)
+        mesh = extract_separation_surface(g, ps, [event], nxt)[0]
         out = next(smooth_meshes([mesh], iterations=10))
         rim = boundary_vertices(mesh)
         assert 0 < rim.size < mesh.vertices.shape[0]
@@ -407,18 +409,19 @@ class TestExportKernelsMatchOracles:
 
 
 @st.composite
-def labeled_seed_sets(draw):
+def labeled_seed_sets(draw, min_density=0.05):
     """A rectilinear grid (1-4 cells per axis, unequal widths), refinement
-    0-2, a random subset of its seed lattice and labels -1..5: blocks of the
-    lattice share a label, some seeds get a random one, and the label list
-    holds every label once in random order plus one that no seed carries."""
+    0-2, a random subset of its seed lattice (at least `min_density` of it)
+    and labels -1..5: blocks of the lattice share a label, some seeds get a
+    random one, and the label list holds every label once in random order
+    plus one that no seed carries."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     refinement = draw(st.integers(0, 2))
     cells = [draw(st.integers(1, 4)) for _ in range(3)]
     grid = RectilinearGrid(tuple(np.cumsum(rng.uniform(0.2, 2.0, n + 1)) for n in cells))
     n = [c * 2**refinement for c in cells]
     pts = np.stack(np.meshgrid(*map(np.arange, n), indexing="ij"), axis=-1).reshape(-1, 3)
-    pts = pts[rng.random(pts.shape[0]) < draw(st.floats(0.05, 1.0))]
+    pts = pts[rng.random(pts.shape[0]) < draw(st.floats(min_density, 1.0))]
     if pts.shape[0] == 0:
         pts = np.zeros((1, 3), dtype=np.int64)
     block = draw(st.integers(1, 4))
@@ -429,6 +432,73 @@ def labeled_seed_sets(draw):
     labeling = SeedLabeling(labels=labels.astype(np.int32), time=0.0)
     wanted = rng.permutation(np.append(np.unique(labels[labels >= 0]), 9)).tolist()
     return grid, ps, labeling, wanted
+
+
+@st.composite
+def split_events(draw):
+    """A dense `labeled_seed_sets` seed set whose labels are read as next
+    labels, its seeds dealt to 1-3 events by bands along x. Each event lists
+    2-4 of the labels its seeds carry and 8 and 9, which no seed carries, so
+    an event's seeds include dead (-1) seeds and seeds of third labels, and
+    some of its pairs are one-sided or hold no seed at all."""
+    grid, ps, labeling, _ = draw(labeled_seed_sets(min_density=0.6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_events = draw(st.integers(1, 3))
+    x = ps.lattice[:, 0]
+    dealt = x * n_events // (x.max() + 1)
+    events = []
+    for e in range(n_events):
+        seeds = np.nonzero(dealt == e)[0]
+        carried = labeling.labels[seeds]
+        listed = np.append(np.unique(carried[carried >= 0]), [8, 9])
+        size = draw(st.integers(2, min(4, listed.size)))
+        events.append(
+            SplitEvent(
+                initial_label=e,
+                group_label=e,
+                next_labels=tuple(rng.choice(listed, size, replace=False).tolist()),
+                seed_indices=seeds,
+                time_prev=float(e),
+                time_next=e + 1.0,
+            )
+        )
+    return grid, ps, SeedLabeling(labels=labeling.labels, time=1.0), events
+
+
+def separation_mesh_objects(grid, ps, events, nxt):
+    """The per-pair oracle's meshes as the `TriangleMesh` list it stands for."""
+    return [
+        TriangleMesh(v, t, "separation", pair, ev.time_next)
+        for (v, t), (ev, pair) in zip(
+            separation_mesh_loop(grid, ps, events, nxt), event_pairs(events)
+        )
+    ]
+
+
+def event_pairs(events):
+    return [(ev, pair) for ev in events for pair in itertools.combinations(ev.next_labels, 2)]
+
+
+def droplet_split_events(count):
+    """`count` splits, one per ball of `droplet_seed_set`: the ball's seeds
+    below its centre in x carry next label 2b and the others 2b + 1, so each
+    pair's box is the ball's 7^3 nodes and its surface a disc."""
+    g, ps, labeling = droplet_seed_set(count)
+    x = ps.lattice[:, 0]
+    labels = labeling.labels
+    nxt = np.where(labels >= 0, 2 * labels + (x >= x // 6 * 6 + 3), -1).astype(np.int32)
+    events = [
+        SplitEvent(
+            initial_label=b,
+            group_label=b,
+            next_labels=(2 * b, 2 * b + 1),
+            seed_indices=np.nonzero(labels == b)[0],
+            time_prev=0.0,
+            time_next=1.0,
+        )
+        for b in range(count)
+    ]
+    return g, ps, SeedLabeling(labels=nxt, time=1.0), events
 
 
 def assert_mesh_bits(got: TriangleMesh, want_vertices, want_triangles):
@@ -502,6 +572,45 @@ class TestBatchedTailMatchesPerMesh:
             for mesh, (v, t) in zip(got, want):
                 assert_mesh_bits(mesh, v, t)
 
+    @settings(max_examples=200, deadline=None)
+    @given(case=split_events(), pack=st.sampled_from(["one", "few", "default"]))
+    def test_separation_bit_equal_to_per_pair_loop(self, case, pack):
+        grid, ps, nxt, events = case
+        want = separation_mesh_loop(grid, ps, events, nxt)
+        pairs = event_pairs(events)
+        # "few": any two pair boxes fit one lattice, usually not many more do
+        boxes = [ps.lattice[ev.seed_indices[np.isin(nxt.labels[ev.seed_indices], pair)]]
+                 for ev, pair in pairs]
+        box = max((int(np.prod(np.ptp(b, axis=0) + 3)) for b in boxes if b.size), default=1)
+        nodes = {"one": 1, "few": 2 * box, "default": extract.PACK_NODES}[pack]
+        coords = padded_seed_coords(grid, ps.refinement)
+        with mock.patch.object(extract, "PACK_NODES", nodes):
+            got = extract_separation_surface(grid, ps, events, nxt, coords)
+        assert len(got) == len(pairs)
+        for mesh, (v, t), (ev, pair) in zip(got, want, pairs):
+            assert (mesh.kind, mesh.label, mesh.timestamp) == ("separation", pair, ev.time_next)
+            assert_mesh_bits(mesh, v, t)
+
+    def test_packing_makes_fewer_separation_marching_cubes_calls(self):
+        g, ps, nxt, events = droplet_split_events(40)
+        want = separation_mesh_loop(g, ps, events, nxt)
+        assert all(t.shape[0] > 0 for _, t in want)
+        # one pair box per call, three per call, all 40 in one call
+        for nodes, calls in ((1, 40), (3 * 7**3, 14), (extract.PACK_NODES, 1)):
+            with mock.patch.object(extract, "PACK_NODES", nodes), mock.patch.object(
+                extract, "marching_cubes", wraps=marching_cubes
+            ) as mc:
+                got = extract_separation_surface(g, ps, events, nxt)
+            assert mc.call_count == calls
+            for mesh, (v, t) in zip(got, want):
+                assert_mesh_bits(mesh, v, t)
+
+    def test_no_events_make_no_meshes_and_no_calls(self):
+        g, ps, nxt, _ = droplet_split_events(1)
+        with mock.patch.object(extract, "marching_cubes", wraps=marching_cubes) as mc:
+            assert extract_separation_surface(g, ps, [], nxt) == []
+        assert mc.call_count == 0
+
     @settings(max_examples=100, deadline=None)
     @given(
         meshes=st.lists(
@@ -558,6 +667,15 @@ class TestTailMemoryBound:
         per_label = traced_peak(boundary_mesh_loop, g, ps, labeling, labels)
         batched = traced_peak(extract_boundaries, g, ps, labeling, labels, coords)
         assert batched <= 2 * per_label
+
+    def test_separation_extraction_peak(self):
+        g, ps, nxt, events = droplet_split_events(460)
+        coords = padded_seed_coords(g, 0)
+        separation_mesh_objects(g, ps, events[:2], nxt)
+        extract_separation_surface(g, ps, events[:2], nxt, coords)
+        per_pair = traced_peak(separation_mesh_objects, g, ps, events, nxt)
+        batched = traced_peak(extract_separation_surface, g, ps, events, nxt, coords)
+        assert batched <= 2 * per_pair
 
     def test_smoothing_peak(self):
         g, ps, labeling = droplet_seed_set()

@@ -429,6 +429,21 @@ class TestStepWindow:
         assert max(reads[:6]) <= 2 and reads[6:] == [1, 1, 1, 1]
         assert resident() == 0
 
+    def test_manifest_and_grid_are_read_once(self, rotation6, monkeypatch):
+        calls = {"read_manifest": 0, "read_grid": 0}
+        for name in calls:
+            fn = getattr(dataset_io, name)
+
+            def counted(*a, _fn=fn, _name=name, **k):
+                calls[_name] += 1
+                return _fn(*a, **k)
+
+            monkeypatch.setattr(dataset_io, name, counted)
+        run_pipeline(PipelineConfig(manifest=rotation6, t0=0, tf=2))
+        assert calls == {"read_manifest": 1, "read_grid": 1}
+        dataset_io.load_dataset(rotation6)
+        assert calls == {"read_manifest": 2, "read_grid": 2}
+
     @pytest.mark.parametrize("tf", [5, 1], ids=["in-run", "past-tf"])
     def test_bad_last_step_fails_before_seeding(self, tmp_path, monkeypatch, capsys, tf):
         sc = SyntheticScenario(kind="rigid-rotation", cells=6, steps=6)
@@ -708,6 +723,43 @@ class TestCli:
         path = write_config(tmp_path / "run.cfg", manifest="ds/dataset.manifest", t0=0, tf=1)
         assert main(["run", "--config", str(path)]) == 2
         assert "grid.bin" in capsys.readouterr().err
+
+    def test_huge_grid_node_count_exit_code(self, tmp_path, capsys):
+        # the x node count 0xFFFFFFFF asks for 32 GiB; it must fail on the file size
+        sc = SyntheticScenario(kind="rigid-rotation", cells=8, steps=2)
+        write_dataset(generate_scenario(sc), tmp_path / "ds")
+        with open(tmp_path / "ds" / "grid.bin", "r+b") as fh:
+            fh.seek(12)
+            fh.write(struct.pack("<I", 0xFFFFFFFF))
+        path = write_config(tmp_path / "run.cfg", manifest="ds/dataset.manifest", t0=0, tf=1)
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "grid.bin: truncated axis coordinates" in err and "Traceback" not in err
+
+    def test_byte_order_marks_give_the_same_artifacts(self, tmp_path):
+        sc = SyntheticScenario(kind="split-sphere", cells=12, steps=3, radius=0.3)
+        manifest = write_dataset(generate_scenario(sc), tmp_path / "ds")
+        (tmp_path / "ds" / "bom.manifest").write_bytes(b"\xef\xbb\xbf" + manifest.read_bytes())
+        for name, listed in (("plain", "dataset"), ("bom", "bom")):
+            path = write_config(
+                tmp_path / f"{name}.cfg", manifest=f"ds/{listed}.manifest", t0=0, tf=2,
+                output=f"out-{name}",
+            )
+            if name == "bom":
+                path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+            assert main(["run", "--config", str(path)]) == 0
+        plain, bom = tmp_path / "out-plain", tmp_path / "out-bom"
+        files = sorted(p.relative_to(plain) for p in plain.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(bom) for p in bom.rglob("*") if p.is_file())
+        assert any(f.name.startswith("s_") for f in files)
+        for f in files:
+            a, b = (plain / f).read_text(), (bom / f).read_text()
+            if f.name == "report.tsv":  # timings differ between runs
+                a, b = (
+                    [ln for ln in t.splitlines() if not ln.startswith(("interval\t", "summary\tb_"))]
+                    for t in (a, b)
+                )
+            assert a == b, f
 
     def test_unusable_output_path_exit_code(self, tmp_path, monkeypatch, capsys):
         # the output's parent is a regular file: rejected before any data loads
