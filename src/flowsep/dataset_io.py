@@ -41,7 +41,10 @@ def _read_exact(fh, n: int, path, what: str) -> bytes:
     left = os.fstat(fh.fileno()).st_size - fh.tell()
     if n > left:
         raise TruncatedPayloadError(f"{path}: truncated {what} ({left} of {n} bytes)")
-    return fh.read(n)
+    buf = fh.read(n)
+    if len(buf) != n:  # the file shrank since the size was read
+        raise TruncatedPayloadError(f"{path}: truncated {what} ({len(buf)} of {n} bytes)")
+    return buf
 
 
 def _read_into(fh, out: np.ndarray, path, what: str) -> None:
@@ -230,12 +233,11 @@ class StepSeries:
         return step
 
 
-def scan_dataset(manifest_path, keep=(), files=None) -> StepSeries:
-    """Validating pass: read and check every step, each against its manifest
-    time and to come strictly after the step before, record its time, and
-    keep only the steps whose indices are in `keep`. `files` is
-    `dataset_files(manifest_path)` when the caller has read it already."""
-    grid, entries = files or dataset_files(manifest_path)
+def scan_dataset(manifest_path, grid, entries, keep=()) -> StepSeries:
+    """Validating pass over `dataset_files(manifest_path)`, as `grid` and
+    `entries`: read and check every step, each against its manifest time and
+    to come strictly after the step before, record its time, and keep only
+    the steps whose indices are in `keep`."""
     times, kept = [], {}
     for k, (t, spath) in enumerate(entries):
         if not spath.exists():
@@ -254,8 +256,8 @@ def scan_dataset(manifest_path, keep=(), files=None) -> StepSeries:
 
 def load_dataset(manifest_path) -> TimeSeriesDataset:
     """`scan_dataset` keeping every step, as one in-memory dataset."""
-    files = dataset_files(manifest_path)
-    series = scan_dataset(manifest_path, range(len(files[1])), files)
+    grid, entries = dataset_files(manifest_path)
+    series = scan_dataset(manifest_path, grid, entries, range(len(entries)))
     return TimeSeriesDataset(grid=series.grid, steps=[series.take(k) for k in range(len(series))])
 
 

@@ -60,16 +60,6 @@ def padded_seed_coords(grid: RectilinearGrid, refinement: int) -> tuple[np.ndarr
     return tuple(out)
 
 
-def _empty_mesh(kind, label, timestamp=None) -> TriangleMesh:
-    return TriangleMesh(
-        vertices=np.zeros((0, 3)),
-        triangles=np.zeros((0, 3), dtype=np.int32),
-        kind=kind,
-        label=label,
-        timestamp=timestamp,
-    )
-
-
 def _pack_groups(shape: np.ndarray) -> list[int]:
     """Start indices of runs of consecutive boxes (plus the end) whose lattices,
     laid side by side along x and padded to the largest y and z extent, have
@@ -87,9 +77,10 @@ def _pack_groups(shape: np.ndarray) -> list[int]:
 
 def _lattice_meshes(particles: ParticleSet, sel, count, coords, plus=None) -> list[tuple]:
     """(vertices, triangles) of each run of seeds, run i being the next
-    `count[i]` (> 0) seed indices of `sel`: the closed boundary of its seeds
-    or, with the mask `plus` over `sel`, the open surface between its plus
-    seeds and its others, every node that holds none of its seeds invalid.
+    `count[i]` seed indices of `sel`: the closed boundary of its seeds or,
+    with the mask `plus` over `sel`, the open surface between its plus seeds
+    and its others, every node that holds none of its seeds invalid. A run
+    of no seeds has no box and gives empty arrays.
 
     Consecutive runs' boxes of lattice nodes, each with a padding shell, are
     laid side by side along x in one lattice of at most `PACK_NODES` nodes
@@ -99,7 +90,9 @@ def _lattice_meshes(particles: ParticleSet, sel, count, coords, plus=None) -> li
     alone gives; the ids are rebased to the run's first and each vertex is
     read as the midpoint of its lattice edge in `coords`.
     """
-    first = np.cumsum(count) - count
+    out = [None] * count.size
+    full = np.flatnonzero(count)
+    first, count = (np.cumsum(count) - count)[full], count[full]
     lo = np.empty((count.size, 3), dtype=np.int64)
     hi = np.empty((count.size, 3), dtype=np.int64)
     for d in range(3):
@@ -109,7 +102,6 @@ def _lattice_meshes(particles: ParticleSet, sel, count, coords, plus=None) -> li
     del col
     shape = hi - lo + 3
 
-    out = []
     bounds = _pack_groups(shape)
     for b0, b1 in zip(bounds, bounds[1:]):
         dims = shape[b0:b1]
@@ -148,11 +140,11 @@ def _lattice_meshes(particles: ParticleSet, sel, count, coords, plus=None) -> li
         v0 = np.cumsum(nv) - nv
         t0 = np.cumsum(nt) - nt
         tris -= np.repeat(v0.astype(tris.dtype), nt)[:, None]
-        for va, vb, ta, tb in zip(
-            v0.tolist(), (v0 + nv).tolist(), t0.tolist(), (t0 + nt).tolist()
+        for i, va, vb, ta, tb in zip(
+            full[b0:b1].tolist(), v0.tolist(), (v0 + nv).tolist(), t0.tolist(), (t0 + nt).tolist()
         ):
-            out.append((verts[va:vb], tris[ta:tb]))
-    return out
+            out[i] = (verts[va:vb], tris[ta:tb])
+    return [(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int32)) if m is None else m for m in out]
 
 
 def extract_boundaries(
@@ -173,17 +165,13 @@ def extract_boundaries(
     ranked = labeling.labels[order]
     start = np.searchsorted(ranked, labels, side="left")
     count = np.searchsorted(ranked, labels, side="right") - start
-    # the seeds of every label that has some, label after label
-    runs = count[count > 0]
-    rows = np.repeat(start[count > 0] - (np.cumsum(runs) - runs), runs)
+    # the seeds of each label, label after label
+    rows = np.repeat(start - (np.cumsum(count) - count), count)
     rows += np.arange(rows.size)
     sel = order[rows]
     del order, ranked, rows
-    found = iter(_lattice_meshes(particles, sel, runs, coords))
-    return [
-        TriangleMesh(*next(found), kind="boundary", label=j) if n else _empty_mesh("boundary", j)
-        for j, n in zip(labels, count.tolist())
-    ]
+    meshes = _lattice_meshes(particles, sel, count, coords)
+    return [TriangleMesh(v, t, kind="boundary", label=j) for j, (v, t) in zip(labels, meshes)]
 
 
 def extract_separation_surface(
@@ -207,19 +195,17 @@ def extract_separation_surface(
         nxt = next_labeling.labels[ev.seed_indices]
         for j1, j2 in itertools.combinations(ev.next_labels, 2):
             run = (nxt == j1) | (nxt == j2)
-            pairs.append((j1, j2, ev.time_next, np.count_nonzero(run)))
+            pairs.append(((j1, j2), ev.time_next))
             sel.append(ev.seed_indices[run])
             plus.append(nxt[run] == j1)
     if not pairs:
         return []
+    count = np.array([s.size for s in sel])
     sel, plus = np.concatenate(sel), np.concatenate(plus)
-    count = np.array([n for *_, n in pairs])
-    runs = count[count > 0]  # a pair that no seed carries has no box
-    found = iter(_lattice_meshes(particles, sel, runs, coords, plus))
+    meshes = _lattice_meshes(particles, sel, count, coords, plus)
     return [
-        TriangleMesh(*next(found), kind="separation", label=(j1, j2), timestamp=t)
-        if n else _empty_mesh("separation", (j1, j2), t)
-        for j1, j2, t, n in pairs
+        TriangleMesh(v, t, kind="separation", label=pair, timestamp=ts)
+        for (pair, ts), (v, t) in zip(pairs, meshes)
     ]
 
 
@@ -351,8 +337,6 @@ def filter_small_components(mesh: TriangleMesh, min_triangles: int) -> TriangleM
     sizes = np.bincount(comp)
     keep = sizes[comp] >= min_triangles
     tris = mesh.triangles[keep]
-    if tris.shape[0] == 0:
-        return _empty_mesh(mesh.kind, mesh.label, mesh.timestamp)
     used = np.unique(tris)
     remap = np.full(mesh.vertices.shape[0], -1, dtype=np.int32)
     remap[used] = np.arange(used.size, dtype=np.int32)

@@ -207,6 +207,7 @@ def marching_cubes(
     stride = np.array([1, ni, ni * nj])
     edge_key = 3 * (EDGE_LOW @ stride) + EDGE_AXIS
     keys = 3 * (i + ni * (j + nj * k))[cube, None] + edge_key[CASE_EDGES[cases[cube], nth]]
+    del i, j, k, cases, counts, cube, nth  # free before the per-triangle passes
 
     if invalid is None:
         visited, kept = keys.ravel(), slice(None)  # every triangle is kept
@@ -216,6 +217,7 @@ def marching_cubes(
         bad = inv_flat[low] | inv_flat[low + stride[axis]]
         # a discarded triangle visits its edges up to the first invalid one
         visit = ~np.logical_or.accumulate(bad, axis=1)
+        del inv_flat, low, axis, bad
         # the visited entries that belong to kept triangles
         visited, kept = keys[visit], np.broadcast_to(visit[:, 2:], visit.shape)[visit]
 

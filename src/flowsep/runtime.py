@@ -225,8 +225,7 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
     except ValueError as exc:
         raise ConfigError(f"partitions: {exc}") from exc
     # every step is read and checked here; only the run's first two stay
-    keep = _step_sequence(config.t0, config.tf)[:2]
-    series = scan_dataset(config.manifest, keep, files=(grid, entries))
+    series = scan_dataset(config.manifest, grid, entries, _step_sequence(config.t0, config.tf)[:2])
 
     result = _run(config, series, layout)
     if config.output is not None:

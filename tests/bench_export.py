@@ -16,7 +16,8 @@ radius 2.2 nodes in a 7^3-node box (`droplet_seed_set` of the extraction
 tests), as the B step of a droplets-r0 run does. The separation case
 extracts 80 surfaces in one call, each between the two halves of such a
 ball (`droplet_split_events`): about the pair count and box size of the S
-meshes of a droplets-r0 run, whose 77 pairs come in five calls.
+meshes of a droplets-r0 run, whose 77 pairs come in five calls, one per
+interval (13 marching-cubes calls at the default `PACK_NODES`).
 
 The table and `epsilon.tsv` cases use the seeds of the orbit ball (radius 0.2
 on 32^3 cells, refinement 2, about 70k seeds on a per-axis lattice) with 2 %

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import struct
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from flowsep import dataset_io
 from flowsep.dataset_io import (
     BadMagicError,
     DatasetError,
@@ -13,6 +15,7 @@ from flowsep.dataset_io import (
     DimensionMismatchError,
     SyntheticScenario,
     TruncatedPayloadError,
+    dataset_files,
     generate_scenario,
     load_dataset,
     read_grid,
@@ -121,6 +124,16 @@ class TestBinaryRoundTrip:
         assert str(exc.value) == f"{path}: truncated axis coordinates ({left} of {8 * 0xFFFFFFFF} bytes)"
         assert peak < 1 << 20
 
+    def test_read_shorter_than_checked_is_truncation(self, tmp_path):
+        # a file that shrinks between the size check and the read
+        path = tmp_path / "grid.bin"
+        write_grid(uniform_grid(2), path)
+        with open(path, "rb") as fh:
+            short = SimpleNamespace(fileno=fh.fileno, tell=fh.tell, read=lambda n: fh.read(n)[:-8])
+            with pytest.raises(TruncatedPayloadError) as exc:
+                dataset_io._read_exact(short, 24, path, "axis coordinates")
+        assert str(exc.value) == f"{path}: truncated axis coordinates (16 of 24 bytes)"
+
 
 class TestManifest:
     def test_roundtrip(self, tmp_path):
@@ -170,7 +183,7 @@ class TestScanDataset:
         sc = SyntheticScenario(kind="rigid-rotation", cells=6, steps=5)
         manifest = write_dataset(generate_scenario(sc), tmp_path / "ds")
         full = load_dataset(manifest)
-        series = scan_dataset(manifest, keep=(3, 1))
+        series = scan_dataset(manifest, *dataset_files(manifest), keep=(3, 1))
         assert len(series) == 5 and sorted(series.kept) == [1, 3]
         assert series.times == [s.time for s in full.steps]
         kept = series.kept[1]
@@ -192,9 +205,11 @@ class TestScanDataset:
             DatasetManifest(grid_path="grid.bin", steps=[(1.0, "a.bin"), (1.0 + 1e-13, "b.bin")]),
             tmp_path / "ds.manifest",
         )
-        for read in (load_dataset, scan_dataset):
-            with pytest.raises(DatasetError, match="b.bin"):
-                read(tmp_path / "ds.manifest")
+        manifest = tmp_path / "ds.manifest"
+        with pytest.raises(DatasetError, match="b.bin"):
+            load_dataset(manifest)
+        with pytest.raises(DatasetError, match="b.bin"):
+            scan_dataset(manifest, *dataset_files(manifest))
 
 
 class TestScenarios:

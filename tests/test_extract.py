@@ -346,6 +346,13 @@ class TestExport:
         filtered = filter_small_components(mesh, min_triangles=10)
         assert triangle_components(mesh).max() + 1 == 2
         assert triangle_components(filtered).max() + 1 == 1
+        # dropping every component leaves the empty mesh the extractors give
+        gone = filter_small_components(mesh, min_triangles=mesh.triangles.shape[0] + 1)
+        assert gone.empty and gone.vertices.shape == (0, 3) and gone.triangles.shape == (0, 3)
+        assert (gone.vertices.dtype, gone.triangles.dtype) == (np.float64, np.int32)
+        assert (gone.kind, gone.label, gone.timestamp) == (mesh.kind, mesh.label, None)
+        write_obj(gone, tmp_path / "gone.obj")
+        assert (tmp_path / "gone.obj").read_text() == "\n"
 
     def test_no_degenerate_triangles(self):
         rng = np.random.default_rng(44)
@@ -671,8 +678,10 @@ class TestTailMemoryBound:
     def test_separation_extraction_peak(self):
         g, ps, nxt, events = droplet_split_events(460)
         coords = padded_seed_coords(g, 0)
-        separation_mesh_objects(g, ps, events[:2], nxt)
-        extract_separation_surface(g, ps, events[:2], nxt, coords)
+        # full warm-up calls: the per-pair peak falls over its first calls in
+        # a process, so a cold reference would leave the bound looser
+        separation_mesh_objects(g, ps, events, nxt)
+        extract_separation_surface(g, ps, events, nxt, coords)
         per_pair = traced_peak(separation_mesh_objects, g, ps, events, nxt)
         batched = traced_peak(extract_separation_surface, g, ps, events, nxt, coords)
         assert batched <= 2 * per_pair

@@ -768,7 +768,7 @@ class TestCli:
         (tmp_path / "notadir").write_text("")
         loads = []
         scan = runtime.scan_dataset
-        monkeypatch.setattr(runtime, "scan_dataset", lambda m, **k: loads.append(m) or scan(m, **k))
+        monkeypatch.setattr(runtime, "scan_dataset", lambda *a: loads.append(a) or scan(*a))
         path = write_config(
             tmp_path / "run.cfg", manifest="ds/dataset.manifest", t0=0, tf=1, output="notadir/out"
         )
