@@ -99,11 +99,10 @@ def seed_particles(step: TimeStep, refinement: int = 0, tau: float = 0.0) -> Par
         table = plic_table(step)
         rows = table.rows(cand_cells[mixed])
         at = np.stack([c[i[mixed]] for c, i in zip(centres, lattice)], axis=2)
-        d = row_dot(at - table.anchors[rows][:, None, :], table.normals[rows][:, None, :])
         keep[mixed] = np.where(
             table.degenerate[rows][:, None],
             (fc[mixed] > 0.5)[:, None],
-            d < table.offsets[rows][:, None],
+            table.depth(rows[:, None], at) < table.offsets[rows][:, None],
         )
 
     lattice_arr = np.stack([i[keep] for i in lattice], axis=1)
@@ -253,7 +252,7 @@ def correct_strays(
     rows = table.rows(flat[mixed])
     mixed, rows = mixed[~table.degenerate[rows]], rows[~table.degenerate[rows]]
     x3 = x2.copy()
-    x3[mixed] = project_many(x2[mixed], table.anchors[rows], table.normals[rows], table.offsets[rows])
+    x3[mixed] = project_many(table, rows, x2[mixed])
     eps += _norms(x3 - x2)
 
     particles.pos[strays[kept]] = x3[kept]
@@ -275,32 +274,43 @@ def _norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(row_dot(v, v))
 
 
-def _first_per_group(group: np.ndarray, *keys: np.ndarray) -> np.ndarray:
-    """Positions of each group's lexicographic minimum of `keys` (first key first),
-    in group order; full ties go to the first position.
-
-    `group` must be non-empty and non-decreasing, so every group is one
-    contiguous run. Each key takes one segmented minimum over the rows still
-    tied for their run.
-    """
-    new = np.r_[True, group[1:] != group[:-1]]
-    starts = np.flatnonzero(new)
-    run = np.cumsum(new) - 1
-    tied = np.ones(group.size, dtype=bool)
-    for key in keys:
-        # rows already out of the tie hold the key's largest value
-        top = np.inf if key.dtype.kind == "f" else np.iinfo(key.dtype).max
-        masked = np.where(tied, key, top)
-        tied &= key == np.minimum.reduceat(masked, starts)[run]
-    pos = np.flatnonzero(tied)
-    r = run[pos]
-    return pos[np.r_[True, r[1:] != r[:-1]]]
-
-
-# (stray, bin) pairs examined at once by the stage-1 bin search, and (stray,
-# cell) pairs by the stage-2 cell search: this bounds the temporaries of both
-# ring searches whatever the refinement and ring radius
+# (query, ring offset) pairs examined at once by `_ring_search` (stray and bin
+# in stage 1, point and cell in stage 2): this bounds the temporaries of both
+# stages whatever the refinement and ring radius
 RING_BLOCK = 1 << 16
+
+
+def _ring_search(n: int, scan, retired) -> np.ndarray:
+    """Per query 0..n-1, the index of the row with the lexicographic minimum
+    (d^2, index) over every row `scan` gives it (-1 where none).
+
+    Chebyshev rings 0, 1, 2, ... are expanded around every query not yet
+    retired, in blocks of at most `RING_BLOCK` (query, offset) pairs:
+    `scan(part, offsets)` returns the rows (query, d^2, index) of the queries
+    `part` at the ring's `offsets`, in any order. After each ring,
+    `retired(todo, ring, d2)` marks the queries `todo` (with best d^2 `d2`)
+    that stop. Each block folds into the running minimum with two
+    `minimum.at`: one over d^2, then, after a strictly nearer row reset a
+    query's index, one over the indices of the rows that tie its best d^2.
+    """
+    best_d2 = np.full(n, np.inf)
+    best = np.full(n, -1, dtype=np.int64)
+    todo = np.arange(n)
+    ring = 0
+    while todo.size:
+        offsets = _ring_offsets(ring)
+        block = max(1, RING_BLOCK // offsets.shape[0])
+        for b in range(0, todo.size, block):
+            q, d2, idx = scan(todo[b : b + block], offsets)
+            before = best_d2[q]
+            np.minimum.at(best_d2, q, d2)
+            now = best_d2[q]
+            best[q[now < before]] = np.iinfo(np.int64).max
+            tie = d2 == now
+            np.minimum.at(best, q[tie], idx[tie])
+        todo = todo[~retired(todo, ring, best_d2[todo])]
+        ring += 1
+    return best
 
 
 def _nearest_neighbors(
@@ -312,14 +322,12 @@ def _nearest_neighbors(
     Ties go to the lowest particle index. Positions are binned on the seed
     lattice: every cell splits into 2^refinement bins per axis. Only the bins
     of cells around strays get a slot in a counting table (`bincount` +
-    `cumsum`). Chebyshev rings of bins 0, 1, 2, ... are expanded around each
-    stray's bin, clipped to its 3x3x3 cells, and the per-stray (d^2, index)
-    minimum is kept across rings. A stray retires once its best d^2 is
-    strictly below the squared distance to the nearest unsearched bin face (an
-    equal candidate could hold a lower index), or when its cells are
-    exhausted; the bound uses the faces the positions were binned by, so no
-    nearer candidate is skipped. Rings are examined in blocks of at most
-    `RING_BLOCK` (stray, bin) pairs.
+    `cumsum`). `_ring_search` expands rings of bins around each stray's bin,
+    clipped to its 3x3x3 cells. A stray retires once its best d^2 is strictly
+    below the squared distance to the nearest unsearched bin face (an equal
+    candidate could hold a lower index), or when its cells are exhausted; the
+    bound uses the faces the positions were binned by, so no nearer candidate
+    is skipped.
     """
     best = np.full(strays.size, -1, dtype=np.int64)
     s = 2**refinement
@@ -391,39 +399,21 @@ def _nearest_neighbors(
     cands, ends = table()
     cpos = pre_pos[cands]
 
-    best_d2 = np.full(rows.size, np.inf)
-    best_p = np.full(rows.size, -1, dtype=np.int64)
-
     def scan(part, offsets):
-        """Fold the candidates of the bins at `offsets` around the strays
-        `part` (ascending) into their running (d^2, index) minimum."""
+        """The candidates of the bins at `offsets` around the strays `part`."""
         bins = sbin[part][:, None, :] + offsets[None, :, :]
         ok = np.all((bins >= blo[part][:, None, :]) & (bins <= bhi[part][:, None, :]), axis=2)
         hit = np.nonzero(ok.ravel())[0]
         key = keys_of(bins.reshape(-1, 3)[hit].T)
         first = ends[key]
         n = ends[key + 1] - first
-        total = int(n.sum())
-        if total == 0:
-            return
-        owner = np.repeat(part[hit // offsets.shape[0]], n)  # non-decreasing
-        at = np.arange(total) + np.repeat(first - (np.cumsum(n) - n), n)
-        p = cands[at]
-        d2 = np.sum((cpos[at] - xs[owner]) ** 2, axis=1)
-        win = _first_per_group(owner, d2, p)
-        w, wd2, wp = owner[win], d2[win], p[win]
-        better = (wd2 < best_d2[w]) | ((wd2 == best_d2[w]) & (wp < best_p[w]))
-        best_d2[w[better]] = wd2[better]
-        best_p[w[better]] = wp[better]
+        owner = np.repeat(part[hit // offsets.shape[0]], n)
+        at = np.arange(owner.size) + np.repeat(first - (np.cumsum(n) - n), n)
+        return owner, np.sum((cpos[at] - xs[owner]) ** 2, axis=1), cands[at]
 
-    todo = np.arange(rows.size)
-    ring = 0
-    while todo.size:
-        offsets = _ring_offsets(ring)
-        block = max(1, RING_BLOCK // offsets.shape[0])
-        for b in range(0, todo.size, block):
-            scan(todo[b : b + block], offsets)
-        # squared distance to the nearest face of an unsearched bin in the clip
+    def retired(todo, ring, d2):
+        """Strays whose best d^2 is below the squared distance to the nearest
+        face of an unsearched bin in the clip, or with no such bin left."""
         sb, x = sbin[todo], xs[todo]
         bound = np.full(todo.size, np.inf)
         left = np.zeros(todo.size, dtype=bool)
@@ -436,9 +426,9 @@ def _nearest_neighbors(
             ):
                 bound = np.where(more, np.minimum(bound, gap * gap), bound)
                 left |= more
-        todo = todo[left & ~(best_d2[todo] < bound)]
-        ring += 1
-    best[rows] = best_p
+        return ~left | (d2 < bound)
+
+    best[rows] = _ring_search(rows.size, scan, retired)
     return best
 
 
@@ -465,40 +455,32 @@ def _ring_offsets(ring: int) -> np.ndarray:
 def _nearest_capable_cells(grid, capable: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Flat index of the liquid-capable cell nearest to each point (-1 if none).
 
-    Chebyshev rings 0, 1, 2, ... are expanded around the cell containing the
+    `_ring_search` expands rings of cells around the cell containing the
     point clamped into the domain (ring 0 matters when the point lies outside).
     Within the first ring that holds a capable cell, the smallest center
     distance to the point wins, ties by flat index. Without any capable cell
     no ring is scanned.
     """
-    target = np.full(x.shape[0], -1, dtype=np.int64)
-    if x.shape[0] == 0 or not capable.any():
-        return target
+    if not capable.any():
+        return np.full(x.shape[0], -1, dtype=np.int64)
     shape = np.array(grid.shape)
     cx, cy, cz = grid.centers
     start, _ = locate_cells(grid, np.clip(x, grid.lo, grid.hi))
-    todo = np.arange(x.shape[0])
-    ring = 0
-    while todo.size:  # ends: the rings around any cell cover the domain
-        offsets = _ring_offsets(ring)
-        block = max(1, RING_BLOCK // offsets.shape[0])
-        for b in range(0, todo.size, block):
-            rows = todo[b : b + block]
-            cells = (start[rows][:, None, :] + offsets[None, :, :]).reshape(-1, 3)
-            inb = np.all((cells >= 0) & (cells < shape), axis=1)
-            flat = np.where(inb, flat_indices(grid, cells), 0)
-            hit = np.nonzero(inb & capable[flat])[0]
-            if hit.size == 0:
-                continue
-            owner = rows[hit // offsets.shape[0]]  # non-decreasing: rows and hit ascend
-            hc = cells[hit]
-            centers = np.stack([cx[hc[:, 0]], cy[hc[:, 1]], cz[hc[:, 2]]], axis=1)
-            d2 = np.sum((centers - x[owner]) ** 2, axis=1)
-            win = _first_per_group(owner, d2, flat[hit])
-            target[owner[win]] = flat[hit][win]
-        todo = todo[target[todo] < 0]
-        ring += 1
-    return target
+
+    def scan(part, offsets):
+        """The capable cells at `offsets` around the cells of the points `part`."""
+        cells = (start[part][:, None, :] + offsets[None, :, :]).reshape(-1, 3)
+        inb = np.all((cells >= 0) & (cells < shape), axis=1)
+        flat = np.where(inb, flat_indices(grid, cells), 0)
+        hit = np.nonzero(inb & capable[flat])[0]
+        owner = part[hit // offsets.shape[0]]
+        hc = cells[hit]
+        centers = np.stack([cx[hc[:, 0]], cy[hc[:, 1]], cz[hc[:, 2]]], axis=1)
+        return owner, np.sum((centers - x[owner]) ** 2, axis=1), flat[hit]
+
+    # a point retires at its first ring with a capable cell; the rings around
+    # any cell cover the domain, so every point retires
+    return _ring_search(x.shape[0], scan, lambda todo, ring, d2: d2 < np.inf)
 
 
 def _slab_entry_points(x, center, lo, hi) -> np.ndarray:

@@ -152,14 +152,9 @@ def extract_boundaries(
     particles: ParticleSet,
     labeling: SeedLabeling,
     labels: Iterable[int],
-    coords: tuple[np.ndarray, ...] | None = None,
 ) -> list[TriangleMesh]:
     """Closed boundary around the seeds of each label in `labels`, in that
-    order; an empty mesh for a label that no seed carries. `coords` is
-    `padded_seed_coords(grid, particles.refinement)`, which callers that
-    extract many meshes build once."""
-    if coords is None:
-        coords = padded_seed_coords(grid, particles.refinement)
+    order; an empty mesh for a label that no seed carries."""
     labels = [int(j) for j in labels]
     order = np.argsort(labeling.labels, kind="stable")
     ranked = labeling.labels[order]
@@ -170,6 +165,7 @@ def extract_boundaries(
     rows += np.arange(rows.size)
     sel = order[rows]
     del order, ranked, rows
+    coords = padded_seed_coords(grid, particles.refinement)
     meshes = _lattice_meshes(particles, sel, count, coords)
     return [TriangleMesh(v, t, kind="boundary", label=j) for j, (v, t) in zip(labels, meshes)]
 
@@ -179,17 +175,14 @@ def extract_separation_surface(
     particles: ParticleSet,
     events: list[SplitEvent],
     next_labeling: SeedLabeling,
-    coords: tuple[np.ndarray, ...] | None = None,
 ) -> list[TriangleMesh]:
     """Open surface between the two sub-segments of each pair of next labels
     of each split, stamped t_{k+1}: one mesh per (event, pair), in event
     order and each event's pairs in `itertools.combinations` order. The
     event's seeds of the pair's first label are +, of its second -; every
     other node is invalid, which both drives the case lookup and prunes
-    triangles on the invalid rim. `coords` is as for `extract_boundaries`.
+    triangles on the invalid rim.
     """
-    if coords is None:
-        coords = padded_seed_coords(grid, particles.refinement)
     pairs, sel, plus = [], [], []
     for ev in events:
         nxt = next_labeling.labels[ev.seed_indices]
@@ -202,6 +195,7 @@ def extract_separation_surface(
         return []
     count = np.array([s.size for s in sel])
     sel, plus = np.concatenate(sel), np.concatenate(plus)
+    coords = padded_seed_coords(grid, particles.refinement)
     meshes = _lattice_meshes(particles, sel, count, coords, plus)
     return [
         TriangleMesh(v, t, kind="separation", label=pair, timestamp=ts)

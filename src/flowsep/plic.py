@@ -150,6 +150,10 @@ class PlicTable:
         """Table rows of interface cells given by flat index."""
         return np.searchsorted(self.cells, flat)
 
+    def depth(self, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Signed depth d = (x - a) . n of points x at the patches of `rows`."""
+        return row_dot(x - self.anchors[rows], self.normals[rows])
+
 
 def _build_table(step: TimeStep) -> PlicTable:
     grid = step.grid
@@ -217,27 +221,24 @@ def is_liquid_many(step: TimeStep, pts: np.ndarray, tau: float = 0.0) -> np.ndar
     if mixed.size:
         table = plic_table(step)
         rows = table.rows(flat[mixed])
-        d = row_dot(pts[mixed] - table.anchors[rows], table.normals[rows])
         out[mixed] = np.where(
             table.degenerate[rows],
             fvals[mixed] > 0.5,
-            d <= table.offsets[rows] + table.tol[rows],
+            table.depth(rows, pts[mixed]) <= table.offsets[rows] + table.tol[rows],
         )
     return out
 
 
-def project_many(
-    x: np.ndarray, anchors: np.ndarray, normals: np.ndarray, offsets: np.ndarray
-) -> np.ndarray:
-    """Row-wise intersection of the segment x -> anchor with the patch plane.
+def project_many(table: PlicTable, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row-wise intersection of the segment x -> anchor with the row's patch plane.
 
     Rows already on the liquid side (d <= l) are returned unchanged. Since the
     anchor has d = 0 <= l, the segment from any outside point always crosses
     the plane.
     """
     out = x.copy()
-    d = row_dot(x - anchors, normals)
-    far = d > offsets
-    s = 1.0 - offsets[far] / d[far]
-    out[far] = x[far] + s[:, None] * (anchors[far] - x[far])
+    d = table.depth(rows, x)
+    far = d > table.offsets[rows]
+    s = 1.0 - table.offsets[rows[far]] / d[far]
+    out[far] = x[far] + s[:, None] * (table.anchors[rows[far]] - x[far])
     return out

@@ -35,7 +35,6 @@ from .extract import (
     export_meshes,
     extract_boundaries,
     extract_separation_surface,
-    padded_seed_coords,
     smooth_meshes,
 )
 from .labeling import PartitionLayout, label_features_partitioned
@@ -241,7 +240,6 @@ def _run(config: PipelineConfig, series: StepSeries, layout: PartitionLayout) ->
     step_to = series.take(seq[0])
     labels0 = label_features_partitioned(step_to, config.tau, layout)
     particles = seed_particles(step_to, config.advection.refinement, config.tau)
-    coords = padded_seed_coords(grid, particles.refinement)  # for every mesh of the run
     initial_labeling = assign_labels(particles, labels0, step_to, config.tau)
     owner = layout.owners(grid, particles.seeds)
 
@@ -271,7 +269,7 @@ def _run(config: PipelineConfig, series: StepSeries, layout: PartitionLayout) ->
         # split detection and separation surfaces
         events = detect_splits(labelings[-1], cur_labeling, initial_labeling)
         report.splits += [(k, ev) for ev in events]
-        meshes = extract_separation_surface(grid, particles, events, cur_labeling, coords)
+        meshes = extract_separation_surface(grid, particles, events, cur_labeling)
         s_meshes += [mesh for mesh in meshes if not mesh.empty]
 
         labelings.append(cur_labeling)
@@ -293,9 +291,7 @@ def _run(config: PipelineConfig, series: StepSeries, layout: PartitionLayout) ->
     table = contribution_table(initial_labeling, final_labeling, particles)
     t_b = _time.perf_counter()
     final_labels = np.unique(final_labeling.labels)
-    b_meshes = extract_boundaries(
-        grid, particles, final_labeling, final_labels[final_labels >= 0], coords
-    )
+    b_meshes = extract_boundaries(grid, particles, final_labeling, final_labels[final_labels >= 0])
     report.b_seconds = _time.perf_counter() - t_b
     if len(particles):
         report.max_eps = float(particles.eps.max())

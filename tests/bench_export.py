@@ -36,7 +36,6 @@ from flowsep.extract import (
     export_meshes,
     extract_boundaries,
     extract_separation_surface,
-    padded_seed_coords,
     smooth_meshes,
 )
 from flowsep.labeling import label_features
@@ -93,15 +92,13 @@ def smooth_all(meshes):
 
 def test_boundaries_many_boxes(benchmark):
     grid, particles, labeling = droplet_seed_set()
-    coords = padded_seed_coords(grid, 0)
-    out = benchmark(extract_boundaries, grid, particles, labeling, range(460), coords)
+    out = benchmark(extract_boundaries, grid, particles, labeling, range(460))
     assert sum(not m.empty for m in out) == 460
 
 
 def test_separation_many_pairs(benchmark):
     grid, particles, next_labeling, events = droplet_split_events(80)
-    coords = padded_seed_coords(grid, 0)
-    out = benchmark(extract_separation_surface, grid, particles, events, next_labeling, coords)
+    out = benchmark(extract_separation_surface, grid, particles, events, next_labeling)
     assert sum(not m.empty for m in out) == 80
 
 

@@ -26,7 +26,6 @@ from pathlib import Path
 
 import numpy as np
 
-from flowsep.advect import _first_per_group
 from flowsep.grid import flat_indices, locate_cells
 from flowsep.marching import CASE_TRIS, CORNERS, EDGES, marching_cubes
 from flowsep.plic import _solve_offsets, _unit_form, _unit_fractions, row_dot
@@ -915,12 +914,16 @@ def sample_cell_field_loop(field, pts) -> np.ndarray:
 
 
 def first_per_group_lexsort(group, *keys) -> np.ndarray:
-    """Reference for `flowsep.advect._first_per_group`: one lexsort over
-    (group, keys...), then the first row of each group; full ties go to the
-    first position because lexsort is stable."""
+    """Positions of each group's lexicographic minimum of `keys` (first key
+    first), in group order, from one lexsort over (group, keys...): the first
+    row of each group, so full ties go to the first position because lexsort
+    is stable. Reference for the (d^2, index) fold of
+    `flowsep.advect._ring_search`."""
     order = np.lexsort(keys[::-1] + (group,))
     g = group[order]
-    return order[np.r_[True, g[1:] != g[:-1]]]
+    first = np.ones(g.size, dtype=bool)
+    first[1:] = g[1:] != g[:-1]
+    return order[first]
 
 
 # --- stage-1 nearest valid neighbour (all candidates of the 27 cells) -----------
@@ -929,13 +932,14 @@ def first_per_group_lexsort(group, *keys) -> np.ndarray:
 def nearest_neighbors_cell_keys(
     grid, pre_pos: np.ndarray, candidates: np.ndarray, strays: np.ndarray
 ) -> np.ndarray:
-    """Reference for `flowsep.advect._nearest_neighbors` (its former body): per
-    stray, the candidate nearest to it in the pre-interval snapshot among the
-    3x3x3 cells around the stray's pre-interval cell (-1 where there is none).
+    """Reference for `flowsep.advect._nearest_neighbors`: per stray, the
+    candidate nearest to it in the pre-interval snapshot among the 3x3x3 cells
+    around the stray's pre-interval cell (-1 where there is none).
 
     Ties go to the lowest particle index. Candidate cell keys are sorted once;
-    each of the 27 neighbor offsets is one `searchsorted`, and the running best
-    is kept across offsets.
+    each of the 27 neighbor offsets is one `searchsorted`, its rows reduce to
+    one per stray with `first_per_group_lexsort`, and the running best is kept
+    across offsets.
     """
     best = np.full(strays.size, -1, dtype=np.int64)
     cidx, cin = locate_cells(grid, pre_pos[candidates])
@@ -958,11 +962,11 @@ def nearest_neighbors_cell_keys(
         total = int(count.sum())
         if total == 0:
             continue
-        owner = np.repeat(np.arange(rows.size), count)  # non-decreasing
+        owner = np.repeat(np.arange(rows.size), count)
         at = np.arange(total) + np.repeat(first - (np.cumsum(count) - count), count)
         p = cands[at]
         d2 = np.sum((pre_pos[p] - pre_pos[strays[rows[owner]]]) ** 2, axis=1)
-        win = _first_per_group(owner, d2, p)
+        win = first_per_group_lexsort(owner, d2, p)
         w, wd2, wp = owner[win], d2[win], p[win]
         better = (wd2 < best_d2[w]) | ((wd2 == best_d2[w]) & (wp < best_p[w]))
         best_d2[w[better]] = wd2[better]

@@ -19,6 +19,7 @@ from flowsep.advect import (
     rk4_positions,
     seed_particles,
 )
+from flowsep.dataset_io import SyntheticScenario, generate_scenario
 from flowsep.grid import CellField, RectilinearGrid, TimeStep, locate_cells, uniform_grid
 
 from .oracles import (
@@ -501,25 +502,109 @@ class TestStage1Search:
 
 
 @st.composite
-def grouped_keys(draw):
-    """Non-decreasing group ids in runs of length 1..n, quantised float keys
-    with many ties (as d^2 on a coarse lattice) and int64 second keys."""
-    runs = draw(st.lists(st.integers(1, 12), min_size=1, max_size=10))
-    gaps = draw(st.lists(st.integers(1, 3), min_size=len(runs), max_size=len(runs)))
-    group = np.repeat(np.cumsum(gaps) - 1, runs).astype(np.int64)
-    n = group.size
-    d2 = np.array(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))) * 0.125
-    second = np.array(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)), dtype=np.int64)
-    return group, d2, second
+def ring_rows(draw):
+    """Rows (query, ring, d^2, index) of a few queries over a few rings in
+    drawn (unsorted) order, with quantised d^2 and few indices so that d^2
+    ties and full ties are common; each query's retiring ring and a ring
+    block size."""
+    n = draw(st.integers(1, 8))
+    rings = draw(st.integers(1, 3))
+    m = draw(st.integers(0, 40))
+
+    def ints(lo, hi, size):
+        return np.array(draw(st.lists(st.integers(lo, hi), min_size=size, max_size=size)),
+                        dtype=np.int64)
+
+    rows = (ints(0, n - 1, m), ints(0, rings - 1, m), ints(0, 4, m) * 0.125, ints(0, 5, m))
+    block = draw(st.sampled_from([1, 30, 100, 300, advect.RING_BLOCK]))
+    return n, rows, ints(0, rings - 1, n), block
 
 
-class TestFirstPerGroup:
+# query 0: a d^2 tie and a full tie at ring 0, then a strictly nearer row at
+# ring 1; query 1: a tie across rings won by the later ring's lower index;
+# query 2: no rows
+_NEARER_AFTER_TIE = (
+    3,
+    (np.array([0, 1, 0, 0, 1, 0, 0]), np.array([0, 0, 0, 0, 1, 1, 1]),
+     np.array([0.5, 0.5, 0.5, 0.5, 0.5, 0.25, 0.25]), np.array([4, 5, 2, 2, 1, 9, 7])),
+    np.array([1, 1, 1]),
+    1,
+)
+
+
+class TestRingSearchFold:
     @settings(max_examples=200, deadline=None)
-    @given(case=grouped_keys())
-    def test_matches_lexsort(self, case):
-        group, d2, second = case
-        got = advect._first_per_group(group, d2, second)
-        assert got.tolist() == first_per_group_lexsort(group, d2, second).tolist()
-        # one key alone: full ties go to the first position of the run
-        got = advect._first_per_group(group, d2)
-        assert got.tolist() == first_per_group_lexsort(group, d2).tolist()
+    @given(case=ring_rows())
+    @example(case=_NEARER_AFTER_TIE)
+    def test_fold_matches_lexsort(self, case):
+        n, (query, ring, d2, index), stop, block = case
+        scanned = []
+
+        def scan(part, offsets):
+            k = int(np.abs(offsets).max())
+            assert part.size <= max(1, block // offsets.shape[0])
+            scanned.append((k, part))
+            sel = np.nonzero(np.isin(query, part) & (ring == k))[0]
+            return query[sel], d2[sel], index[sel]
+
+        with mock.patch.object(advect, "RING_BLOCK", block):
+            got = advect._ring_search(n, scan, lambda todo, k, best_d2: stop[todo] <= k)
+        # every query is scanned once per ring up to its retiring ring
+        for k in range(int(stop.max()) + 1):
+            parts = [part for kk, part in scanned if kk == k]
+            assert np.sort(np.concatenate(parts)).tolist() == np.nonzero(stop >= k)[0].tolist()
+        keep = ring <= stop[query]
+        q, i = query[keep], index[keep]
+        want = np.full(n, -1, dtype=np.int64)
+        win = first_per_group_lexsort(q, d2[keep], i)
+        want[q[win]] = i[win]
+        assert got.dtype == want.dtype
+        assert got.tolist() == want.tolist()
+
+
+class TestSearchWork:
+    """Stage-1 search work does not grow with refinement: on the off-grid split
+    sphere, every stage-1 stray is a query of the ring search, and the rows
+    (stray, candidate) it scans per stray stay within a constant: 10.0, 11.6,
+    8.9 and 18.8 per stray for r = 0..3. A search over every candidate of the
+    3x3x3 cells scans a number of rows per stray that grows as 8^r."""
+
+    ROWS_PER_STRAY = 64
+
+    def test_stage1_rows_per_stray_bounded(self):
+        h = 1.0 / 16
+        steps = generate_scenario(
+            SyntheticScenario(kind="split-sphere", cells=16, steps=4, radius=0.2, speed=0.25,
+                              center=tuple(0.5 + h * np.array([0.3, -0.2, 0.3])))
+        ).steps
+        ring_search, nearest = advect._ring_search, advect._nearest_neighbors
+        strays, queries, rows = [], [], []
+
+        def spy_nearest(grid, pre_pos, candidates, s, refinement):
+            strays.append(s.size)
+            return nearest(grid, pre_pos, candidates, s, refinement)
+
+        def spy_ring(n, scan, retired):
+            if scan.__qualname__ != "_nearest_neighbors.<locals>.scan":
+                return ring_search(n, scan, retired)
+            queries.append(n)
+            rows.append(0)
+
+            def counted(part, offsets):
+                out = scan(part, offsets)
+                rows[-1] += out[0].size
+                return out
+
+            return ring_search(n, counted, retired)
+
+        for r in range(4):
+            del strays[:], queries[:], rows[:]
+            particles = seed_particles(steps[0], refinement=r)
+            with mock.patch.object(advect, "_nearest_neighbors", spy_nearest), \
+                    mock.patch.object(advect, "_ring_search", spy_ring):
+                for step_from, step_to in zip(steps[:-1], steps[1:]):
+                    advance_interval(particles, step_from, step_to, AdvectionConfig(refinement=r))
+            assert sum(strays) > 0
+            assert queries == strays, f"r={r}"
+            per_stray = sum(rows) / sum(strays)
+            assert per_stray <= self.ROWS_PER_STRAY, f"r={r}: {per_stray} rows per stray"

@@ -21,7 +21,6 @@ from flowsep.extract import (
     extract_separation_surface,
     filter_small_components,
     is_watertight,
-    padded_seed_coords,
     smooth_meshes,
     triangle_components,
     write_obj,
@@ -556,9 +555,8 @@ class TestBatchedTailMatchesPerMesh:
             default=1,
         )
         nodes = {"one": 1, "few": 2 * box, "default": extract.PACK_NODES}[pack]
-        coords = padded_seed_coords(grid, ps.refinement)
         with mock.patch.object(extract, "PACK_NODES", nodes):
-            got = extract_boundaries(grid, ps, labeling, wanted, coords)
+            got = extract_boundaries(grid, ps, labeling, wanted)
         assert [m.label for m in got] == wanted
         for mesh, (v, t), label in zip(got, want, wanted):
             assert mesh.kind == "boundary"
@@ -590,9 +588,8 @@ class TestBatchedTailMatchesPerMesh:
                  for ev, pair in pairs]
         box = max((int(np.prod(np.ptp(b, axis=0) + 3)) for b in boxes if b.size), default=1)
         nodes = {"one": 1, "few": 2 * box, "default": extract.PACK_NODES}[pack]
-        coords = padded_seed_coords(grid, ps.refinement)
         with mock.patch.object(extract, "PACK_NODES", nodes):
-            got = extract_separation_surface(grid, ps, events, nxt, coords)
+            got = extract_separation_surface(grid, ps, events, nxt)
         assert len(got) == len(pairs)
         for mesh, (v, t), (ev, pair) in zip(got, want, pairs):
             assert (mesh.kind, mesh.label, mesh.timestamp) == ("separation", pair, ev.time_next)
@@ -668,22 +665,20 @@ class TestTailMemoryBound:
     def test_boundary_extraction_peak(self):
         g, ps, labeling = droplet_seed_set()
         labels = list(range(460))
-        coords = padded_seed_coords(g, 0)
         boundary_mesh_loop(g, ps, labeling, labels[:2])
-        extract_boundaries(g, ps, labeling, labels[:2], coords)
+        extract_boundaries(g, ps, labeling, labels[:2])
         per_label = traced_peak(boundary_mesh_loop, g, ps, labeling, labels)
-        batched = traced_peak(extract_boundaries, g, ps, labeling, labels, coords)
+        batched = traced_peak(extract_boundaries, g, ps, labeling, labels)
         assert batched <= 2 * per_label
 
     def test_separation_extraction_peak(self):
         g, ps, nxt, events = droplet_split_events(460)
-        coords = padded_seed_coords(g, 0)
         # full warm-up calls: the per-pair peak falls over its first calls in
         # a process, so a cold reference would leave the bound looser
         separation_mesh_objects(g, ps, events, nxt)
-        extract_separation_surface(g, ps, events, nxt, coords)
+        extract_separation_surface(g, ps, events, nxt)
         per_pair = traced_peak(separation_mesh_objects, g, ps, events, nxt)
-        batched = traced_peak(extract_separation_surface, g, ps, events, nxt, coords)
+        batched = traced_peak(extract_separation_surface, g, ps, events, nxt)
         assert batched <= 2 * per_pair
 
     def test_smoothing_peak(self):

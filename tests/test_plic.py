@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from flowsep.grid import CellField, TimeStep, uniform_grid
 from flowsep.plic import (
+    PlicTable,
     anchor_corner,
     is_liquid_many,
     plic_table,
@@ -196,12 +197,7 @@ class TestIsLiquid:
 
 def project_row(table, row, x):
     """project_many on one point against one table row."""
-    return project_many(
-        np.asarray(x, dtype=np.float64)[None, :],
-        table.anchors[row][None, :],
-        table.normals[row][None, :],
-        table.offsets[row : row + 1],
-    )[0]
+    return project_many(table, np.array([row]), np.asarray(x, dtype=np.float64)[None, :])[0]
 
 
 class TestProjectToPatch:
@@ -222,7 +218,11 @@ class TestProjectToPatch:
         n = np.array([1.0, 1.0, 0.0]) / np.sqrt(2)
         anchor, offset = np.zeros(3), np.sqrt(2) / 2
         x = np.array([1.0, 1.0, 1.0])
-        p = project_many(x[None, :], anchor[None, :], n[None, :], np.array([offset]))[0]
+        table = PlicTable(
+            cells=np.zeros(1, dtype=np.int64), normals=n[None, :], anchors=anchor[None, :],
+            offsets=np.array([offset]), degenerate=np.zeros(1, dtype=bool), tol=np.zeros(1),
+        )
+        p = project_row(table, 0, x)
         # oracle: solve (x + s (a - x) - a) . n = l for s
         d = (x - anchor) @ n
         s = 1.0 - offset / d
