@@ -27,6 +27,10 @@ CORRECTOR_MODES = ("off", "stages-2-3", "full")
 # relative inward nudge so a particle placed on a cell face is unambiguously
 # inside the target cell under half-open cell intervals
 BOUNDARY_NUDGE = 1e-9
+# rows taken at once by every per-particle pass (RK4, the phase test, the
+# stage-1 table, seeding, label transfer), which bounds their temporaries
+# whatever the particle count
+RK4_BLOCK = 1 << 13
 
 
 class PhaseConsistencyError(RuntimeError):
@@ -67,6 +71,16 @@ class ParticleSet:
     def __len__(self) -> int:
         return self.seeds.shape[0]
 
+    def alive_blocks(self):
+        """Indices of the alive particles in index order, one block per
+        `RK4_BLOCK` consecutive particles (empty blocks skipped), so no index
+        array over all particles is built. `alive` is read block by block, so
+        a block may kill its own particles while the walk goes on."""
+        for a in range(0, len(self), RK4_BLOCK):
+            idx = a + np.nonzero(self.alive[a : a + RK4_BLOCK])[0]
+            if idx.size:
+                yield idx
+
 
 def seed_particles(step: TimeStep, refinement: int = 0, tau: float = 0.0) -> ParticleSet:
     """Seed subcell centers of every cell with f > tau that pass the phase test.
@@ -77,7 +91,9 @@ def seed_particles(step: TimeStep, refinement: int = 0, tau: float = 0.0) -> Par
     centers strictly on the liquid side of the PLIC patch (d < l), and
     degenerate-normal cells keep all of their centers iff f > 0.5. Seeds are
     ordered by cell flat index, then by subcell (x fastest); a seed's volume
-    is its cell's width product over (2^3)^r.
+    is its cell's width product over (2^3)^r. The candidate cells are tested
+    in order, in chunks of at most `RK4_BLOCK` subcells (at least one cell),
+    so only the output grows with the seed count.
     """
     grid = step.grid
     r = int(refinement)
@@ -85,30 +101,38 @@ def seed_particles(step: TimeStep, refinement: int = 0, tau: float = 0.0) -> Par
     centres, _ = subcell_lattice(grid, r)
     fvals = step.f.values
     cand_cells = np.nonzero(fvals > tau)[0]
-
-    # (cells, subcells) lattice index per axis; subcell m of a cell is
-    # (m % s, m // s % s, m // s^2) within it, x fastest
-    ijk = grid.unflat(cand_cells)
     sub = np.arange(s**3)
-    lattice = [i[:, None] * s + sub // s**d % s for d, i in enumerate(ijk)]
+    chunk = max(1, RK4_BLOCK // s**3)
+    kept, counts, volumes = [], [], []
+    # one empty chunk when no cell is a candidate keeps the output shapes
+    for a in range(0, max(cand_cells.size, 1), chunk):
+        cells = cand_cells[a : a + chunk]
+        # (cells, subcells) lattice index per axis; subcell m of a cell is
+        # (m % s, m // s % s, m // s^2) within it, x fastest
+        ijk = grid.unflat(cells)
+        lattice = [i[:, None] * s + sub // s**d % s for d, i in enumerate(ijk)]
 
-    keep = np.ones((cand_cells.size, s**3), dtype=bool)
-    fc = fvals[cand_cells]
-    mixed = np.nonzero(fc < 1.0)[0]
-    if mixed.size:
-        table = plic_table(step)
-        rows = table.rows(cand_cells[mixed])
-        at = np.stack([c[i[mixed]] for c, i in zip(centres, lattice)], axis=2)
-        keep[mixed] = np.where(
-            table.degenerate[rows][:, None],
-            (fc[mixed] > 0.5)[:, None],
-            table.depth(rows[:, None], at) < table.offsets[rows][:, None],
-        )
+        keep = np.ones((cells.size, s**3), dtype=bool)
+        fc = fvals[cells]
+        mixed = np.nonzero(fc < 1.0)[0]
+        if mixed.size:
+            table = plic_table(step)
+            rows = table.rows(cells[mixed])
+            at = np.stack([c[i[mixed]] for c, i in zip(centres, lattice)], axis=2)
+            keep[mixed] = np.where(
+                table.degenerate[rows][:, None],
+                (fc[mixed] > 0.5)[:, None],
+                table.depth(rows[:, None], at) < table.offsets[rows][:, None],
+            )
+        kept.append(np.stack([i[keep] for i in lattice], axis=1))
+        counts.append(keep.sum(axis=1))
+        wx, wy, wz = (w[i] for w, i in zip(grid.widths, ijk))
+        volumes.append(wx * wy * wz / s**3)
 
-    lattice_arr = np.stack([i[keep] for i in lattice], axis=1)
+    lattice_arr = np.concatenate(kept)
+    del kept  # before the seeds are gathered, so the peak is the output
     seeds_arr = np.stack([c[i] for c, i in zip(centres, lattice_arr.T)], axis=1)
-    wx, wy, wz = (w[i] for w, i in zip(grid.widths, ijk))
-    vol_arr = np.repeat(wx * wy * wz / s**3, keep.sum(axis=1))
+    vol_arr = np.repeat(np.concatenate(volumes), np.concatenate(counts))
     n = seeds_arr.shape[0]
     return ParticleSet(
         seeds=seeds_arr,
@@ -146,11 +170,6 @@ def rk4_positions(
     return x
 
 
-# alive particles integrated at once, which bounds the RK4 temporaries
-# whatever the particle count
-RK4_BLOCK = 1 << 13
-
-
 def advance_interval(
     particles: ParticleSet,
     step_from: TimeStep,
@@ -160,17 +179,16 @@ def advance_interval(
 ) -> ParticleSet:
     """Integrate all alive particles over one stored-data interval.
 
-    The alive particles are integrated in index order, `RK4_BLOCK` at a time;
-    RK4 treats every particle alone, so the blocks never change a result.
+    The alive particles are integrated in index order, block by block
+    (`ParticleSet.alive_blocks`); RK4 treats every particle alone, so the
+    blocks never change a result.
     Particles leaving the domain are marked dead (never corrected). With the
     corrector enabled, stray particles are repositioned afterwards and the
     phase invariant re-checked.
     """
     grid = step_from.grid
     pre_pos = particles.pos.copy()
-    alive = np.nonzero(particles.alive)[0]
-    for b in range(0, alive.size, RK4_BLOCK):
-        idx = alive[b : b + RK4_BLOCK]
+    for idx in particles.alive_blocks():
         pos = rk4_positions(step_from, step_to, particles.pos[idx], config.substeps)
         particles.pos[idx] = pos
         inside = np.all((pos >= grid.lo) & (pos <= grid.hi), axis=1)
@@ -200,16 +218,15 @@ def correct_strays(
     """Apply the three-stage corrector to all stray alive particles at once.
 
     Stage candidates and tie-breaks are deterministic (distance, then index),
-    and stage 1 reads only the frozen pre-interval particle snapshot.
+    and stage 1 reads only the frozen pre-interval particle snapshot. The
+    phase test runs block by block over the alive particles.
     Returns the indices that were corrected.
     """
     grid = step_to.grid
-    alive_idx = np.nonzero(particles.alive)[0]
-    if alive_idx.size == 0:
-        return alive_idx
     valid = np.zeros(len(particles), dtype=bool)
-    valid[alive_idx] = is_liquid_many(step_to, particles.pos[alive_idx], tau)
-    strays = alive_idx[~valid[alive_idx]]
+    for idx in particles.alive_blocks():
+        valid[idx] = is_liquid_many(step_to, particles.pos[idx], tau)
+    strays = np.nonzero(particles.alive & ~valid)[0]
     if strays.size == 0:
         return strays
 
@@ -218,9 +235,7 @@ def correct_strays(
     x = particles.pos[strays]
     x1 = x.copy()
     if config.corrector == "full":
-        best = _nearest_neighbors(
-            grid, pre_pos, np.nonzero(particles.alive & valid)[0], strays, particles.refinement
-        )
+        best = _nearest_neighbors(grid, pre_pos, np.nonzero(valid)[0], strays, particles.refinement)
         hit = best >= 0
         x1[hit] = pre_pos[strays[hit]] + (particles.pos[best[hit]] - pre_pos[best[hit]])
     eps = _norms(x1 - x)
@@ -320,10 +335,11 @@ def _nearest_neighbors(
     3x3x3 cells around the stray's pre-interval cell (-1 where there is none).
 
     Ties go to the lowest particle index. Positions are binned on the seed
-    lattice: every cell splits into 2^refinement bins per axis. Only the bins
-    of cells around strays get a slot in a counting table (`bincount` +
-    `cumsum`). `_ring_search` expands rings of bins around each stray's bin,
-    clipped to its 3x3x3 cells. A stray retires once its best d^2 is strictly
+    lattice: every cell splits into 2^refinement bins per axis. Only the
+    candidates in cells around strays enter the table, sorted by bin key, so
+    a bin's candidates are found by `searchsorted` and only occupied bins
+    take memory. `_ring_search` expands rings of bins around each stray's
+    bin, clipped to its 3x3x3 cells. A stray retires once its best d^2 is strictly
     below the squared distance to the nearest unsearched bin face (an equal
     candidate could hold a lower index), or when its cells are exhausted; the
     bound uses the faces the positions were binned by, so no nearer candidate
@@ -357,7 +373,7 @@ def _nearest_neighbors(
     blo = np.maximum(scell - 1, 0) * s  # bins of the 3x3x3 cells, clipped to the grid
     bhi = np.minimum(scell + 2, shape) * s - 1
 
-    # table slots only for the cells around strays: mark stray cells, dilate by one
+    # table keys only for the cells around strays: mark stray cells, dilate by one
     region = np.zeros(grid.shape, dtype=bool)
     region[scell[:, 0], scell[:, 1], scell[:, 2]] = True
     for d in range(3):
@@ -367,7 +383,6 @@ def _nearest_neighbors(
         grown[:-1] |= along[1:]
         region = np.moveaxis(grown, 0, d)
     slot = np.where(region.ravel(), np.cumsum(region) - 1, -1)  # C order over (i, j, k)
-    nslots = int(slot.max()) + 1
 
     def keys_of(bins):
         """Table keys of bins given per axis, -1 for bins of cells outside the region."""
@@ -386,18 +401,33 @@ def _nearest_neighbors(
         return key
 
     def table():
-        """Candidates in the region in key order, and `ends`: the candidates of
-        table key k are cands[ends[k]:ends[k + 1]]."""
-        cbin, cin = bins_of(candidates)
-        key = keys_of(cbin)
-        near = np.nonzero(cin & (key >= 0))[0]
-        key = key[near]
-        ends = np.zeros(nslots * s**3 + 1, dtype=np.int64)
-        np.cumsum(np.bincount(key, minlength=ends.size - 1), out=ends[1:])
-        return candidates[near[np.argsort(key, kind="stable")]], ends
+        """The region's candidates in table-key order (by index within a key),
+        the occupied keys ascending, and `ends`: the candidates of occupied
+        key k are cands[ends[k]:ends[k + 1]]. The candidates are binned one
+        block at a time."""
+        keys, ids = [], []
+        for b in range(0, candidates.size, RK4_BLOCK):
+            part = candidates[b : b + RK4_BLOCK]
+            cbin, cin = bins_of(part)
+            key = keys_of(cbin)
+            near = cin & (key >= 0)
+            keys.append(key[near])
+            ids.append(part[near])
+        # each O(candidates) temporary goes as soon as it is used
+        key = np.concatenate(keys)
+        del keys
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        cands = np.concatenate(ids)[order]
+        del ids, order
+        change = np.ones(key.size + 1, dtype=bool)
+        change[1:-1] = key[1:] != key[:-1]
+        ends = np.flatnonzero(change)
+        return cands, key[ends[:-1]], ends
 
-    cands, ends = table()
-    cpos = pre_pos[cands]
+    cands, occupied, ends = table()
+    if cands.size == 0:  # the lookup in `scan` needs an occupied key
+        return best
 
     def scan(part, offsets):
         """The candidates of the bins at `offsets` around the strays `part`."""
@@ -405,11 +435,14 @@ def _nearest_neighbors(
         ok = np.all((bins >= blo[part][:, None, :]) & (bins <= bhi[part][:, None, :]), axis=2)
         hit = np.nonzero(ok.ravel())[0]
         key = keys_of(bins.reshape(-1, 3)[hit].T)
-        first = ends[key]
-        n = ends[key + 1] - first
+        # the last occupied key at or below each key; -1 (below them all)
+        # wraps to the largest one, which cannot equal the key either
+        k = np.searchsorted(occupied, key, side="right") - 1
+        first = ends[k]
+        n = np.where(occupied[k] == key, ends[k + 1] - first, 0)
         owner = np.repeat(part[hit // offsets.shape[0]], n)
-        at = np.arange(owner.size) + np.repeat(first - (np.cumsum(n) - n), n)
-        return owner, np.sum((cpos[at] - xs[owner]) ** 2, axis=1), cands[at]
+        at = cands[np.arange(owner.size) + np.repeat(first - (np.cumsum(n) - n), n)]
+        return owner, np.sum((pre_pos[at] - xs[owner]) ** 2, axis=1), at
 
     def retired(todo, ring, d2):
         """Strays whose best d^2 is below the squared distance to the nearest

@@ -258,7 +258,8 @@ def _run(config: PipelineConfig, series: StepSeries, layout: PartitionLayout) ->
 
         # ownership follows position; every alive particle is in the domain
         now = np.full(len(particles), -1, dtype=np.int64)
-        now[particles.alive] = layout.owners(grid, particles.pos[particles.alive])
+        for idx in particles.alive_blocks():
+            now[idx] = layout.owners(grid, particles.pos[idx])
         moved = (now >= 0) & (now != owner)
         report.handoffs.append(np.unique(owner[moved] * layout.nparts + now[moved]).size)
         owner = now

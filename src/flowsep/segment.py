@@ -52,15 +52,15 @@ def assign_labels(
     A particle in an unlabeled cell whose interpolated fraction still exceeds
     tau walks up the fraction gradient one face neighbor at a time (at most
     GRADIENT_WALK_MAX cells) and takes the first labeled cell's label; see
-    `labels_for_positions`.
+    `labels_for_positions`. The alive particles are labelled block by block
+    (`ParticleSet.alive_blocks`); every particle walks alone, so the blocks
+    never change a label.
     """
     if labels.grid is not step.grid:
         raise ValueError("label field and step must share one grid")
-    n = len(particles)
-    out = np.full(n, -1, dtype=np.int32)
-    alive = np.nonzero(particles.alive)[0]
-    if alive.size:
-        out[alive] = labels_for_positions(particles.pos[alive], labels, step, tau)
+    out = np.full(len(particles), -1, dtype=np.int32)
+    for idx in particles.alive_blocks():
+        out[idx] = labels_for_positions(particles.pos[idx], labels, step, tau)
     return SeedLabeling(labels=out, time=step.time)
 
 

@@ -10,7 +10,9 @@ refinement 2 (64 subcells per liquid cell, about 70k particles), over a 1/76
 turn. The corrector benchmark reuses the step's PLIC table, as a run does.
 The r = 3 case is the stage-1 search of the first interval of the split
 sphere on 32^3 cells over 10 steps (centre offset 0.3/-0.2/0.3 cells): about
-560k particles, 37k of them strays.
+560k particles, 37k of them strays. It also records, in `extra_info`, the
+traced peak of that whole interval (`advance_interval`, corrector `full`)
+and the peak's bytes per particle.
 """
 
 from __future__ import annotations
@@ -21,9 +23,17 @@ import numpy as np
 import pytest
 
 from flowsep import advect
-from flowsep.advect import AdvectionConfig, correct_strays, rk4_positions, seed_particles
+from flowsep.advect import (
+    AdvectionConfig,
+    advance_interval,
+    correct_strays,
+    rk4_positions,
+    seed_particles,
+)
 from flowsep.dataset_io import SyntheticScenario, generate_scenario
 from flowsep.plic import is_liquid_many, plic_table
+
+from .oracles import traced_peak
 
 
 def _advected(step0, step1, refinement):
@@ -66,7 +76,7 @@ def split32_r3_interval():
     )
     step0, step1 = ds.steps
     particles, pre_pos = _advected(step0, step1, 3)
-    return step1, particles, pre_pos
+    return step0, step1, particles, pre_pos
 
 
 def test_rk4_positions(benchmark, orbit_interval):
@@ -94,6 +104,11 @@ def test_nearest_neighbors(benchmark, orbit_interval):
 
 
 def test_nearest_neighbors_r3(benchmark, split32_r3_interval):
-    args = _stage1_args(*split32_r3_interval)
+    step0, step1, particles, pre_pos = split32_r3_interval
+    args = _stage1_args(step1, particles, pre_pos)
     best = benchmark.pedantic(advect._nearest_neighbors, args=args, rounds=3)
     assert best.size == args[3].size > 30000
+    seeded = seed_particles(step0, refinement=3)
+    peak = traced_peak(advance_interval, seeded, step0, step1, AdvectionConfig(refinement=3))
+    benchmark.extra_info["interval_peak_bytes"] = peak
+    benchmark.extra_info["interval_bytes_per_particle"] = peak / len(seeded)

@@ -14,13 +14,15 @@ The subcell-lattice references are the three derivations of seed centres,
 seeds and bin faces that the library's `subcell_lattice` replaced.
 `truncated_volume` and `solve_patch_offset` are not oracles but one-box
 wrappers over the PLIC closed form, so the tests can put that form itself
-against the counting and rational oracles box by box.
+against the counting and rational oracles box by box. `traced_peak` is no
+oracle either: it is the one tracemalloc probe of the memory tests.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -973,3 +975,19 @@ def nearest_neighbors_cell_keys(
         best_p[w[better]] = wp[better]
     best[rows] = best_p
     return best
+
+
+# --- traced memory ----------------------------------------------------------------
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes traced while `fn(*args)` runs, its result held until the end.
+    Callers warm `fn` up first, so lazy imports are not counted."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    del out
+    return peak

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import copy
-import tracemalloc
+from dataclasses import fields
 from unittest import mock
 
 import numpy as np
@@ -21,6 +21,9 @@ from flowsep.advect import (
 )
 from flowsep.dataset_io import SyntheticScenario, generate_scenario
 from flowsep.grid import CellField, RectilinearGrid, TimeStep, locate_cells, uniform_grid
+from flowsep.labeling import label_features
+from flowsep.plic import plic_table
+from flowsep.segment import assign_labels
 
 from .oracles import (
     first_per_group_lexsort,
@@ -28,6 +31,7 @@ from .oracles import (
     nearest_neighbors_cell_keys,
     rotate_about_z,
     segment_box_entry,
+    traced_peak,
 )
 
 
@@ -160,16 +164,6 @@ def rotation_steps(cells=8, angle=1.0):
     return make_step(g, np.ones(g.ncells), u, 0.0), make_step(g, f_to, u, 1.0)
 
 
-def traced_peak(fn, *args):
-    """Peak bytes traced while `fn(*args)` runs; callers warm `fn` up first."""
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestBlockedIntegration:
     @pytest.mark.parametrize("corrector", ["off", "full"])
     def test_block_size_never_changes_a_bit(self, monkeypatch, corrector):
@@ -189,24 +183,75 @@ class TestBlockedIntegration:
             assert np.array_equal(getattr(runs[0], name), getattr(runs[1], name))
 
     def test_peak_memory_bounded_by_one_block(self):
-        step_a = liquid_block_step(4, time=0.0, u=(0.1, 0.0, 0.0))
-        step_b = liquid_block_step(4, time=1.0, u=(0.1, 0.0, 0.0))
+        # one interval in x by 0.1 over a 4^3 grid whose cells x < 0.25 turn
+        # to gas: the 64 particles that start there are strays, the others
+        # start in x > 0.5, outside the strays' 3x3x3 cells, and stay valid
+        g = uniform_grid(4)
+        u = np.tile([[0.1], [0.0], [0.0]], (1, g.ncells))
+        cx = g.centers[0][g.unflat(np.arange(g.ncells))[0]]
+        step_a = make_step(g, np.ones(g.ncells), u, 0.0)
+        step_b = make_step(g, (cx > 0.25).astype(float), u, 1.0)
         rng = np.random.default_rng(3)
-        cfg = AdvectionConfig(corrector="off")
+        strays = rng.uniform([0.0, 0.25, 0.25], [0.1, 0.75, 0.75], size=(64, 3))
 
         def particles(n):
-            return probes_particle_set(rng.uniform(0.25, 0.75, size=(n, 3)))
+            rest = rng.uniform([0.5, 0.25, 0.25], 0.75, size=(n - strays.shape[0], 3))
+            return probes_particle_set(np.vstack([strays, rest]))
+
+        for corrector in ("off", "full"):
+            cfg = AdvectionConfig(corrector=corrector)
+            one, many = particles(advect.RK4_BLOCK), particles(16 * advect.RK4_BLOCK)
+            advance_interval(particles(100), step_a, step_b, cfg)
+            per_block = traced_peak(advance_interval, one, step_a, step_b, cfg)
+            blocked = traced_peak(advance_interval, many, step_a, step_b, cfg)
+            # what the interval must hold for all n: the pre_pos copy, and
+            # for the corrector the phase mask and the stage-1 candidates
+            n = len(many)
+            state = many.pos.nbytes
+            if corrector == "full":
+                state += n * (1 + np.dtype(np.intp).itemsize)
+            assert np.all(many.alive)
+            assert np.count_nonzero(many.eps) == (len(strays) if corrector == "full" else 0)
+            assert blocked <= state + 2 * per_block, corrector
+
+    def test_seeding_peak_bounded_by_one_block(self):
+        # r = 3 on interface cells: 16 cells fill one block of subcells, 128
+        # cells eight; about half of the subcells are seeds
+        rng = np.random.default_rng(5)
+
+        def step(cells):
+            g = uniform_grid(cells)
+            s = make_step(g, rng.uniform(0.3, 0.7, g.ncells), np.zeros((3, g.ncells)))
+            plic_table(s)
+            return s
+
+        one, many = step((4, 2, 2)), step((8, 4, 4))
+        assert one.grid.ncells * 8**3 == advect.RK4_BLOCK
+        seed_particles(one, 3)
+        per_block = traced_peak(seed_particles, one, 3)
+        seeded = seed_particles(many, 3)
+        blocked = traced_peak(seed_particles, many, 3)
+        # what seeding must hold for all n: its output
+        out = sum(getattr(seeded, f.name).nbytes for f in fields(seeded) if f.name != "refinement")
+        assert blocked <= out + 2 * per_block
+
+    def test_label_transfer_peak_bounded_by_one_block(self):
+        # a random fraction field labelled at tau = 0.5, so some particles sit
+        # in unlabelled cells and walk up the gradient
+        g = uniform_grid(4)
+        rng = np.random.default_rng(7)
+        step = make_step(g, rng.uniform(0.0, 1.0, g.ncells), np.zeros((3, g.ncells)))
+        labels = label_features(step, 0.5)
+
+        def particles(n):
+            return probes_particle_set(rng.uniform(0.0, 1.0, size=(n, 3)))
 
         one, many = particles(advect.RK4_BLOCK), particles(8 * advect.RK4_BLOCK)
-        advance_interval(particles(2), step_a, step_b, cfg)
-        per_block = traced_peak(advance_interval, one, step_a, step_b, cfg)
-        blocked = traced_peak(advance_interval, many, step_a, step_b, cfg)
-        # what the interval must hold for all n: the pre_pos copy and the
-        # alive indices
-        n = len(many)
-        state = many.pos.nbytes + n * np.dtype(np.intp).itemsize
-        assert np.all(many.alive)
-        assert blocked <= state + 2 * per_block
+        assign_labels(particles(100), labels, step, 0.5)
+        per_block = traced_peak(assign_labels, one, labels, step, 0.5)
+        blocked = traced_peak(assign_labels, many, labels, step, 0.5)
+        # what the transfer must hold for all n: the int32 labels
+        assert blocked <= 4 * len(many) + 2 * per_block
 
 
 class TestAliveInsideDomain:
@@ -562,6 +607,17 @@ class TestRingSearchFold:
         assert got.tolist() == want.tolist()
 
 
+def offgrid_split16():
+    """The steps of the split sphere on 16^3 cells over 4 steps, its centre
+    off the grid by 0.3/-0.2/0.3 cells: the refinement ladder of the work and
+    memory guards."""
+    h = 1.0 / 16
+    return generate_scenario(
+        SyntheticScenario(kind="split-sphere", cells=16, steps=4, radius=0.2, speed=0.25,
+                          center=tuple(0.5 + h * np.array([0.3, -0.2, 0.3])))
+    ).steps
+
+
 class TestSearchWork:
     """Stage-1 search work does not grow with refinement: on the off-grid split
     sphere, every stage-1 stray is a query of the ring search, and the rows
@@ -572,11 +628,7 @@ class TestSearchWork:
     ROWS_PER_STRAY = 64
 
     def test_stage1_rows_per_stray_bounded(self):
-        h = 1.0 / 16
-        steps = generate_scenario(
-            SyntheticScenario(kind="split-sphere", cells=16, steps=4, radius=0.2, speed=0.25,
-                              center=tuple(0.5 + h * np.array([0.3, -0.2, 0.3])))
-        ).steps
+        steps = offgrid_split16()
         ring_search, nearest = advect._ring_search, advect._nearest_neighbors
         strays, queries, rows = [], [], []
 
@@ -608,3 +660,40 @@ class TestSearchWork:
             assert queries == strays, f"r={r}"
             per_stray = sum(rows) / sum(strays)
             assert per_stray <= self.ROWS_PER_STRAY, f"r={r}: {per_stray} rows per stray"
+
+
+class TestWorkingSet:
+    """The working set of an interval's per-particle passes does not grow with
+    refinement: on the off-grid split sphere (16^3, r = 0..3, the first
+    interval), the traced peaks of `advance_interval` and `assign_labels`,
+    less the state each must hold for all particles (the pre_pos copy; the
+    int32 labels), stay within a fixed allowance plus a constant per
+    particle. The blocks shrink to 256 rows and 2048 ring pairs, which changes
+    no bit, so that from r = 2 on one block's temporaries are small next to
+    the particle count, as on large grids. Measured: 95 and 83 B per particle
+    at r = 2 and 3 for the interval (most of it per stray: 13-16 % of the
+    particles are strays) and 5 and 0 for the label transfer. Passes over all
+    particles at once fail it: with the phase test and the label transfer
+    unblocked, the two read 157 and 93 B per particle at r = 3."""
+
+    FIXED = 1 << 19  # cells-sized arrays and one block of each kind
+    INTERVAL = 96  # B per particle: phase mask, stage-1 candidates, strays
+    TRANSFER = 16
+
+    def test_peak_per_particle_flat_across_r(self, monkeypatch):
+        steps = offgrid_split16()
+        monkeypatch.setattr(advect, "RK4_BLOCK", 256)
+        monkeypatch.setattr(advect, "RING_BLOCK", 2048)
+        labels = label_features(steps[1])
+        plic_table(steps[1])
+        for r in range(4):
+            particles = seed_particles(steps[0], refinement=r)
+            n = len(particles)
+            cfg = AdvectionConfig(refinement=r)
+            interval = traced_peak(advance_interval, particles, steps[0], steps[1], cfg)
+            transfer = traced_peak(assign_labels, particles, labels, steps[1])
+            assert np.count_nonzero(particles.eps) > (n // 10 if r else 0)
+            interval -= particles.pos.nbytes
+            transfer -= 4 * n
+            assert interval <= self.FIXED + self.INTERVAL * n, f"r={r}: {interval / n:.0f} B"
+            assert transfer <= self.FIXED + self.TRANSFER * n, f"r={r}: {transfer / n:.0f} B"

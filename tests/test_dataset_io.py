@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import struct
-import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,7 +28,7 @@ from flowsep.dataset_io import (
 )
 from flowsep.grid import CellField, TimeStep, uniform_grid
 
-from .oracles import ball_volume, count_components
+from .oracles import ball_volume, count_components, traced_peak
 
 
 def random_step(grid, rng, time=0.0):
@@ -112,17 +111,17 @@ class TestBinaryRoundTrip:
         with open(path, "r+b") as fh:
             fh.seek(12)
             fh.write(struct.pack("<I", 0xFFFFFFFF))
-        tracemalloc.start()
-        try:
-            with pytest.raises(TruncatedPayloadError) as exc:
-                read_grid(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         # left after the x count: 3 axes of 9 nodes and the y and z counts
         left = 3 * 9 * 8 + 2 * 4
-        assert str(exc.value) == f"{path}: truncated axis coordinates ({left} of {8 * 0xFFFFFFFF} bytes)"
-        assert peak < 1 << 20
+
+        def read():
+            with pytest.raises(TruncatedPayloadError) as exc:
+                read_grid(path)
+            assert str(exc.value) == (
+                f"{path}: truncated axis coordinates ({left} of {8 * 0xFFFFFFFF} bytes)"
+            )
+
+        assert traced_peak(read) < 1 << 20
 
     def test_read_shorter_than_checked_is_truncation(self, tmp_path):
         # a file that shrinks between the size check and the read
@@ -193,6 +192,28 @@ class TestScanDataset:
             assert step.time == full.steps[k].time
             assert np.array_equal(step.f.values, full.steps[k].f.values)
             assert np.array_equal(step.u.values, full.steps[k].u.values)
+
+    def test_unkept_steps_share_one_buffer_pair(self, tmp_path, monkeypatch):
+        sc = SyntheticScenario(kind="rigid-rotation", cells=6, steps=5)
+        manifest = write_dataset(generate_scenario(sc), tmp_path / "ds")
+        grid, entries = dataset_files(manifest)
+        calls = []
+        read = dataset_io.read_timestep
+        monkeypatch.setattr(dataset_io, "read_timestep", lambda *a: calls.append(a) or read(*a))
+        series = scan_dataset(manifest, grid, entries, keep=(0, 3))
+        # steps are read in manifest order; the kept ones into new arrays
+        assert [a[0] for a in calls] == [path for _, path in entries]
+        assert [a[2] is None for a in calls] == [True, False, False, True, False]
+        spare = calls[1][2]
+        assert all(a[2] is spare for a in calls if a[2] is not None)
+        for k in (0, 3):
+            step, fresh = series.kept[k], read(entries[k][1], grid)
+            for buf in spare:
+                assert not np.shares_memory(step.f.values, buf)
+                assert not np.shares_memory(step.u.values, buf)
+            assert step.time == fresh.time
+            assert np.array_equal(step.f.values, fresh.f.values)
+            assert np.array_equal(step.u.values, fresh.u.values)
 
     def test_step_times_must_increase(self, tmp_path):
         # manifest times 1 and 1 + 1e-13 increase and each step time matches

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import itertools
 import tempfile
-import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -41,6 +40,7 @@ from .oracles import (
     seed_axis_coords,
     separation_mesh_loop,
     smooth_vertices_add_at,
+    traced_peak,
 )
 from .test_marching import lattices
 
@@ -527,19 +527,6 @@ def droplet_seed_set(count=460):
     ball = (centre // 6) @ np.array([64, 8, 1])
     labels = np.where(ball < count, ball, -1).astype(np.int32)
     return g, lattice_particle_set(g, 0, pts), SeedLabeling(labels=labels, time=0.0)
-
-
-def traced_peak(fn, *args):
-    """Peak bytes traced while `fn(*args)` runs, its result held until the end.
-    Callers warm `fn` up first, so lazy imports are not counted."""
-    tracemalloc.start()
-    try:
-        out = fn(*args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    del out
-    return peak
 
 
 class TestBatchedTailMatchesPerMesh:

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import dataclasses
 import struct
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -26,7 +25,7 @@ from flowsep.runtime import (
 )
 from flowsep.segment import read_table
 
-from .oracles import flat_index, points_in_mesh, points_in_mesh_full, read_obj
+from .oracles import flat_index, points_in_mesh, points_in_mesh_full, read_obj, traced_peak
 
 
 def write_config(path, **kv):
@@ -149,14 +148,12 @@ class TestDegenerateRun:
         # the range check must not first list the million step indices up to tf
         sc = SyntheticScenario(kind="rigid-rotation", cells=4, steps=2)
         manifest = write_dataset(generate_scenario(sc), tmp_path / "ds")
-        tracemalloc.start()
-        try:
+
+        def run():
             with pytest.raises(ConfigError, match="tf index 1000000"):
                 run_pipeline(PipelineConfig(manifest=manifest, t0=0, tf=10**6))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * 2**20
+
+        assert traced_peak(run) < 2 * 2**20
 
     def test_tf_checked_before_any_step_file(self, tmp_path, monkeypatch, capsys):
         sc = SyntheticScenario(kind="rigid-rotation", cells=4, steps=3)
