@@ -17,6 +17,7 @@ import numpy as np
 from .grid import (
     TimeStep,
     flat_indices,
+    locate_bins,
     locate_cells,
     sample_velocity,
     subcell_lattice,
@@ -72,14 +73,19 @@ class ParticleSet:
         return self.seeds.shape[0]
 
     def alive_blocks(self):
-        """Indices of the alive particles in index order, one block per
-        `RK4_BLOCK` consecutive particles (empty blocks skipped), so no index
-        array over all particles is built. `alive` is read block by block, so
-        a block may kill its own particles while the walk goes on."""
-        for a in range(0, len(self), RK4_BLOCK):
-            idx = a + np.nonzero(self.alive[a : a + RK4_BLOCK])[0]
-            if idx.size:
-                yield idx
+        """`_blocks` of the alive mask."""
+        return _blocks(self.alive)
+
+
+def _blocks(mask: np.ndarray):
+    """Indices of the set entries of `mask` in index order, one block per
+    `RK4_BLOCK` consecutive entries (empty blocks skipped), so no index array
+    over the whole mask is built. `mask` is read block by block, so a block
+    may clear its own entries while the walk goes on."""
+    for a in range(0, mask.size, RK4_BLOCK):
+        idx = a + np.nonzero(mask[a : a + RK4_BLOCK])[0]
+        if idx.size:
+            yield idx
 
 
 def seed_particles(step: TimeStep, refinement: int = 0, tau: float = 0.0) -> ParticleSet:
@@ -230,47 +236,46 @@ def correct_strays(
     if strays.size == 0:
         return strays
 
+    # the strays' one position array: each stage overwrites the rows it moves
+    # and adds their displacement to eps (a row it leaves adds nothing)
+    x = particles.pos[strays]
+    eps = np.zeros(strays.size)
+
     # stage 1: displacement vector of the nearest phase-consistent neighbor,
     # searched in the 3x3x3 cell neighborhood of the pre-step position
-    x = particles.pos[strays]
-    x1 = x.copy()
     if config.corrector == "full":
-        best = _nearest_neighbors(grid, pre_pos, np.nonzero(valid)[0], strays, particles.refinement)
-        hit = best >= 0
-        x1[hit] = pre_pos[strays[hit]] + (particles.pos[best[hit]] - pre_pos[best[hit]])
-    eps = _norms(x1 - x)
+        best = _nearest_neighbors(grid, pre_pos, valid, strays, particles.refinement)
+        hit = np.nonzero(best >= 0)[0]
+        nb = best[hit]
+        _move(x, eps, hit, pre_pos[strays[hit]] + (particles.pos[nb] - pre_pos[nb]))
 
     # stage 2: move to the boundary of the nearest liquid-capable cell
     capable = liquid_capable(step_to, tau)
-    idx, inside = locate_cells(grid, x1)
-    in_capable = inside & capable[np.where(inside, flat_indices(grid, idx), 0)]
-    need = np.nonzero(~in_capable)[0]
-    target = _nearest_capable_cells(grid, capable, x1[need])
+    start, _ = locate_cells(grid, np.clip(x, grid.lo, grid.hi))
+    inside = np.all((x >= grid.lo) & (x <= grid.hi), axis=1)
+    need = np.nonzero(~(inside & capable[flat_indices(grid, start)]))[0]
+    target = _nearest_capable_cells(grid, capable, start[need], x[need])
     # no liquid-capable cell in the whole domain: those particles are dropped
     dropped = need[target < 0]
     moved = need[target >= 0]
     lo, hi = grid.cell_boxes(target[target >= 0])
     center = 0.5 * (lo + hi)
-    entry = _slab_entry_points(x1[moved], center, lo, hi)
-    x2 = x1.copy()
-    x2[moved] = entry + BOUNDARY_NUDGE * (center - entry)
-    eps += _norms(x2 - x1)
+    entry = _slab_entry_points(x[moved], center, lo, hi)
+    _move(x, eps, moved, entry + BOUNDARY_NUDGE * (center - entry))
 
     # stage 3: project onto the PLIC patch if outside it in an interface cell
     kept = np.ones(strays.size, dtype=bool)
     kept[dropped] = False
-    idx, inside = locate_cells(grid, x2)
+    idx, inside = locate_cells(grid, x)
     flat = np.where(inside, flat_indices(grid, idx), 0)
     fvals = step_to.f.values[flat]
     mixed = np.nonzero(kept & inside & (fvals > tau) & (fvals < 1.0))[0]
     table = plic_table(step_to)
     rows = table.rows(flat[mixed])
     mixed, rows = mixed[~table.degenerate[rows]], rows[~table.degenerate[rows]]
-    x3 = x2.copy()
-    x3[mixed] = project_many(table, rows, x2[mixed])
-    eps += _norms(x3 - x2)
+    _move(x, eps, mixed, project_many(table, rows, x[mixed]))
 
-    particles.pos[strays[kept]] = x3[kept]
+    particles.pos[strays[kept]] = x[kept]
     particles.alive[strays[dropped]] = False
     particles.eps[strays] += eps
 
@@ -285,8 +290,11 @@ def correct_strays(
     return strays
 
 
-def _norms(v: np.ndarray) -> np.ndarray:
-    return np.sqrt(row_dot(v, v))
+def _move(x: np.ndarray, eps: np.ndarray, rows: np.ndarray, to: np.ndarray) -> None:
+    """Move the rows `rows` of `x` to `to`, adding each row's displacement to `eps`."""
+    step = to - x[rows]
+    eps[rows] += np.sqrt(row_dot(step, step))
+    x[rows] = to
 
 
 # (query, ring offset) pairs examined at once by `_ring_search` (stray and bin
@@ -329,51 +337,42 @@ def _ring_search(n: int, scan, retired) -> np.ndarray:
 
 
 def _nearest_neighbors(
-    grid, pre_pos: np.ndarray, candidates: np.ndarray, strays: np.ndarray, refinement: int
+    grid, pre_pos: np.ndarray, valid: np.ndarray, strays: np.ndarray, refinement: int
 ) -> np.ndarray:
-    """Per stray, the candidate nearest to it in the pre-interval snapshot among the
-    3x3x3 cells around the stray's pre-interval cell (-1 where there is none).
+    """Per stray, the valid particle nearest to it in the pre-interval snapshot
+    among the 3x3x3 cells around the stray's pre-interval cell (-1 where there
+    is none); `valid` is the phase mask over all particles.
 
     Ties go to the lowest particle index. Positions are binned on the seed
-    lattice: every cell splits into 2^refinement bins per axis. Only the
-    candidates in cells around strays enter the table, sorted by bin key, so
-    a bin's candidates are found by `searchsorted` and only occupied bins
-    take memory. `_ring_search` expands rings of bins around each stray's
-    bin, clipped to its 3x3x3 cells. A stray retires once its best d^2 is strictly
-    below the squared distance to the nearest unsearched bin face (an equal
-    candidate could hold a lower index), or when its cells are exhausted; the
-    bound uses the faces the positions were binned by, so no nearer candidate
-    is skipped.
+    lattice (`locate_bins` on the `subcell_lattice` faces): every cell splits
+    into 2^refinement bins per axis, and a bin's key is its flat index on
+    that lattice, x fastest. The valid particles are binned block by block
+    (`_blocks`); only those in cells around strays enter the table, sorted by
+    key, so a bin's candidates are found by `searchsorted` and only occupied
+    bins take memory. `_ring_search` expands rings of bins around each
+    stray's bin, clipped to its 3x3x3 cells. A stray retires once its best
+    d^2 is strictly below the squared distance to the nearest unsearched bin
+    face (an equal candidate could hold a lower index), or when its cells are
+    exhausted; the bound uses the faces the positions were binned by, so no
+    nearer candidate is skipped.
     """
     best = np.full(strays.size, -1, dtype=np.int64)
     s = 2**refinement
     shape = np.array(grid.shape)
     _, faces = subcell_lattice(grid, refinement)
+    dims = tuple(shape * s)  # the seed lattice
     last = shape * s - 1
-
-    def bins_of(idx):
-        """Per-axis bins of pre_pos[idx], clamped into the grid (so the upper
-        domain face is in the final bin), and which points lie in the domain,
-        as `locate_cells` has it."""
-        bins, inside = [], np.ones(idx.size, dtype=bool)
-        for d in range(3):
-            x = pre_pos[idx, d]
-            b = np.searchsorted(faces[d], x, side="right") - 1
-            inside &= (b >= 0) & (x <= faces[d][-1])
-            bins.append(np.clip(b, 0, last[d], out=b))
-        return bins, inside
-
-    sbin, sin = bins_of(strays)
+    xs = pre_pos[strays]
+    sbin, sin = locate_bins(faces, xs)
     rows = np.nonzero(sin)[0]
-    if rows.size == 0 or candidates.size == 0:
+    if rows.size == 0 or not valid.any():
         return best
-    sbin = np.stack(sbin, axis=1)[rows]
-    xs = pre_pos[strays[rows]]
+    sbin, xs = sbin[rows], xs[rows]
     scell = sbin // s
     blo = np.maximum(scell - 1, 0) * s  # bins of the 3x3x3 cells, clipped to the grid
     bhi = np.minimum(scell + 2, shape) * s - 1
 
-    # table keys only for the cells around strays: mark stray cells, dilate by one
+    # the table takes only the cells around strays: mark stray cells, dilate by one
     region = np.zeros(grid.shape, dtype=bool)
     region[scell[:, 0], scell[:, 1], scell[:, 2]] = True
     for d in range(3):
@@ -382,59 +381,37 @@ def _nearest_neighbors(
         grown[1:] |= along[:-1]
         grown[:-1] |= along[1:]
         region = np.moveaxis(grown, 0, d)
-    slot = np.where(region.ravel(), np.cumsum(region) - 1, -1)  # C order over (i, j, k)
 
-    def keys_of(bins):
-        """Table keys of bins given per axis, -1 for bins of cells outside the region."""
-        key = np.zeros(bins[0].size, dtype=np.int64)  # the flat cell first
-        sub = np.zeros(bins[0].size, dtype=np.int64)
-        for d in range(3):
-            key *= shape[d]
-            key += bins[d] // s
-            sub *= s
-            sub += bins[d] % s
-        key = slot[key]
-        out = key < 0
-        key *= s**3
-        key += sub
-        key[out] = -1
-        return key
-
-    def table():
-        """The region's candidates in table-key order (by index within a key),
-        the occupied keys ascending, and `ends`: the candidates of occupied
-        key k are cands[ends[k]:ends[k + 1]]. The candidates are binned one
-        block at a time."""
-        keys, ids = [], []
-        for b in range(0, candidates.size, RK4_BLOCK):
-            part = candidates[b : b + RK4_BLOCK]
-            cbin, cin = bins_of(part)
-            key = keys_of(cbin)
-            near = cin & (key >= 0)
-            keys.append(key[near])
-            ids.append(part[near])
-        # each O(candidates) temporary goes as soon as it is used
-        key = np.concatenate(keys)
-        del keys
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        cands = np.concatenate(ids)[order]
-        del ids, order
-        change = np.ones(key.size + 1, dtype=bool)
-        change[1:-1] = key[1:] != key[:-1]
-        ends = np.flatnonzero(change)
-        return cands, key[ends[:-1]], ends
-
-    cands, occupied, ends = table()
+    # the region's candidates in key order (by index within a key), binned one
+    # block at a time; each O(candidates) temporary goes as soon as it is used
+    keys, ids = [], []
+    for part in _blocks(valid):
+        cbin, cin = locate_bins(faces, pre_pos[part])
+        part, cbin = part[cin], cbin[cin]
+        near = region[tuple((cbin // s).T)]
+        keys.append(np.ravel_multi_index(tuple(cbin[near].T), dims, order="F"))
+        ids.append(part[near])
+    key = np.concatenate(keys)
+    del keys
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    cands = np.concatenate(ids)[order]
+    del ids, order
     if cands.size == 0:  # the lookup in `scan` needs an occupied key
         return best
+    # the occupied keys ascending; those of occupied[k] are cands[ends[k]:ends[k + 1]]
+    change = np.ones(key.size + 1, dtype=bool)
+    change[1:-1] = key[1:] != key[:-1]
+    ends = np.flatnonzero(change)
+    occupied = key[ends[:-1]]
+    del key, change
 
     def scan(part, offsets):
         """The candidates of the bins at `offsets` around the strays `part`."""
         bins = sbin[part][:, None, :] + offsets[None, :, :]
         ok = np.all((bins >= blo[part][:, None, :]) & (bins <= bhi[part][:, None, :]), axis=2)
         hit = np.nonzero(ok.ravel())[0]
-        key = keys_of(bins.reshape(-1, 3)[hit].T)
+        key = np.ravel_multi_index(tuple(bins.reshape(-1, 3)[hit].T), dims, order="F")
         # the last occupied key at or below each key; -1 (below them all)
         # wraps to the largest one, which cannot equal the key either
         k = np.searchsorted(occupied, key, side="right") - 1
@@ -485,20 +462,21 @@ def _ring_offsets(ring: int) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _nearest_capable_cells(grid, capable: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _nearest_capable_cells(
+    grid, capable: np.ndarray, start: np.ndarray, x: np.ndarray
+) -> np.ndarray:
     """Flat index of the liquid-capable cell nearest to each point (-1 if none).
 
-    `_ring_search` expands rings of cells around the cell containing the
-    point clamped into the domain (ring 0 matters when the point lies outside).
-    Within the first ring that holds a capable cell, the smallest center
-    distance to the point wins, ties by flat index. Without any capable cell
-    no ring is scanned.
+    `_ring_search` expands rings of cells around `start`, the (n, 3) cells
+    containing the points clamped into the domain (ring 0 matters when the
+    point lies outside). Within the first ring that holds a capable cell, the
+    smallest center distance to the point wins, ties by flat index. Without
+    any capable cell no ring is scanned.
     """
     if not capable.any():
         return np.full(x.shape[0], -1, dtype=np.int64)
     shape = np.array(grid.shape)
     cx, cy, cz = grid.centers
-    start, _ = locate_cells(grid, np.clip(x, grid.lo, grid.hi))
 
     def scan(part, offsets):
         """The capable cells at `offsets` around the cells of the points `part`."""

@@ -387,13 +387,18 @@ def generate_scenario(scenario: SyntheticScenario) -> TimeSeriesDataset:
 
     steps = []
     times = np.linspace(0.0, scenario.span, scenario.steps)
-    for t in times:
-        count = np.zeros(grid.ncells)
-        for o in offs:
-            count += scenario.inside(centers + o, float(t))
-        f = count / offs.shape[0]
-        u = scenario.velocity(centers, float(t)).T.copy()
-        steps.append(
-            TimeStep(time=float(t), f=CellField(grid, f), u=CellField(grid, u, ncomp=3))
-        )
-    return TimeSeriesDataset(grid=grid, steps=steps)
+    try:
+        for t in times:
+            count = np.zeros(grid.ncells)
+            for o in offs:
+                count += scenario.inside(centers + o, float(t))
+            f = count / offs.shape[0]
+            u = scenario.velocity(centers, float(t)).T.copy()
+            steps.append(
+                TimeStep(time=float(t), f=CellField(grid, f), u=CellField(grid, u, ncomp=3))
+            )
+        return TimeSeriesDataset(grid=grid, steps=steps)
+    except GridError as exc:
+        # the step that failed, or, with every step built, the first out of order
+        k = len(steps) if len(steps) < times.size else 1 + int(np.argmin(np.diff(times) > 0))
+        raise DatasetError(f"scenario step {k} (t = {float(times[k])!r}): {exc}") from exc

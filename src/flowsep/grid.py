@@ -160,23 +160,29 @@ class TimeSeriesDataset:
 
 
 def locate_cells(grid: RectilinearGrid, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cells containing the points (n, 3).
+    """Cells containing the points (n, 3): `locate_bins` on the grid nodes."""
+    return locate_bins(grid.axes, pts)
 
-    Cells are half-open [node_i, node_{i+1}) with the final cell closed on the
-    right, so every in-domain point maps to exactly one cell. Returns
-    (idx, inside): idx with shape (n, 3) (undefined rows where not inside) and
-    a boolean inside mask.
+
+def locate_bins(faces, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bins containing the points (n, 3), given per axis the non-decreasing
+    faces of its bins (the grid nodes, or `subcell_lattice` faces).
+
+    Bins are half-open [face_i, face_{i+1}) with the final bin closed on the
+    right, so every in-domain point maps to exactly one bin (the last of
+    several equal faces). Returns (idx, inside): idx with shape (n, 3)
+    (undefined rows where not inside) and a boolean inside mask.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
     n = pts.shape[0]
     idx = np.empty((n, 3), dtype=np.int64)
     inside = np.ones(n, dtype=bool)
     for d in range(3):
-        a = grid.axes[d]
+        a = faces[d]
         x = pts[:, d]
-        i = np.searchsorted(a, x, side="right")  # NaN sorts past the last node
+        i = np.searchsorted(a, x, side="right")  # NaN sorts past the last face
         inside &= (i > 0) & (x <= a[-1])  # i > 0 iff x >= a[0]
-        np.minimum(i, a.size - 1, out=i)  # last node belongs to the final cell
+        np.minimum(i, a.size - 1, out=i)  # last face belongs to the final bin
         np.subtract(i, 1, out=idx[:, d])
     return idx, inside
 
@@ -190,8 +196,8 @@ def subcell_lattice(
     Subcell k of cell i has lattice index i * s + k and spans k / s to
     (k + 1) / s of the cell width, with its centre halfway. Faces at
     multiples of s are the grid nodes exactly, and interior faces are clipped
-    into their cell, so the faces never decrease and `bin // s` is the cell
-    `locate_cells` gives.
+    into their cell, so the faces never decrease and `bin // s` of a
+    `locate_bins` bin is the cell `locate_cells` gives.
     """
     s = 2**refinement
     centres, faces = [], []

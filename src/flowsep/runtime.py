@@ -3,16 +3,18 @@ final boundary extraction, and the partitioned execution of that loop.
 
 There is one execution loop. Partitioning splits the grid into blocks and
 gives every particle one owner, the block that holds its position; ownership
-is a single array (-1 once the particle is dead) that `PartitionLayout.owners`
-fills from the layout's cut planes after each interval. The layout only
-labels and counts handoffs: labels are merged across block faces, and a
-handoff is counted per (source, destination) block pair that particles moved
-between. Ownership never kills: `advance_interval` has already killed every
-particle that left the domain. Integration ignores the layout: RK4 samples
-the global fields and takes the alive particles in fixed blocks of
-`advect.RK4_BLOCK`. A serial run is the 1x1x1 partitioning of the same loop:
-one block, no cut planes, no faces to merge and no handoffs. Runs under any
-partitioning produce identical labelings, tables, and meshes.
+is a single array that `PartitionLayout.owners` updates from the layout's
+cut planes after each interval, one `alive_blocks` block at a time, and each
+block adds its handoff pairs as it goes. A dead particle keeps its last
+owner, which is never read again. The layout only labels and counts
+handoffs: labels are merged across block faces, and a handoff is counted per
+(source, destination) block pair that particles moved between. Ownership
+never kills: `advance_interval` has already killed every particle that left
+the domain. Integration ignores the layout: RK4 samples the global fields
+and takes the alive particles in fixed blocks of `advect.RK4_BLOCK`. A
+serial run is the 1x1x1 partitioning of the same loop: one block, no cut
+planes, no faces to merge and no handoffs. Runs under any partitioning
+produce identical labelings, tables, and meshes.
 """
 
 from __future__ import annotations
@@ -257,12 +259,12 @@ def _run(config: PipelineConfig, series: StepSeries, layout: PartitionLayout) ->
         advance_interval(particles, step_from, step_to, config.advection, config.tau)
 
         # ownership follows position; every alive particle is in the domain
-        now = np.full(len(particles), -1, dtype=np.int64)
+        pairs = set()
         for idx in particles.alive_blocks():
-            now[idx] = layout.owners(grid, particles.pos[idx])
-        moved = (now >= 0) & (now != owner)
-        report.handoffs.append(np.unique(owner[moved] * layout.nparts + now[moved]).size)
-        owner = now
+            now, was = layout.owners(grid, particles.pos[idx]), owner[idx]
+            pairs.update((was * layout.nparts + now)[now != was].tolist())
+            owner[idx] = now
+        report.handoffs.append(len(pairs))
 
         labels_k1 = label_features_partitioned(step_to, config.tau, layout)
         cur_labeling = assign_labels(particles, labels_k1, step_to, config.tau)

@@ -12,7 +12,7 @@ The r = 3 case is the stage-1 search of the first interval of the split
 sphere on 32^3 cells over 10 steps (centre offset 0.3/-0.2/0.3 cells): about
 560k particles, 37k of them strays. It also records, in `extra_info`, the
 traced peak of that whole interval (`advance_interval`, corrector `full`)
-and the peak's bytes per particle.
+and the peak's bytes per particle and per stray.
 """
 
 from __future__ import annotations
@@ -45,11 +45,11 @@ def _advected(step0, step1, refinement):
 
 
 def _stage1_args(step1, particles, pre_pos):
-    """Arguments of the stage-1 search as `correct_strays` passes them (every
-    particle stays in the domain over these intervals)."""
+    """Arguments of the stage-1 search as `correct_strays` passes them: the
+    phase mask and the strays (every particle stays in the domain over these
+    intervals)."""
     valid = is_liquid_many(step1, particles.pos, 0.0)
-    candidates, strays = np.nonzero(valid)[0], np.nonzero(~valid)[0]
-    return step1.grid, pre_pos, candidates, strays, particles.refinement
+    return step1.grid, pre_pos, valid, np.nonzero(~valid)[0], particles.refinement
 
 
 @pytest.fixture(scope="module")
@@ -112,3 +112,4 @@ def test_nearest_neighbors_r3(benchmark, split32_r3_interval):
     peak = traced_peak(advance_interval, seeded, step0, step1, AdvectionConfig(refinement=3))
     benchmark.extra_info["interval_peak_bytes"] = peak
     benchmark.extra_info["interval_bytes_per_particle"] = peak / len(seeded)
+    benchmark.extra_info["interval_bytes_per_stray"] = peak / args[3].size

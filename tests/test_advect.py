@@ -459,8 +459,9 @@ class TestStage2Target:
     def test_ring_search_matches_brute_force(self, case):
         axes, capable, pts, block = case
         grid = RectilinearGrid(tuple(axes))
+        start, _ = locate_cells(grid, np.clip(pts, grid.lo, grid.hi))
         with mock.patch.object(advect, "RING_BLOCK", block):
-            got = advect._nearest_capable_cells(grid, capable, pts)
+            got = advect._nearest_capable_cells(grid, capable, start, pts)
         want = [nearest_capable_cell(axes, capable, p) for p in pts]
         assert got.tolist() == [-1 if w is None else w for w in want]
 
@@ -527,6 +528,12 @@ _BELOW_RANGE = (_UNIT4, 1, np.array([[1.75, 0.5, 0.5], [3.75, 0.5, 0.5], [0.25, 
 _BELOW_DOMAIN = ([np.array([0.0, 1.0])] * 3, 1,
                  np.array([[-0.5, -0.5, -0.5], [0.5, 0.5, 0.5], [0.25, 0.5, 0.5]]),
                  np.array([0, 2]), np.array([1]), advect.RING_BLOCK)
+# the two early returns: no valid particle at all, and valid particles only
+# outside the cells around the strays (one beyond them, one outside the domain)
+_NO_CANDIDATES = (_UNIT4, 1, np.array([[0.5, 0.5, 0.5], [3.25, 0.5, 0.5]]),
+                  np.array([], dtype=np.int64), np.array([0, 1]), advect.RING_BLOCK)
+_OUTSIDE_REGION = (_UNIT4, 1, np.array([[0.5, 0.5, 0.5], [3.5, 0.5, 0.5], [5.0, 0.5, 0.5]]),
+                   np.array([1, 2]), np.array([0]), advect.RING_BLOCK)
 
 
 class TestStage1Search:
@@ -536,11 +543,15 @@ class TestStage1Search:
     @example(case=_ABOVE_RANGE)
     @example(case=_BELOW_RANGE)
     @example(case=_BELOW_DOMAIN)
+    @example(case=_NO_CANDIDATES)
+    @example(case=_OUTSIDE_REGION)
     def test_bin_search_equals_cell_key_search(self, case):
         axes, r, pos, candidates, strays, block = case
         grid = RectilinearGrid(tuple(axes))
+        valid = np.zeros(pos.shape[0], dtype=bool)
+        valid[candidates] = True
         with mock.patch.object(advect, "RING_BLOCK", block):
-            got = advect._nearest_neighbors(grid, pos, candidates, strays, r)
+            got = advect._nearest_neighbors(grid, pos, valid, strays, r)
         want = nearest_neighbors_cell_keys(grid, pos, candidates, strays)
         assert got.dtype == want.dtype
         assert got.tolist() == want.tolist()
@@ -632,9 +643,9 @@ class TestSearchWork:
         ring_search, nearest = advect._ring_search, advect._nearest_neighbors
         strays, queries, rows = [], [], []
 
-        def spy_nearest(grid, pre_pos, candidates, s, refinement):
+        def spy_nearest(grid, pre_pos, valid, s, refinement):
             strays.append(s.size)
-            return nearest(grid, pre_pos, candidates, s, refinement)
+            return nearest(grid, pre_pos, valid, s, refinement)
 
         def spy_ring(n, scan, retired):
             if scan.__qualname__ != "_nearest_neighbors.<locals>.scan":
@@ -670,14 +681,16 @@ class TestWorkingSet:
     int32 labels), stay within a fixed allowance plus a constant per
     particle. The blocks shrink to 256 rows and 2048 ring pairs, which changes
     no bit, so that from r = 2 on one block's temporaries are small next to
-    the particle count, as on large grids. Measured: 95 and 83 B per particle
-    at r = 2 and 3 for the interval (most of it per stray: 13-16 % of the
-    particles are strays) and 5 and 0 for the label transfer. Passes over all
-    particles at once fail it: with the phase test and the label transfer
-    unblocked, the two read 157 and 93 B per particle at r = 3."""
+    the particle count, as on large grids. Measured: 22 and 66 B per particle
+    over the fixed allowance at r = 2 and 3 for the interval (most of it per
+    stray, 458 B per stray at r = 3: 13-16 % of the particles are strays) and
+    5 and 0 for the label transfer. Passes over all particles at once fail
+    it: with the phase test and the label transfer unblocked, the two read
+    157 and 93 B per particle at r = 3, and a corrector that keeps a copy of
+    the strays' positions per stage reads 76 B for the interval."""
 
     FIXED = 1 << 19  # cells-sized arrays and one block of each kind
-    INTERVAL = 96  # B per particle: phase mask, stage-1 candidates, strays
+    INTERVAL = 72  # B per particle: phase mask, stage-1 table, per-stray state
     TRANSFER = 16
 
     def test_peak_per_particle_flat_across_r(self, monkeypatch):

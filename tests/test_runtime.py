@@ -577,6 +577,25 @@ class TestCli:
         assert flag.lstrip("-").replace("-", "_") in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--scenario", "merge-then-split", "--speed", "1e308"], "velocity values must be finite"),
+            (["--scenario", "split-sphere", "--span", "5e-324"], "strictly increasing"),
+        ],
+        ids=["velocity-overflow", "times-underflow"],
+    )
+    def test_gen_unrepresentable_step_exit_code(self, tmp_path, capsys, flags, message):
+        # valid scenario values whose steps the grid cannot hold: an infinite
+        # velocity, and three times of which two round to the same float
+        out = tmp_path / "ds"
+        argv = ["gen", "--cells", "4", "--steps", "3", "--out", str(out)]
+        assert main(argv + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: scenario step") and message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_config_error_exit_code(self, tmp_path):
         path = write_config(tmp_path / "bad.cfg", manifest="m", t0=0, tf=1, bogus="x")
         assert main(["run", "--config", str(path)]) == 1
