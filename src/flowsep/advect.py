@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (
+    RectilinearGrid,
     TimeStep,
     flat_indices,
     locate_bins,
@@ -55,26 +56,56 @@ class AdvectionConfig:
 
 @dataclass
 class ParticleSet:
-    """Seed positions, current state, and per-particle correction budget.
+    """One seed record per particle, its current state, and its correction budget.
 
-    Particle indices are stable for the whole run; dead particles keep their
-    arrays but are excluded from integration and segmentation.
+    A particle's seed record is its subcell on the global seed lattice of
+    `grid` (`subcell_lattice` at `refinement`), an int32 index per axis. The
+    seed position (the subcell centre) and the represented volume are
+    derived from it: `seeds` and `seed_volume` are read-only, and
+    `seed_positions` gathers the positions of a row range for block-wise
+    readers. Particle indices are stable for the whole run; dead particles
+    keep their arrays but are excluded from integration and segmentation.
     """
 
-    seeds: np.ndarray  # (n, 3) seed positions s_p
-    lattice: np.ndarray  # (n, 3) global subcell indices of the seeds
+    lattice: np.ndarray  # (n, 3) int32 global subcell indices of the seeds
     pos: np.ndarray  # (n, 3) current positions
     alive: np.ndarray  # (n,) bool
     eps: np.ndarray  # (n,) accumulated correction displacement
-    seed_volume: np.ndarray  # (n,) represented volume per seed
     refinement: int
+    grid: RectilinearGrid  # the grid the seeds were placed on
 
     def __len__(self) -> int:
-        return self.seeds.shape[0]
+        return self.lattice.shape[0]
+
+    @property
+    def seeds(self) -> np.ndarray:
+        """(n, 3) seed positions s_p."""
+        return self.seed_positions(0, len(self))
+
+    @property
+    def seed_volume(self) -> np.ndarray:
+        """(n,) represented volume per seed: its cell's width product over (2^3)^r."""
+        s = 2**self.refinement
+        wx, wy, wz = (w[i // s] for w, i in zip(self.grid.widths, self.lattice.T))
+        return wx * wy * wz / s**3
+
+    def seed_positions(self, a: int, b: int) -> np.ndarray:
+        """Seed positions of particles a..b-1: the subcell centres at their indices."""
+        centres, _ = subcell_lattice(self.grid, self.refinement)
+        return _gather(centres, self.lattice[a:b])
 
     def alive_blocks(self):
         """`_blocks` of the alive mask."""
         return _blocks(self.alive)
+
+
+def _gather(axes, lattice: np.ndarray) -> np.ndarray:
+    """(k, 3) points with coordinate `axes[d][lattice[:, d]]` on axis d,
+    gathered one axis at a time."""
+    out = np.empty(lattice.shape)
+    for d, a in enumerate(axes):
+        out[:, d] = a[lattice[:, d]]
+    return out
 
 
 def _blocks(mask: np.ndarray):
@@ -93,13 +124,15 @@ def seed_particles(step: TimeStep, refinement: int = 0, tau: float = 0.0) -> Par
 
     Each candidate cell takes the lattice indices of its (2^3)^r subcells, and
     the `subcell_lattice` centres gathered at them serve the phase test and
-    the seeds. Pure-liquid cells keep all of them; interface cells keep only
-    centers strictly on the liquid side of the PLIC patch (d < l), and
+    the positions. Pure-liquid cells keep all of them; interface cells keep
+    only centers strictly on the liquid side of the PLIC patch (d < l), and
     degenerate-normal cells keep all of their centers iff f > 0.5. Seeds are
-    ordered by cell flat index, then by subcell (x fastest); a seed's volume
-    is its cell's width product over (2^3)^r. The candidate cells are tested
-    in order, in chunks of at most `RK4_BLOCK` subcells (at least one cell),
-    so only the output grows with the seed count.
+    ordered by cell flat index, then by subcell (x fastest). The particle set
+    stores each seed's int32 lattice index; its initial position is the
+    seed's centre, gathered once, and its volume is derived on demand. The
+    candidate cells are tested in order, in chunks of at most `RK4_BLOCK`
+    subcells (at least one cell), so only the output grows with the seed
+    count.
     """
     grid = step.grid
     r = int(refinement)
@@ -109,14 +142,13 @@ def seed_particles(step: TimeStep, refinement: int = 0, tau: float = 0.0) -> Par
     cand_cells = np.nonzero(fvals > tau)[0]
     sub = np.arange(s**3)
     chunk = max(1, RK4_BLOCK // s**3)
-    kept, counts, volumes = [], [], []
+    kept = []
     # one empty chunk when no cell is a candidate keeps the output shapes
     for a in range(0, max(cand_cells.size, 1), chunk):
         cells = cand_cells[a : a + chunk]
         # (cells, subcells) lattice index per axis; subcell m of a cell is
         # (m % s, m // s % s, m // s^2) within it, x fastest
-        ijk = grid.unflat(cells)
-        lattice = [i[:, None] * s + sub // s**d % s for d, i in enumerate(ijk)]
+        lattice = [i[:, None] * s + sub // s**d % s for d, i in enumerate(grid.unflat(cells))]
 
         keep = np.ones((cells.size, s**3), dtype=bool)
         fc = fvals[cells]
@@ -130,24 +162,18 @@ def seed_particles(step: TimeStep, refinement: int = 0, tau: float = 0.0) -> Par
                 (fc[mixed] > 0.5)[:, None],
                 table.depth(rows[:, None], at) < table.offsets[rows][:, None],
             )
-        kept.append(np.stack([i[keep] for i in lattice], axis=1))
-        counts.append(keep.sum(axis=1))
-        wx, wy, wz = (w[i] for w, i in zip(grid.widths, ijk))
-        volumes.append(wx * wy * wz / s**3)
+        kept.append(np.stack([i[keep] for i in lattice], axis=1, dtype=np.int32))
 
     lattice_arr = np.concatenate(kept)
-    del kept  # before the seeds are gathered, so the peak is the output
-    seeds_arr = np.stack([c[i] for c, i in zip(centres, lattice_arr.T)], axis=1)
-    vol_arr = np.repeat(np.concatenate(volumes), np.concatenate(counts))
-    n = seeds_arr.shape[0]
+    del kept  # before the positions are gathered, so the peak is the output
+    n = lattice_arr.shape[0]
     return ParticleSet(
-        seeds=seeds_arr,
         lattice=lattice_arr,
-        pos=seeds_arr.copy(),
+        pos=_gather(centres, lattice_arr),
         alive=np.ones(n, dtype=bool),
         eps=np.zeros(n),
-        seed_volume=vol_arr,
         refinement=r,
+        grid=grid,
     )
 
 

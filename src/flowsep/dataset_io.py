@@ -387,6 +387,14 @@ def generate_scenario(scenario: SyntheticScenario) -> TimeSeriesDataset:
 
     steps = []
     times = np.linspace(0.0, scenario.span, scenario.steps)
+    # the times are known before any step is built: the first out of order fails
+    rising = np.diff(times) > 0
+    if not rising.all():
+        k = 1 + int(np.argmin(rising))
+        raise DatasetError(
+            f"scenario step {k} (t = {float(times[k])!r}): "
+            "time steps must be strictly increasing in time"
+        )
     try:
         for t in times:
             count = np.zeros(grid.ncells)
@@ -397,8 +405,7 @@ def generate_scenario(scenario: SyntheticScenario) -> TimeSeriesDataset:
             steps.append(
                 TimeStep(time=float(t), f=CellField(grid, f), u=CellField(grid, u, ncomp=3))
             )
-        return TimeSeriesDataset(grid=grid, steps=steps)
     except GridError as exc:
-        # the step that failed, or, with every step built, the first out of order
-        k = len(steps) if len(steps) < times.size else 1 + int(np.argmin(np.diff(times) > 0))
+        k = len(steps)  # the step that failed
         raise DatasetError(f"scenario step {k} (t = {float(times[k])!r}): {exc}") from exc
+    return TimeSeriesDataset(grid=grid, steps=steps)

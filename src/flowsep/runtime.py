@@ -3,7 +3,7 @@ final boundary extraction, and the partitioned execution of that loop.
 
 There is one execution loop. Partitioning splits the grid into blocks and
 gives every particle one owner, the block that holds its position; ownership
-is a single array that `PartitionLayout.owners` updates from the layout's
+is a single int32 array that `PartitionLayout.owners` updates from the layout's
 cut planes after each interval, one `alive_blocks` block at a time, and each
 block adds its handoff pairs as it goes. A dead particle keeps its last
 owner, which is never read again. The layout only labels and counts
@@ -225,6 +225,18 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
         layout = PartitionLayout(counts=config.partitions or (1, 1, 1), shape=grid.shape)
     except ValueError as exc:
         raise ConfigError(f"partitions: {exc}") from exc
+    # the seed lattice's per-axis indices are int32 (no grid has room for
+    # r >= 31) and stage 1's flat keys int64
+    r = config.advection.refinement
+    if (
+        r >= 31
+        or max(grid.shape) << r > np.iinfo(np.int32).max
+        or grid.ncells << 3 * r > np.iinfo(np.int64).max
+    ):
+        raise ConfigError(
+            f"refinement {r} is too fine for {'x'.join(map(str, grid.shape))} cells: "
+            "its seed lattice outgrows 32-bit indices per axis or 64-bit flat keys"
+        )
     # every step is read and checked here; only the run's first two stay
     series = scan_dataset(config.manifest, grid, entries, _step_sequence(config.t0, config.tf)[:2])
 
@@ -243,7 +255,11 @@ def _run(config: PipelineConfig, series: StepSeries, layout: PartitionLayout) ->
     labels0 = label_features_partitioned(step_to, config.tau, layout)
     particles = seed_particles(step_to, config.advection.refinement, config.tau)
     initial_labeling = assign_labels(particles, labels0, step_to, config.tau)
-    owner = layout.owners(grid, particles.seeds)
+    del labels0  # a label field lives only until its transfer
+    # every particle is alive at its seed; its block is the first owner
+    owner = np.empty(len(particles), dtype=np.int32)
+    for idx in particles.alive_blocks():
+        owner[idx] = layout.owners(grid, particles.pos[idx])
 
     report = RunReport(particles=len(particles))
     labelings = [initial_labeling]
@@ -268,6 +284,8 @@ def _run(config: PipelineConfig, series: StepSeries, layout: PartitionLayout) ->
 
         labels_k1 = label_features_partitioned(step_to, config.tau, layout)
         cur_labeling = assign_labels(particles, labels_k1, step_to, config.tau)
+        features = labels_k1.count
+        del labels_k1
 
         # split detection and separation surfaces
         events = detect_splits(labelings[-1], cur_labeling, initial_labeling)
@@ -284,7 +302,7 @@ def _run(config: PipelineConfig, series: StepSeries, layout: PartitionLayout) ->
                 seconds=_time.perf_counter() - t_start,
                 alive=int(particles.alive.sum()),
                 corrected=int(np.sum((particles.eps > 0.0) & ~eps_before)),
-                features=labels_k1.count,
+                features=features,
             )
         )
     step_from = step_to = None  # no step is needed past the loop

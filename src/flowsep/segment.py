@@ -108,7 +108,8 @@ def contribution_table(
     """Group seeds by (initial label, final label).
 
     The volume estimate of a row is the summed represented volume of its seeds
-    (cell volume / (2^3)^r per seed); invalid-label seeds are retained as
+    (cell volume / (2^3)^r per seed, derived from its lattice index, one
+    `bincount` in seed order); invalid-label seeds are retained as
     j = -1 rows so mass loss stays visible. Rows are sorted by (i, j).
     """
     li = initial.labels.astype(np.int64)
@@ -152,13 +153,14 @@ def _repr_column(col: np.ndarray) -> list[str]:
 
 
 def write_epsilon(particles: ParticleSet, path) -> None:
-    """`seed x y z eps` rows, one per seed in seed order; floats as `repr`."""
-    cols = [*particles.seeds.T, particles.eps]
+    """`seed x y z eps` rows, one per seed in seed order; floats as `repr`.
+    Each block of `EXPORT_ROWS` rows gathers its own seed positions."""
     with open(path, "w") as fh:
         fh.write("seed\tx\ty\tz\teps\n")
         for a in range(0, len(particles), EXPORT_ROWS):
             b = min(a + EXPORT_ROWS, len(particles))
-            text = [_repr_column(c[a:b]) for c in cols]
+            cols = [*particles.seed_positions(a, b).T, particles.eps[a:b]]
+            text = [_repr_column(c) for c in cols]
             fh.write("\n".join(map("\t".join, zip(map(str, range(a, b)), *text))) + "\n")
 
 

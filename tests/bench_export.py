@@ -21,7 +21,8 @@ interval (13 marching-cubes calls at the default `PACK_NODES`).
 
 The table and `epsilon.tsv` cases use the seeds of the orbit ball (radius 0.2
 on 32^3 cells, refinement 2, about 70k seeds on a per-axis lattice) with 2 %
-of them carrying a nonzero eps, and 3 % of the final labels set to -1.
+of them carrying a nonzero eps, and 3 % of the final labels set to -1. Both
+also record, in `extra_info`, their traced peak per particle.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from flowsep.marching import marching_cubes
 from flowsep.segment import SeedLabeling, assign_labels, contribution_table, write_epsilon
 
 from .bench_marching import ball_lattice
+from .oracles import traced_peak
 from .test_extract import droplet_seed_set, droplet_split_events
 
 
@@ -129,9 +131,13 @@ def test_write_epsilon(benchmark, orbit_seeds, tmp_path):
     path = tmp_path / "epsilon.tsv"
     benchmark(write_epsilon, particles, path)
     assert path.read_text().count("\n") == 1 + len(particles)
+    peak = traced_peak(write_epsilon, particles, path)
+    benchmark.extra_info["peak_bytes_per_particle"] = peak / len(particles)
 
 
 def test_contribution_table(benchmark, orbit_seeds):
     particles, initial, final = orbit_seeds
     table = benchmark(contribution_table, initial, final, particles)
     assert sum(c for _, _, c, _ in table.rows) == len(particles)
+    peak = traced_peak(contribution_table, initial, final, particles)
+    benchmark.extra_info["peak_bytes_per_particle"] = peak / len(particles)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 import tracemalloc
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -991,3 +992,10 @@ def traced_peak(fn, *args) -> int:
         tracemalloc.stop()
     del out
     return peak
+
+
+def particle_bytes(particles) -> int:
+    """Bytes held by the arrays of a `flowsep.advect.ParticleSet`, summed over
+    its fields (the grid and the refinement hold none per particle)."""
+    arrays = (getattr(particles, f.name) for f in fields(particles))
+    return sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))

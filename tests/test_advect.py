@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import copy
-from dataclasses import fields
 from unittest import mock
 
 import numpy as np
@@ -29,6 +28,7 @@ from .oracles import (
     first_per_group_lexsort,
     nearest_capable_cell,
     nearest_neighbors_cell_keys,
+    particle_bytes,
     rotate_about_z,
     segment_box_entry,
     traced_peak,
@@ -46,16 +46,17 @@ def liquid_block_step(cells, time=0.0, u=(0.0, 0.0, 0.0)):
 
 
 def probes_particle_set(points):
+    """Alive particles at `points`, every one seeded in the one cell of the
+    unit grid: a stand-in for tests that read only the current state."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n = pts.shape[0]
     return ParticleSet(
-        seeds=pts.copy(),
-        lattice=np.zeros((n, 3), dtype=np.int64),
+        lattice=np.zeros((n, 3), dtype=np.int32),
         pos=pts.copy(),
         alive=np.ones(n, dtype=bool),
         eps=np.zeros(n),
-        seed_volume=np.ones(n),
         refinement=0,
+        grid=uniform_grid(1),
     )
 
 
@@ -232,7 +233,7 @@ class TestBlockedIntegration:
         seeded = seed_particles(many, 3)
         blocked = traced_peak(seed_particles, many, 3)
         # what seeding must hold for all n: its output
-        out = sum(getattr(seeded, f.name).nbytes for f in fields(seeded) if f.name != "refinement")
+        out = particle_bytes(seeded)
         assert blocked <= out + 2 * per_block
 
     def test_label_transfer_peak_bounded_by_one_block(self):
@@ -710,3 +711,24 @@ class TestWorkingSet:
             transfer -= 4 * n
             assert interval <= self.FIXED + self.INTERVAL * n, f"r={r}: {interval / n:.0f} B"
             assert transfer <= self.FIXED + self.TRANSFER * n, f"r={r}: {transfer / n:.0f} B"
+
+
+class TestResidentState:
+    """What a particle set holds for the whole run is one seed record per
+    particle (the int32 seed-lattice index, 12 B) and its state (position,
+    alive flag, eps: 33 B); seed positions and volumes are derived from the
+    record. On the off-grid split sphere, r = 0..3, that is 45 B per
+    particle; a set that also stores the seeds, the seed volumes and int64
+    indices holds 89."""
+
+    PER_PARTICLE = 45
+
+    def test_bytes_per_particle(self):
+        step = offgrid_split16()[0]
+        for r in range(4):
+            particles = seed_particles(step, refinement=r)
+            n = len(particles)
+            assert n > 0
+            held = particle_bytes(particles)
+            assert held <= self.PER_PARTICLE * n, f"r={r}: {held / n:.0f} B"
+            assert particles.lattice.dtype == np.int32

@@ -296,6 +296,21 @@ class TestScenarios:
         with pytest.raises(DatasetError, match=field):
             SyntheticScenario(kind="split-sphere", **kw)
 
+    def test_step_order_checked_before_any_step_is_built(self, monkeypatch):
+        # 20 times over a span of one subnormal: the linspace repeats times,
+        # which fails before the first step is subsampled
+        sc = SyntheticScenario(kind="split-sphere", cells=8, steps=20, span=5e-324)
+        times = np.linspace(0.0, sc.span, sc.steps)
+        first = 1 + int(np.argmin(np.diff(times) > 0))
+        calls = []
+        inside = SyntheticScenario.inside
+        monkeypatch.setattr(
+            SyntheticScenario, "inside", lambda self, *a: calls.append(a) or inside(self, *a)
+        )
+        with pytest.raises(DatasetError, match=f"scenario step {first} .*strictly increasing"):
+            generate_scenario(sc)
+        assert calls == []
+
     def test_velocity_discontinuous_at_split_plane(self):
         sc = SyntheticScenario(kind="split-sphere", cells=8, steps=2, speed=0.3)
         pts = np.array([[0.4, 0.5, 0.5], [0.6, 0.5, 0.5]])

@@ -46,19 +46,18 @@ from .test_marching import lattices
 
 
 def lattice_particle_set(grid, refinement, lattice_pts):
-    """ParticleSet stub with seeds at given global subcell lattice coordinates."""
-    lattice = np.atleast_2d(np.asarray(lattice_pts, dtype=np.int64))
+    """ParticleSet stub with seeds at given global subcell lattice coordinates,
+    each particle at its seed."""
+    lattice = np.atleast_2d(np.asarray(lattice_pts, dtype=np.int32))
     centres, _ = subcell_lattice(grid, refinement)
-    seeds = np.stack([centres[d][lattice[:, d]] for d in range(3)], axis=1)
     n = lattice.shape[0]
     return ParticleSet(
-        seeds=seeds,
         lattice=lattice,
-        pos=seeds.copy(),
+        pos=np.stack([centres[d][lattice[:, d]] for d in range(3)], axis=1),
         alive=np.ones(n, dtype=bool),
         eps=np.zeros(n),
-        seed_volume=np.ones(n),
         refinement=refinement,
+        grid=grid,
     )
 
 

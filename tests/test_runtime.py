@@ -596,6 +596,24 @@ class TestCli:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("refinement", [29, 40, 70])
+    def test_unindexable_refinement_exit_code(self, tmp_path, monkeypatch, capsys, refinement):
+        # 4 cells per axis: from r = 29 on the seed lattice needs more than
+        # int32 indices per axis, so the run stops before any step is read
+        sc = SyntheticScenario(kind="rigid-rotation", cells=4, steps=2)
+        write_dataset(generate_scenario(sc), tmp_path / "ds")
+        path = write_config(
+            tmp_path / "run.cfg", manifest="ds/dataset.manifest", t0=0, tf=1, refinement=refinement
+        )
+        reads = []
+        read = dataset_io.read_timestep
+        monkeypatch.setattr(dataset_io, "read_timestep", lambda *a: reads.append(a) or read(*a))
+        assert main(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: refinement {refinement} is too fine")
+        assert "Traceback" not in err
+        assert reads == []
+
     def test_config_error_exit_code(self, tmp_path):
         path = write_config(tmp_path / "bad.cfg", manifest="m", t0=0, tf=1, bogus="x")
         assert main(["run", "--config", str(path)]) == 1

@@ -15,6 +15,7 @@ from flowsep.grid import (
     TimeStep,
     locate_cells,
     sample_cell_field,
+    subcell_lattice,
     uniform_grid,
 )
 from flowsep.labeling import LabelField, label_features
@@ -38,6 +39,7 @@ from .oracles import (
     walk_up_gradient,
 )
 from .test_advect import probes_particle_set
+from .test_extract import lattice_particle_set
 
 
 def make_step(grid, f, time=0.0):
@@ -240,8 +242,10 @@ class TestContributionTable:
         ]
         li, lf = (rng.choice(pool, n).astype(np.int32) for pool in pools)
         lf[rng.random(n) < dead] = -1
-        ps = probes_particle_set(np.zeros((n, 3)))
-        ps.seed_volume = rng.uniform(0.01, 10.0, n)  # full mantissas expose summation order
+        # seeds on a grid of random widths: full-mantissa volumes expose the
+        # summation order
+        g = RectilinearGrid(tuple(np.cumsum(rng.uniform(0.01, 10.0, 6)) for _ in range(3)))
+        ps = lattice_particle_set(g, 1, rng.integers(0, 10, (n, 3)))
         got = contribution_table(SeedLabeling(li, 0.0), SeedLabeling(lf, 1.0), ps).rows
         want = contribution_rows_add_at(li, lf, ps.seed_volume)
         assert [r[:3] for r in got] == [r[:3] for r in want]
@@ -364,16 +368,24 @@ class TestWriteEpsilon:
     )
     def test_file_equals_fstrings(self, n, seed, drawn, nodes):
         rng = np.random.default_rng(seed)
-        lattice = (np.arange(nodes) + 0.5) / nodes  # repeated per-axis seed coordinates
-        pool = np.concatenate([SPECIAL_FLOATS, np.array(drawn, dtype=np.float64), lattice])
-        cols = pool[rng.integers(0, pool.size, (n, 4))]
-        if n >= SPECIAL_FLOATS.size:  # every special value in every column
-            for c in range(4):
-                cols[rng.permutation(n)[: SPECIAL_FLOATS.size], c] = SPECIAL_FLOATS
-        ps = probes_particle_set(cols[:, :3])
-        ps.eps = cols[:, 3].copy()
+        # seeds on a lattice of `nodes` subcells per axis, so coordinates
+        # repeat; the cells have random widths and sit around a random origin
+        refinement = int(rng.integers(0, 3))
+        cells = max(1, nodes >> refinement)
+        origin = rng.uniform(-1e3, 1e3, 3)
+        g = RectilinearGrid(
+            tuple(o + np.cumsum(rng.uniform(0.01, 2.0, cells + 1)) for o in origin)
+        )
+        lattice = rng.integers(0, cells << refinement, (n, 3))
+        ps = lattice_particle_set(g, refinement, lattice)
+        centres, _ = subcell_lattice(g, refinement)
+        seeds = np.stack([centres[d][lattice[:, d]] for d in range(3)], axis=1)
+        pool = np.concatenate([SPECIAL_FLOATS, np.array(drawn, dtype=np.float64), seeds.ravel()])
+        ps.eps = pool[rng.integers(0, pool.size, n)]
+        if n >= SPECIAL_FLOATS.size:  # every special value in the eps column
+            ps.eps[rng.permutation(n)[: SPECIAL_FLOATS.size]] = SPECIAL_FLOATS
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "epsilon.tsv"
             write_epsilon(ps, path)
             got = path.read_bytes()
-        assert got == epsilon_text_fstrings(ps.seeds, ps.eps).encode()
+        assert got == epsilon_text_fstrings(seeds, ps.eps).encode()
