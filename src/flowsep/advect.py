@@ -23,7 +23,7 @@ from .grid import (
     sample_velocity,
     subcell_lattice,
 )
-from .plic import is_liquid_many, liquid_capable, plic_table, project_many, row_dot
+from .plic import interface_rows, is_liquid_many, liquid_capable, plic_table, project_many, row_dot
 
 CORRECTOR_MODES = ("off", "stages-2-3", "full")
 # relative inward nudge so a particle placed on a cell face is unambiguously
@@ -125,8 +125,8 @@ def seed_particles(step: TimeStep, refinement: int = 0, tau: float = 0.0) -> Par
     Each candidate cell takes the lattice indices of its (2^3)^r subcells, and
     the `subcell_lattice` centres gathered at them serve the phase test and
     the positions. Pure-liquid cells keep all of them; interface cells keep
-    only centers strictly on the liquid side of the PLIC patch (d < l), and
-    degenerate-normal cells keep all of their centers iff f > 0.5. Seeds are
+    only centers strictly on the liquid side of the PLIC patch (d < l), which
+    for a degenerate-normal cell (offset +-inf) is all of them or none. Seeds are
     ordered by cell flat index, then by subcell (x fastest). The particle set
     stores each seed's int32 lattice index; its initial position is the
     seed's centre, gathered once, and its volume is derived on demand. The
@@ -157,11 +157,7 @@ def seed_particles(step: TimeStep, refinement: int = 0, tau: float = 0.0) -> Par
             table = plic_table(step)
             rows = table.rows(cells[mixed])
             at = np.stack([c[i[mixed]] for c, i in zip(centres, lattice)], axis=2)
-            keep[mixed] = np.where(
-                table.degenerate[rows][:, None],
-                (fc[mixed] > 0.5)[:, None],
-                table.depth(rows[:, None], at) < table.offsets[rows][:, None],
-            )
+            keep[mixed] = table.depth(rows[:, None], at) < table.offsets[rows][:, None]
         kept.append(np.stack([i[keep] for i in lattice], axis=1, dtype=np.int32))
 
     lattice_arr = np.concatenate(kept)
@@ -232,12 +228,10 @@ def advance_interval(
 
 
 def phase_violations(particles: ParticleSet, step: TimeStep, tau: float = 0.0) -> np.ndarray:
-    """Indices of alive particles whose position fails the phase test."""
-    idx = np.nonzero(particles.alive)[0]
-    if idx.size == 0:
-        return idx
-    ok = is_liquid_many(step, particles.pos[idx], tau)
-    return idx[~ok]
+    """Indices (ascending) of the alive particles whose position fails the
+    phase test, tested block by block (`ParticleSet.alive_blocks`)."""
+    bad = [idx[~is_liquid_many(step, particles.pos[idx], tau)] for idx in particles.alive_blocks()]
+    return np.concatenate([np.zeros(0, dtype=np.intp), *bad])
 
 
 def correct_strays(
@@ -249,16 +243,13 @@ def correct_strays(
 ) -> np.ndarray:
     """Apply the three-stage corrector to all stray alive particles at once.
 
-    Stage candidates and tie-breaks are deterministic (distance, then index),
-    and stage 1 reads only the frozen pre-interval particle snapshot. The
-    phase test runs block by block over the alive particles.
-    Returns the indices that were corrected.
+    The strays are the `phase_violations` of the alive particles; the others
+    are the valid candidates of stage 1. Stage candidates and tie-breaks are
+    deterministic (distance, then index), and stage 1 reads only the frozen
+    pre-interval particle snapshot. Returns the indices that were corrected.
     """
     grid = step_to.grid
-    valid = np.zeros(len(particles), dtype=bool)
-    for idx in particles.alive_blocks():
-        valid[idx] = is_liquid_many(step_to, particles.pos[idx], tau)
-    strays = np.nonzero(particles.alive & ~valid)[0]
+    strays = phase_violations(particles, step_to, tau)
     if strays.size == 0:
         return strays
 
@@ -270,6 +261,8 @@ def correct_strays(
     # stage 1: displacement vector of the nearest phase-consistent neighbor,
     # searched in the 3x3x3 cell neighborhood of the pre-step position
     if config.corrector == "full":
+        valid = particles.alive.copy()
+        valid[strays] = False
         best = _nearest_neighbors(grid, pre_pos, valid, strays, particles.refinement)
         hit = np.nonzero(best >= 0)[0]
         nb = best[hit]
@@ -290,15 +283,13 @@ def correct_strays(
     _move(x, eps, moved, entry + BOUNDARY_NUDGE * (center - entry))
 
     # stage 3: project onto the PLIC patch if outside it in an interface cell
+    # (one of finite offset: a degenerate cell has no patch)
     kept = np.ones(strays.size, dtype=bool)
     kept[dropped] = False
-    idx, inside = locate_cells(grid, x)
-    flat = np.where(inside, flat_indices(grid, idx), 0)
-    fvals = step_to.f.values[flat]
-    mixed = np.nonzero(kept & inside & (fvals > tau) & (fvals < 1.0))[0]
+    _, mixed, rows = interface_rows(step_to, x, tau)
     table = plic_table(step_to)
-    rows = table.rows(flat[mixed])
-    mixed, rows = mixed[~table.degenerate[rows]], rows[~table.degenerate[rows]]
+    on = kept[mixed] & np.isfinite(table.offsets[rows])
+    mixed, rows = mixed[on], rows[on]
     _move(x, eps, mixed, project_many(table, rows, x[mixed]))
 
     particles.pos[strays[kept]] = x[kept]
@@ -401,12 +392,10 @@ def _nearest_neighbors(
     # the table takes only the cells around strays: mark stray cells, dilate by one
     region = np.zeros(grid.shape, dtype=bool)
     region[scell[:, 0], scell[:, 1], scell[:, 2]] = True
-    for d in range(3):
+    for d in range(3):  # in place: numpy buffers overlapping ufunc operands
         along = np.moveaxis(region, d, 0)
-        grown = along.copy()
-        grown[1:] |= along[:-1]
-        grown[:-1] |= along[1:]
-        region = np.moveaxis(grown, 0, d)
+        along[1:] |= along[:-1]
+        along[:-1] |= along[1:]
 
     # the region's candidates in key order (by index within a key), binned one
     # block at a time; each O(candidates) temporary goes as soon as it is used

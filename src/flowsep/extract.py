@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -75,7 +75,7 @@ def _pack_groups(shape: np.ndarray) -> list[int]:
     return bounds + [shape.shape[0]]
 
 
-def _lattice_meshes(particles: ParticleSet, sel, count, coords, plus=None) -> list[tuple]:
+def _lattice_meshes(particles: ParticleSet, sel, count, plus=None) -> list[tuple]:
     """(vertices, triangles) of each run of seeds, run i being the next
     `count[i]` seed indices of `sel`: the closed boundary of its seeds or,
     with the mask `plus` over `sel`, the open surface between its plus seeds
@@ -88,8 +88,9 @@ def _lattice_meshes(particles: ParticleSet, sel, count, coords, plus=None) -> li
     keep every mixed cube inside one box, so a box's triangles and
     first-visit vertex ids form one run, in the order a lattice of that box
     alone gives; the ids are rebased to the run's first and each vertex is
-    read as the midpoint of its lattice edge in `coords`.
+    read as the midpoint of its lattice edge in the `padded_seed_coords`.
     """
+    coords = padded_seed_coords(particles.grid, particles.refinement)
     out = [None] * count.size
     full = np.flatnonzero(count)
     first, count = (np.cumsum(count) - count)[full], count[full]
@@ -148,7 +149,6 @@ def _lattice_meshes(particles: ParticleSet, sel, count, coords, plus=None) -> li
 
 
 def extract_boundaries(
-    grid: RectilinearGrid,
     particles: ParticleSet,
     labeling: SeedLabeling,
     labels: Iterable[int],
@@ -165,13 +165,11 @@ def extract_boundaries(
     rows += np.arange(rows.size)
     sel = order[rows]
     del order, ranked, rows
-    coords = padded_seed_coords(grid, particles.refinement)
-    meshes = _lattice_meshes(particles, sel, count, coords)
+    meshes = _lattice_meshes(particles, sel, count)
     return [TriangleMesh(v, t, kind="boundary", label=j) for j, (v, t) in zip(labels, meshes)]
 
 
 def extract_separation_surface(
-    grid: RectilinearGrid,
     particles: ParticleSet,
     events: list[SplitEvent],
     next_labeling: SeedLabeling,
@@ -195,8 +193,7 @@ def extract_separation_surface(
         return []
     count = np.array([s.size for s in sel])
     sel, plus = np.concatenate(sel), np.concatenate(plus)
-    coords = padded_seed_coords(grid, particles.refinement)
-    meshes = _lattice_meshes(particles, sel, count, coords, plus)
+    meshes = _lattice_meshes(particles, sel, count, plus)
     return [
         TriangleMesh(v, t, kind="separation", label=pair, timestamp=ts)
         for (pair, ts), (v, t) in zip(pairs, meshes)
@@ -277,10 +274,7 @@ def _smooth_vertices(meshes: list[TriangleMesh], iterations: int, lam: float):
 
 def _smooth_group(meshes: list[TriangleMesh], iterations: int, lam: float):
     for mesh, vertices in zip(meshes, _smooth_vertices(meshes, iterations, lam)):
-        yield TriangleMesh(
-            vertices=vertices, triangles=mesh.triangles.copy(), kind=mesh.kind,
-            label=mesh.label, timestamp=mesh.timestamp,
-        )
+        yield replace(mesh, vertices=vertices, triangles=mesh.triangles.copy())
 
 
 def _smooth_groups(meshes, iterations: int, lam: float) -> Iterator[TriangleMesh]:
@@ -334,10 +328,7 @@ def filter_small_components(mesh: TriangleMesh, min_triangles: int) -> TriangleM
     used = np.unique(tris)
     remap = np.full(mesh.vertices.shape[0], -1, dtype=np.int32)
     remap[used] = np.arange(used.size, dtype=np.int32)
-    return TriangleMesh(
-        vertices=mesh.vertices[used], triangles=remap[tris], kind=mesh.kind,
-        label=mesh.label, timestamp=mesh.timestamp,
-    )
+    return replace(mesh, vertices=mesh.vertices[used], triangles=remap[tris])
 
 
 def write_obj(mesh: TriangleMesh, path) -> None:

@@ -272,7 +272,7 @@ def sample_cell_field(field: CellField, pts: np.ndarray) -> np.ndarray:
 
 
 def sample_velocity(step_a: TimeStep, step_b: TimeStep, x, t: float) -> np.ndarray:
-    """Velocity at (x, t): trilinear in space, linear blend in time.
+    """Velocities (n, 3) at points x (n, 3), time t: trilinear, blended linearly in time.
 
     Requires step_a.time <= t <= step_b.time. Both stored fields are sampled
     through one stencil.
@@ -282,16 +282,14 @@ def sample_velocity(step_a: TimeStep, step_b: TimeStep, x, t: float) -> np.ndarr
     slack = 1e-9 * max(abs(ta), abs(tb), 1.0)
     if t < ta - slack or t > tb + slack:
         raise ValueError(f"time {t} outside step interval [{ta}, {tb}]")
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
+    pts = np.asarray(x, dtype=np.float64)
     if span == 0.0:
         (v,) = _sample_cells(step_a.grid, pts, step_a.u.values)
     else:
         theta = min(max((t - ta) / span, 0.0), 1.0)
         va, vb = _sample_cells(step_a.grid, pts, step_a.u.values, step_b.u.values)
         v = (1.0 - theta) * va + theta * vb
-    return v[:, 0] if single else np.ascontiguousarray(v.T)
+    return np.ascontiguousarray(v.T)
 
 
 def fraction_gradients(step: TimeStep, flat: np.ndarray) -> np.ndarray:

@@ -134,16 +134,16 @@ def anchor_corner(lo, hi, normal) -> np.ndarray:
 class PlicTable:
     """PLIC patches of every interface cell (0 < f < 1) of one step.
 
-    Row r belongs to the cell with flat index `cells[r]` (ascending). Rows
-    flagged `degenerate` (vanishing fraction gradient) have zero normal and
-    offset; the phase test counts such a cell as liquid iff f > 0.5.
+    Row r belongs to the cell with flat index `cells[r]` (ascending). A cell
+    whose fraction gradient vanishes has zero normal, so d = 0 in all of it,
+    and offset +inf where f > 0.5, -inf elsewhere: its half-space d <= l is
+    the whole cell or none of it, and only finite offsets have a patch.
     """
 
     cells: np.ndarray  # (m,) ascending flat indices
     normals: np.ndarray  # (m, 3)
     anchors: np.ndarray  # (m, 3)
-    offsets: np.ndarray  # (m,)
-    degenerate: np.ndarray  # (m,) bool
+    offsets: np.ndarray  # (m,), +-inf on degenerate rows
     tol: np.ndarray  # (m,) phase-test slack, PHASE_TOL times the cell diagonal
 
     def rows(self, flat: np.ndarray) -> np.ndarray:
@@ -161,20 +161,18 @@ def _build_table(step: TimeStep) -> PlicTable:
     cells = np.nonzero((f > 0.0) & (f < 1.0))[0]
     g = fraction_gradients(step, cells)
     norm = np.sqrt(row_dot(g, g))
-    degenerate = norm == 0.0
-    normals = -g / np.where(degenerate, 1.0, norm)[:, None]
-    normals[degenerate] = 0.0
+    ok = norm > 0.0
+    normals = np.zeros_like(g)
+    normals[ok] = -g[ok] / norm[ok, None]
     lo, hi = grid.cell_boxes(cells)
     w = hi - lo
-    offsets = np.zeros(cells.size)
-    ok = ~degenerate
+    offsets = np.where(f[cells] > 0.5, np.inf, -np.inf)
     offsets[ok] = _solve_offsets(w[ok], np.abs(normals[ok]), f[cells[ok]])
     return PlicTable(
         cells=cells,
         normals=normals,
         anchors=anchor_corner(lo, hi, normals),
         offsets=offsets,
-        degenerate=degenerate,
         tol=PHASE_TOL * np.sqrt(row_dot(w, w)),
     )
 
@@ -194,47 +192,49 @@ def liquid_capable(step: TimeStep, tau: float = 0.0) -> np.ndarray:
     """Per-cell mask (ncells,) of the cells where the phase test accepts some point.
 
     These are the cells with f >= 1 and the interface cells with tau < f < 1,
-    except degenerate-normal cells with f <= 0.5, which count as gas.
+    except degenerate-normal rows of offset -inf (f <= 0.5), which count as gas.
     """
     f = step.f.values
     capable = (f >= 1.0) | ((f > tau) & (f < 1.0))
     table = plic_table(step)
-    gas = table.cells[table.degenerate]
-    capable[gas[f[gas] <= 0.5]] = False
+    capable[table.cells[table.offsets == -np.inf]] = False
     return capable
+
+
+def interface_rows(step: TimeStep, pts: np.ndarray, tau: float = 0.0) -> tuple[np.ndarray, ...]:
+    """(fractions, mixed, rows) of points (n, 3): each point's cell fraction (0
+    outside the domain), the points in interface cells (tau < f < 1), and
+    their table rows (the table is built only when some point has one)."""
+    grid = step.grid
+    idx, inside = locate_cells(grid, pts)
+    flat = np.where(inside, flat_indices(grid, idx), 0)
+    fvals = np.where(inside, step.f.values[flat], 0.0)
+    mixed = np.nonzero((fvals > tau) & (fvals < 1.0))[0]
+    return fvals, mixed, plic_table(step).rows(flat[mixed]) if mixed.size else mixed
 
 
 def is_liquid_many(step: TimeStep, pts: np.ndarray, tau: float = 0.0) -> np.ndarray:
     """Whether each point lies in the feature phase; points outside the domain are False.
 
     Pure cells resolve by thresholding f; interface cells by the PLIC test
-    d <= l (with a tiny slack so points on the patch plane count as liquid).
-    Cells with a degenerate gradient fall back to whole-cell liquid iff f > 0.5.
+    d <= l (with a tiny slack so points on the patch plane count as liquid),
+    which the infinite offsets of degenerate rows make whole-cell.
     """
-    grid = step.grid
     pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-    idx, inside = locate_cells(grid, pts)
-    flat = np.where(inside, flat_indices(grid, idx), 0)
-    fvals = np.where(inside, step.f.values[flat], 0.0)
-    out = inside & (fvals >= 1.0)
-    mixed = np.nonzero(inside & (fvals > tau) & (fvals < 1.0))[0]
+    fvals, mixed, rows = interface_rows(step, pts, tau)
+    out = fvals >= 1.0
     if mixed.size:
         table = plic_table(step)
-        rows = table.rows(flat[mixed])
-        out[mixed] = np.where(
-            table.degenerate[rows],
-            fvals[mixed] > 0.5,
-            table.depth(rows, pts[mixed]) <= table.offsets[rows] + table.tol[rows],
-        )
+        out[mixed] = table.depth(rows, pts[mixed]) <= table.offsets[rows] + table.tol[rows]
     return out
 
 
 def project_many(table: PlicTable, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Row-wise intersection of the segment x -> anchor with the row's patch plane.
 
-    Rows already on the liquid side (d <= l) are returned unchanged. Since the
-    anchor has d = 0 <= l, the segment from any outside point always crosses
-    the plane.
+    Rows must have a finite offset; those already on the liquid side (d <= l)
+    are returned unchanged. Since the anchor has d = 0 <= l, the segment from
+    any outside point always crosses the plane.
     """
     out = x.copy()
     d = table.depth(rows, x)

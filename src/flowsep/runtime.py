@@ -290,7 +290,7 @@ def _run(config: PipelineConfig, series: StepSeries, layout: PartitionLayout) ->
         # split detection and separation surfaces
         events = detect_splits(labelings[-1], cur_labeling, initial_labeling)
         report.splits += [(k, ev) for ev in events]
-        meshes = extract_separation_surface(grid, particles, events, cur_labeling)
+        meshes = extract_separation_surface(particles, events, cur_labeling)
         s_meshes += [mesh for mesh in meshes if not mesh.empty]
 
         labelings.append(cur_labeling)
@@ -312,7 +312,7 @@ def _run(config: PipelineConfig, series: StepSeries, layout: PartitionLayout) ->
     table = contribution_table(initial_labeling, final_labeling, particles)
     t_b = _time.perf_counter()
     final_labels = np.unique(final_labeling.labels)
-    b_meshes = extract_boundaries(grid, particles, final_labeling, final_labels[final_labels >= 0])
+    b_meshes = extract_boundaries(particles, final_labeling, final_labels[final_labels >= 0])
     report.b_seconds = _time.perf_counter() - t_b
     if len(particles):
         report.max_eps = float(particles.eps.max())

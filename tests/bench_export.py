@@ -93,14 +93,14 @@ def smooth_all(meshes):
 
 
 def test_boundaries_many_boxes(benchmark):
-    grid, particles, labeling = droplet_seed_set()
-    out = benchmark(extract_boundaries, grid, particles, labeling, range(460))
+    _, particles, labeling = droplet_seed_set()
+    out = benchmark(extract_boundaries, particles, labeling, range(460))
     assert sum(not m.empty for m in out) == 460
 
 
 def test_separation_many_pairs(benchmark):
-    grid, particles, next_labeling, events = droplet_split_events(80)
-    out = benchmark(extract_separation_surface, grid, particles, events, next_labeling)
+    _, particles, next_labeling, events = droplet_split_events(80)
+    out = benchmark(extract_separation_surface, particles, events, next_labeling)
     assert sum(not m.empty for m in out) == 80
 
 

@@ -21,7 +21,7 @@ from flowsep.advect import (
 from flowsep.dataset_io import SyntheticScenario, generate_scenario
 from flowsep.grid import CellField, RectilinearGrid, TimeStep, locate_cells, uniform_grid
 from flowsep.labeling import label_features
-from flowsep.plic import plic_table
+from flowsep.plic import is_liquid_many, plic_table
 from flowsep.segment import assign_labels
 
 from .oracles import (
@@ -182,6 +182,20 @@ class TestBlockedIntegration:
         assert np.unique(left // 7).size > 1
         for name in ("pos", "alive", "eps"):
             assert np.array_equal(getattr(runs[0], name), getattr(runs[1], name))
+
+    def test_phase_violations_block_invariant(self, monkeypatch, split32):
+        # uncorrected split32 interval with every 7th particle dead: the
+        # blocked stray finder equals one unblocked phase test of the alive
+        ds, _ = split32
+        ps = seed_particles(ds.steps[0], refinement=1)
+        advance_interval(ps, ds.steps[0], ds.steps[1], AdvectionConfig(corrector="off"))
+        ps.alive[::7] = False
+        alive = np.nonzero(ps.alive)[0]
+        want = alive[~is_liquid_many(ds.steps[1], ps.pos[alive])]
+        assert want.size > 0
+        for block in (1, 5, advect.RK4_BLOCK):
+            monkeypatch.setattr(advect, "RK4_BLOCK", block)
+            assert np.array_equal(phase_violations(ps, ds.steps[1]), want)
 
     def test_peak_memory_bounded_by_one_block(self):
         # one interval in x by 0.1 over a 4^3 grid whose cells x < 0.25 turn

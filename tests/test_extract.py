@@ -81,7 +81,7 @@ class TestExtractBoundary:
         g = uniform_grid(4)
         ps = lattice_particle_set(g, 0, [[2, 2, 2]])
         labeling = SeedLabeling(labels=np.zeros(1, dtype=np.int32), time=0.0)
-        mesh = extract_boundaries(g, ps, labeling, [0])[0]
+        mesh = extract_boundaries(ps, labeling, [0])[0]
         assert mesh.vertices.shape[0] == 6
         assert mesh.triangles.shape[0] == 8
         assert is_watertight(mesh)
@@ -92,7 +92,7 @@ class TestExtractBoundary:
         block = [[i, j, k] for i in (1, 2) for j in (1, 2) for k in (1, 2)]
         ps = lattice_particle_set(g, 0, block)
         labeling = SeedLabeling(labels=np.zeros(8, dtype=np.int32), time=0.0)
-        mesh = extract_boundaries(g, ps, labeling, [0])[0]
+        mesh = extract_boundaries(ps, labeling, [0])[0]
         assert is_watertight(mesh)
         assert euler_characteristic(mesh) == 2
         # oracle: parity ray casting classifies the seeds inside and the
@@ -118,7 +118,7 @@ class TestExtractBoundary:
         g = uniform_grid(4)
         ps = lattice_particle_set(g, 0, [[0, 0, 0]])
         labeling = SeedLabeling(labels=np.zeros(1, dtype=np.int32), time=0.0)
-        mesh = extract_boundaries(g, ps, labeling, [7])[0]
+        mesh = extract_boundaries(ps, labeling, [7])[0]
         assert mesh.empty
         assert mesh.kind == "boundary"
 
@@ -126,7 +126,7 @@ class TestExtractBoundary:
         g = uniform_grid(2)
         ps = lattice_particle_set(g, 1, [[1, 1, 1], [2, 1, 1]])
         labeling = SeedLabeling(labels=np.zeros(2, dtype=np.int32), time=0.0)
-        mesh = extract_boundaries(g, ps, labeling, [0])[0]
+        mesh = extract_boundaries(ps, labeling, [0])[0]
         coords = seed_axis_coords(g, 1)
         spacing = coords[0][1] - coords[0][0]
         # every vertex coordinate is either a lattice coordinate or a midpoint
@@ -144,7 +144,7 @@ class TestExtractBoundary:
         pts = blob_a + blob_b
         ps = lattice_particle_set(g, 0, pts)
         labeling = SeedLabeling(labels=np.zeros(len(pts), dtype=np.int32), time=0.0)
-        mesh = extract_boundaries(g, ps, labeling, [0])[0]
+        mesh = extract_boundaries(ps, labeling, [0])[0]
         comp = triangle_components(mesh)
         node_mask = np.zeros((8, 8, 8), dtype=bool)
         for i, j, k in pts:
@@ -159,7 +159,7 @@ class TestExtractBoundary:
             pts = np.unique(rng.integers(0, 6, size=(n, 3)), axis=0)
             ps = lattice_particle_set(g, 0, pts)
             labeling = SeedLabeling(labels=np.zeros(pts.shape[0], dtype=np.int32), time=0.0)
-            mesh = extract_boundaries(g, ps, labeling, [0])[0]
+            mesh = extract_boundaries(ps, labeling, [0])[0]
             assert is_watertight(mesh)
 
 
@@ -187,7 +187,7 @@ class TestSeparationSurface:
         # an invalid node, so nothing survives (single-cube case enumeration)
         g = uniform_grid(6)
         ps, event, nxt = _separation_inputs(g, [[2, 2, 2]], [[3, 2, 2]])
-        mesh = extract_separation_surface(g, ps, [event], nxt)[0]
+        mesh = extract_separation_surface(ps, [event], nxt)[0]
         assert mesh.empty
 
     def test_slab_pair_keeps_midplane(self):
@@ -195,7 +195,7 @@ class TestSeparationSurface:
         plus = [[2, j, k] for j in range(1, 5) for k in range(1, 5)]
         minus = [[3, j, k] for j in range(1, 5) for k in range(1, 5)]
         ps, event, nxt = _separation_inputs(g, plus, minus)
-        mesh = extract_separation_surface(g, ps, [event], nxt)[0]
+        mesh = extract_separation_surface(ps, [event], nxt)[0]
         assert not mesh.empty
         coords = seed_axis_coords(g, 0)
         midplane = 0.5 * (coords[0][2] + coords[0][3])
@@ -209,7 +209,7 @@ class TestSeparationSurface:
         plus = [[2, j, k] for j in range(1, 5) for k in range(1, 5)]
         minus = [[3, j, k] for j in range(1, 5) for k in range(1, 5)]
         ps, event, nxt = _separation_inputs(g, plus, minus)
-        mesh = extract_separation_surface(g, ps, [event], nxt)[0]
+        mesh = extract_separation_surface(ps, [event], nxt)[0]
         edges, counts = edge_incidence(mesh)
         assert counts.max() <= 2
         assert np.any(counts == 1)  # has an open rim
@@ -221,7 +221,7 @@ class TestSeparationSurface:
         minus = [[4, j, k] for j in range(2, 6) for k in range(2, 6)]
         middle = [[3, j, k] for j in range(2, 6) for k in range(2, 6)]
         ps, event, nxt = _separation_inputs(g, plus, minus, extra_invalid=middle)
-        mesh = extract_separation_surface(g, ps, [event], nxt)[0]
+        mesh = extract_separation_surface(ps, [event], nxt)[0]
         assert mesh.empty
 
 
@@ -234,7 +234,7 @@ class TestSmoothing:
         lattice = np.argwhere(inside.reshape(cells, cells, cells))
         ps = lattice_particle_set(g, 0, lattice)
         labeling = SeedLabeling(labels=np.zeros(lattice.shape[0], dtype=np.int32), time=0.0)
-        return extract_boundaries(g, ps, labeling, [0])[0], g
+        return extract_boundaries(ps, labeling, [0])[0], g
 
     def test_zero_iterations_identity(self):
         mesh, _ = self._ball_mesh()
@@ -270,7 +270,7 @@ class TestSmoothing:
         plus = [[2, j, k] for j in range(1, 5) for k in range(1, 5)]
         minus = [[3, j, k] for j in range(1, 5) for k in range(1, 5)]
         ps, event, nxt = _separation_inputs(g, plus, minus)
-        mesh = extract_separation_surface(g, ps, [event], nxt)[0]
+        mesh = extract_separation_surface(ps, [event], nxt)[0]
         out = next(smooth_meshes([mesh], iterations=10))
         rim = boundary_vertices(mesh)
         assert 0 < rim.size < mesh.vertices.shape[0]
@@ -308,7 +308,7 @@ class TestExport:
         g = uniform_grid(4)
         ps = lattice_particle_set(g, 0, [[1, 1, 1], [2, 1, 1], [2, 2, 1]])
         labeling = SeedLabeling(labels=np.zeros(3, dtype=np.int32), time=0.0)
-        mesh = extract_boundaries(g, ps, labeling, [0])[0]
+        mesh = extract_boundaries(ps, labeling, [0])[0]
         path = tmp_path / "mesh.obj"
         write_obj(mesh, path)
         verts, tris = read_obj(path)
@@ -340,7 +340,7 @@ class TestExport:
         pts = [[1, 1, 1]] + [[i, j, 5] for i in (4, 5) for j in (4, 5)]
         ps = lattice_particle_set(g, 0, pts)
         labeling = SeedLabeling(labels=np.zeros(len(pts), dtype=np.int32), time=0.0)
-        mesh = extract_boundaries(g, ps, labeling, [0])[0]
+        mesh = extract_boundaries(ps, labeling, [0])[0]
         filtered = filter_small_components(mesh, min_triangles=10)
         assert triangle_components(mesh).max() + 1 == 2
         assert triangle_components(filtered).max() + 1 == 1
@@ -358,7 +358,7 @@ class TestExport:
         pts = np.unique(rng.integers(0, 6, size=(30, 3)), axis=0)
         ps = lattice_particle_set(g, 0, pts)
         labeling = SeedLabeling(labels=np.zeros(pts.shape[0], dtype=np.int32), time=0.0)
-        mesh = extract_boundaries(g, ps, labeling, [0])[0]
+        mesh = extract_boundaries(ps, labeling, [0])[0]
         v = mesh.vertices
         t = mesh.triangles
         areas = 0.5 * np.linalg.norm(
@@ -542,7 +542,7 @@ class TestBatchedTailMatchesPerMesh:
         )
         nodes = {"one": 1, "few": 2 * box, "default": extract.PACK_NODES}[pack]
         with mock.patch.object(extract, "PACK_NODES", nodes):
-            got = extract_boundaries(grid, ps, labeling, wanted)
+            got = extract_boundaries(ps, labeling, wanted)
         assert [m.label for m in got] == wanted
         for mesh, (v, t), label in zip(got, want, wanted):
             assert mesh.kind == "boundary"
@@ -558,7 +558,7 @@ class TestBatchedTailMatchesPerMesh:
             with mock.patch.object(extract, "PACK_NODES", nodes), mock.patch.object(
                 extract, "marching_cubes", wraps=marching_cubes
             ) as mc:
-                got = extract_boundaries(g, ps, labeling, labels)
+                got = extract_boundaries(ps, labeling, labels)
             assert mc.call_count == calls
             for mesh, (v, t) in zip(got, want):
                 assert_mesh_bits(mesh, v, t)
@@ -575,7 +575,7 @@ class TestBatchedTailMatchesPerMesh:
         box = max((int(np.prod(np.ptp(b, axis=0) + 3)) for b in boxes if b.size), default=1)
         nodes = {"one": 1, "few": 2 * box, "default": extract.PACK_NODES}[pack]
         with mock.patch.object(extract, "PACK_NODES", nodes):
-            got = extract_separation_surface(grid, ps, events, nxt)
+            got = extract_separation_surface(ps, events, nxt)
         assert len(got) == len(pairs)
         for mesh, (v, t), (ev, pair) in zip(got, want, pairs):
             assert (mesh.kind, mesh.label, mesh.timestamp) == ("separation", pair, ev.time_next)
@@ -590,7 +590,7 @@ class TestBatchedTailMatchesPerMesh:
             with mock.patch.object(extract, "PACK_NODES", nodes), mock.patch.object(
                 extract, "marching_cubes", wraps=marching_cubes
             ) as mc:
-                got = extract_separation_surface(g, ps, events, nxt)
+                got = extract_separation_surface(ps, events, nxt)
             assert mc.call_count == calls
             for mesh, (v, t) in zip(got, want):
                 assert_mesh_bits(mesh, v, t)
@@ -598,7 +598,7 @@ class TestBatchedTailMatchesPerMesh:
     def test_no_events_make_no_meshes_and_no_calls(self):
         g, ps, nxt, _ = droplet_split_events(1)
         with mock.patch.object(extract, "marching_cubes", wraps=marching_cubes) as mc:
-            assert extract_separation_surface(g, ps, [], nxt) == []
+            assert extract_separation_surface(ps, [], nxt) == []
         assert mc.call_count == 0
 
     @settings(max_examples=100, deadline=None)
@@ -652,9 +652,9 @@ class TestTailMemoryBound:
         g, ps, labeling = droplet_seed_set()
         labels = list(range(460))
         boundary_mesh_loop(g, ps, labeling, labels[:2])
-        extract_boundaries(g, ps, labeling, labels[:2])
+        extract_boundaries(ps, labeling, labels[:2])
         per_label = traced_peak(boundary_mesh_loop, g, ps, labeling, labels)
-        batched = traced_peak(extract_boundaries, g, ps, labeling, labels)
+        batched = traced_peak(extract_boundaries, ps, labeling, labels)
         assert batched <= 2 * per_label
 
     def test_separation_extraction_peak(self):
@@ -662,14 +662,14 @@ class TestTailMemoryBound:
         # full warm-up calls: the per-pair peak falls over its first calls in
         # a process, so a cold reference would leave the bound looser
         separation_mesh_objects(g, ps, events, nxt)
-        extract_separation_surface(g, ps, events, nxt)
+        extract_separation_surface(ps, events, nxt)
         per_pair = traced_peak(separation_mesh_objects, g, ps, events, nxt)
-        batched = traced_peak(extract_separation_surface, g, ps, events, nxt)
+        batched = traced_peak(extract_separation_surface, ps, events, nxt)
         assert batched <= 2 * per_pair
 
     def test_smoothing_peak(self):
         g, ps, labeling = droplet_seed_set()
-        meshes = extract_boundaries(g, ps, labeling, range(460))
+        meshes = extract_boundaries(ps, labeling, range(460))
         assert 50 < np.mean([m.vertices.shape[0] for m in meshes]) < 150
         list(smooth_meshes(meshes[:2]))
         per_mesh = traced_peak(lambda: [next(smooth_meshes([m])) for m in meshes])

@@ -177,14 +177,14 @@ class TestSampleVelocity:
         g = uniform_grid(4)
         a = constant_step(g, 0.5, (1.0, 0.0, 0.0), time=0.0)
         b = constant_step(g, 0.5, (1.0, 0.0, 0.0), time=1.0)
-        v = sample_velocity(a, b, (0.3, 0.77, 0.51), 0.4)
+        v = sample_velocity(a, b, np.array([[0.3, 0.77, 0.51]]), 0.4)
         assert np.allclose(v, (1.0, 0.0, 0.0))
 
     def test_linear_time_blend(self):
         g = uniform_grid(4)
         a = constant_step(g, 0.5, (0.0, 0.0, 0.0), time=0.0)
         b = constant_step(g, 0.5, (2.0, 0.0, 0.0), time=1.0)
-        v = sample_velocity(a, b, (0.5, 0.5, 0.5), 0.5)
+        v = sample_velocity(a, b, np.array([[0.5, 0.5, 0.5]]), 0.5)
         assert np.allclose(v, (1.0, 0.0, 0.0))
 
     def test_reproduces_cell_center_values(self):
@@ -195,8 +195,8 @@ class TestSampleVelocity:
         u[0] = centers[:, 0]
         step = make_step(g, np.full(g.ncells, 0.5), u)
         for flat in (0, 77, 300, 511):
-            v = sample_velocity(step, step, centers[flat], 0.0)
-            assert np.isclose(v[0], u[0, flat], atol=1e-14)
+            v = sample_velocity(step, step, centers[flat : flat + 1], 0.0)
+            assert np.isclose(v[0, 0], u[0, flat], atol=1e-14)
 
     def test_exact_for_affine_fields(self):
         g = uniform_grid(6)
@@ -218,7 +218,7 @@ class TestSampleVelocity:
         a = constant_step(g, 0.5, (1.0, 0.0, 0.0), time=0.0)
         b = constant_step(g, 0.5, (1.0, 0.0, 0.0), time=1.0)
         with pytest.raises(ValueError):
-            sample_velocity(a, b, (0.5, 0.5, 0.5), 2.0)
+            sample_velocity(a, b, np.array([[0.5, 0.5, 0.5]]), 2.0)
 
 
 finite = st.floats(-10.0, 10.0, allow_nan=False)
@@ -275,7 +275,7 @@ class TestSamplerMatchesLoop:
             vb = sample_cell_field_loop(step_b.u, pts)
             want = (1.0 - theta) * va + theta * vb
         assert np.array_equal(sample_velocity(step_a, step_b, pts, t), want)
-        assert np.array_equal(sample_velocity(step_a, step_b, pts[0], t), want[0])
+        assert np.array_equal(sample_velocity(step_a, step_b, pts[:1], t), want[:1])
 
 
 class TestGradient:

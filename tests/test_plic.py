@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowsep.advect import seed_particles
 from flowsep.grid import CellField, TimeStep, uniform_grid
 from flowsep.plic import (
     PlicTable,
     anchor_corner,
     is_liquid_many,
+    liquid_capable,
     plic_table,
     project_many,
 )
@@ -152,9 +154,9 @@ class TestReconstructPatch:
     def test_degenerate_gradient(self):
         step = three_cell_row([0.5, 0.5, 0.5])
         table, row = table_row(step, (1, 0, 0))
-        assert table.degenerate[row]
+        # f = 0.5 is not above one half: the whole-cell gas offset
         assert np.all(table.normals[row] == 0.0)
-        assert table.offsets[row] == 0.0
+        assert table.offsets[row] == -np.inf
 
 
 class TestIsLiquid:
@@ -181,6 +183,17 @@ class TestIsLiquid:
         assert is_liquid_many(step, [(1.5, 0.5, 0.5)])[0]
         step = three_cell_row([0.4, 0.4, 0.4])
         assert not is_liquid_many(step, [(1.5, 0.5, 0.5)])[0]
+
+    @pytest.mark.parametrize(
+        "f, liquid, seeds", [(0.5, False, 0), (np.nextafter(0.5, 1.0), True, 24)]
+    )
+    def test_degenerate_fallback_edge_for_every_reader(self, f, liquid, seeds):
+        # uniform f: every cell is degenerate; whole-cell liquid iff f > 0.5,
+        # read alike by the phase test, the capable-cell mask and seeding
+        step = three_cell_row([f, f, f])
+        assert is_liquid_many(step, [(1.5, 0.5, 0.5)])[0] == liquid
+        assert liquid_capable(step)[flat_index(step.grid, (1, 0, 0))] == liquid
+        assert len(seed_particles(step, refinement=1)) == seeds
 
     def test_matches_dense_classification_on_interface_cell(self):
         # within one subvoxel of a 32^3 classification of the middle cell
@@ -220,7 +233,7 @@ class TestProjectToPatch:
         x = np.array([1.0, 1.0, 1.0])
         table = PlicTable(
             cells=np.zeros(1, dtype=np.int64), normals=n[None, :], anchors=anchor[None, :],
-            offsets=np.array([offset]), degenerate=np.zeros(1, dtype=bool), tol=np.zeros(1),
+            offsets=np.array([offset]), tol=np.zeros(1),
         )
         p = project_row(table, 0, x)
         # oracle: solve (x + s (a - x) - a) . n = l for s
@@ -316,7 +329,7 @@ def split32_rows(split32):
     for step in ds.steps:
         table = plic_table(step)
         lo, hi = step.grid.cell_boxes(table.cells)
-        for row in np.nonzero(~table.degenerate)[0]:
+        for row in np.nonzero(np.isfinite(table.offsets))[0]:
             f = float(step.f.values[table.cells[row]])
             yield hi[row] - lo[row], table.normals[row], f, table.offsets[row]
 
