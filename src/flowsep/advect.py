@@ -179,7 +179,11 @@ def rk4_positions(
     """Integrate points over [step_from.time, step_to.time] in `substeps` RK4 steps.
 
     The step order defines the integration direction; velocity samples always
-    interpolate between the two stored fields in chronological order.
+    interpolate between the two stored fields in chronological order. Each
+    step makes 4 `sample_velocity` calls; the stage points go to one reused
+    buffer and the stages are summed in place, in the order and with the
+    bits of x + (h / 6) * (((k1 + 2 k2) + 2 k3) + k4), with k1 and k3
+    released before k4 is sampled.
     """
     step_a, step_b = (
         (step_from, step_to) if step_from.time <= step_to.time else (step_to, step_from)
@@ -190,10 +194,22 @@ def rk4_positions(
     t = step_from.time
     for _ in range(substeps):
         k1 = sample_velocity(step_a, step_b, x, t)
-        k2 = sample_velocity(step_a, step_b, x + 0.5 * h * k1, t + 0.5 * h)
-        k3 = sample_velocity(step_a, step_b, x + 0.5 * h * k2, t + 0.5 * h)
-        k4 = sample_velocity(step_a, step_b, x + h * k3, t + h)
-        x += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y = k1 * (0.5 * h)
+        y += x
+        k2 = sample_velocity(step_a, step_b, y, t + 0.5 * h)
+        np.multiply(k2, 0.5 * h, out=y)
+        y += x
+        k3 = sample_velocity(step_a, step_b, y, t + 0.5 * h)
+        np.multiply(k3, h, out=y)
+        y += x
+        k2 *= 2.0
+        k2 += k1
+        k3 *= 2.0
+        k2 += k3
+        del k1, k3
+        k2 += sample_velocity(step_a, step_b, y, t + h)
+        k2 *= h / 6.0
+        x += k2
         t += h
     return x
 

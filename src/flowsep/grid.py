@@ -35,6 +35,8 @@ class RectilinearGrid:
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "centers", tuple(0.5 * (a[:-1] + a[1:]) for a in axes))
         object.__setattr__(self, "widths", tuple(np.diff(a) for a in axes))
+        object.__setattr__(self, "lo", np.array([a[0] for a in axes]))
+        object.__setattr__(self, "hi", np.array([a[-1] for a in axes]))
 
     @property
     def ndim(self) -> int:
@@ -48,14 +50,6 @@ class RectilinearGrid:
     def ncells(self) -> int:
         nx, ny, nz = self.shape
         return nx * ny * nz
-
-    @property
-    def lo(self) -> np.ndarray:
-        return np.array([a[0] for a in self.axes])
-
-    @property
-    def hi(self) -> np.ndarray:
-        return np.array([a[-1] for a in self.axes])
 
     def cell_boxes(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Lower and upper corners (m, 3) of the cells with the given flat indices."""
@@ -216,47 +210,55 @@ def flat_indices(grid: RectilinearGrid, idx: np.ndarray) -> np.ndarray:
     return idx[:, 0] + nx * (idx[:, 1] + ny * idx[:, 2])
 
 
-def _axis_weights(centers: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lower sample index and interpolation weight along one center lattice.
-
-    Outside the center lattice the weight is clamped, i.e. values are held at
-    the nearest center (constant extrapolation in the half-cell rim).
-    """
-    n = centers.size
-    if n == 1:
-        return np.zeros(x.size, dtype=np.int64), np.zeros(x.size)
-    lo = np.searchsorted(centers, x, side="right") - 1
-    np.clip(lo, 0, n - 2, out=lo)
-    w = (x - centers[lo]) / (centers[lo + 1] - centers[lo])
-    np.clip(w, 0.0, 1.0, out=w)
-    return lo, w
-
-
 def _sample_cells(
     grid: RectilinearGrid, pts: np.ndarray, *values: np.ndarray
 ) -> list[np.ndarray]:
     """Trilinear samples (ncomp, n) at points (n, 3) of each (ncomp, ncells) array
     in `values`, all through one stencil.
 
-    Cell centers act as sample nodes; outside the center lattice values clamp
-    to the nearest center. Each corner's weight and flat index are computed
-    once and gathered from every array; corners are summed in the order 0..7.
+    Cell centers act as sample nodes; outside the center lattice the weight
+    is clamped, so values are held at the nearest center. One locate per axis
+    gives the lower center and the upper one's weight w (the lower one's is
+    1 - w; w = 0 on a single-cell axis). Corner 0's flat index is computed
+    once and the other corners add a constant offset (1, nx, nx * ny, or 0
+    along a single-cell axis), exact as the lower center is at most n - 2.
+    Each corner's weight is (wx * wy) * wz from the four x-y products, and
+    the corners are summed in the order 0..7 into accumulators that start
+    at +0.0, so no sample is -0.0 (`sample_velocity` relies on it).
     """
+    n = pts.shape[0]
     nx, ny, _ = grid.shape
-    # per axis: (lower, upper) sample index and (1 - w, w) weight
-    idx, wgt = [], []
+    strides = [1, nx, nx * ny]  # the upper corner's offset per axis
+    flat = np.zeros(n, dtype=np.int64)
+    wgt = []
     for d in range(3):
-        lo, w = _axis_weights(grid.centers[d], pts[:, d])
-        # clamp index growth on single-cell axes
-        idx.append((lo, np.minimum(lo + 1, grid.shape[d] - 1)))
+        c = grid.centers[d]
+        if c.size == 1:
+            wgt.append((np.ones(n), np.zeros(n)))
+            strides[d] = 0
+            continue
+        lo = np.searchsorted(c, pts[:, d], side="right")
+        lo -= 1
+        np.clip(lo, 0, c.size - 2, out=lo)
+        w = pts[:, d] - c[lo]
+        w /= np.diff(c)[lo]
+        np.clip(w, 0.0, 1.0, out=w)
         wgt.append((1.0 - w, w))
-    out = [np.zeros((v.shape[0], pts.shape[0])) for v in values]
-    for bits in range(8):
-        bx, by, bz = bits & 1, (bits >> 1) & 1, (bits >> 2) & 1
-        w = wgt[0][bx] * wgt[1][by] * wgt[2][bz]
-        flat = idx[0][bx] + nx * (idx[1][by] + ny * idx[2][bz])
+        lo *= strides[d]
+        flat += lo
+    (wx, wy, wz), (sx, sy, sz) = wgt, strides
+    wxy = [wx[b & 1] * wy[b >> 1] for b in range(4)]
+    del wgt, wx, wy  # the corner loop holds the products only
+    out = [np.zeros((v.shape[0], n)) for v in values]
+    w = np.empty(n)
+    at = np.empty(n, dtype=np.int64)
+    for b in range(8):
+        np.multiply(wxy[b & 3], wz[b >> 2], out=w)
+        np.add(flat, (b & 1) * sx + (b >> 1 & 1) * sy + (b >> 2) * sz, out=at)
         for v, acc in zip(values, out):
-            acc += w * v.take(flat, axis=1)
+            g = v.take(at, axis=1)
+            g *= w
+            acc += g
     return out
 
 
@@ -274,8 +276,12 @@ def sample_cell_field(field: CellField, pts: np.ndarray) -> np.ndarray:
 def sample_velocity(step_a: TimeStep, step_b: TimeStep, x, t: float) -> np.ndarray:
     """Velocities (n, 3) at points x (n, 3), time t: trilinear, blended linearly in time.
 
-    Requires step_a.time <= t <= step_b.time. Both stored fields are sampled
-    through one stencil.
+    Requires step_a.time <= t <= step_b.time. With time weight theta in
+    (0, 1) both stored fields are sampled through one stencil and blended as
+    (1 - theta) * va + theta * vb. At theta 0 or 1 only the field of weight 1
+    is sampled, which gives the same bits: the blend adds +-0.0 to a sample
+    that is never -0.0, of finite data. The result is the transposed view of
+    a (3, n) array.
     """
     ta, tb = step_a.time, step_b.time
     span = tb - ta
@@ -283,13 +289,15 @@ def sample_velocity(step_a: TimeStep, step_b: TimeStep, x, t: float) -> np.ndarr
     if t < ta - slack or t > tb + slack:
         raise ValueError(f"time {t} outside step interval [{ta}, {tb}]")
     pts = np.asarray(x, dtype=np.float64)
-    if span == 0.0:
-        (v,) = _sample_cells(step_a.grid, pts, step_a.u.values)
-    else:
-        theta = min(max((t - ta) / span, 0.0), 1.0)
-        va, vb = _sample_cells(step_a.grid, pts, step_a.u.values, step_b.u.values)
-        v = (1.0 - theta) * va + theta * vb
-    return np.ascontiguousarray(v.T)
+    theta = 0.0 if span == 0.0 else min(max((t - ta) / span, 0.0), 1.0)
+    if theta == 0.0 or theta == 1.0:
+        (v,) = _sample_cells(step_a.grid, pts, (step_b if theta else step_a).u.values)
+        return v.T
+    va, vb = _sample_cells(step_a.grid, pts, step_a.u.values, step_b.u.values)
+    va *= 1.0 - theta
+    vb *= theta
+    va += vb
+    return va.T
 
 
 def fraction_gradients(step: TimeStep, flat: np.ndarray) -> np.ndarray:

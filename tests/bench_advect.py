@@ -7,7 +7,10 @@ Run explicitly (the file name keeps it out of the default test collection):
 The orbit cases run on one interval of the orbit shape: a ball of radius 0.2
 orbiting the domain center at radius 0.25 in a rigid rotation, 32^3 cells,
 refinement 2 (64 subcells per liquid cell, about 70k particles), over a 1/76
-turn. The corrector benchmark reuses the step's PLIC table, as a run does.
+turn. `test_rk4_positions` integrates all rows in one call, `test_rk4_blocks`
+in `RK4_BLOCK` blocks as a run does, and `test_sample_velocity` samples one
+block at the time weights 0, 1/2 and 1. The corrector benchmark reuses the
+step's PLIC table, as a run does.
 The r = 3 case is the stage-1 search of the first interval of the split
 sphere on 32^3 cells over 10 steps (centre offset 0.3/-0.2/0.3 cells): about
 560k particles, 37k of them strays. It also records, in `extra_info`, the
@@ -31,9 +34,11 @@ from flowsep.advect import (
     seed_particles,
 )
 from flowsep.dataset_io import SyntheticScenario, generate_scenario
+from flowsep.grid import sample_velocity
 from flowsep.plic import is_liquid_many, plic_table
 
 from .oracles import traced_peak
+from .test_advect import orbit_steps
 
 
 def _advected(step0, step1, refinement):
@@ -54,13 +59,7 @@ def _stage1_args(step1, particles, pre_pos):
 
 @pytest.fixture(scope="module")
 def orbit_interval():
-    ds = generate_scenario(
-        SyntheticScenario(
-            kind="rigid-rotation", cells=32, steps=2, span=np.pi / 2 / 19, speed=1.0,
-            offset=0.25, radius=0.2, center=(0.50938, 0.49375, 0.50313),
-        )
-    )
-    step0, step1 = ds.steps
+    step0, step1 = orbit_steps()
     particles, pre_pos = _advected(step0, step1, 2)
     return step0, step1, particles, pre_pos
 
@@ -83,6 +82,34 @@ def test_rk4_positions(benchmark, orbit_interval):
     step0, step1, _, pre_pos = orbit_interval
     pos = benchmark(rk4_positions, step0, step1, pre_pos)
     assert pos.shape == pre_pos.shape
+
+
+def test_rk4_blocks(benchmark, orbit_interval):
+    """The orbit interval's RK4 as `advance_interval` walks it: one
+    `rk4_positions` call per `alive_blocks` block. Records the traced peak of
+    one full block's call per row."""
+    step0, step1, particles, pre_pos = orbit_interval
+    blocks = list(particles.alive_blocks())
+
+    def walk():
+        return [rk4_positions(step0, step1, pre_pos[idx]) for idx in blocks]
+
+    out = benchmark(walk)
+    assert sum(len(p) for p in out) == len(pre_pos)
+    block = pre_pos[blocks[0]]
+    assert len(block) == advect.RK4_BLOCK
+    peak = traced_peak(rk4_positions, step0, step1, block)
+    benchmark.extra_info["bytes_per_row"] = peak / len(block)
+
+
+@pytest.mark.parametrize("theta", ["0", "1/2", "1"])
+def test_sample_velocity(benchmark, orbit_interval, theta):
+    """One `RK4_BLOCK` of orbit rows sampled at time weight theta: one stored
+    field at 0 and 1, both blended at 1/2."""
+    step0, step1, _, pre_pos = orbit_interval
+    t = {"0": step0.time, "1/2": 0.5 * (step0.time + step1.time), "1": step1.time}[theta]
+    v = benchmark(sample_velocity, step0, step1, pre_pos[: advect.RK4_BLOCK], t)
+    assert v.shape == (advect.RK4_BLOCK, 3)
 
 
 def test_correct_strays(benchmark, orbit_interval):

@@ -12,6 +12,8 @@ oracle call the library's `marching_cubes`, itself pinned to the scalar loop
 here, once per label or label pair.
 The subcell-lattice references are the three derivations of seed centres,
 seeds and bin faces that the library's `subcell_lattice` replaced.
+The RK4 reference is the library's former integration, which sampled and
+blended both stored fields at every stage and allocated an array per operation.
 `truncated_volume` and `solve_patch_offset` are not oracles but one-box
 wrappers over the PLIC closed form, so the tests can put that form itself
 against the counting and rational oracles box by box. `traced_peak` is no
@@ -878,7 +880,7 @@ def flat_index(grid, cell) -> int:
     return cell[0] + nx * (cell[1] + ny * cell[2])
 
 
-# --- per-field, per-corner trilinear sampling -----------------------------------
+# --- per-field, per-corner trilinear sampling and RK4 on it -----------------------
 
 
 def sample_cell_field_loop(field, pts) -> np.ndarray:
@@ -911,6 +913,39 @@ def sample_cell_field_loop(field, pts) -> np.ndarray:
         for c in range(field.ncomp):
             out[:, c] += wgt * values[c][flat]
     return out[:, 0] if field.ncomp == 1 else out
+
+
+def sample_velocity_reference(step_a, step_b, pts, t) -> np.ndarray:
+    """Reference for `flowsep.grid.sample_velocity` (interval checks left out):
+    both stored fields sampled by `sample_cell_field_loop` and blended as
+    (1 - theta) * va + theta * vb, also where theta is 0 or 1."""
+    span = step_b.time - step_a.time
+    if span == 0.0:
+        return sample_cell_field_loop(step_a.u, pts)
+    theta = min(max((t - step_a.time) / span, 0.0), 1.0)
+    va = sample_cell_field_loop(step_a.u, pts)
+    vb = sample_cell_field_loop(step_b.u, pts)
+    return (1.0 - theta) * va + theta * vb
+
+
+def rk4_positions_reference(step_from, step_to, pts, substeps: int = 1) -> np.ndarray:
+    """Reference for `flowsep.advect.rk4_positions`: classic RK4 written as
+    array expressions, one new array per operation, on
+    `sample_velocity_reference`."""
+    step_a, step_b = (
+        (step_from, step_to) if step_from.time <= step_to.time else (step_to, step_from)
+    )
+    h = (step_to.time - step_from.time) / substeps
+    x = np.array(pts, dtype=np.float64, copy=True)
+    t = step_from.time
+    for _ in range(substeps):
+        k1 = sample_velocity_reference(step_a, step_b, x, t)
+        k2 = sample_velocity_reference(step_a, step_b, x + 0.5 * h * k1, t + 0.5 * h)
+        k3 = sample_velocity_reference(step_a, step_b, x + 0.5 * h * k2, t + 0.5 * h)
+        k4 = sample_velocity_reference(step_a, step_b, x + h * k3, t + h)
+        x += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += h
+    return x
 
 
 # --- per-group lexicographic minimum ---------------------------------------------

@@ -29,10 +29,12 @@ from .oracles import (
     nearest_capable_cell,
     nearest_neighbors_cell_keys,
     particle_bytes,
+    rk4_positions_reference,
     rotate_about_z,
     segment_box_entry,
     traced_peak,
 )
+from .test_grid import negative_zero_case, sampling_cases
 
 
 def make_step(grid, f, u, time=0.0):
@@ -149,6 +151,23 @@ class TestIntegration:
         orders = [np.log2(errors[i] / errors[i + 1]) for i in range(3)]
         for order in orders:
             assert 3.5 <= order <= 4.5
+
+
+class TestRk4MatchesReference:
+    """`rk4_positions` samples one stored field where the time weight is 0 or
+    1 and does its stage arithmetic in place; every bit stays that of the
+    reference, which blends both fields at every stage and allocates an
+    array per operation (including -0.0 velocities, whose samples are +0.0)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=sampling_cases(), substeps=st.integers(1, 3), backward=st.booleans())
+    @example(case=negative_zero_case(), substeps=1, backward=False)
+    def test_bitwise_equal_to_reference(self, case, substeps, backward):
+        step_a, step_b, _, pts = case
+        steps = (step_b, step_a) if backward else (step_a, step_b)
+        got = rk4_positions(*steps, pts, substeps)
+        want = rk4_positions_reference(*steps, pts, substeps)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def rotation_steps(cells=8, angle=1.0):
@@ -644,6 +663,18 @@ def offgrid_split16():
     ).steps
 
 
+def orbit_steps():
+    """The first interval of the orbit: a ball of radius 0.2 orbiting the
+    domain centre at radius 0.25 in a rigid rotation, 32^3 cells, over a
+    1/76 turn."""
+    return generate_scenario(
+        SyntheticScenario(
+            kind="rigid-rotation", cells=32, steps=2, span=np.pi / 2 / 19, speed=1.0,
+            offset=0.25, radius=0.2, center=(0.50938, 0.49375, 0.50313),
+        )
+    ).steps
+
+
 class TestSearchWork:
     """Stage-1 search work does not grow with refinement: on the off-grid split
     sphere, every stage-1 stray is a query of the ring search, and the rows
@@ -702,11 +733,13 @@ class TestWorkingSet:
     5 and 0 for the label transfer. Passes over all particles at once fail
     it: with the phase test and the label transfer unblocked, the two read
     157 and 93 B per particle at r = 3, and a corrector that keeps a copy of
-    the strays' positions per stage reads 76 B for the interval."""
+    the strays' positions per stage reads 76 B for the interval. Within the
+    interval, one RK4 block call stays within a bound per row."""
 
     FIXED = 1 << 19  # cells-sized arrays and one block of each kind
     INTERVAL = 72  # B per particle: phase mask, stage-1 table, per-stray state
     TRANSFER = 16
+    RK4_PER_ROW = 286  # B per row of one RK4 block call: 272 measured, plus 5 %
 
     def test_peak_per_particle_flat_across_r(self, monkeypatch):
         steps = offgrid_split16()
@@ -725,6 +758,17 @@ class TestWorkingSet:
             transfer -= 4 * n
             assert interval <= self.FIXED + self.INTERVAL * n, f"r={r}: {interval / n:.0f} B"
             assert transfer <= self.FIXED + self.TRANSFER * n, f"r={r}: {transfer / n:.0f} B"
+
+    def test_rk4_block_peak_per_row(self):
+        # one block of orbit rows holds the result, two stages, the stage
+        # point and one two-field stencil; an RK4 that allocates an array per
+        # operation and blends both fields at every stage reads 329 B per row
+        step0, step1 = orbit_steps()
+        pts = seed_particles(step0, refinement=2).pos[: advect.RK4_BLOCK]
+        assert len(pts) == advect.RK4_BLOCK
+        rk4_positions(step0, step1, pts)
+        peak = traced_peak(rk4_positions, step0, step1, pts)
+        assert peak <= self.RK4_PER_ROW * len(pts), f"{peak / len(pts):.0f} B per row"
 
 
 class TestResidentState:

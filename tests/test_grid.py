@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowsep.advect import seed_particles
@@ -29,6 +29,7 @@ from .oracles import (
     locate_cell,
     locate_cells_passes,
     sample_cell_field_loop,
+    sample_velocity_reference,
     seed_axis_coords,
     subcell_seeds,
 )
@@ -228,7 +229,8 @@ finite = st.floats(-10.0, 10.0, allow_nan=False)
 def sampling_cases(draw):
     """Two steps on a rectilinear grid with 1-6 cells per axis, points inside
     and outside the center lattice (some exactly on centers or nodes), and a
-    time at either end of the interval or between; sometimes one step twice."""
+    time at either end of the interval or between; sometimes one step twice,
+    and sometimes a step whose velocity is -0.0 in every component."""
     axes = []
     for _ in range(3):
         n = draw(st.integers(1, 6))
@@ -236,19 +238,25 @@ def sampling_cases(draw):
         axes.append(np.concatenate([[0.0], np.cumsum(steps)]))
     grid = RectilinearGrid(tuple(axes))
     n = grid.ncells
+
+    def velocity():
+        # sometimes -0.0 everywhere: a sample of it must still be +0.0
+        if draw(st.integers(0, 4)) == 0:
+            return np.full((3, n), -0.0)
+        return np.array(draw(st.lists(finite, min_size=3 * n, max_size=3 * n))).reshape(3, n)
+
     ta = draw(st.floats(-5.0, 5.0))
     step_a = make_step(
         grid,
         np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))),
-        np.array(draw(st.lists(finite, min_size=3 * n, max_size=3 * n))).reshape(3, n),
+        velocity(),
         time=ta,
     )
     if draw(st.booleans()):
         step_b, t = step_a, ta
     else:
         tb = ta + draw(st.floats(0.01, 5.0))
-        u = np.array(draw(st.lists(finite, min_size=3 * n, max_size=3 * n))).reshape(3, n)
-        step_b = make_step(grid, step_a.f.values, u, time=tb)
+        step_b = make_step(grid, step_a.f.values, velocity(), time=tb)
         t = draw(st.sampled_from([ta, tb]) | st.floats(ta, tb))
     coord = [
         st.floats(-1.0, float(a[-1]) + 1.0) | st.sampled_from(grid.centers[d].tolist() + a.tolist())
@@ -259,23 +267,30 @@ def sampling_cases(draw):
     return step_a, step_b, t, pts
 
 
+def negative_zero_case():
+    """Velocity -0.0 everywhere in both steps, time at the first, and a point
+    at -0.0 on every axis: a sample must be +0.0, so that the first step's
+    sample alone equals its blend with the second (1 * va + 0 * vb), and RK4
+    keeps the point's -0.0 where a -0.0 sample would too."""
+    g = uniform_grid((2, 1, 3))
+    u = np.full((3, g.ncells), -0.0)
+    f = np.full(g.ncells, 0.5)
+    return make_step(g, f, u, 0.0), make_step(g, f, u, 1.0), 0.0, np.full((1, 3), -0.0)
+
+
 class TestSamplerMatchesLoop:
     @settings(max_examples=200, deadline=None)
     @given(case=sampling_cases())
+    @example(case=negative_zero_case())
     def test_bitwise_equal_to_per_corner_loop(self, case):
         step_a, step_b, t, pts = case
         assert np.array_equal(sample_cell_field(step_a.f, pts), sample_cell_field_loop(step_a.f, pts))
         assert np.array_equal(sample_cell_field(step_a.u, pts), sample_cell_field_loop(step_a.u, pts))
-        span = step_b.time - step_a.time
-        if span == 0.0:
-            want = sample_cell_field_loop(step_a.u, pts)
-        else:
-            theta = min(max((t - step_a.time) / span, 0.0), 1.0)
-            va = sample_cell_field_loop(step_a.u, pts)
-            vb = sample_cell_field_loop(step_b.u, pts)
-            want = (1.0 - theta) * va + theta * vb
-        assert np.array_equal(sample_velocity(step_a, step_b, pts, t), want)
-        assert np.array_equal(sample_velocity(step_a, step_b, pts[:1], t), want[:1])
+        want = sample_velocity_reference(step_a, step_b, pts, t)
+        # array_equal does not tell -0.0 from +0.0; the bytes do
+        got = sample_velocity(step_a, step_b, pts, t)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert sample_velocity(step_a, step_b, pts[:1], t).tobytes() == want[:1].tobytes()
 
 
 class TestGradient:
