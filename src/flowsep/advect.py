@@ -286,8 +286,8 @@ def correct_strays(
 
     # stage 2: move to the boundary of the nearest liquid-capable cell
     capable = liquid_capable(step_to, tau)
-    start, _ = locate_cells(grid, np.clip(x, grid.lo, grid.hi))
-    inside = np.all((x >= grid.lo) & (x <= grid.hi), axis=1)
+    start, inside = locate_cells(grid, x)
+    np.maximum(start, 0, out=start)  # a point below the domain starts in its first cell
     need = np.nonzero(~(inside & capable[flat_indices(grid, start)]))[0]
     target = _nearest_capable_cells(grid, capable, start[need], x[need])
     # no liquid-capable cell in the whole domain: those particles are dropped

@@ -271,6 +271,7 @@ def load_dataset(manifest_path) -> TimeSeriesDataset:
 
 
 SCENARIO_KINDS = ("split-sphere", "rigid-rotation", "merge-then-split", "shear-stretch")
+SUBSAMPLES = 4  # subsample points per cell and axis that voxelize f
 
 
 @dataclass
@@ -297,7 +298,6 @@ class SyntheticScenario:
     speed: float = 0.25
     offset: float = 0.25
     t_split: float = 0.0
-    subsamples: int = 4
 
     def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:
@@ -310,10 +310,12 @@ class SyntheticScenario:
             value = getattr(self, name)
             if not np.all(np.isfinite(value)):
                 raise DatasetError(f"{name} must be finite, got {value}")
-        for name, least in (("cells", 2), ("steps", 2), ("subsamples", 1)):
+        for name in ("cells", "steps"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < least:
-                raise DatasetError(f"{name} must be an integer >= {least}, got {value!r}")
+            if not isinstance(value, (int, np.integer)) or value < 2:
+                raise DatasetError(f"{name} must be an integer >= 2, got {value!r}")
+        if 24 * int(self.cells) ** 3 > np.iinfo(np.intp).max:
+            raise DatasetError(f"cells {self.cells}: numpy cannot address (3, cells^3) float64")
 
     # --- analytic definitions -------------------------------------------------
 
@@ -379,10 +381,9 @@ def generate_scenario(scenario: SyntheticScenario) -> TimeSeriesDataset:
         ],
         axis=1,
     )
-    s = scenario.subsamples
     w = grid.widths[0][0]  # uniform cells
-    # offsets of the s^3 subsample points relative to the cell center
-    rel = (np.arange(s) + 0.5) / s - 0.5
+    # offsets of the SUBSAMPLES^3 subsample points relative to the cell center
+    rel = (np.arange(SUBSAMPLES) + 0.5) / SUBSAMPLES - 0.5
     offs = np.stack(np.meshgrid(rel, rel, rel, indexing="ij"), axis=-1).reshape(-1, 3) * w
 
     steps = []

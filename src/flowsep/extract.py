@@ -240,8 +240,6 @@ def _smooth_vertices(meshes: list[TriangleMesh], iterations: int, lam: float):
     starts = np.cumsum(sizes) - sizes
     # one row per axis, so each gather and sum reads contiguous values
     v = np.concatenate([m.vertices.T for m in meshes], axis=1)
-    if iterations == 0:
-        return np.split(v.T.copy(), starts[1:].tolist())
     tris = np.concatenate([m.triangles + s for m, s in zip(meshes, starts.tolist())])
     edges, counts = _edge_incidence(tris)
     del tris
@@ -272,23 +270,17 @@ def _smooth_vertices(meshes: list[TriangleMesh], iterations: int, lam: float):
     return np.split(v.T.copy(), starts[1:].tolist())
 
 
-def _smooth_group(meshes: list[TriangleMesh], iterations: int, lam: float):
-    for mesh, vertices in zip(meshes, _smooth_vertices(meshes, iterations, lam)):
-        yield replace(mesh, vertices=vertices, triangles=mesh.triangles.copy())
-
-
 def _smooth_groups(meshes, iterations: int, lam: float) -> Iterator[TriangleMesh]:
     group: list[TriangleMesh] = []
     size = 0
-    for mesh in meshes:
-        nv = mesh.vertices.shape[0]
+    for mesh in itertools.chain(meshes, [None]):  # None, of infinite size, flushes the last group
+        nv = np.inf if mesh is None else mesh.vertices.shape[0]
         if group and size + nv > SMOOTH_VERTICES:
-            yield from _smooth_group(group, iterations, lam)
+            for done, vertices in zip(group, _smooth_vertices(group, iterations, lam)):
+                yield replace(done, vertices=vertices, triangles=done.triangles.copy())
             group, size = [], 0
         group.append(mesh)
         size += nv
-    if group:
-        yield from _smooth_group(group, iterations, lam)
 
 
 def smooth_meshes(

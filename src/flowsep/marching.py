@@ -3,10 +3,10 @@
 Case triangulations are generated at import time by contour tracing: segments
 are built per cube face (on the single ambiguous face pattern, the diagonally
 opposite positive corners are always kept separate), chained into closed loops
-and fan-triangulated. Because the face rule is a pure function of the four
-shared face values, adjacent cubes always agree on their shared segments, so
-closed surfaces come out watertight by construction. Vertices sit exactly at
-the midpoints of lattice edges with one positive endpoint.
+and triangulated by safe chords. Because the face rule is a pure function
+of the four shared face values, adjacent cubes always agree on their shared
+segments, so closed surfaces come out watertight by construction. Vertices
+sit exactly at the midpoints of lattice edges with one positive endpoint.
 
 Extraction is one gather: the mixed cubes are repeated by their case's
 triangle count, the triangles' cube edges are read from the padded case table
@@ -101,41 +101,30 @@ def _chord_is_safe(ea: int, eb: int) -> bool:
     return not (EDGE_FACES[ea] & EDGE_FACES[eb])
 
 
-def _enumerate_triangulations(chain: tuple[int, ...]):
-    """All combinatorial triangulations of a polygon given as a vertex chain."""
-    if len(chain) == 3:
-        yield ((chain[0], chain[1], chain[2]),)
-        return
-    first, last = chain[0], chain[-1]
-    for m in range(1, len(chain) - 1):
-        mid = chain[m]
-        left = chain[: m + 1]
-        right = chain[m:]
-        lefts = _enumerate_triangulations(left) if len(left) >= 3 else ((),)
-        for lt in lefts:
-            rights = _enumerate_triangulations(right) if len(right) >= 3 else ((),)
-            for rt in rights:
-                yield lt + rt + ((first, mid, last),)
-
-
 def _triangulate_loop(loop: list[int]) -> list[tuple[int, int, int]]:
-    """Triangulate one contour loop using only safe (cube-interior) chords."""
+    """Triangulate one contour loop using only safe chords."""
     n = len(loop)
-    if n == 3:
-        return [tuple(loop)]
     sides = {frozenset((loop[t], loop[(t + 1) % n])) for t in range(n)}
-    for tris in _enumerate_triangulations(tuple(loop)):
-        ok = True
-        for tri in tris:
-            for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-                if frozenset((a, b)) not in sides and not _chord_is_safe(a, b):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return [tuple(t) for t in tris]
-    raise AssertionError(f"no safe triangulation for loop {loop}")
+    tris = _triangulate_chain(tuple(loop), sides)
+    if tris is None:
+        raise AssertionError(f"no safe triangulation for loop {loop}")
+    return list(tris)
+
+
+def _triangulate_chain(c: tuple[int, ...], sides: set) -> tuple | None:
+    """The first safe triangulation of chain c: at the first apex m whose triangle
+    (c[0], c[m], c[-1]) has only loop sides and safe chords as edges and whose
+    sub-chains c[:m+1] and c[m:] triangulate alike, their triangles, then it.
+    None if no apex works; () for a chain of fewer than 3 vertices."""
+    if len(c) < 3:
+        return ()
+    for m in range(1, len(c) - 1):
+        edges = ((c[0], c[m]), (c[m], c[-1]), (c[-1], c[0]))
+        if all(frozenset(e) in sides or _chord_is_safe(*e) for e in edges):
+            left, right = _triangulate_chain(c[: m + 1], sides), _triangulate_chain(c[m:], sides)
+            if left is not None and right is not None:
+                return left + right + ((c[0], c[m], c[-1]),)
+    return None
 
 
 def _case_triangles(mask: int) -> list[tuple[int, int, int]]:

@@ -167,19 +167,16 @@ class RunReport:
     handoffs: list[int] = field(default_factory=list)
 
     def to_text(self) -> str:
+        """One summary line per scalar field, one interval column per `IntervalStats` field."""
         lines = [
-            f"summary\tparticles\t{self.particles}",
-            f"summary\tb_seconds\t{self.b_seconds!r}",
-            f"summary\tmax_eps\t{self.max_eps!r}",
-            f"summary\tmean_eps\t{self.mean_eps!r}",
-            f"summary\tcorrected_fraction\t{self.corrected_fraction!r}",
-            "interval\tindex\tt_from\tt_to\tseconds\talive\tcorrected\tfeatures",
+            f"summary\t{f.name}\t{getattr(self, f.name)!r}"
+            for f in fields(self)
+            if not isinstance(getattr(self, f.name), list)
         ]
+        columns = [f.name for f in fields(IntervalStats)]
+        lines.append("\t".join(["interval", *columns]))
         for s in self.intervals:
-            lines.append(
-                f"interval\t{s.index}\t{s.t_from!r}\t{s.t_to!r}\t{s.seconds!r}"
-                f"\t{s.alive}\t{s.corrected}\t{s.features}"
-            )
+            lines.append("\t".join(["interval", *(repr(getattr(s, c)) for c in columns)]))
         lines.append("split\tinterval\ttime\tinitial\tgroup\tnext_labels")
         for k, ev in self.splits:
             labels = ",".join(str(v) for v in ev.next_labels)

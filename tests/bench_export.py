@@ -1,7 +1,7 @@
 """Micro-benchmarks for the run tail: boundary extraction, mesh smoothing, OBJ
 export, the contribution table and `epsilon.tsv`.
 
-Run explicitly (the file name keeps it out of the default test collection):
+The test suite runs each benchmark once, untimed; to time them, run:
 
     pytest tests/bench_export.py --benchmark-only
 

@@ -1,6 +1,6 @@
 """Micro-benchmarks for feature labeling.
 
-Run explicitly (the file name keeps it out of the default test collection):
+The test suite runs each benchmark once, untimed; to time them, run:
 
     pytest tests/bench_labeling.py --benchmark-only
 

@@ -1,6 +1,6 @@
 """Micro-benchmarks for the PLIC table build and the batched corrector.
 
-Run explicitly (the file name keeps it out of the default test collection):
+The test suite runs each benchmark once, untimed; to time them, run:
 
     pytest tests/bench_plic.py --benchmark-only
 

@@ -15,6 +15,22 @@ from flowsep.dataset_io import SyntheticScenario, generate_scenario, write_datas
 from flowsep.runtime import PipelineConfig, run_pipeline
 
 
+def pytest_configure(config):
+    # the micro-benchmarks (tests/bench_*.py) are collected with the tests and
+    # run once, untimed; --benchmark-only or --benchmark-enable times them
+    if config.pluginmanager.hasplugin("benchmark") and not config.getoption("benchmark_only"):
+        config.option.benchmark_disable = True
+
+
+def pytest_collection_modifyitems(config, items):
+    # without pytest-benchmark there is no `benchmark` fixture: skip its users
+    if not config.pluginmanager.hasplugin("benchmark"):
+        skip = pytest.mark.skip(reason="needs pytest-benchmark")
+        for item in items:
+            if "benchmark" in getattr(item, "fixturenames", ()):
+                item.add_marker(skip)
+
+
 @pytest.fixture(scope="session")
 def data_root(tmp_path_factory):
     return tmp_path_factory.mktemp("datasets")

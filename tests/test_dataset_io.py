@@ -282,9 +282,6 @@ class TestScenarios:
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("subsamples", 2.5),
-            ("subsamples", 0),
-            ("subsamples", -2),
             ("cells", 8.0),
             ("cells", 1),
             ("steps", 2.5),

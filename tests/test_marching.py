@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowsep.extract import TriangleMesh, is_watertight
-from flowsep.marching import marching_cubes
+from flowsep.marching import CASE_TRIS, CORNERS, EDGES, _case_loops, marching_cubes
 
 from .oracles import marching_cubes_loop
 
@@ -31,6 +33,27 @@ def assert_same_mesh(got, want):
         assert a.dtype == b.dtype
         assert a.shape == b.shape
         assert np.array_equal(a, b)
+
+
+def on_common_face(ea: int, eb: int) -> bool:
+    """Whether cube edges ea and eb lie on one cube face: all four of their
+    corners share one coordinate."""
+    corners = [CORNERS[c] for c in EDGES[ea] + EDGES[eb]]
+    return any(len({p[d] for p in corners}) == 1 for d in range(3))
+
+
+class TestCaseTable:
+    def test_pinned_and_built_of_loop_sides_and_safe_chords(self):
+        # the loop oracle shares CASE_TRIS, so only this digest notices a change
+        digest = hashlib.sha256(repr(CASE_TRIS).encode()).hexdigest()
+        assert digest == "70b97f01cc62f516e026ff319caa025519acd167ca0da5ff977a2620f1d8157f"
+        for mask, tris in enumerate(CASE_TRIS):
+            loops = _case_loops(mask)
+            sides = {frozenset(p) for lp in loops for p in zip(lp, lp[1:] + lp[:1])}
+            assert len(tris) == sum(len(lp) - 2 for lp in loops), mask
+            for tri in tris:
+                for a, b in zip(tri, tri[1:] + tri[:1]):
+                    assert frozenset((a, b)) in sides or not on_common_face(a, b), (mask, tri)
 
 
 class TestMarchingCubesMatchesLoop:

@@ -3,12 +3,13 @@ from __future__ import annotations
 import dataclasses
 import struct
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from flowsep.advect import AdvectionConfig, PhaseConsistencyError
-from flowsep import dataset_io, runtime
+from flowsep import advect, cli, dataset_io, extract, runtime, segment
 from flowsep.cli import main
 from flowsep.dataset_io import (
     DatasetError,
@@ -32,6 +33,44 @@ def write_config(path, **kv):
     lines = [f"{k} = {v}" for k, v in kv.items()]
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+SECONDS_COLUMN = 1 + [f.name for f in dataclasses.fields(runtime.IntervalStats)].index("seconds")
+
+
+def untimed_artifacts(out):
+    """Every artifact under `out` as text, keyed by its relative path, with the
+    timing fields of report.tsv (each interval's `seconds`, `b_seconds`) blanked."""
+    texts = {p.relative_to(out): p.read_text() for p in out.rglob("*") if p.is_file()}
+    rows = [ln.split("\t") for ln in texts[Path("report.tsv")].splitlines()]
+    for row in rows:
+        if row[:2] == ["summary", "b_seconds"]:
+            row[2] = "-"
+        elif row[0] == "interval" and row[1] != "index":
+            row[SECONDS_COLUMN] = "-"
+    texts[Path("report.tsv")] = rows
+    return texts
+
+
+@pytest.fixture(scope="module")
+def small_split(tmp_path_factory):
+    """A 12^3 split sphere, 4 steps, off the grid by (0.3, -0.2, 0.3) cells: at
+    r = 1 the corrector moves 150 strays in its first interval."""
+    sc = SyntheticScenario(
+        kind="split-sphere", cells=12, steps=4, radius=0.3, center=(0.525, 0.483, 0.525)
+    )
+    return write_dataset(generate_scenario(sc), tmp_path_factory.mktemp("small_split"))
+
+
+def small_split_config(manifest, output, partitions=None):
+    return PipelineConfig(
+        manifest=manifest,
+        t0=0,
+        tf=3,
+        output=output,
+        advection=AdvectionConfig(refinement=1, corrector="full"),
+        partitions=partitions,
+    )
 
 
 class TestConfigParsing:
@@ -596,6 +635,18 @@ class TestCli:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("cells", [3_000_000, 800_000])
+    def test_gen_unaddressable_cells_exit_code(self, tmp_path, monkeypatch, capsys, cells):
+        # 24 * cells^3 bytes of velocity is more than numpy can address: the
+        # scenario is rejected before any array is built
+        monkeypatch.setattr(cli, "generate_scenario", lambda sc: pytest.fail("generated"))
+        out = tmp_path / "ds"
+        argv = ["gen", "--scenario", "split-sphere", "--cells", str(cells), "--steps", "2"]
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: cells {cells}") and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("refinement", [29, 40, 70])
     def test_unindexable_refinement_exit_code(self, tmp_path, monkeypatch, capsys, refinement):
         # 4 cells per axis: from r = 29 on the seed lattice needs more than
@@ -782,18 +833,9 @@ class TestCli:
             if name == "bom":
                 path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
             assert main(["run", "--config", str(path)]) == 0
-        plain, bom = tmp_path / "out-plain", tmp_path / "out-bom"
-        files = sorted(p.relative_to(plain) for p in plain.rglob("*") if p.is_file())
-        assert files == sorted(p.relative_to(bom) for p in bom.rglob("*") if p.is_file())
-        assert any(f.name.startswith("s_") for f in files)
-        for f in files:
-            a, b = (plain / f).read_text(), (bom / f).read_text()
-            if f.name == "report.tsv":  # timings differ between runs
-                a, b = (
-                    [ln for ln in t.splitlines() if not ln.startswith(("interval\t", "summary\tb_"))]
-                    for t in (a, b)
-                )
-            assert a == b, f
+        plain = untimed_artifacts(tmp_path / "out-plain")
+        assert any(f.name.startswith("s_") for f in plain)
+        assert untimed_artifacts(tmp_path / "out-bom") == plain
 
     def test_unusable_output_path_exit_code(self, tmp_path, monkeypatch, capsys):
         # the output's parent is a regular file: rejected before any data loads
@@ -821,6 +863,69 @@ class TestCli:
             partitions="20x1x1",
         )
         assert main(["run", "--config", str(path)]) == 1
+
+
+class TestBatchingConstants:
+    def test_all_small_at_once_change_no_artifact_byte(self, small_split, tmp_path, monkeypatch):
+        # each constant is also tested alone in its own layer; here all of them
+        # are small in one run, serial and partitioned (which hands off particles)
+        want = {}
+        for partitions in (None, (2, 2, 2)):
+            out = tmp_path / f"default-{partitions}"
+            result = run_pipeline(small_split_config(small_split, out, partitions))
+            assert result.report.intervals[0].corrected > 0 and result.s_meshes
+            assert any(result.report.handoffs) == (partitions is not None)
+            want[partitions] = untimed_artifacts(out)
+        for module, name, value in (
+            (advect, "RK4_BLOCK", 7),
+            (advect, "RING_BLOCK", 5),
+            (extract, "PACK_NODES", 64),
+            (extract, "SMOOTH_VERTICES", 5),
+            (segment, "EXPORT_ROWS", 3),
+            (extract, "EXPORT_ROWS", 3),  # imported by value
+        ):
+            monkeypatch.setattr(module, name, value)
+        for partitions in (None, (2, 2, 2)):
+            out = tmp_path / f"small-{partitions}"
+            run_pipeline(small_split_config(small_split, out, partitions))
+            assert untimed_artifacts(out) == want[partitions], partitions
+
+
+# module attributes that the benchmark harness (perfbench/measure.py) wraps
+# by name to time a layer: a refactor must keep calling each of them
+PROBE_TARGETS = {
+    runtime: (
+        "advance_interval",
+        "seed_particles",
+        "label_features_partitioned",
+        "assign_labels",
+        "detect_splits",
+        "contribution_table",
+        "extract_boundaries",
+        "extract_separation_surface",
+        "export_meshes",
+    ),
+    advect: ("rk4_positions", "sample_velocity", "correct_strays", "is_liquid_many"),
+    extract: ("marching_cubes",),
+}
+
+
+class TestProbeTargets:
+    def test_every_probe_target_is_called(self, small_split, tmp_path, monkeypatch):
+        calls = {}
+        for module, names in PROBE_TARGETS.items():
+            for name in names:
+                key = f"{module.__name__}.{name}"
+                calls[key] = 0
+
+                def counted(*args, _fn=getattr(module, name), _key=key, **kwargs):
+                    calls[_key] += 1
+                    return _fn(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+        result = run_pipeline(small_split_config(small_split, tmp_path / "out"))
+        assert result.report.splits
+        assert [key for key, n in calls.items() if n == 0] == []
 
 
 class TestEnclosureOnAdvectedRun:
