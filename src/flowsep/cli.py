@@ -1,7 +1,7 @@
 """Command line interface: generate synthetic datasets, run the pipeline, print reports.
 
-Exit codes: 0 success, 1 configuration error, 2 data error, 3 internal
-invariant violation.
+Exit codes: 0 success, 1 configuration error, 2 data error (out of memory
+included), 3 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -36,12 +36,10 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--cells", type=int, required=True, help="cells per axis")
     gen.add_argument("--steps", type=int, required=True, help="stored time steps")
     gen.add_argument("--out", required=True, help="output dataset directory")
-    gen.add_argument("--span", type=float, default=1.0)
-    gen.add_argument("--radius", type=float, default=0.2)
-    gen.add_argument("--speed", type=float, default=0.25)
-    gen.add_argument("--offset", type=float, default=0.25)
-    gen.add_argument("--t-split", type=float, default=0.0)
-    gen.add_argument("--center", default="0.5,0.5,0.5")
+    # unset scenario flags stay off the namespace: SyntheticScenario's defaults apply
+    for flag in ("--span", "--radius", "--speed", "--offset", "--t-split"):
+        gen.add_argument(flag, type=float, default=argparse.SUPPRESS)
+    gen.add_argument("--center", default=argparse.SUPPRESS)
 
     run = sub.add_parser("run", help="run the pipeline from a config file")
     run.add_argument("--config", required=True)
@@ -52,24 +50,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
-    try:
-        center = tuple(float(v) for v in args.center.split(","))
-    except ValueError:
-        center = ()
-    if len(center) != 3:
-        raise ConfigError(f"--center needs three comma-separated numbers, got {args.center!r}")
-    scenario = SyntheticScenario(
-        kind=args.scenario,
-        cells=args.cells,
-        steps=args.steps,
-        span=args.span,
-        center=center,
-        radius=args.radius,
-        speed=args.speed,
-        offset=args.offset,
-        t_split=args.t_split,
-    )
-    ds = generate_scenario(scenario)
+    names = ("span", "radius", "speed", "offset", "t_split", "center")
+    kwargs = {k: v for k, v in vars(args).items() if k in names}
+    if "center" in kwargs:
+        try:
+            center = tuple(float(v) for v in args.center.split(","))
+        except ValueError:
+            center = ()
+        if len(center) != 3:
+            raise ConfigError(f"--center needs three comma-separated numbers, got {args.center!r}")
+        kwargs["center"] = center
+    ds = generate_scenario(SyntheticScenario(args.scenario, args.cells, args.steps, **kwargs))
     manifest = write_dataset(ds, args.out)
     print(f"wrote {len(ds)} steps to {manifest}")
     return EXIT_OK
@@ -110,6 +101,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except (DatasetError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as exc:
+        print(f"data error: out of memory ({exc})", file=sys.stderr)
         return EXIT_DATA
     except PhaseConsistencyError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)

@@ -104,11 +104,8 @@ def write_timestep(step: TimeStep, path) -> None:
             fh.write(step.u.component(c).astype("<f8").tobytes())
 
 
-def read_timestep(path, grid: RectilinearGrid, buffers=None) -> TimeStep:
-    """The step file at `path`, every check run. `buffers`, an (f, u) pair of
-    float64 arrays shaped (ncells,) and (3, ncells), receives the payload in
-    place of new arrays, so the step lives only until they are read into
-    again."""
+def read_timestep(path, grid: RectilinearGrid) -> TimeStep:
+    """The step file at `path`, every check run."""
     with open(path, "rb") as fh:
         magic = _read_exact(fh, 8, path, "step header")
         if magic != STEP_MAGIC:
@@ -119,7 +116,7 @@ def read_timestep(path, grid: RectilinearGrid, buffers=None) -> TimeStep:
                 f"{path}: step dims {(nx, ny, nz)} (d={d}) do not match grid {grid.shape}"
             )
         (time,) = struct.unpack("<d", _read_exact(fh, 8, path, "step header"))
-        f, u = buffers or _step_buffers(grid)
+        f, u = np.empty(grid.ncells, dtype="<f8"), np.empty((3, grid.ncells), dtype="<f8")
         _read_into(fh, f, path, "fraction payload")
         for c in range(3):
             _read_into(fh, u[c], path, f"velocity component {c}")
@@ -128,11 +125,6 @@ def read_timestep(path, grid: RectilinearGrid, buffers=None) -> TimeStep:
         return TimeStep(time=time, f=CellField(grid, f), u=CellField(grid, u, ncomp=3))
     except GridError as exc:
         raise DatasetError(f"{path}: {exc}") from exc
-
-
-def _step_buffers(grid: RectilinearGrid) -> tuple[np.ndarray, np.ndarray]:
-    """New (f, u) payload arrays of one step."""
-    return np.empty(grid.ncells, dtype="<f8"), np.empty((3, grid.ncells), dtype="<f8")
 
 
 @dataclass
@@ -244,14 +236,13 @@ def scan_dataset(manifest_path, grid, entries, keep=()) -> StepSeries:
     """Validating pass over `dataset_files(manifest_path)`, as `grid` and
     `entries`: read and check every step, each against its manifest time and
     to come strictly after the step before, record its time, and keep only
-    the steps whose indices are in `keep`. Every step not kept is read into
-    one reused pair of payload arrays."""
+    the steps whose indices are in `keep`. A step not kept is freed before
+    the next one is read."""
     times, kept = [], {}
-    spare = _step_buffers(grid)
     for k, (t, spath) in enumerate(entries):
         if not spath.exists():
             raise DatasetError(f"{manifest_path}: step file {spath} does not exist")
-        step = read_timestep(spath, grid, None if k in keep else spare)
+        step = read_timestep(spath, grid)
         if abs(step.time - t) > 1e-12 * max(1.0, abs(t)):
             raise DatasetError(f"{spath}: step time {step.time} disagrees with manifest {t}")
         if times and step.time <= times[-1]:
@@ -259,7 +250,7 @@ def scan_dataset(manifest_path, grid, entries, keep=()) -> StepSeries:
         times.append(step.time)
         if k in keep:
             kept[k] = step
-        del step  # an unkept step goes before the next read overwrites its arrays
+        del step  # an unkept step goes before the next read allocates its arrays
     return StepSeries(grid, [spath for _, spath in entries], times, kept)
 
 

@@ -17,11 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
+from . import segment
 from .advect import ParticleSet
 from .grid import RectilinearGrid, subcell_lattice
 from .labeling import connected_components
 from .marching import marching_cubes
-from .segment import EXPORT_ROWS, SeedLabeling, SplitEvent
 
 PACK_NODES = 1 << 14  # lattice nodes per marching-cubes call of mesh extraction
 SMOOTH_VERTICES = 1 << 12  # vertices per group of meshes smoothed together
@@ -150,7 +150,7 @@ def _lattice_meshes(particles: ParticleSet, sel, count, plus=None) -> list[tuple
 
 def extract_boundaries(
     particles: ParticleSet,
-    labeling: SeedLabeling,
+    labeling: segment.SeedLabeling,
     labels: Iterable[int],
 ) -> list[TriangleMesh]:
     """Closed boundary around the seeds of each label in `labels`, in that
@@ -171,8 +171,8 @@ def extract_boundaries(
 
 def extract_separation_surface(
     particles: ParticleSet,
-    events: list[SplitEvent],
-    next_labeling: SeedLabeling,
+    events: list[segment.SplitEvent],
+    next_labeling: segment.SeedLabeling,
 ) -> list[TriangleMesh]:
     """Open surface between the two sub-segments of each pair of next labels
     of each split, stamped t_{k+1}: one mesh per (event, pair), in event
@@ -329,14 +329,15 @@ def write_obj(mesh: TriangleMesh, path) -> None:
     block; a mesh without rows is one empty line."""
     verts = np.asarray(mesh.vertices, dtype=np.float64)
     tris = mesh.triangles
+    rows = segment.EXPORT_ROWS
     with open(path, "w") as fh:
         if not (len(verts) or len(tris)):
             fh.write("\n")
-        for a in range(0, len(verts), EXPORT_ROWS):
-            block = verts[a : a + EXPORT_ROWS]
+        for a in range(0, len(verts), rows):
+            block = verts[a : a + rows]
             fh.write("v %r %r %r\n" * len(block) % tuple(block.ravel().tolist()))
-        for a in range(0, len(tris), EXPORT_ROWS):
-            block = tris[a : a + EXPORT_ROWS] + 1
+        for a in range(0, len(tris), rows):
+            block = tris[a : a + rows] + 1
             fh.write("f %d %d %d\n" * len(block) % tuple(block.ravel().tolist()))
 
 

@@ -18,7 +18,7 @@ from .grid import TimeStep, flat_indices, fraction_gradients, locate_cells, samp
 from .labeling import LabelField
 
 GRADIENT_WALK_MAX = 8  # cap on the label search walk up the fraction gradient
-EXPORT_ROWS = 1 << 14  # rows of epsilon.tsv formatted per block
+EXPORT_ROWS = 1 << 14  # rows of epsilon.tsv and of OBJ files formatted per block
 
 
 @dataclass
@@ -34,8 +34,6 @@ class ContributionTable:
     """Rows (i, j, seed count, volume estimate), one per populated label pair."""
 
     rows: list[tuple[int, int, int, float]]
-    t0: float
-    tf: float
 
     def counts(self) -> dict[tuple[int, int], int]:
         return {(i, j): c for i, j, c, _ in self.rows}
@@ -124,7 +122,7 @@ def contribution_table(
     rows = list(
         zip((keys // base - 1).tolist(), (keys % base - 1).tolist(), counts.tolist(), vols.tolist())
     )
-    return ContributionTable(rows=rows, t0=initial.time, tf=final.time)
+    return ContributionTable(rows=rows)
 
 
 def write_table(table: ContributionTable, path) -> None:
@@ -139,7 +137,7 @@ def read_table(path) -> ContributionTable:
     for ln in lines[1:]:
         i, j, c, v = ln.split("\t")
         rows.append((int(i), int(j), int(c), float(v)))
-    return ContributionTable(rows=rows, t0=float("nan"), tf=float("nan"))
+    return ContributionTable(rows=rows)
 
 
 def _repr_column(col: np.ndarray) -> list[str]:
@@ -173,7 +171,6 @@ class SplitEvent:
     group_label: int
     next_labels: tuple[int, ...]
     seed_indices: np.ndarray
-    time_prev: float
     time_next: float
 
 
@@ -204,7 +201,6 @@ def detect_splits(
                 group_label=int(gp[s]),
                 next_labels=tuple(gn[s:e][first_next[s:e]].tolist()),
                 seed_indices=np.sort(order[s:e]),
-                time_prev=prev.time,
                 time_next=next_.time,
             )
         )

@@ -175,7 +175,6 @@ def _separation_inputs(grid, plus_pts, minus_pts, extra_invalid=()):
         group_label=0,
         next_labels=(0, 1),
         seed_indices=np.arange(len(pts)),
-        time_prev=0.0,
         time_next=1.0,
     )
     return ps, event, nxt
@@ -463,7 +462,6 @@ def split_events(draw):
                 group_label=e,
                 next_labels=tuple(rng.choice(listed, size, replace=False).tolist()),
                 seed_indices=seeds,
-                time_prev=float(e),
                 time_next=e + 1.0,
             )
         )
@@ -498,7 +496,6 @@ def droplet_split_events(count):
             group_label=b,
             next_labels=(2 * b, 2 * b + 1),
             seed_indices=np.nonzero(labels == b)[0],
-            time_prev=0.0,
             time_next=1.0,
         )
         for b in range(count)

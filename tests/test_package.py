@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import flowsep
@@ -30,3 +32,44 @@ def test_readme_modules_section_names_every_module():
     named = [name for head in heads for name in re.findall(r"`(\w+)`", head)]
     modules = [p.stem for p in (root / "src" / "flowsep").glob("*.py") if p.stem != "__init__"]
     assert sorted(named) == sorted(modules)
+
+
+def test_no_unused_import_or_unreferenced_private_definition():
+    # an import no longer used, or a module-level `_helper` that nothing in
+    # the package calls any more, is code a refactor left behind
+    src = Path(__file__).resolve().parents[1] / "src" / "flowsep"
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(src.glob("*.py"))}
+
+    def references(tree) -> Counter:
+        """Names read, attributes taken and names imported from a module."""
+        out = Counter()
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name):
+                out[n.id] += 1
+            elif isinstance(n, ast.Attribute):
+                out[n.attr] += 1
+            elif isinstance(n, ast.ImportFrom):
+                out.update(a.name for a in n.names)
+        return out
+
+    unused = []
+    for name, tree in trees.items():
+        if name == "__init__.py":
+            continue
+        used = references(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound = [(a.asname or a.name).split(".")[0] for a in node.names]
+                unused += [f"{name}: import {b}" for b in bound if not used[b]]
+    everywhere = sum(map(references, trees.values()), Counter())
+    for name, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            private = node.name.startswith("_") and not node.name.startswith("__")
+            # a definition's references to itself (recursion) do not count
+            if private and everywhere[node.name] == references(node)[node.name]:
+                unused.append(f"{name}: def {node.name}")
+    assert unused == []

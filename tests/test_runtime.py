@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flowsep.advect import AdvectionConfig, PhaseConsistencyError
 from flowsep import advect, cli, dataset_io, extract, runtime, segment
@@ -647,6 +649,17 @@ class TestCli:
         assert err.startswith(f"data error: cells {cells}") and "Traceback" not in err
         assert not out.exists()
 
+    def test_gen_out_of_memory_exit_code(self, tmp_path, capsys):
+        # addressable, but its cell centres alone want 2.38 EiB: numpy's
+        # request exceeds any address space, so it is refused before any
+        # memory is touched
+        out = tmp_path / "ds"
+        argv = ["gen", "--scenario", "split-sphere", "--cells", "700000", "--steps", "2"]
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: out of memory (") and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("refinement", [29, 40, 70])
     def test_unindexable_refinement_exit_code(self, tmp_path, monkeypatch, capsys, refinement):
         # 4 cells per axis: from r = 29 on the seed lattice needs more than
@@ -865,30 +878,50 @@ class TestCli:
         assert main(["run", "--config", str(path)]) == 1
 
 
+@pytest.fixture(scope="module")
+def default_artifacts(small_split, tmp_path_factory):
+    """`untimed_artifacts` of `small_split` at the default batching constants,
+    serial and 2x2x2 (which hands off particles), keyed by the partitioning."""
+    want = {}
+    for partitions in (None, (2, 2, 2)):
+        out = tmp_path_factory.mktemp("default")
+        result = run_pipeline(small_split_config(small_split, out, partitions))
+        assert result.report.intervals[0].corrected > 0 and result.s_meshes
+        assert any(result.report.handoffs) == (partitions is not None)
+        want[partitions] = untimed_artifacts(out)
+    return want
+
+
 class TestBatchingConstants:
-    def test_all_small_at_once_change_no_artifact_byte(self, small_split, tmp_path, monkeypatch):
-        # each constant is also tested alone in its own layer; here all of them
-        # are small in one run, serial and partitioned (which hands off particles)
-        want = {}
-        for partitions in (None, (2, 2, 2)):
-            out = tmp_path / f"default-{partitions}"
-            result = run_pipeline(small_split_config(small_split, out, partitions))
-            assert result.report.intervals[0].corrected > 0 and result.s_meshes
-            assert any(result.report.handoffs) == (partitions is not None)
-            want[partitions] = untimed_artifacts(out)
-        for module, name, value in (
-            (advect, "RK4_BLOCK", 7),
-            (advect, "RING_BLOCK", 5),
-            (extract, "PACK_NODES", 64),
-            (extract, "SMOOTH_VERTICES", 5),
-            (segment, "EXPORT_ROWS", 3),
-            (extract, "EXPORT_ROWS", 3),  # imported by value
-        ):
-            monkeypatch.setattr(module, name, value)
-        for partitions in (None, (2, 2, 2)):
-            out = tmp_path / f"small-{partitions}"
-            run_pipeline(small_split_config(small_split, out, partitions))
-            assert untimed_artifacts(out) == want[partitions], partitions
+    # each constant is also tested alone in its own layer; here all of them
+    # are drawn at once. The run's lattices have 2 312, 2 601 and 4 913 nodes
+    # and its meshes 244 to 722 vertices, so PACK_NODES and SMOOTH_VERTICES
+    # range from one lattice or mesh per batch to all of them in one.
+    @settings(max_examples=5, deadline=None)
+    @example(rk4=7, ring=5, pack=64, smooth=5, rows=3)
+    @given(
+        rk4=st.integers(16, 256),
+        ring=st.integers(1, 256),
+        pack=st.integers(1, 10_000),
+        smooth=st.integers(1, 2_000),
+        rows=st.integers(1, 64),
+    )
+    def test_all_small_at_once_change_no_artifact_byte(
+        self, small_split, default_artifacts, tmp_path_factory, rk4, ring, pack, smooth, rows
+    ):
+        with pytest.MonkeyPatch.context() as mp:
+            for module, name, value in (
+                (advect, "RK4_BLOCK", rk4),
+                (advect, "RING_BLOCK", ring),
+                (extract, "PACK_NODES", pack),
+                (extract, "SMOOTH_VERTICES", smooth),
+                (segment, "EXPORT_ROWS", rows),
+            ):
+                mp.setattr(module, name, value)
+            for partitions, want in default_artifacts.items():
+                out = tmp_path_factory.mktemp("small")
+                run_pipeline(small_split_config(small_split, out, partitions))
+                assert untimed_artifacts(out) == want, partitions
 
 
 # module attributes that the benchmark harness (perfbench/measure.py) wraps

@@ -319,7 +319,7 @@ class TestDetectSplits:
             assert all(type(v) is int for v in ev.next_labels)
             assert ev.seed_indices.dtype == members.dtype
             assert np.array_equal(ev.seed_indices, members)
-            assert (ev.time_prev, ev.time_next) == (1.0, 2.0)
+            assert ev.time_next == 2.0
 
 
 class TestConservationProperty:
