@@ -381,8 +381,8 @@ def _nearest_neighbors(
     into 2^refinement bins per axis, and a bin's key is its flat index on
     that lattice, x fastest. The valid particles are binned block by block
     (`_blocks`); only those in cells around strays enter the table, sorted by
-    key, so a bin's candidates are found by `searchsorted` and only occupied
-    bins take memory. `_ring_search` expands rings of bins around each
+    key, and a bin's candidates are the run of its key, found by two
+    `searchsorted`. `_ring_search` expands rings of bins around each
     stray's bin, clipped to its 3x3x3 cells. A stray retires once its best
     d^2 is strictly below the squared distance to the nearest unsearched bin
     face (an equal candidate could hold a lower index), or when its cells are
@@ -428,26 +428,16 @@ def _nearest_neighbors(
     key = key[order]
     cands = np.concatenate(ids)[order]
     del ids, order
-    if cands.size == 0:  # the lookup in `scan` needs an occupied key
-        return best
-    # the occupied keys ascending; those of occupied[k] are cands[ends[k]:ends[k + 1]]
-    change = np.ones(key.size + 1, dtype=bool)
-    change[1:-1] = key[1:] != key[:-1]
-    ends = np.flatnonzero(change)
-    occupied = key[ends[:-1]]
-    del key, change
 
     def scan(part, offsets):
         """The candidates of the bins at `offsets` around the strays `part`."""
         bins = sbin[part][:, None, :] + offsets[None, :, :]
         ok = np.all((bins >= blo[part][:, None, :]) & (bins <= bhi[part][:, None, :]), axis=2)
         hit = np.nonzero(ok.ravel())[0]
-        key = np.ravel_multi_index(tuple(bins.reshape(-1, 3)[hit].T), dims, order="F")
-        # the last occupied key at or below each key; -1 (below them all)
-        # wraps to the largest one, which cannot equal the key either
-        k = np.searchsorted(occupied, key, side="right") - 1
-        first = ends[k]
-        n = np.where(occupied[k] == key, ends[k + 1] - first, 0)
+        want = np.ravel_multi_index(tuple(bins.reshape(-1, 3)[hit].T), dims, order="F")
+        # each wanted bin's candidates are its run cands[first:first + n] of equal keys
+        first = np.searchsorted(key, want, side="left")
+        n = np.searchsorted(key, want, side="right") - first
         owner = np.repeat(part[hit // offsets.shape[0]], n)
         at = cands[np.arange(owner.size) + np.repeat(first - (np.cumsum(n) - n), n)]
         return owner, np.sum((pre_pos[at] - xs[owner]) ** 2, axis=1), at

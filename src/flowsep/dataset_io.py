@@ -64,7 +64,7 @@ def write_grid(grid: RectilinearGrid, path) -> None:
     """Grid file: magic, u32 d, then per axis u32 node count + f64 coordinates."""
     with open(path, "wb") as fh:
         fh.write(GRID_MAGIC)
-        fh.write(struct.pack("<I", grid.ndim))
+        fh.write(struct.pack("<I", 3))
         for a in grid.axes:
             fh.write(struct.pack("<I", a.size))
             fh.write(a.astype("<f8").tobytes())
@@ -97,7 +97,7 @@ def write_timestep(step: TimeStep, path) -> None:
     nx, ny, nz = grid.shape
     with open(path, "wb") as fh:
         fh.write(STEP_MAGIC)
-        fh.write(struct.pack("<IIII", grid.ndim, nx, ny, nz))
+        fh.write(struct.pack("<IIII", 3, nx, ny, nz))
         fh.write(struct.pack("<d", step.time))
         fh.write(step.f.values.astype("<f8").tobytes())
         for c in range(3):

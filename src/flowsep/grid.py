@@ -39,10 +39,6 @@ class RectilinearGrid:
         object.__setattr__(self, "hi", np.array([a[-1] for a in axes]))
 
     @property
-    def ndim(self) -> int:
-        return 3
-
-    @property
     def shape(self) -> tuple[int, int, int]:
         return tuple(a.size - 1 for a in self.axes)
 
@@ -98,9 +94,9 @@ class CellField:
     def component(self, c: int) -> np.ndarray:
         return self.values if self.ncomp == 1 else self.values[c]
 
-    def view3d(self, c: int = 0) -> np.ndarray:
-        """(nx, ny, nz)-indexed view of one component (x-fastest flat layout)."""
-        return self.component(c).reshape(self.grid.shape, order="F")
+    def view3d(self) -> np.ndarray:
+        """(nx, ny, nz)-indexed view of a scalar field (x-fastest flat layout)."""
+        return self.values.reshape(self.grid.shape, order="F")
 
 
 @dataclass

@@ -101,16 +101,6 @@ def _chord_is_safe(ea: int, eb: int) -> bool:
     return not (EDGE_FACES[ea] & EDGE_FACES[eb])
 
 
-def _triangulate_loop(loop: list[int]) -> list[tuple[int, int, int]]:
-    """Triangulate one contour loop using only safe chords."""
-    n = len(loop)
-    sides = {frozenset((loop[t], loop[(t + 1) % n])) for t in range(n)}
-    tris = _triangulate_chain(tuple(loop), sides)
-    if tris is None:
-        raise AssertionError(f"no safe triangulation for loop {loop}")
-    return list(tris)
-
-
 def _triangulate_chain(c: tuple[int, ...], sides: set) -> tuple | None:
     """The first safe triangulation of chain c: at the first apex m whose triangle
     (c[0], c[m], c[-1]) has only loop sides and safe chords as edges and whose
@@ -128,9 +118,14 @@ def _triangulate_chain(c: tuple[int, ...], sides: set) -> tuple | None:
 
 
 def _case_triangles(mask: int) -> list[tuple[int, int, int]]:
+    """The triangles of case `mask`: each contour loop's first safe triangulation."""
     tris = []
     for loop in _case_loops(mask):
-        tris.extend(_triangulate_loop(loop))
+        sides = {frozenset((loop[t], loop[t - 1])) for t in range(len(loop))}
+        chain = _triangulate_chain(tuple(loop), sides)
+        if chain is None:
+            raise AssertionError(f"no safe triangulation for loop {loop}")
+        tris.extend(chain)
     return tris
 
 

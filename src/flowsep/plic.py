@@ -201,7 +201,7 @@ def liquid_capable(step: TimeStep, tau: float = 0.0) -> np.ndarray:
     return capable
 
 
-def interface_rows(step: TimeStep, pts: np.ndarray, tau: float = 0.0) -> tuple[np.ndarray, ...]:
+def interface_rows(step: TimeStep, pts: np.ndarray, tau: float) -> tuple[np.ndarray, ...]:
     """(fractions, mixed, rows) of points (n, 3): each point's cell fraction (0
     outside the domain), the points in interface cells (tau < f < 1), and
     their table rows (the table is built only when some point has one)."""

@@ -111,7 +111,7 @@ def parse_config(path) -> PipelineConfig:
     """Parse a line-oriented `key = value` config file; unknown keys are errors.
     Paths are relative to the config file's directory."""
     path = Path(path)
-    raw: dict[str, str] = {}
+    kwargs: dict[str, object] = {}
     for lineno, ln in enumerate(read_utf8(path, ConfigError).splitlines(), start=1):
         ln = ln.strip()
         if not ln or ln.startswith("#"):
@@ -121,26 +121,26 @@ def parse_config(path) -> PipelineConfig:
         key, value = (part.strip() for part in ln.split("=", 1))
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in raw:
+        if key in kwargs:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         if not value:
             raise ConfigError(f"{path}:{lineno}: empty value for key {key!r}")
-        raw[key] = value
+        try:
+            kwargs[key] = _CONFIG_KEYS[key](value)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {key}: {exc}") from exc
     for required in ("manifest", "t0", "tf"):
-        if required not in raw:
+        if required not in kwargs:
             raise ConfigError(f"{path}: missing required key {required!r}")
+    for key in ("manifest", "output"):
+        if key in kwargs:
+            kwargs[key] = (path.parent / kwargs[key]).resolve()
     try:
-        kwargs = {key: _CONFIG_KEYS[key](text) for key, text in raw.items()}
-        for key in ("manifest", "output"):
-            if key in kwargs:
-                kwargs[key] = (path.parent / kwargs[key]).resolve()
         advection = AdvectionConfig(
             **{key: kwargs.pop(key) for key in _ADVECTION_KEYS & kwargs.keys()}
         )
         return PipelineConfig(advection=advection, **kwargs)
-    except (ValueError, TypeError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
+    except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 

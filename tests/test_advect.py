@@ -562,8 +562,9 @@ _BELOW_RANGE = (_UNIT4, 1, np.array([[1.75, 0.5, 0.5], [3.75, 0.5, 0.5], [0.25, 
 _BELOW_DOMAIN = ([np.array([0.0, 1.0])] * 3, 1,
                  np.array([[-0.5, -0.5, -0.5], [0.5, 0.5, 0.5], [0.25, 0.5, 0.5]]),
                  np.array([0, 2]), np.array([1]), advect.RING_BLOCK)
-# the two early returns: no valid particle at all, and valid particles only
-# outside the cells around the strays (one beyond them, one outside the domain)
+# no valid particle at all (the early return), and valid particles only outside
+# the cells around the strays (one beyond them, one outside the domain), where
+# the rings run on an empty table and still find none
 _NO_CANDIDATES = (_UNIT4, 1, np.array([[0.5, 0.5, 0.5], [3.25, 0.5, 0.5]]),
                   np.array([], dtype=np.int64), np.array([0, 1]), advect.RING_BLOCK)
 _OUTSIDE_REGION = (_UNIT4, 1, np.array([[0.5, 0.5, 0.5], [3.5, 0.5, 0.5], [5.0, 0.5, 0.5]]),
@@ -727,9 +728,9 @@ class TestWorkingSet:
     int32 labels), stay within a fixed allowance plus a constant per
     particle. The blocks shrink to 256 rows and 2048 ring pairs, which changes
     no bit, so that from r = 2 on one block's temporaries are small next to
-    the particle count, as on large grids. Measured: 22 and 66 B per particle
+    the particle count, as on large grids. Measured: 9 and 60 B per particle
     over the fixed allowance at r = 2 and 3 for the interval (most of it per
-    stray, 458 B per stray at r = 3: 13-16 % of the particles are strays) and
+    stray, 371 B per stray at r = 3: 13-16 % of the particles are strays) and
     5 and 0 for the label transfer. Passes over all particles at once fail
     it: with the phase test and the label transfer unblocked, the two read
     157 and 93 B per particle at r = 3, and a corrector that keeps a copy of
@@ -737,7 +738,7 @@ class TestWorkingSet:
     interval, one RK4 block call stays within a bound per row."""
 
     FIXED = 1 << 19  # cells-sized arrays and one block of each kind
-    INTERVAL = 72  # B per particle: phase mask, stage-1 table, per-stray state
+    INTERVAL = 64  # B per particle: phase mask, stage-1 table, per-stray state
     TRANSFER = 16
     RK4_PER_ROW = 286  # B per row of one RK4 block call: 272 measured, plus 5 %
 

@@ -150,6 +150,20 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config(path)
 
+    @pytest.mark.parametrize(
+        "key, value, where",
+        [
+            ("tau", "abc", "c.cfg:4: tau:"),
+            ("refinement", "1.5", "c.cfg:4: refinement:"),
+            ("partitions", "2x2", "c.cfg:4: partitions:"),
+            ("smooth_lambda", "2", "c.cfg: smooth_lambda must"),
+        ],
+    )
+    def test_value_error_names_file_line_and_key(self, tmp_path, key, value, where):
+        path = write_config(tmp_path / "c.cfg", manifest="m", t0=0, tf=1, **{key: value})
+        with pytest.raises(ConfigError, match=where):
+            parse_config(path)
+
     def test_duplicate_key(self, tmp_path):
         (tmp_path / "c.cfg").write_text("manifest = m\nt0 = 0\nt0 = 1\ntf = 2\n")
         with pytest.raises(ConfigError):
