@@ -20,7 +20,6 @@ import numpy as np
 from . import segment
 from .advect import ParticleSet
 from .grid import RectilinearGrid, subcell_lattice
-from .labeling import connected_components
 from .marching import marching_cubes
 
 PACK_NODES = 1 << 14  # lattice nodes per marching-cubes call of mesh extraction
@@ -300,29 +299,6 @@ def smooth_meshes(
     return _smooth_groups(meshes, iterations, lam)
 
 
-def triangle_components(mesh: TriangleMesh) -> np.ndarray:
-    """Connected-component id per triangle (components share vertices)."""
-    t = mesh.triangles
-    edges = np.concatenate([t[:, [0, 1]], t[:, [0, 2]]])
-    root = connected_components(mesh.vertices.shape[0], edges[:, 0], edges[:, 1])
-    _, comp = np.unique(root[t[:, 0]], return_inverse=True)
-    return comp
-
-
-def filter_small_components(mesh: TriangleMesh, min_triangles: int) -> TriangleMesh:
-    """Drop connected mesh components with fewer than `min_triangles` triangles."""
-    if min_triangles <= 0 or mesh.empty:
-        return mesh
-    comp = triangle_components(mesh)
-    sizes = np.bincount(comp)
-    keep = sizes[comp] >= min_triangles
-    tris = mesh.triangles[keep]
-    used = np.unique(tris)
-    remap = np.full(mesh.vertices.shape[0], -1, dtype=np.int32)
-    remap[used] = np.arange(used.size, dtype=np.int32)
-    return replace(mesh, vertices=mesh.vertices[used], triangles=remap[tris])
-
-
 def write_obj(mesh: TriangleMesh, path) -> None:
     """`v` rows (floats as `repr`), then 1-based `f` rows, formatted through
     one format string per block of `EXPORT_ROWS` rows and written block by
@@ -341,7 +317,7 @@ def write_obj(mesh: TriangleMesh, path) -> None:
             fh.write("f %d %d %d\n" * len(block) % tuple(block.ravel().tolist()))
 
 
-def export_meshes(meshes: Iterable[TriangleMesh], out_dir, min_triangles: int = 0) -> Path:
+def export_meshes(meshes: Iterable[TriangleMesh], out_dir) -> Path:
     """One OBJ per mesh plus a manifest line each; returns the manifest path.
     Each mesh is written as the iteration reaches it."""
     out = Path(out_dir)
@@ -349,7 +325,6 @@ def export_meshes(meshes: Iterable[TriangleMesh], out_dir, min_triangles: int = 
         out.mkdir(parents=True, exist_ok=True)
         lines = ["file\tkind\tlabels\ttimestamp"]
         for seq, mesh in enumerate(meshes):
-            mesh = filter_small_components(mesh, min_triangles)
             if mesh.kind == "boundary":
                 name = f"b_{seq:03d}_label{mesh.label:04d}.obj"
                 labels = str(mesh.label)

@@ -43,7 +43,6 @@ from .labeling import PartitionLayout, label_features_partitioned
 from .segment import (
     ContributionTable,
     SeedLabeling,
-    SplitEvent,
     assign_labels,
     contribution_table,
     detect_splits,
@@ -67,7 +66,6 @@ class PipelineConfig:
     partitions: tuple[int, int, int] | None = None
     smooth_iterations: int = 10
     smooth_lambda: float = 0.5
-    min_triangles: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.tau < 1.0:
@@ -76,8 +74,6 @@ class PipelineConfig:
             raise ConfigError(f"smooth_iterations must be >= 0, got {self.smooth_iterations}")
         if not 0.0 < self.smooth_lambda <= 1.0:
             raise ConfigError(f"smooth_lambda must lie in (0, 1], got {self.smooth_lambda}")
-        if self.min_triangles < 0:
-            raise ConfigError(f"min_triangles must be >= 0, got {self.min_triangles}")
 
 
 def _partitions(text: str) -> tuple[int, int, int] | None:
@@ -102,7 +98,6 @@ _CONFIG_KEYS = {
     "output": Path,
     "smooth_iterations": int,
     "smooth_lambda": float,
-    "min_triangles": int,
 }
 _ADVECTION_KEYS = {f.name for f in fields(AdvectionConfig)}
 
@@ -163,7 +158,8 @@ class RunReport:
     max_eps: float = 0.0
     mean_eps: float = 0.0
     corrected_fraction: float = 0.0
-    splits: list[tuple[int, SplitEvent]] = field(default_factory=list)
+    # (interval, time, initial, group, next labels), one per split event
+    splits: list[tuple[int, float, int, int, tuple[int, ...]]] = field(default_factory=list)
     handoffs: list[int] = field(default_factory=list)
 
     def to_text(self) -> str:
@@ -178,11 +174,9 @@ class RunReport:
         for s in self.intervals:
             lines.append("\t".join(["interval", *(repr(getattr(s, c)) for c in columns)]))
         lines.append("split\tinterval\ttime\tinitial\tgroup\tnext_labels")
-        for k, ev in self.splits:
-            labels = ",".join(str(v) for v in ev.next_labels)
-            lines.append(
-                f"split\t{k}\t{ev.time_next!r}\t{ev.initial_label}\t{ev.group_label}\t{labels}"
-            )
+        for k, time, initial, group, labels in self.splits:
+            labels = ",".join(map(str, labels))
+            lines.append(f"split\t{k}\t{time!r}\t{initial}\t{group}\t{labels}")
         lines.append("exchange\tinterval\tmessages")
         for k, n in enumerate(self.handoffs):
             lines.append(f"exchange\t{k}\t{n}")
@@ -286,7 +280,9 @@ def _run(config: PipelineConfig, series: StepSeries, layout: PartitionLayout) ->
 
         # split detection and separation surfaces
         events = detect_splits(labelings[-1], cur_labeling, initial_labeling)
-        report.splits += [(k, ev) for ev in events]
+        report.splits += [
+            (k, ev.time_next, ev.initial_label, ev.group_label, ev.next_labels) for ev in events
+        ]
         meshes = extract_separation_surface(particles, events, cur_labeling)
         s_meshes += [mesh for mesh in meshes if not mesh.empty]
 
@@ -308,8 +304,8 @@ def _run(config: PipelineConfig, series: StepSeries, layout: PartitionLayout) ->
     final_labeling = labelings[-1]
     table = contribution_table(initial_labeling, final_labeling, particles)
     t_b = _time.perf_counter()
-    final_labels = np.unique(final_labeling.labels)
-    b_meshes = extract_boundaries(particles, final_labeling, final_labels[final_labels >= 0])
+    final_labels = sorted({j for _, j, _, _ in table.rows if j >= 0})
+    b_meshes = extract_boundaries(particles, final_labeling, final_labels)
     report.b_seconds = _time.perf_counter() - t_b
     if len(particles):
         report.max_eps = float(particles.eps.max())
@@ -335,7 +331,7 @@ def _export(result: RunResult) -> None:
     meshes = smooth_meshes(
         result.b_meshes + result.s_meshes, cfg.smooth_iterations, cfg.smooth_lambda
     )
-    export_meshes(meshes, out / "meshes", min_triangles=cfg.min_triangles)
+    export_meshes(meshes, out / "meshes")
     write_table(result.table, out / "contributions.tsv")
     write_epsilon(result.particles, out / "epsilon.tsv")
     (out / "report.tsv").write_text(result.report.to_text())

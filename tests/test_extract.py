@@ -18,13 +18,12 @@ from flowsep.extract import (
     export_meshes,
     extract_boundaries,
     extract_separation_surface,
-    filter_small_components,
     is_watertight,
     smooth_meshes,
-    triangle_components,
     write_obj,
 )
 from flowsep.grid import RectilinearGrid, subcell_lattice, uniform_grid
+from flowsep.labeling import connected_components
 from flowsep.marching import marching_cubes
 from flowsep.segment import EXPORT_ROWS, SeedLabeling, SplitEvent
 
@@ -114,13 +113,17 @@ class TestExtractBoundary:
             points_in_mesh_full(pts, mesh.vertices, mesh.triangles),
         )
 
-    def test_no_seeds_empty_mesh(self):
+    def test_no_seeds_empty_mesh(self, tmp_path):
         g = uniform_grid(4)
         ps = lattice_particle_set(g, 0, [[0, 0, 0]])
         labeling = SeedLabeling(labels=np.zeros(1, dtype=np.int32), time=0.0)
         mesh = extract_boundaries(ps, labeling, [7])[0]
-        assert mesh.empty
-        assert mesh.kind == "boundary"
+        assert mesh.empty and mesh.vertices.shape == (0, 3) and mesh.triangles.shape == (0, 3)
+        assert (mesh.vertices.dtype, mesh.triangles.dtype) == (np.float64, np.int32)
+        assert (mesh.kind, mesh.label, mesh.timestamp) == ("boundary", 7, None)
+        # a mesh without rows is written as one empty line
+        write_obj(mesh, tmp_path / "empty.obj")
+        assert (tmp_path / "empty.obj").read_text() == "\n"
 
     def test_vertices_at_lattice_edge_midpoints(self):
         g = uniform_grid(2)
@@ -145,11 +148,14 @@ class TestExtractBoundary:
         ps = lattice_particle_set(g, 0, pts)
         labeling = SeedLabeling(labels=np.zeros(len(pts), dtype=np.int32), time=0.0)
         mesh = extract_boundaries(ps, labeling, [0])[0]
-        comp = triangle_components(mesh)
+        t = mesh.triangles
+        root = connected_components(
+            mesh.vertices.shape[0], np.r_[t[:, 0], t[:, 1]], np.r_[t[:, 1], t[:, 2]]
+        )
         node_mask = np.zeros((8, 8, 8), dtype=bool)
         for i, j, k in pts:
             node_mask[i, j, k] = True
-        assert comp.max() + 1 == count_components(node_mask)
+        assert np.unique(root[t[:, 0]]).size == count_components(node_mask)
 
     def test_watertight_on_random_seed_sets(self):
         rng = np.random.default_rng(33)
@@ -333,23 +339,6 @@ class TestExport:
         assert lines[0] == "file\tkind\tlabels\ttimestamp"
         assert lines[1].split("\t")[1:] == ["boundary", "4", "-"]
         assert lines[2].split("\t")[1:] == ["separation", "0,2", "0.75"]
-
-    def test_small_component_filter(self, tmp_path):
-        g = uniform_grid(8)
-        pts = [[1, 1, 1]] + [[i, j, 5] for i in (4, 5) for j in (4, 5)]
-        ps = lattice_particle_set(g, 0, pts)
-        labeling = SeedLabeling(labels=np.zeros(len(pts), dtype=np.int32), time=0.0)
-        mesh = extract_boundaries(ps, labeling, [0])[0]
-        filtered = filter_small_components(mesh, min_triangles=10)
-        assert triangle_components(mesh).max() + 1 == 2
-        assert triangle_components(filtered).max() + 1 == 1
-        # dropping every component leaves the empty mesh the extractors give
-        gone = filter_small_components(mesh, min_triangles=mesh.triangles.shape[0] + 1)
-        assert gone.empty and gone.vertices.shape == (0, 3) and gone.triangles.shape == (0, 3)
-        assert (gone.vertices.dtype, gone.triangles.dtype) == (np.float64, np.int32)
-        assert (gone.kind, gone.label, gone.timestamp) == (mesh.kind, mesh.label, None)
-        write_obj(gone, tmp_path / "gone.obj")
-        assert (tmp_path / "gone.obj").read_text() == "\n"
 
     def test_no_degenerate_triangles(self):
         rng = np.random.default_rng(44)

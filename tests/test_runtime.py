@@ -90,7 +90,6 @@ class TestConfigParsing:
             output="out",
             smooth_iterations=5,
             smooth_lambda=0.4,
-            min_triangles=10,
         )
         cfg = parse_config(cfg_path)
         assert cfg.t0 == 0 and cfg.tf == 5
@@ -100,7 +99,6 @@ class TestConfigParsing:
         assert cfg.partitions == (2, 1, 1)
         assert cfg.manifest == (tmp_path / "data/dataset.manifest").resolve()
         assert cfg.output == (tmp_path / "out").resolve()
-        assert cfg.min_triangles == 10
 
     def test_missing_keys_take_dataclass_defaults(self, tmp_path):
         cfg = parse_config(write_config(tmp_path / "c.cfg", manifest="m", t0=0, tf=3))
@@ -119,7 +117,6 @@ class TestConfigParsing:
             ("substeps", "1.5"),
             ("tau", "1.5"),
             ("smooth_lambda", "0"),
-            ("min_triangles", "-2"),
             ("partitions", ""),
             ("output", ""),
             ("manifest", ""),
@@ -569,6 +566,16 @@ class TestReportAndArtifacts:
         assert np.array_equal(values[:, 3].view(np.int64), result.particles.eps.view(np.int64))
         assert read_table(out / "contributions.tsv").rows == result.table.rows
 
+    def test_report_holds_the_split_rows_it_writes(self, small_split, tmp_path):
+        result = run_pipeline(small_split_config(small_split, tmp_path / "out"))
+        lines = (tmp_path / "out" / "report.tsv").read_text().splitlines()
+        written = [ln.split("\t")[1:] for ln in lines if ln.startswith("split\t")][1:]
+        rows = [
+            (int(k), float(t), int(i), int(g), tuple(int(j) for j in labels.split(",")))
+            for k, t, i, g, labels in written
+        ]
+        assert rows and result.report.splits == rows
+
 
 class TestCli:
     def test_gen_run_report(self, tmp_path, capsys):
@@ -696,17 +703,19 @@ class TestCli:
         path = write_config(tmp_path / "bad.cfg", manifest="m", t0=0, tf=1, bogus="x")
         assert main(["run", "--config", str(path)]) == 1
 
-    def test_removed_trail_stride_exit_code(self, tmp_path, capsys):
-        # trails are gone; a config that still sets their stride is an unknown key
-        path = write_config(tmp_path / "old.cfg", manifest="m", t0=0, tf=1, trail_stride=8)
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("trail_stride", 8),  # trails are gone
+            ("ghost_width", 3),  # there is no halo to size
+            ("min_triangles", 10),  # the export writes every extracted mesh
+        ],
+    )
+    def test_removed_key_exit_code(self, tmp_path, capsys, key, value):
+        # a config that still sets a removed option's key is an unknown key
+        path = write_config(tmp_path / "old.cfg", manifest="m", t0=0, tf=1, **{key: value})
         assert main(["run", "--config", str(path)]) == 1
-        assert "trail_stride" in capsys.readouterr().err
-
-    def test_removed_ghost_width_exit_code(self, tmp_path, capsys):
-        # there is no halo to size; a config that still sets its width is an unknown key
-        path = write_config(tmp_path / "old.cfg", manifest="m", t0=0, tf=1, ghost_width=3)
-        assert main(["run", "--config", str(path)]) == 1
-        assert "ghost_width" in capsys.readouterr().err
+        assert key in capsys.readouterr().err
 
     def test_internal_invariant_exit_code(self, tmp_path, monkeypatch, capsys):
         sc = SyntheticScenario(kind="rigid-rotation", cells=4, steps=2)
@@ -759,7 +768,6 @@ class TestCli:
             ("tau", 1.5),
             ("smooth_iterations", -3),
             ("smooth_lambda", 2),
-            ("min_triangles", -5),
         ],
     )
     def test_out_of_range_value_exit_code(self, tmp_path, key, value):
