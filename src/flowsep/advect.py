@@ -464,23 +464,11 @@ def _nearest_neighbors(
 
 
 def _ring_offsets(ring: int) -> np.ndarray:
-    """Cell offsets (k, 3) at Chebyshev distance exactly `ring`, built face by face."""
-    if ring == 0:
-        return np.zeros((1, 3), dtype=np.int64)
-    full = np.arange(-ring, ring + 1)
-    inner = np.arange(-ring + 1, ring)
-    parts = []
-    # the two faces normal to `axis`; the other two axes span (a, b)
-    for axis, a, b in ((2, full, full), (1, full, inner), (0, inner, inner)):
-        u, v = np.meshgrid(a, b, indexing="ij")
-        others = [d for d in range(3) if d != axis]
-        for side in (-ring, ring):
-            face = np.empty((u.size, 3), dtype=np.int64)
-            face[:, axis] = side
-            face[:, others[0]] = u.ravel()
-            face[:, others[1]] = v.ravel()
-            parts.append(face)
-    return np.concatenate(parts)
+    """Cell offsets (k, 3) at Chebyshev distance exactly `ring`: the set
+    entries of a hollow (2 ring + 1)^3 cube, in C order."""
+    shell = np.ones((2 * ring + 1,) * 3, dtype=bool)
+    shell[1:-1, 1:-1, 1:-1] = False
+    return np.argwhere(shell) - ring
 
 
 def _nearest_capable_cells(
@@ -497,7 +485,6 @@ def _nearest_capable_cells(
     if not capable.any():
         return np.full(x.shape[0], -1, dtype=np.int64)
     shape = np.array(grid.shape)
-    cx, cy, cz = grid.centers
 
     def scan(part, offsets):
         """The capable cells at `offsets` around the cells of the points `part`."""
@@ -506,8 +493,7 @@ def _nearest_capable_cells(
         flat = np.where(inb, flat_indices(grid, cells), 0)
         hit = np.nonzero(inb & capable[flat])[0]
         owner = part[hit // offsets.shape[0]]
-        hc = cells[hit]
-        centers = np.stack([cx[hc[:, 0]], cy[hc[:, 1]], cz[hc[:, 2]]], axis=1)
+        centers = _gather(grid.centers, cells[hit])
         return owner, np.sum((centers - x[owner]) ** 2, axis=1), flat[hit]
 
     # a point retires at its first ring with a capable cell; the rings around

@@ -99,9 +99,9 @@ def write_timestep(step: TimeStep, path) -> None:
         fh.write(STEP_MAGIC)
         fh.write(struct.pack("<IIII", 3, nx, ny, nz))
         fh.write(struct.pack("<d", step.time))
-        fh.write(step.f.values.astype("<f8").tobytes())
-        for c in range(3):
-            fh.write(step.u.component(c).astype("<f8").tobytes())
+        # (3, n) velocity in C order is the file's component-after-component layout
+        fh.write(np.ascontiguousarray(step.f.values, dtype="<f8"))
+        fh.write(np.ascontiguousarray(step.u.values, dtype="<f8"))
 
 
 def read_timestep(path, grid: RectilinearGrid) -> TimeStep:
@@ -232,16 +232,18 @@ class StepSeries:
         return step
 
 
-def scan_dataset(manifest_path, grid, entries, keep=()) -> StepSeries:
-    """Validating pass over `dataset_files(manifest_path)`, as `grid` and
-    `entries`: read and check every step, each against its manifest time and
-    to come strictly after the step before, record its time, and keep only
-    the steps whose indices are in `keep`. A step not kept is freed before
-    the next one is read."""
+def scan_dataset(grid, entries, keep=()) -> StepSeries:
+    """Validating pass over a dataset's `grid` and (time, step path)
+    `entries` (`dataset_files`): check that every step file exists before
+    reading any, then read and check every step, each against its manifest
+    time and to come strictly after the step before, record its time, and
+    keep only the steps whose indices are in `keep`. A step not kept is freed
+    before the next one is read."""
+    for _, spath in entries:
+        if not spath.exists():
+            raise DatasetError(f"step file {spath} does not exist")
     times, kept = [], {}
     for k, (t, spath) in enumerate(entries):
-        if not spath.exists():
-            raise DatasetError(f"{manifest_path}: step file {spath} does not exist")
         step = read_timestep(spath, grid)
         if abs(step.time - t) > 1e-12 * max(1.0, abs(t)):
             raise DatasetError(f"{spath}: step time {step.time} disagrees with manifest {t}")
@@ -257,7 +259,7 @@ def scan_dataset(manifest_path, grid, entries, keep=()) -> StepSeries:
 def load_dataset(manifest_path) -> TimeSeriesDataset:
     """`scan_dataset` keeping every step, as one in-memory dataset."""
     grid, entries = dataset_files(manifest_path)
-    series = scan_dataset(manifest_path, grid, entries, range(len(entries)))
+    series = scan_dataset(grid, entries, range(len(entries)))
     return TimeSeriesDataset(grid=series.grid, steps=[series.take(k) for k in range(len(series))])
 
 

@@ -91,9 +91,6 @@ class CellField:
             )
         self.values = v
 
-    def component(self, c: int) -> np.ndarray:
-        return self.values if self.ncomp == 1 else self.values[c]
-
     def view3d(self) -> np.ndarray:
         """(nx, ny, nz)-indexed view of a scalar field (x-fastest flat layout)."""
         return self.values.reshape(self.grid.shape, order="F")

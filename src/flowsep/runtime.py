@@ -229,7 +229,7 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
             "its seed lattice outgrows 32-bit indices per axis or 64-bit flat keys"
         )
     # every step is read and checked here; only the run's first two stay
-    series = scan_dataset(config.manifest, grid, entries, _step_sequence(config.t0, config.tf)[:2])
+    series = scan_dataset(grid, entries, _step_sequence(config.t0, config.tf)[:2])
 
     result = _run(config, series, layout)
     if config.output is not None:

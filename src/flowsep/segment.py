@@ -38,9 +38,6 @@ class ContributionTable:
     def counts(self) -> dict[tuple[int, int], int]:
         return {(i, j): c for i, j, c, _ in self.rows}
 
-    def volumes(self) -> dict[tuple[int, int], float]:
-        return {(i, j): v for i, j, _, v in self.rows}
-
 
 def assign_labels(
     particles: ParticleSet, labels: LabelField, step: TimeStep, tau: float = 0.0

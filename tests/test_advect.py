@@ -19,7 +19,14 @@ from flowsep.advect import (
     seed_particles,
 )
 from flowsep.dataset_io import SyntheticScenario, generate_scenario
-from flowsep.grid import CellField, RectilinearGrid, TimeStep, locate_cells, uniform_grid
+from flowsep.grid import (
+    CellField,
+    RectilinearGrid,
+    TimeStep,
+    flat_indices,
+    locate_cells,
+    uniform_grid,
+)
 from flowsep.labeling import label_features
 from flowsep.plic import is_liquid_many, plic_table
 from flowsep.segment import assign_labels
@@ -623,6 +630,18 @@ _NEARER_AFTER_TIE = (
 )
 
 
+class TestRingOffsets:
+    @pytest.mark.parametrize("ring", range(13))
+    def test_chebyshev_shell(self, ring):
+        got = advect._ring_offsets(ring)
+        span = range(-ring, ring + 1)
+        want = {(a, b, c) for a in span for b in span for c in span
+                if max(abs(a), abs(b), abs(c)) == ring}
+        assert got.dtype == np.int64 and got.shape == (len(want), 3)
+        assert set(map(tuple, got.tolist())) == want
+        assert len(want) == (24 * ring * ring + 2 if ring else 1)
+
+
 class TestRingSearchFold:
     @settings(max_examples=200, deadline=None)
     @given(case=ring_rows())
@@ -718,6 +737,33 @@ class TestSearchWork:
             assert queries == strays, f"r={r}"
             per_stray = sum(rows) / sum(strays)
             assert per_stray <= self.ROWS_PER_STRAY, f"r={r}: {per_stray} rows per stray"
+
+
+class TestNoStragglerUnderCorrector:
+    """With a corrector every alive particle is phase-consistent after an
+    interval, so it lies in a cell with f > tau, which is labeled: the
+    gradient walk of `labels_for_positions` has no straggler to move. Without
+    one, refined seeds stray into unlabeled cells on the off-grid split sphere
+    (133 at r = 1 and 1 564 at r = 2 over the run), so the walk stays
+    reachable for its own tests."""
+
+    @pytest.mark.parametrize("corrector", ["off", "stages-2-3", "full"])
+    def test_alive_particles_in_unlabeled_cells(self, corrector):
+        steps = offgrid_split16()
+        labels = [label_features(step).labels for step in steps]
+        for r in range(3):
+            particles = seed_particles(steps[0], refinement=r)
+            cfg = AdvectionConfig(refinement=r, corrector=corrector)
+            stragglers = 0
+            for k in range(1, len(steps)):
+                advance_interval(particles, steps[k - 1], steps[k], cfg)
+                idx, inside = locate_cells(steps[k].grid, particles.pos[particles.alive])
+                assert inside.all()
+                stragglers += int(np.sum(labels[k][flat_indices(steps[k].grid, idx)] < 0))
+            if corrector != "off":
+                assert stragglers == 0, f"r={r}"
+            elif r >= 1:
+                assert stragglers > 0, f"r={r}"
 
 
 class TestWorkingSet:

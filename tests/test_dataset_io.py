@@ -147,7 +147,9 @@ class TestManifest:
         with pytest.raises(DatasetError):
             DatasetManifest(grid_path="g", steps=[(1.0, "a"), (0.5, "b")])
 
-    def test_missing_step_file(self, tmp_path):
+    def test_missing_step_file(self, tmp_path, monkeypatch):
+        # the second of two step files is missing: no step is read before the
+        # error, not even the first one, which exists
         g = uniform_grid(2)
         step = random_step(g, np.random.default_rng(4))
         write_grid(g, tmp_path / "grid.bin")
@@ -156,8 +158,12 @@ class TestManifest:
             DatasetManifest(grid_path="grid.bin", steps=[(0.0, "a.bin"), (1.0, "gone.bin")]),
             tmp_path / "ds.manifest",
         )
-        with pytest.raises(DatasetError):
+        reads = []
+        read = dataset_io.read_timestep
+        monkeypatch.setattr(dataset_io, "read_timestep", lambda *a: reads.append(a) or read(*a))
+        with pytest.raises(DatasetError, match="gone.bin does not exist"):
             load_dataset(tmp_path / "ds.manifest")
+        assert reads == []
 
     def test_byte_order_mark_is_skipped(self, tmp_path):
         m = DatasetManifest(grid_path="grid.bin", steps=[(0.0, "a.bin"), (1.5, "b.bin")])
@@ -182,7 +188,7 @@ class TestScanDataset:
         sc = SyntheticScenario(kind="rigid-rotation", cells=6, steps=5)
         manifest = write_dataset(generate_scenario(sc), tmp_path / "ds")
         full = load_dataset(manifest)
-        series = scan_dataset(manifest, *dataset_files(manifest), keep=(3, 1))
+        series = scan_dataset(*dataset_files(manifest), keep=(3, 1))
         assert len(series) == 5 and sorted(series.kept) == [1, 3]
         assert series.times == [s.time for s in full.steps]
         kept = series.kept[1]
@@ -200,8 +206,8 @@ class TestScanDataset:
         manifest = write_dataset(generate_scenario(sc), tmp_path / "ds")
         grid, entries = dataset_files(manifest)
         keep = (0, 3)
-        scan_dataset(manifest, grid, entries, keep)  # warm-up
-        peak = traced_peak(scan_dataset, manifest, grid, entries, keep)
+        scan_dataset(grid, entries, keep)  # warm-up
+        peak = traced_peak(scan_dataset, grid, entries, keep)
         assert peak <= (len(keep) + 1) * 32 * grid.ncells * 1.05
 
     def test_step_times_must_increase(self, tmp_path):
@@ -219,7 +225,7 @@ class TestScanDataset:
         with pytest.raises(DatasetError, match="b.bin"):
             load_dataset(manifest)
         with pytest.raises(DatasetError, match="b.bin"):
-            scan_dataset(manifest, *dataset_files(manifest))
+            scan_dataset(*dataset_files(manifest))
 
 
 class TestScenarios:

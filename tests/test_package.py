@@ -35,10 +35,10 @@ def test_readme_modules_section_names_every_module():
 
 
 def test_no_unused_import_or_unreferenced_private_definition():
-    # an import no longer used, a module-level `_helper` that nothing in the
-    # package calls any more, or a public function or class that neither the
-    # package nor perfbench/ uses and `flowsep.__all__` does not export, is
-    # code a refactor left behind
+    # an import no longer used, a module-level `_helper` or `_CONSTANT` that
+    # nothing in the package reads any more, or a public function, class or
+    # UPPER_CASE constant that neither the package nor perfbench/ uses and
+    # `flowsep.__all__` does not export, is code a refactor left behind
     root = Path(__file__).resolve().parents[1]
     src = sorted(root.glob("src/flowsep/*.py"))
     trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in src}
@@ -72,12 +72,20 @@ def test_no_unused_import_or_unreferenced_private_definition():
         outside += references(ast.parse(p.read_text(encoding="utf-8")))
     for name, tree in trees.items():
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("__"):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, ast.Assign):
+                defined = [t.id for t in node.targets if isinstance(t, ast.Name) and t.id.isupper()]
+            else:
                 continue
-            # a definition's references to itself (recursion) do not count
-            users = everywhere[node.name] - references(node)[node.name]
-            if not node.name.startswith("_"):
-                users += outside[node.name]
-            if not users:
-                unused.append(f"{name}: def {node.name}")
+            for what in defined:
+                if what.startswith("__"):
+                    continue
+                # a definition's references to itself (recursion, the
+                # assignment's own target) do not count
+                users = everywhere[what] - references(node)[what]
+                if not what.startswith("_"):
+                    users += outside[what]
+                if not users:
+                    unused.append(f"{name}: {what}")
     assert unused == []

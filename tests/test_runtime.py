@@ -222,6 +222,11 @@ class TestDegenerateRun:
         assert main(["run", "--config", str(path)]) == 1
         assert reads == []
         assert "tf index 99 outside dataset of 3 steps" in capsys.readouterr().err
+        # nor does a deleted one
+        step.unlink()
+        assert main(["run", "--config", str(path)]) == 1
+        assert reads == []
+        assert "tf index 99 outside dataset of 3 steps" in capsys.readouterr().err
 
     def bad_partitions_run(self, tmp_path):
         sc = SyntheticScenario(kind="split-sphere", cells=8, steps=3)
