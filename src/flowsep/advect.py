@@ -18,6 +18,7 @@ from .grid import (
     RectilinearGrid,
     TimeStep,
     flat_indices,
+    gather,
     locate_bins,
     locate_cells,
     sample_velocity,
@@ -29,10 +30,12 @@ CORRECTOR_MODES = ("off", "stages-2-3", "full")
 # relative inward nudge so a particle placed on a cell face is unambiguously
 # inside the target cell under half-open cell intervals
 BOUNDARY_NUDGE = 1e-9
-# rows taken at once by every per-particle pass (RK4, the phase test, the
-# stage-1 table, seeding, label transfer), which bounds their temporaries
-# whatever the particle count
-RK4_BLOCK = 1 << 13
+# rows taken at once by every row-batched pass, which bounds its temporaries
+# whatever the row count: RK4, the phase test, the stage-1 table, seeding,
+# label transfer and ownership take this many particles (seeding, subcells),
+# the ring searches this many (query, offset) pairs, and `epsilon.tsv` and
+# the OBJ files this many text rows
+BLOCK_ROWS = 1 << 13
 
 
 class PhaseConsistencyError(RuntimeError):
@@ -92,29 +95,20 @@ class ParticleSet:
     def seed_positions(self, a: int, b: int) -> np.ndarray:
         """Seed positions of particles a..b-1: the subcell centres at their indices."""
         centres, _ = subcell_lattice(self.grid, self.refinement)
-        return _gather(centres, self.lattice[a:b])
+        return gather(centres, self.lattice[a:b])
 
     def alive_blocks(self):
         """`_blocks` of the alive mask."""
         return _blocks(self.alive)
 
 
-def _gather(axes, lattice: np.ndarray) -> np.ndarray:
-    """(k, 3) points with coordinate `axes[d][lattice[:, d]]` on axis d,
-    gathered one axis at a time."""
-    out = np.empty(lattice.shape)
-    for d, a in enumerate(axes):
-        out[:, d] = a[lattice[:, d]]
-    return out
-
-
 def _blocks(mask: np.ndarray):
     """Indices of the set entries of `mask` in index order, one block per
-    `RK4_BLOCK` consecutive entries (empty blocks skipped), so no index array
+    `BLOCK_ROWS` consecutive entries (empty blocks skipped), so no index array
     over the whole mask is built. `mask` is read block by block, so a block
     may clear its own entries while the walk goes on."""
-    for a in range(0, mask.size, RK4_BLOCK):
-        idx = a + np.nonzero(mask[a : a + RK4_BLOCK])[0]
+    for a in range(0, mask.size, BLOCK_ROWS):
+        idx = a + np.nonzero(mask[a : a + BLOCK_ROWS])[0]
         if idx.size:
             yield idx
 
@@ -130,7 +124,7 @@ def seed_particles(step: TimeStep, refinement: int = 0, tau: float = 0.0) -> Par
     ordered by cell flat index, then by subcell (x fastest). The particle set
     stores each seed's int32 lattice index; its initial position is the
     seed's centre, gathered once, and its volume is derived on demand. The
-    candidate cells are tested in order, in chunks of at most `RK4_BLOCK`
+    candidate cells are tested in order, in chunks of at most `BLOCK_ROWS`
     subcells (at least one cell), so only the output grows with the seed
     count.
     """
@@ -141,7 +135,7 @@ def seed_particles(step: TimeStep, refinement: int = 0, tau: float = 0.0) -> Par
     fvals = step.f.values
     cand_cells = np.nonzero(fvals > tau)[0]
     sub = np.arange(s**3)
-    chunk = max(1, RK4_BLOCK // s**3)
+    chunk = max(1, BLOCK_ROWS // s**3)
     kept = []
     # one empty chunk when no cell is a candidate keeps the output shapes
     for a in range(0, max(cand_cells.size, 1), chunk):
@@ -165,7 +159,7 @@ def seed_particles(step: TimeStep, refinement: int = 0, tau: float = 0.0) -> Par
     n = lattice_arr.shape[0]
     return ParticleSet(
         lattice=lattice_arr,
-        pos=_gather(centres, lattice_arr),
+        pos=gather(centres, lattice_arr),
         alive=np.ones(n, dtype=bool),
         eps=np.zeros(n),
         refinement=r,
@@ -330,24 +324,19 @@ def _move(x: np.ndarray, eps: np.ndarray, rows: np.ndarray, to: np.ndarray) -> N
     x[rows] = to
 
 
-# (query, ring offset) pairs examined at once by `_ring_search` (stray and bin
-# in stage 1, point and cell in stage 2): this bounds the temporaries of both
-# stages whatever the refinement and ring radius
-RING_BLOCK = 1 << 16
-
-
 def _ring_search(n: int, scan, retired) -> np.ndarray:
     """Per query 0..n-1, the index of the row with the lexicographic minimum
     (d^2, index) over every row `scan` gives it (-1 where none).
 
     Chebyshev rings 0, 1, 2, ... are expanded around every query not yet
-    retired, in blocks of at most `RING_BLOCK` (query, offset) pairs:
-    `scan(part, offsets)` returns the rows (query, d^2, index) of the queries
-    `part` at the ring's `offsets`, in any order. After each ring,
-    `retired(todo, ring, d2)` marks the queries `todo` (with best d^2 `d2`)
-    that stop. Each block folds into the running minimum with two
-    `minimum.at`: one over d^2, then, after a strictly nearer row reset a
-    query's index, one over the indices of the rows that tie its best d^2.
+    retired, in blocks of at most `BLOCK_ROWS` (query, offset) pairs (at
+    least one query): `scan(part, offsets)` returns the rows (query, d^2,
+    index) of the queries `part` at the ring's `offsets`, in any order.
+    After each ring, `retired(todo, ring, d2)` marks the queries `todo`
+    (with best d^2 `d2`) that stop. Each block folds into the running
+    minimum with two `minimum.at`: one over d^2, then, after a strictly
+    nearer row reset a query's index, one over the indices of the rows that
+    tie its best d^2.
     """
     best_d2 = np.full(n, np.inf)
     best = np.full(n, -1, dtype=np.int64)
@@ -355,7 +344,7 @@ def _ring_search(n: int, scan, retired) -> np.ndarray:
     ring = 0
     while todo.size:
         offsets = _ring_offsets(ring)
-        block = max(1, RING_BLOCK // offsets.shape[0])
+        block = max(1, BLOCK_ROWS // offsets.shape[0])
         for b in range(0, todo.size, block):
             q, d2, idx = scan(todo[b : b + block], offsets)
             before = best_d2[q]
@@ -493,7 +482,7 @@ def _nearest_capable_cells(
         flat = np.where(inb, flat_indices(grid, cells), 0)
         hit = np.nonzero(inb & capable[flat])[0]
         owner = part[hit // offsets.shape[0]]
-        centers = _gather(grid.centers, cells[hit])
+        centers = gather(grid.centers, cells[hit])
         return owner, np.sum((centers - x[owner]) ** 2, axis=1), flat[hit]
 
     # a point retires at its first ring with a capable cell; the rings around

@@ -14,7 +14,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import CellField, GridError, RectilinearGrid, TimeSeriesDataset, TimeStep, uniform_grid
+from .grid import (
+    CellField,
+    GridError,
+    RectilinearGrid,
+    TimeSeriesDataset,
+    TimeStep,
+    gather,
+    uniform_grid,
+)
 
 STEP_MAGIC = b"FSEP0001"
 GRID_MAGIC = b"FSEPGRID"
@@ -364,16 +372,7 @@ class SyntheticScenario:
 def generate_scenario(scenario: SyntheticScenario) -> TimeSeriesDataset:
     """Voxelize a scenario: f by regular subsampling per cell, u at cell centers."""
     grid = uniform_grid(scenario.cells)
-    nx, ny, nz = grid.shape
-    cx, cy, cz = grid.centers
-    centers = np.stack(
-        [
-            np.tile(cx, ny * nz),
-            np.tile(np.repeat(cy, nx), nz),
-            np.repeat(cz, nx * ny),
-        ],
-        axis=1,
-    )
+    centers = gather(grid.centers, np.stack(grid.unflat(np.arange(grid.ncells)), axis=1))
     w = grid.widths[0][0]  # uniform cells
     # offsets of the SUBSAMPLES^3 subsample points relative to the cell center
     rel = (np.arange(SUBSAMPLES) + 0.5) / SUBSAMPLES - 0.5

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import segment
+from . import advect, segment
 from .advect import ParticleSet
 from .grid import RectilinearGrid, subcell_lattice
 from .marching import marching_cubes
@@ -185,7 +185,7 @@ def extract_separation_surface(
         nxt = next_labeling.labels[ev.seed_indices]
         for j1, j2 in itertools.combinations(ev.next_labels, 2):
             run = (nxt == j1) | (nxt == j2)
-            pairs.append(((j1, j2), ev.time_next))
+            pairs.append((j1, j2))
             sel.append(ev.seed_indices[run])
             plus.append(nxt[run] == j1)
     if not pairs:
@@ -194,8 +194,8 @@ def extract_separation_surface(
     sel, plus = np.concatenate(sel), np.concatenate(plus)
     meshes = _lattice_meshes(particles, sel, count, plus)
     return [
-        TriangleMesh(v, t, kind="separation", label=pair, timestamp=ts)
-        for (pair, ts), (v, t) in zip(pairs, meshes)
+        TriangleMesh(v, t, kind="separation", label=pair, timestamp=next_labeling.time)
+        for pair, (v, t) in zip(pairs, meshes)
     ]
 
 
@@ -301,11 +301,11 @@ def smooth_meshes(
 
 def write_obj(mesh: TriangleMesh, path) -> None:
     """`v` rows (floats as `repr`), then 1-based `f` rows, formatted through
-    one format string per block of `EXPORT_ROWS` rows and written block by
-    block; a mesh without rows is one empty line."""
+    one format string per block of `advect.BLOCK_ROWS` rows and written
+    block by block; a mesh without rows is one empty line."""
     verts = np.asarray(mesh.vertices, dtype=np.float64)
     tris = mesh.triangles
-    rows = segment.EXPORT_ROWS
+    rows = advect.BLOCK_ROWS
     with open(path, "w") as fh:
         if not (len(verts) or len(tris)):
             fh.write("\n")

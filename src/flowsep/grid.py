@@ -49,10 +49,8 @@ class RectilinearGrid:
 
     def cell_boxes(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Lower and upper corners (m, 3) of the cells with the given flat indices."""
-        ijk = self.unflat(np.asarray(flat))
-        lo = np.stack([self.axes[d][ijk[d]] for d in range(3)], axis=1)
-        hi = np.stack([self.axes[d][ijk[d] + 1] for d in range(3)], axis=1)
-        return lo, hi
+        ijk = np.stack(self.unflat(np.asarray(flat)), axis=1)
+        return gather(self.axes, ijk), gather(self.axes, ijk + 1)
 
     def unflat(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(i, j, k) index arrays of the cells with the given flat indices."""
@@ -144,6 +142,15 @@ class TimeSeriesDataset:
 
     def __len__(self) -> int:
         return len(self.steps)
+
+
+def gather(axes, idx: np.ndarray) -> np.ndarray:
+    """(k, 3) points with coordinate `axes[d][idx[:, d]]` on axis d,
+    gathered one axis at a time."""
+    out = np.empty(idx.shape)
+    for d, a in enumerate(axes):
+        out[:, d] = a[idx[:, d]]
+    return out
 
 
 def locate_cells(grid: RectilinearGrid, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -11,7 +11,7 @@ handoffs: labels are merged across block faces, and a handoff is counted per
 (source, destination) block pair that particles moved between. Ownership
 never kills: `advance_interval` has already killed every particle that left
 the domain. Integration ignores the layout: RK4 samples the global fields
-and takes the alive particles in fixed blocks of `advect.RK4_BLOCK`. A
+and takes the alive particles in fixed blocks of `advect.BLOCK_ROWS`. A
 serial run is the 1x1x1 partitioning of the same loop: one block, no cut
 planes, no faces to merge and no handoffs. Runs under any partitioning
 produce identical labelings, tables, and meshes.
@@ -281,7 +281,7 @@ def _run(config: PipelineConfig, series: StepSeries, layout: PartitionLayout) ->
         # split detection and separation surfaces
         events = detect_splits(labelings[-1], cur_labeling, initial_labeling)
         report.splits += [
-            (k, ev.time_next, ev.initial_label, ev.group_label, ev.next_labels) for ev in events
+            (k, step_to.time, ev.initial_label, ev.group_label, ev.next_labels) for ev in events
         ]
         meshes = extract_separation_surface(particles, events, cur_labeling)
         s_meshes += [mesh for mesh in meshes if not mesh.empty]

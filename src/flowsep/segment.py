@@ -13,12 +13,12 @@ from pathlib import Path
 
 import numpy as np
 
+from . import advect
 from .advect import ParticleSet
 from .grid import TimeStep, flat_indices, fraction_gradients, locate_cells, sample_cell_field
 from .labeling import LabelField
 
 GRADIENT_WALK_MAX = 8  # cap on the label search walk up the fraction gradient
-EXPORT_ROWS = 1 << 14  # rows of epsilon.tsv and of OBJ files formatted per block
 
 
 @dataclass
@@ -149,11 +149,12 @@ def _repr_column(col: np.ndarray) -> list[str]:
 
 def write_epsilon(particles: ParticleSet, path) -> None:
     """`seed x y z eps` rows, one per seed in seed order; floats as `repr`.
-    Each block of `EXPORT_ROWS` rows gathers its own seed positions."""
+    Each block of `advect.BLOCK_ROWS` rows gathers its own seed positions."""
+    rows = advect.BLOCK_ROWS
     with open(path, "w") as fh:
         fh.write("seed\tx\ty\tz\teps\n")
-        for a in range(0, len(particles), EXPORT_ROWS):
-            b = min(a + EXPORT_ROWS, len(particles))
+        for a in range(0, len(particles), rows):
+            b = min(a + rows, len(particles))
             cols = [*particles.seed_positions(a, b).T, particles.eps[a:b]]
             text = [_repr_column(c) for c in cols]
             fh.write("\n".join(map("\t".join, zip(map(str, range(a, b)), *text))) + "\n")
@@ -168,7 +169,6 @@ class SplitEvent:
     group_label: int
     next_labels: tuple[int, ...]
     seed_indices: np.ndarray
-    time_next: float
 
 
 def detect_splits(
@@ -198,7 +198,6 @@ def detect_splits(
                 group_label=int(gp[s]),
                 next_labels=tuple(gn[s:e][first_next[s:e]].tolist()),
                 seed_indices=np.sort(order[s:e]),
-                time_next=next_.time,
             )
         )
     return events

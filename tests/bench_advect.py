@@ -8,7 +8,7 @@ The orbit cases run on one interval of the orbit shape: a ball of radius 0.2
 orbiting the domain center at radius 0.25 in a rigid rotation, 32^3 cells,
 refinement 2 (64 subcells per liquid cell, about 70k particles), over a 1/76
 turn. `test_rk4_positions` integrates all rows in one call, `test_rk4_blocks`
-in `RK4_BLOCK` blocks as a run does, and `test_sample_velocity` samples one
+in `BLOCK_ROWS` blocks as a run does, and `test_sample_velocity` samples one
 block at the time weights 0, 1/2 and 1. The corrector benchmark reuses the
 step's PLIC table, as a run does.
 The r = 3 case is the stage-1 search of the first interval of the split
@@ -97,19 +97,19 @@ def test_rk4_blocks(benchmark, orbit_interval):
     out = benchmark(walk)
     assert sum(len(p) for p in out) == len(pre_pos)
     block = pre_pos[blocks[0]]
-    assert len(block) == advect.RK4_BLOCK
+    assert len(block) == advect.BLOCK_ROWS
     peak = traced_peak(rk4_positions, step0, step1, block)
     benchmark.extra_info["bytes_per_row"] = peak / len(block)
 
 
 @pytest.mark.parametrize("theta", ["0", "1/2", "1"])
 def test_sample_velocity(benchmark, orbit_interval, theta):
-    """One `RK4_BLOCK` of orbit rows sampled at time weight theta: one stored
+    """One `BLOCK_ROWS` of orbit rows sampled at time weight theta: one stored
     field at 0 and 1, both blended at 1/2."""
     step0, step1, _, pre_pos = orbit_interval
     t = {"0": step0.time, "1/2": 0.5 * (step0.time + step1.time), "1": step1.time}[theta]
-    v = benchmark(sample_velocity, step0, step1, pre_pos[: advect.RK4_BLOCK], t)
-    assert v.shape == (advect.RK4_BLOCK, 3)
+    v = benchmark(sample_velocity, step0, step1, pre_pos[: advect.BLOCK_ROWS], t)
+    assert v.shape == (advect.BLOCK_ROWS, 3)
 
 
 def test_correct_strays(benchmark, orbit_interval):

@@ -200,7 +200,7 @@ class TestBlockedIntegration:
         runs = []
         for block in (7, len(seeded)):
             ps = copy.deepcopy(seeded)
-            monkeypatch.setattr(advect, "RK4_BLOCK", block)
+            monkeypatch.setattr(advect, "BLOCK_ROWS", block)
             advance_interval(ps, step_a, step_b, cfg)
             runs.append(ps)
         # the leavers fall into many blocks of 7
@@ -219,8 +219,8 @@ class TestBlockedIntegration:
         alive = np.nonzero(ps.alive)[0]
         want = alive[~is_liquid_many(ds.steps[1], ps.pos[alive])]
         assert want.size > 0
-        for block in (1, 5, advect.RK4_BLOCK):
-            monkeypatch.setattr(advect, "RK4_BLOCK", block)
+        for block in (1, 5, advect.BLOCK_ROWS):
+            monkeypatch.setattr(advect, "BLOCK_ROWS", block)
             assert np.array_equal(phase_violations(ps, ds.steps[1]), want)
 
     def test_peak_memory_bounded_by_one_block(self):
@@ -241,7 +241,7 @@ class TestBlockedIntegration:
 
         for corrector in ("off", "full"):
             cfg = AdvectionConfig(corrector=corrector)
-            one, many = particles(advect.RK4_BLOCK), particles(16 * advect.RK4_BLOCK)
+            one, many = particles(advect.BLOCK_ROWS), particles(16 * advect.BLOCK_ROWS)
             advance_interval(particles(100), step_a, step_b, cfg)
             per_block = traced_peak(advance_interval, one, step_a, step_b, cfg)
             blocked = traced_peak(advance_interval, many, step_a, step_b, cfg)
@@ -267,7 +267,7 @@ class TestBlockedIntegration:
             return s
 
         one, many = step((4, 2, 2)), step((8, 4, 4))
-        assert one.grid.ncells * 8**3 == advect.RK4_BLOCK
+        assert one.grid.ncells * 8**3 == advect.BLOCK_ROWS
         seed_particles(one, 3)
         per_block = traced_peak(seed_particles, one, 3)
         seeded = seed_particles(many, 3)
@@ -287,7 +287,7 @@ class TestBlockedIntegration:
         def particles(n):
             return probes_particle_set(rng.uniform(0.0, 1.0, size=(n, 3)))
 
-        one, many = particles(advect.RK4_BLOCK), particles(8 * advect.RK4_BLOCK)
+        one, many = particles(advect.BLOCK_ROWS), particles(8 * advect.BLOCK_ROWS)
         assign_labels(particles(100), labels, step, 0.5)
         per_block = traced_peak(assign_labels, one, labels, step, 0.5)
         blocked = traced_peak(assign_labels, many, labels, step, 0.5)
@@ -484,7 +484,7 @@ def stage2_cases(draw):
             for _ in range(draw(st.integers(1, 8)))
         ]
     )
-    block = draw(st.sampled_from([1, 5, advect.RING_BLOCK]))
+    block = draw(st.sampled_from([1, 5, advect.BLOCK_ROWS]))
     return axes, capable, pts, block
 
 
@@ -501,7 +501,7 @@ class TestStage2Target:
         axes, capable, pts, block = case
         grid = RectilinearGrid(tuple(axes))
         start, _ = locate_cells(grid, np.clip(pts, grid.lo, grid.hi))
-        with mock.patch.object(advect, "RING_BLOCK", block):
+        with mock.patch.object(advect, "BLOCK_ROWS", block):
             got = advect._nearest_capable_cells(grid, capable, start, pts)
         want = [nearest_capable_cell(axes, capable, p) for p in pts]
         assert got.tolist() == [-1 if w is None else w for w in want]
@@ -550,7 +550,7 @@ def stage1_cases(draw):
         lower[d] = x[d] - (upper[d] - x[d])
         pos = np.vstack([upper, lower, pos])
         role = np.r_[0, 0, role]
-    block = draw(st.sampled_from([1, 3, advect.RING_BLOCK]))
+    block = draw(st.sampled_from([1, 3, advect.BLOCK_ROWS]))
     return axes, r, pos, np.nonzero(role == 0)[0], np.nonzero(role == 1)[0], block
 
 
@@ -558,7 +558,7 @@ _UNIT4 = [np.arange(5.0), np.array([0.0, 1.0]), np.array([0.0, 1.0])]  # 4 x 1 x
 # the nearest candidates tie at d^2 = 0.25: index 2 in the stray's own cell,
 # index 0 on the lower face of the next cell, exactly at the retirement bound
 _TIE_ON_FACE = (_UNIT4, 0, np.array([[2.0, 0.5, 0.5], [1.5, 0.5, 0.5], [1.5, 0.5, 0.0]]),
-                np.array([0, 2]), np.array([1]), advect.RING_BLOCK)
+                np.array([0, 2]), np.array([1]), advect.BLOCK_ROWS)
 # the only candidate lies in the first bin above (below) the first stray's
 # 3x3x3 cells, and in range of the second stray
 _ABOVE_RANGE = (_UNIT4, 1, np.array([[2.25, 0.5, 0.5], [0.25, 0.5, 0.5], [3.75, 0.5, 0.5]]),
@@ -568,14 +568,14 @@ _BELOW_RANGE = (_UNIT4, 1, np.array([[1.75, 0.5, 0.5], [3.75, 0.5, 0.5], [0.25, 
 # one cell; a candidate below the domain on every axis is out of range
 _BELOW_DOMAIN = ([np.array([0.0, 1.0])] * 3, 1,
                  np.array([[-0.5, -0.5, -0.5], [0.5, 0.5, 0.5], [0.25, 0.5, 0.5]]),
-                 np.array([0, 2]), np.array([1]), advect.RING_BLOCK)
+                 np.array([0, 2]), np.array([1]), advect.BLOCK_ROWS)
 # no valid particle at all (the early return), and valid particles only outside
 # the cells around the strays (one beyond them, one outside the domain), where
 # the rings run on an empty table and still find none
 _NO_CANDIDATES = (_UNIT4, 1, np.array([[0.5, 0.5, 0.5], [3.25, 0.5, 0.5]]),
-                  np.array([], dtype=np.int64), np.array([0, 1]), advect.RING_BLOCK)
+                  np.array([], dtype=np.int64), np.array([0, 1]), advect.BLOCK_ROWS)
 _OUTSIDE_REGION = (_UNIT4, 1, np.array([[0.5, 0.5, 0.5], [3.5, 0.5, 0.5], [5.0, 0.5, 0.5]]),
-                   np.array([1, 2]), np.array([0]), advect.RING_BLOCK)
+                   np.array([1, 2]), np.array([0]), advect.BLOCK_ROWS)
 
 
 class TestStage1Search:
@@ -592,7 +592,7 @@ class TestStage1Search:
         grid = RectilinearGrid(tuple(axes))
         valid = np.zeros(pos.shape[0], dtype=bool)
         valid[candidates] = True
-        with mock.patch.object(advect, "RING_BLOCK", block):
+        with mock.patch.object(advect, "BLOCK_ROWS", block):
             got = advect._nearest_neighbors(grid, pos, valid, strays, r)
         want = nearest_neighbors_cell_keys(grid, pos, candidates, strays)
         assert got.dtype == want.dtype
@@ -614,7 +614,7 @@ def ring_rows(draw):
                         dtype=np.int64)
 
     rows = (ints(0, n - 1, m), ints(0, rings - 1, m), ints(0, 4, m) * 0.125, ints(0, 5, m))
-    block = draw(st.sampled_from([1, 30, 100, 300, advect.RING_BLOCK]))
+    block = draw(st.sampled_from([1, 30, 100, 300, advect.BLOCK_ROWS]))
     return n, rows, ints(0, rings - 1, n), block
 
 
@@ -657,7 +657,7 @@ class TestRingSearchFold:
             sel = np.nonzero(np.isin(query, part) & (ring == k))[0]
             return query[sel], d2[sel], index[sel]
 
-        with mock.patch.object(advect, "RING_BLOCK", block):
+        with mock.patch.object(advect, "BLOCK_ROWS", block):
             got = advect._ring_search(n, scan, lambda todo, k, best_d2: stop[todo] <= k)
         # every query is scanned once per ring up to its retiring ring
         for k in range(int(stop.max()) + 1):
@@ -772,16 +772,17 @@ class TestWorkingSet:
     interval), the traced peaks of `advance_interval` and `assign_labels`,
     less the state each must hold for all particles (the pre_pos copy; the
     int32 labels), stay within a fixed allowance plus a constant per
-    particle. The blocks shrink to 256 rows and 2048 ring pairs, which changes
-    no bit, so that from r = 2 on one block's temporaries are small next to
-    the particle count, as on large grids. Measured: 9 and 60 B per particle
-    over the fixed allowance at r = 2 and 3 for the interval (most of it per
-    stray, 371 B per stray at r = 3: 13-16 % of the particles are strays) and
-    5 and 0 for the label transfer. Passes over all particles at once fail
-    it: with the phase test and the label transfer unblocked, the two read
-    157 and 93 B per particle at r = 3, and a corrector that keeps a copy of
-    the strays' positions per stage reads 76 B for the interval. Within the
-    interval, one RK4 block call stays within a bound per row."""
+    particle. `BLOCK_ROWS` shrinks to 256 (rows, and ring (query, offset)
+    pairs), which changes no bit, so that from r = 2 on one block's
+    temporaries are small next to the particle count, as on large grids.
+    Measured: 3 and 59 B per particle over the fixed allowance at r = 2 and 3
+    for the interval (most of it per stray, 369 B per stray at r = 3: 13-16 %
+    of the particles are strays), and 4 and 0 B per particle in all for the
+    label transfer. Passes over all particles at once fail it: with the phase
+    test and the label transfer unblocked, the two read 157 and 93 B per
+    particle at r = 3, and a corrector that keeps a copy of the strays'
+    positions per stage reads 76 B for the interval. Within the interval, one
+    RK4 block call stays within a bound per row."""
 
     FIXED = 1 << 19  # cells-sized arrays and one block of each kind
     INTERVAL = 64  # B per particle: phase mask, stage-1 table, per-stray state
@@ -790,8 +791,7 @@ class TestWorkingSet:
 
     def test_peak_per_particle_flat_across_r(self, monkeypatch):
         steps = offgrid_split16()
-        monkeypatch.setattr(advect, "RK4_BLOCK", 256)
-        monkeypatch.setattr(advect, "RING_BLOCK", 2048)
+        monkeypatch.setattr(advect, "BLOCK_ROWS", 256)
         labels = label_features(steps[1])
         plic_table(steps[1])
         for r in range(4):
@@ -811,8 +811,8 @@ class TestWorkingSet:
         # point and one two-field stencil; an RK4 that allocates an array per
         # operation and blends both fields at every stage reads 329 B per row
         step0, step1 = orbit_steps()
-        pts = seed_particles(step0, refinement=2).pos[: advect.RK4_BLOCK]
-        assert len(pts) == advect.RK4_BLOCK
+        pts = seed_particles(step0, refinement=2).pos[: advect.BLOCK_ROWS]
+        assert len(pts) == advect.BLOCK_ROWS
         rk4_positions(step0, step1, pts)
         peak = traced_peak(rk4_positions, step0, step1, pts)
         assert peak <= self.RK4_PER_ROW * len(pts), f"{peak / len(pts):.0f} B per row"

@@ -8,6 +8,7 @@ import pytest
 
 from flowsep import dataset_io
 from flowsep.dataset_io import (
+    SCENARIO_KINDS,
     BadMagicError,
     DatasetError,
     DatasetManifest,
@@ -269,6 +270,20 @@ class TestScenarios:
         assert counts[0] == 1
         assert max(counts) == 2
         assert counts[-1] == 1
+
+    @pytest.mark.parametrize("kind", SCENARIO_KINDS)
+    def test_velocity_is_the_scenario_field_at_the_cell_centres(self, kind):
+        # the centres in the x-fastest flat layout, built apart from the
+        # generator: every step's u is the scenario's velocity there, bit for bit
+        sc = SyntheticScenario(kind=kind, cells=6, steps=3)
+        ds = generate_scenario(sc)
+        mesh = np.meshgrid(*ds.grid.centers, indexing="ij")
+        pts = np.stack([c.ravel(order="F") for c in mesh], axis=1)
+        for step in ds.steps:
+            want = sc.velocity(pts, step.time).T
+            assert step.u.values.shape == want.shape
+            assert step.u.values.tobytes() == want.tobytes()
+        assert any(step.u.values.any() for step in ds.steps)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(DatasetError):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowsep import extract
+from flowsep import advect, extract
 from flowsep.advect import ParticleSet
 from flowsep.extract import (
     TriangleMesh,
@@ -25,7 +25,7 @@ from flowsep.extract import (
 from flowsep.grid import RectilinearGrid, subcell_lattice, uniform_grid
 from flowsep.labeling import connected_components
 from flowsep.marching import marching_cubes
-from flowsep.segment import EXPORT_ROWS, SeedLabeling, SplitEvent
+from flowsep.segment import SeedLabeling, SplitEvent
 
 from .oracles import (
     boundary_mesh_loop,
@@ -181,7 +181,6 @@ def _separation_inputs(grid, plus_pts, minus_pts, extra_invalid=()):
         group_label=0,
         next_labels=(0, 1),
         seed_indices=np.arange(len(pts)),
-        time_next=1.0,
     )
     return ps, event, nxt
 
@@ -451,7 +450,6 @@ def split_events(draw):
                 group_label=e,
                 next_labels=tuple(rng.choice(listed, size, replace=False).tolist()),
                 seed_indices=seeds,
-                time_next=e + 1.0,
             )
         )
     return grid, ps, SeedLabeling(labels=labeling.labels, time=1.0), events
@@ -460,7 +458,7 @@ def split_events(draw):
 def separation_mesh_objects(grid, ps, events, nxt):
     """The per-pair oracle's meshes as the `TriangleMesh` list it stands for."""
     return [
-        TriangleMesh(v, t, "separation", pair, ev.time_next)
+        TriangleMesh(v, t, "separation", pair, nxt.time)
         for (v, t), (ev, pair) in zip(
             separation_mesh_loop(grid, ps, events, nxt), event_pairs(events)
         )
@@ -485,7 +483,6 @@ def droplet_split_events(count):
             group_label=b,
             next_labels=(2 * b, 2 * b + 1),
             seed_indices=np.nonzero(labels == b)[0],
-            time_next=1.0,
         )
         for b in range(count)
     ]
@@ -564,7 +561,7 @@ class TestBatchedTailMatchesPerMesh:
             got = extract_separation_surface(ps, events, nxt)
         assert len(got) == len(pairs)
         for mesh, (v, t), (ev, pair) in zip(got, want, pairs):
-            assert (mesh.kind, mesh.label, mesh.timestamp) == ("separation", pair, ev.time_next)
+            assert (mesh.kind, mesh.label, mesh.timestamp) == ("separation", pair, nxt.time)
             assert_mesh_bits(mesh, v, t)
 
     def test_packing_makes_fewer_separation_marching_cubes_calls(self):
@@ -619,7 +616,8 @@ class TestBatchedTailMatchesPerMesh:
         with pytest.raises(ValueError):
             smooth_meshes([], iterations=1, lam=0.0)
 
-    @pytest.mark.parametrize("rows", [0, EXPORT_ROWS, EXPORT_ROWS + 1])
+    # two whole row blocks, and one row more
+    @pytest.mark.parametrize("rows", [0, 2 * advect.BLOCK_ROWS, 2 * advect.BLOCK_ROWS + 1])
     def test_obj_block_edges_equal_fstrings(self, rows, tmp_path):
         rng = np.random.default_rng(rows)
         verts = rng.normal(size=(rows, 3)) * 10.0 ** rng.integers(-6, 6, (rows, 1))

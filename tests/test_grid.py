@@ -147,6 +147,9 @@ class TestLocateCell:
         last = idx == np.array(g.shape) - 1
         assert np.all(lo <= pts)
         assert np.all(np.where(last, pts <= hi, pts < hi))
+        for d in range(3):  # the corners are the nodes at i and i + 1, bit for bit
+            assert lo[:, d].tobytes() == g.axes[d][idx[:, d]].tobytes()
+            assert hi[:, d].tobytes() == g.axes[d][idx[:, d] + 1].tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(case=locate_cases())

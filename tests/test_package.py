@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import ast
+import importlib
 import re
 from collections import Counter
 from pathlib import Path
 
 import flowsep
 from flowsep import runtime
+
+from .test_runtime import BATCHING_CONSTANTS
 
 
 def test_all_names_resolve():
@@ -89,3 +92,19 @@ def test_no_unused_import_or_unreferenced_private_definition():
                 if not users:
                     unused.append(f"{name}: {what}")
     assert unused == []
+
+
+def test_every_large_int_constant_is_a_drawn_batching_constant():
+    # a module-level int of 1 024 or more is a batch size: it must be one that
+    # TestBatchingConstants draws, so no batch knob escapes the all-at-once test
+    root = Path(__file__).resolve().parents[1]
+    large = []
+    for p in sorted(root.glob("src/flowsep/*.py")):
+        module = importlib.import_module("flowsep" if p.stem == "__init__" else f"flowsep.{p.stem}")
+        for node in ast.parse(p.read_text(encoding="utf-8")).body:
+            targets = node.targets if isinstance(node, ast.Assign) else []
+            for name in (t.id for t in targets if isinstance(t, ast.Name)):
+                value = getattr(module, name)
+                if type(value) is int and value >= 1024:
+                    large.append((module, name))
+    assert set(large) == set(BATCHING_CONSTANTS)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowsep.advect import seed_particles
+from flowsep.advect import BLOCK_ROWS, seed_particles
 from flowsep.grid import (
     CellField,
     RectilinearGrid,
@@ -20,7 +20,6 @@ from flowsep.grid import (
 )
 from flowsep.labeling import LabelField, label_features
 from flowsep.segment import (
-    EXPORT_ROWS,
     GRADIENT_WALK_MAX,
     SeedLabeling,
     assign_labels,
@@ -268,7 +267,6 @@ class TestDetectSplits:
         assert ev.initial_label == 0 and ev.group_label == 0
         assert ev.next_labels == (0, 1)
         assert ev.seed_indices.tolist() == [0, 1, 2, 3, 4, 5]
-        assert ev.time_next == 2.0
 
     def test_invalid_next_labels_ignored(self):
         initial = SeedLabeling(labels=np.zeros(4, dtype=np.int32), time=0.0)
@@ -317,7 +315,6 @@ class TestDetectSplits:
             assert all(type(v) is int for v in ev.next_labels)
             assert ev.seed_indices.dtype == members.dtype
             assert np.array_equal(ev.seed_indices, members)
-            assert ev.time_next == 2.0
 
 
 class TestConservationProperty:
@@ -359,7 +356,7 @@ SPECIAL_FLOATS = np.concatenate(
 class TestWriteEpsilon:
     @settings(max_examples=30, deadline=None)
     @given(
-        n=st.sampled_from([0, 1, EXPORT_ROWS - 1, EXPORT_ROWS, EXPORT_ROWS + 1]),
+        n=st.sampled_from([0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1]),
         seed=st.integers(0, 2**32 - 1),
         drawn=st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=8),
         nodes=st.integers(1, 64),
